@@ -201,10 +201,13 @@ def verify_row(row: FixtureRow) -> dict:
     f = parse_polynomial(row.f, VARIABLES)
     f_T = parse_polynomial(row.f_T, VARIABLES)
 
-    # table reproduction: c_f, Gorenstein parameter of the transpose, ambient
     canonical = canonical_weights(f)
     reduced = reduce(canonical)
-    a_value = gorenstein_parameter(canonical_weights(f_T))
+    canonical_T = canonical_weights(f_T)
+    reduced_T = reduce(canonical_T)
+
+    # table reproduction: c_f, Gorenstein parameter of the transpose, ambient
+    a_value = gorenstein_parameter(canonical_T)
     ambient = ambient_weights(reduced, row.compactifier_shape)
     table_ok = (
         reduced.c_f == row.c_f
@@ -238,8 +241,8 @@ def verify_row(row: FixtureRow) -> dict:
         "checked_through": k_max,
     }
 
-    gram, gens, conf = klattice.row_gram(row)
-    oracle = series.transpose_monodromy(row)
+    gram, gens, _ = klattice.row_gram(row)
+    oracle = series.milnor_orlik(reduced_T)
     checks["rank_mu"] = {
         "status": _status(len(gens) == row.mu == oracle.degree),
         "rank": len(gens),
@@ -266,7 +269,7 @@ def verify_row(row: FixtureRow) -> dict:
         cox.factorization.is_cyclotomic
         and cox.factorization.factors == oracle.factors
         and preserves_form(cox.matrix, gram)
-        and lattice_invariants(gram).rank == row.mu
+        and gram.dim == row.mu
         and det_value == (-1) ** row.mu
     )
     checks["coxeter_monodromy"] = {
@@ -276,11 +279,12 @@ def verify_row(row: FixtureRow) -> dict:
         "det_tau": det_value,
     }
 
+    phi = series.characteristic_function(canonical, row.dolgachev)
     try:
-        phi = series.verify_phi_identity(row)
+        phi_report = series.verify_phi_identity(phi, reduced_T, oracle)
         checks["phi_identity"] = {
-            "status": _status(phi.holds and phi.shift_exponent == 1),
-            "shift_exponent": phi.shift_exponent,
+            "status": _status(phi_report.holds and phi_report.shift_exponent == 1),
+            "shift_exponent": phi_report.shift_exponent,
         }
     except series.HypothesisNotMet:
         checks["phi_identity"] = {"status": "inapplicable", "shift_exponent": None}
@@ -289,7 +293,7 @@ def verify_row(row: FixtureRow) -> dict:
     if expected is None:
         checks["square_relation"] = {"status": "inapplicable"}
     else:
-        square = series.verify_square_relation(row)
+        square = series.verify_square_relation(phi, cox.factorization, gram.dim)
         checks["square_relation"] = {
             "status": _status(square.holds == expected),
             "holds": square.holds,

@@ -8,14 +8,12 @@ the Coxeter element is the product of all basis reflections in basis order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     CyclotomicFactorization,
     IntMatrix,
     IntPolynomial,
     char_poly,
-    det_bareiss,
     factor_cyclotomic,
 )
 
@@ -95,46 +93,28 @@ class LatticeInvariants:
     signature: tuple[int, int, int]  # (positive, zero, negative)
 
 
+def _sign_changes(coefficients) -> int:
+    signs = [c > 0 for c in coefficients if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
-    """Exact rank, determinant, and inertia via congruence diagonalization."""
+    """Exact rank, determinant, and inertia from p = char_poly(G).
+
+    A symmetric G has a real-rooted p, so Descartes' rule of signs is exact:
+    the sign changes of p / t^zero and of its value at -t count the positive
+    and negative eigenvalues, where zero is the multiplicity of the root 0.
+    det G = (-1)^n p(0).
+    """
     if not gram.is_symmetric():
         raise NotSymmetric("Gram matrix must be symmetric")
     n = gram.dim
-    a = [[Fraction(x) for x in row] for row in gram.entries]
-    pos = zero = neg = 0
-    k = 0
-    while k < n:
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                partner = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if partner is None:
-                    zero += 1
-                    k += 1
-                    continue
-                # fold e_partner into e_k to create a nonzero diagonal entry
-                for row in a:
-                    row[k] += row[partner]
-                for j in range(n):
-                    a[k][j] += a[partner][j]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            factor = a[i][k] / d
-            if factor:
-                for j in range(n):
-                    a[i][j] -= factor * a[k][j]
-                for row in a:
-                    row[i] -= factor * row[k]
-        k += 1
-    return LatticeInvariants(n, det_bareiss(gram), (pos, zero, neg))
+    p = char_poly(gram).coefficients
+    zero = next(k for k, c in enumerate(p) if c)
+    q = p[zero:]
+    pos = _sign_changes(q)
+    neg = _sign_changes(c if k % 2 == 0 else -c for k, c in enumerate(q))
+    return LatticeInvariants(n, (-1) ** n * p[0], (pos, zero, neg))
 
 
 def graph_isomorphic(g1: IntMatrix, g2: IntMatrix) -> list[int] | None:

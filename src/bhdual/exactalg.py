@@ -14,7 +14,7 @@ from functools import lru_cache
 
 
 class InexactDivision(ArithmeticError):
-    """Raised when an exact polynomial division leaves a remainder."""
+    """Raised when a division that must be exact leaves a remainder."""
 
 
 class NotCyclotomic(ValueError):
@@ -56,11 +56,6 @@ class IntPolynomial:
     @staticmethod
     def constant(c: int) -> "IntPolynomial":
         return IntPolynomial((c,))
-
-    @staticmethod
-    def t_power(n: int, coefficient: int = 1) -> "IntPolynomial":
-        """coefficient * t^n"""
-        return IntPolynomial((0,) * n + (coefficient,))
 
     @staticmethod
     def t_n_minus_1(n: int) -> "IntPolynomial":
@@ -258,18 +253,9 @@ class RationalFunction:
         object.__setattr__(self, "numerator", numerator)
         object.__setattr__(self, "denominator", denominator)
 
-    @staticmethod
-    def from_polynomial(p: IntPolynomial) -> "RationalFunction":
-        return RationalFunction(p, IntPolynomial.one())
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
             self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.denominator, self.denominator * other.numerator
         )
 
     @property
@@ -527,7 +513,8 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
                     for j in range(n):
                         orow[j] += a * wrow[j]
         trace = sum(nxt[i][i] for i in range(n))
-        assert trace % k == 0
+        if trace % k:
+            raise InexactDivision(f"trace {trace} not divisible by {k} in Faddeev-LeVerrier")
         c = -trace // k
         coeffs[n - k] = c
         for i in range(n):

@@ -2,6 +2,10 @@
 phi_f = p_f * Delta_0, the weighted-homogeneous monodromy oracle, and the
 identity checks built on them.
 
+This module is pure series and monodromy arithmetic: the identity checks take
+the artifacts they compare (phi_f, the oracle, the Coxeter factorization) as
+arguments and build no lattice themselves.
+
 The monodromy oracle is standard for weighted homogeneous isolated
 singularities: the graded dimensions of the Milnor algebra are read off the
 product formula prod (t^(d-q_i) - 1)/(t^(q_i) - 1), and a basis element of
@@ -15,9 +19,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 
-from . import klattice
-from .coxeter import coxeter_element
-from .curveconf import build_configuration
 from .exactalg import (
     CyclotomicFactorization,
     IntPolynomial,
@@ -26,7 +27,7 @@ from .exactalg import (
     square_root_spectrum,
 )
 from .fixtures import FixtureRow, VARIABLES
-from .polyparse import InvertiblePolynomial, parse_polynomial
+from .polyparse import parse_polynomial
 from .weights import CanonicalWeights, ReducedWeights, canonical_weights, reduce
 
 
@@ -36,13 +37,6 @@ class NonIntegralMilnorNumber(ValueError):
 
 class HypothesisNotMet(ValueError):
     """The canonical weight system of the transpose is not reduced."""
-
-
-@dataclass(frozen=True)
-class PoincareData:
-    p_f: RationalFunction
-    delta0: RationalFunction
-    phi_f: RationalFunction
 
 
 def poincare_series(wsys: CanonicalWeights) -> RationalFunction:
@@ -88,15 +82,9 @@ def delta0(alpha) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def characteristic_function(f: InvertiblePolynomial, alpha) -> RationalFunction:
-    """phi_f(t) = p_f(t) * Delta_0(t), normalized."""
-    return poincare_series(canonical_weights(f)) * delta0(alpha)
-
-
-def poincare_data(f: InvertiblePolynomial, alpha) -> PoincareData:
-    p = poincare_series(canonical_weights(f))
-    d0 = delta0(alpha)
-    return PoincareData(p, d0, p * d0)
+def characteristic_function(wsys: CanonicalWeights, alpha) -> RationalFunction:
+    """phi_f(t) = p_f(t) * Delta_0(t), normalized, from f's canonical weights."""
+    return poincare_series(wsys) * delta0(alpha)
 
 
 def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
@@ -137,12 +125,15 @@ def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
         if m:
             factors[n] = m
     result = CyclotomicFactorization(factors, 1, IntPolynomial.one())
-    assert result.degree == mu
+    if result.degree != mu:
+        raise NonIntegralMilnorNumber(
+            f"factor degree {result.degree} differs from the Milnor number {mu} for {rw}"
+        )
     return result
 
 
 # ---------------------------------------------------------------------------
-# identity checks on fixture rows
+# identity checks and fixture-row oracles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,27 +151,22 @@ class SquareReport:
     shift_exponent: int | None = None
 
 
-def _parse(text: str) -> InvertiblePolynomial:
-    return parse_polynomial(text, VARIABLES)
-
-
 def transpose_reduced_weights(row: FixtureRow) -> ReducedWeights:
-    return reduce(canonical_weights(_parse(row.f_T)))
+    return reduce(canonical_weights(parse_polynomial(row.f_T, VARIABLES)))
 
 
-def verify_phi_identity(row: FixtureRow) -> PhiReport:
+def verify_phi_identity(
+    phi: RationalFunction, transpose_weights: ReducedWeights, oracle: CyclotomicFactorization
+) -> PhiReport:
     """Find the unique e >= 0 with phi_f * (t-1)^e equal, up to sign, to the
-    monodromy characteristic polynomial of the transpose.
+    monodromy characteristic polynomial ``oracle`` of the transpose, whose
+    reduced weight system is ``transpose_weights``.
 
     Raises HypothesisNotMet when the canonical system of the transpose is not
     reduced (the identity is only asserted in the reduced case).
     """
-    wT = canonical_weights(_parse(row.f_T))
-    rwT = reduce(wT)
-    if rwT.c_f != 1:
-        raise HypothesisNotMet(f"c_f = {rwT.c_f} for the transpose of row {row.name}")
-    oracle = milnor_orlik(rwT)
-    phi = characteristic_function(_parse(row.f), row.dolgachev)
+    if transpose_weights.c_f != 1:
+        raise HypothesisNotMet(f"c_f = {transpose_weights.c_f} for the transpose")
     target = oracle.reconstruct()
     # phi * (t-1)^e == +-target  <=>  target * den == +-num * (t-1)^e
     product = target * phi.denominator
@@ -194,29 +180,25 @@ def verify_phi_identity(row: FixtureRow) -> PhiReport:
     return PhiReport(False, -1, phi, oracle)
 
 
-def verify_square_relation(row: FixtureRow) -> SquareReport:
-    """Whether the squared spectrum of (t-1)^e * phi_f matches the Coxeter
-    characteristic polynomial of the row's K-lattice.
+def verify_square_relation(
+    phi: RationalFunction, coxeter: CyclotomicFactorization, rank: int
+) -> SquareReport:
+    """Whether the squared spectrum of (t-1)^e * phi_f matches ``coxeter``,
+    the Coxeter characteristic polynomial of a K-lattice of the given rank.
 
     e is fixed by degree counting (the K-lattice rank); a phi_f that cannot be
     completed to a cyclotomic polynomial by powers of (t-1) yields a negative
     verdict, not an error.
     """
-    phi = characteristic_function(_parse(row.f), row.dolgachev)
     den_fac = factor_cyclotomic(phi.denominator)
     if not den_fac.is_cyclotomic or set(den_fac.factors) - {1}:
         return SquareReport(False, "denominator is not a power of (t-1)")
     num_fac = factor_cyclotomic(phi.numerator)
     if not num_fac.is_cyclotomic:
         return SquareReport(False, "numerator is not fully cyclotomic")
-    conf = build_configuration(row)
-    gens = klattice.generator_list(row, conf)
-    gram = klattice.gram_matrix(gens, conf)
-    cox = coxeter_element(gram)
-    if not cox.factorization.is_cyclotomic:
+    if not coxeter.is_cyclotomic:
         return SquareReport(False, "Coxeter characteristic polynomial not cyclotomic")
-    mu = gram.dim
-    pad = mu - num_fac.degree
+    pad = rank - num_fac.degree
     if pad < 0:
         return SquareReport(False, "degree exceeds the lattice rank")
     factors = dict(num_fac.factors)
@@ -224,7 +206,7 @@ def verify_square_relation(row: FixtureRow) -> SquareReport:
         factors[1] = factors.get(1, 0) + pad
     squared = square_root_spectrum(CyclotomicFactorization(factors, 1, IntPolynomial.one()))
     e = den_fac.factors.get(1, 0) + pad
-    if squared.factors == cox.factorization.factors:
+    if squared.factors == coxeter.factors:
         return SquareReport(True, "squared spectrum matches", e)
     return SquareReport(False, "squared spectrum differs", e)
 

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .exactalg import IntMatrix, det_bareiss
 from .polyparse import InvertiblePolynomial
 
 
 class WeightsError(ValueError):
     pass
-
-
-class NonIntegralWeights(WeightsError):
-    """The linear solve has a non-integer component: input is not invertible."""
 
 
 class NonPositiveWeights(WeightsError):
@@ -78,32 +74,25 @@ class GroupActionData:
 def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
     """Solve E*w = |det E| * (1,...,1) exactly.
 
-    Raises NonIntegralWeights / NonPositiveWeights when the solution is not a
+    By Cramer's rule w_j = sign(det E) * det(E with column j set to 1), so the
+    solution is always integral.  Raises NonPositiveWeights when it is not a
     system of positive integers (which signals a non-invertible input).
     """
     entries = f.matrix.entries
     n = f.n
-    d_prime = abs(f.matrix.determinant())
-    # Gaussian elimination over exact rationals.
-    aug = [[Fraction(entries[i][j]) for j in range(n)] + [Fraction(d_prime)] for i in range(n)]
-    for k in range(n):
-        pivot_row = next(i for i in range(k, n) if aug[i][k] != 0)
-        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                factor = aug[i][k]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[k])]
-    solution = [aug[i][n] for i in range(n)]
-    if any(x.denominator != 1 for x in solution):
-        raise NonIntegralWeights(f"weights {solution} are not integers")
-    w = tuple(int(x) for x in solution)
+    det = f.matrix.determinant()
+    sign = 1 if det > 0 else -1
+    w = tuple(
+        sign * det_bareiss(IntMatrix([[*row[:j], 1, *row[j + 1 :]] for row in entries]))
+        for j in range(n)
+    )
     if any(x <= 0 for x in w):
         raise NonPositiveWeights(f"weights {w} are not all positive")
+    d_prime = abs(det)
     # re-multiply to confirm the exact solve
-    for i in range(n):
-        assert sum(entries[i][j] * w[j] for j in range(n)) == d_prime
+    for row in entries:
+        if sum(e * x for e, x in zip(row, w)) != d_prime:
+            raise WeightsError(f"weights {w} do not solve E*w = {d_prime}*(1,...,1)")
     return CanonicalWeights(w, d_prime)
 
 
@@ -147,7 +136,8 @@ def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeig
     monomial = f"w^{exponent}" if coord is None else f"{'xyz'[coord]}*w^{exponent}"
     # verified weighted degree
     degree = q0 * exponent + (0 if coord is None else rw.q[coord])
-    assert degree == rw.d
+    if degree != rw.d:
+        raise WeightsError(f"compactifier {monomial} has degree {degree}, not {rw.d}")
     return AmbientWeights(q0, tuple(rw.q), monomial)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from bhdual.cli import main
@@ -143,6 +144,16 @@ class TestVerify:
         report = json.loads(out)
         assert len(report["rows"]) == 20
         assert report["summary"]["fail"] == 0
+
+    def test_report_bytes_pinned(self, capsys):
+        # sha256 of the full bh-report/1 stdout; any refactor must keep it
+        code, out, _ = run(capsys, "verify", "--all")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"pass": 170, "fail": 0, "inapplicable": 30}
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
+        )
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

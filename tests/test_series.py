@@ -2,8 +2,10 @@ from math import comb
 
 import pytest
 
+from bhdual.coxeter import coxeter_element
 from bhdual.exactalg import RationalFunction, cyclotomic, factor_cyclotomic
 from bhdual.fixtures import VARIABLES, load_rows, row_by_name
+from bhdual.klattice import row_gram
 from bhdual.polyparse import parse_polynomial
 from bhdual.series import (
     HypothesisNotMet,
@@ -23,6 +25,20 @@ from bhdual.weights import CanonicalWeights, ReducedWeights, canonical_weights, 
 
 def poly(text):
     return parse_polynomial(text, VARIABLES)
+
+
+def phi_of(row):
+    return characteristic_function(canonical_weights(poly(row.f)), row.dolgachev)
+
+
+def phi_report(row):
+    rw_T = transpose_reduced_weights(row)
+    return verify_phi_identity(phi_of(row), rw_T, milnor_orlik(rw_T))
+
+
+def square_report(row):
+    gram, _, _ = row_gram(row)
+    return verify_square_relation(phi_of(row), coxeter_element(gram).factorization, gram.dim)
 
 
 class TestPoincareSeries:
@@ -87,18 +103,18 @@ class TestDelta0:
 
 class TestCharacteristicFunction:
     def test_fermat_row(self):
-        phi = characteristic_function(poly("x^11 + y^3 + z^2"), (2, 3, 11))
+        phi = characteristic_function(canonical_weights(poly("x^11 + y^3 + z^2")), (2, 3, 11))
         assert factor_cyclotomic(phi.numerator).factors == {66: 1}
         assert factor_cyclotomic(phi.denominator).factors == {1: 1}
 
     def test_a5_row_with_chain(self):
-        phi = characteristic_function(poly("x^8*z + y^3 + z^2"), (3, 3, 8))
+        phi = characteristic_function(canonical_weights(poly("x^8*z + y^3 + z^2")), (3, 3, 8))
         assert factor_cyclotomic(phi.numerator).factors == {3: 1, 48: 1}
         assert factor_cyclotomic(phi.denominator).factors == {1: 1}
 
     def test_degree_with_shift_equals_rank(self):
         row = row_by_name("J_3,0")
-        phi = characteristic_function(poly(row.f), row.dolgachev)
+        phi = phi_of(row)
         assert phi.degree + 1 == row.mu == 16
 
 
@@ -147,12 +163,12 @@ class TestMilnorOrlik:
 
 class TestPhiIdentity:
     def test_fermat_shift_one(self):
-        report = verify_phi_identity(row_by_name("E_20"))
+        report = phi_report(row_by_name("E_20"))
         assert report.holds and report.shift_exponent == 1
         assert report.oracle.factors == {66: 1}
 
     def test_a5_row(self):
-        report = verify_phi_identity(row_by_name("Q_18"))
+        report = phi_report(row_by_name("Q_18"))
         assert report.holds and report.shift_exponent == 1
 
     def test_a3_row_hypothesis_decided_from_transpose(self):
@@ -161,19 +177,19 @@ class TestPhiIdentity:
         row = row_by_name("E_19")
         assert row.c_f == 3
         assert transpose_reduced_weights(row).c_f == 1
-        report = verify_phi_identity(row)
+        report = phi_report(row)
         assert report.holds and report.shift_exponent == 1
 
     def test_nonreduced_transpose_rejected(self):
         with pytest.raises(HypothesisNotMet):
-            verify_phi_identity(row_by_name("J_3,0"))
+            phi_report(row_by_name("J_3,0"))
 
     def test_uniform_shift_across_exceptional_rows(self):
         exponents = set()
         for row in load_rows():
             if row.case_tag.startswith("Quadrilateral"):
                 continue
-            report = verify_phi_identity(row)
+            report = phi_report(row)
             assert report.holds, row.name
             exponents.add(report.shift_exponent)
         assert exponents == {1}
@@ -182,15 +198,15 @@ class TestPhiIdentity:
 class TestSquareRelation:
     def test_expected_verdicts(self):
         for name, expected in SQUARE_RELATION_EXPECTED.items():
-            report = verify_square_relation(row_by_name(name))
+            report = square_report(row_by_name(name))
             assert report.holds == expected, (name, report.reason)
 
     def test_positive_case_detail(self):
-        report = verify_square_relation(row_by_name("Q_2,0"))
+        report = square_report(row_by_name("Q_2,0"))
         assert report.holds and report.shift_exponent == 1
 
     def test_negative_control_reason(self):
-        report = verify_square_relation(row_by_name("J_3,0"))
+        report = square_report(row_by_name("J_3,0"))
         assert not report.holds
         assert "denominator" in report.reason
 

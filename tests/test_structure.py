@@ -1,0 +1,36 @@
+"""Source-level guards on the package layout."""
+import ast
+from pathlib import Path
+
+import bhdual
+
+PACKAGE = Path(bhdual.__file__).parent
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / name).read_text(), filename=name)
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so runtime invariants must raise typed errors
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_series_imports_no_lattice_modules():
+    # series is pure series/monodromy math; lattices are built by the caller
+    imported = set()
+    for node in ast.walk(_tree("series.py")):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            if node.module in (None, "bhdual"):
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"klattice", "coxeter", "curveconf", "dynkin"}
