@@ -2,8 +2,12 @@
 for the small edge-weighted graphs arising as Coxeter-Dynkin diagrams.
 
 A root basis is encoded by its Gram matrix G (symmetric, all diagonal entries
--2).  The reflection in basis vector e_i acts by x -> x + <x, e_i> e_i, and
-the Coxeter element is the product of all basis reflections in basis order.
+-2).  The reflection in basis vector e_i acts by x -> x + <x, e_i> e_i; in the
+basis itself its matrix is s_i = I + e_i G[i, :].  The Coxeter element is the
+product s_0 s_1 ... s_{n-1} of all basis reflections in basis order.  It is
+built by applying the reflections in place: right multiplication by s_i adds
+c * G[i, :] to every row whose entry c in column i is nonzero, a rank-one
+update, so no reflection matrix is ever formed.
 """
 from __future__ import annotations
 
@@ -16,8 +20,6 @@ from .exactalg import (
     char_poly,
     factor_cyclotomic,
 )
-
-ORDER_BOUND = 10_000
 
 
 class NotARoot(ValueError):
@@ -32,52 +34,44 @@ class NotSymmetric(ValueError):
     pass
 
 
-def reflection_matrix(gram: IntMatrix, i: int) -> IntMatrix:
-    """Matrix of the reflection in basis vector e_i, in the basis itself.
-
-    e_j maps to e_j + G[j][i] * e_i, so the matrix is the identity with row i
-    replaced by row i of G plus the unit row.
-    """
-    if gram[i, i] != -2:
-        raise NotARoot(f"basis vector {i} has self-pairing {gram[i, i]}")
-    n = gram.dim
-    rows = [list(row) for row in IntMatrix.identity(n).entries]
-    for j in range(n):
-        rows[i][j] += gram[i, j]
-    return IntMatrix(rows)
-
-
 @dataclass(frozen=True)
 class CoxeterResult:
     matrix: IntMatrix
     char: IntPolynomial
     factorization: CyclotomicFactorization
-    order: int | None  # None: no N <= ORDER_BOUND with tau^N = 1
+    order: int | None  # None: tau has infinite order
 
 
 def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     """Ordered product of the basis reflections, with characteristic
     polynomial, cyclotomic factorization and (finite) order.
 
-    The order is exact: a matrix of finite order has fully cyclotomic
-    characteristic polynomial and satisfies tau^N = 1 for N the lcm of the
-    factor indices, so either that N works (and is minimal for a semisimple
-    tau) or no bounded power does.
+    The order is exact: a matrix of finite order is semisimple with root of
+    unity eigenvalues, so its characteristic polynomial is fully cyclotomic
+    and its order is the lcm N of the factor indices.  Either tau^N = 1 and
+    the order is N, or tau has infinite order.
     """
     n = gram.dim
     if not gram.is_symmetric():
         raise NotSymmetric("Gram matrix must be symmetric")
     if any(gram[i, i] != -2 for i in range(n)):
         raise NotARootBasis("all diagonal entries must be -2")
-    tau = IntMatrix.identity(n)
+    g = gram.entries
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
-        tau = tau * reflection_matrix(gram, i)
+        gi = g[i]
+        for row in rows:
+            c = row[i]
+            if c:
+                for j in range(n):
+                    row[j] += c * gi[j]
+    tau = IntMatrix(rows)
     char = char_poly(tau)
     fac = factor_cyclotomic(char)
     order = None
     if fac.is_cyclotomic:
         candidate = fac.lcm_of_orders()
-        if candidate <= ORDER_BOUND and tau ** candidate == IntMatrix.identity(n):
+        if tau ** candidate == IntMatrix.identity(n):
             order = candidate
     return CoxeterResult(tau, char, fac, order)
 

@@ -366,10 +366,10 @@ def factor_cyclotomic(p: IntPolynomial, n_max: int = 132) -> CyclotomicFactoriza
     for n in range(1, n_max + 1):
         phi = euler_totient(n)
         while rem.degree >= phi:
-            try:
-                rem = rem.exact_div(cyclotomic(n))
-            except InexactDivision:
+            q, r = rem.divmod_exact_leading(cyclotomic(n))
+            if r:
                 break
+            rem = q
             factors[n] = factors.get(n, 0) + 1
     unit = 1
     if rem.leading < 0:
@@ -425,9 +425,6 @@ class IntMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         n = self.dim

@@ -98,14 +98,12 @@ def mukai_pairing(v: MukaiClass, w: MukaiClass, conf: CurveConfiguration) -> int
     labels = conf.labels
     if len(v.divisor) != len(labels) or len(w.divisor) != len(labels):
         raise DimensionMismatch("class indexed by a different configuration")
-    intersection = conf.intersection_matrix()
     dd = 0
     for i, a in enumerate(v.divisor):
         if a:
-            row = intersection.row(i)
             for j, b in enumerate(w.divisor):
                 if b:
-                    dd += a * b * row[j]
+                    dd += a * b * conf.intersection(labels[i], labels[j])
     return dd - v.rank * w.degree - w.rank * v.degree
 
 

@@ -1,8 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from bhdual.cli import main
 from bhdual.fixtures import load_rows
+
+
+REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -150,10 +158,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--all")
         assert code == 0
         assert json.loads(out)["summary"] == {"pass": 170, "fail": 0, "inapplicable": 30}
-        assert (
-            hashlib.sha256(out.encode()).hexdigest()
-            == "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256
+
+    def test_cold_cli_without_asserts(self):
+        # a fresh `python -O` interpreter: no shared caches, asserts stripped
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "bhdual.cli", "verify", "--all"],
+            capture_output=True,
+            env=env,
         )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhdual.coxeter import (
-    NotARoot,
     NotARootBasis,
     NotSymmetric,
     coxeter_element,
     graph_isomorphic,
     lattice_invariants,
     preserves_form,
-    reflection_matrix,
 )
 from bhdual.exactalg import IntMatrix, IntPolynomial, det_bareiss
 from bhdual.fixtures import load_rows, row_by_name
@@ -19,23 +17,53 @@ from bhdual.series import transpose_monodromy
 A2 = IntMatrix([[-2, 1], [1, -2]])
 
 
+def reflection(g, i):
+    """Literal matrix of s_i = I + e_i G[i, :]: e_j -> e_j + G[j][i] e_i."""
+    n = g.dim
+    return IntMatrix(
+        [[int(r == j) + (g[i, j] if r == i else 0) for j in range(n)] for r in range(n)]
+    )
+
+
+def reflection_product(g):
+    tau = IntMatrix.identity(g.dim)
+    for i in range(g.dim):
+        tau = tau * reflection(g, i)
+    return tau
+
+
+def a_sum(*ranks):
+    """Gram of the orthogonal sum of A_r root lattices (-2 diagonal, 1 on edges)."""
+    n = sum(ranks)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for r in ranks:
+        for k in range(start, start + r):
+            rows[k][k] = -2
+            if k + 1 < start + r:
+                rows[k][k + 1] = rows[k + 1][k] = 1
+        start += r
+    return IntMatrix(rows)
+
+
 class TestReflection:
     def test_rank_one(self):
-        assert reflection_matrix(IntMatrix([[-2]]), 0) == IntMatrix([[-1]])
+        g = IntMatrix([[-2]])
+        assert reflection(g, 0) == IntMatrix([[-1]])
+        assert coxeter_element(g).matrix == reflection_product(g)
 
     def test_a2_images(self):
-        s = reflection_matrix(A2, 0)
+        s = reflection(A2, 0)
         # e_1 -> -e_1, e_2 -> e_2 + e_1
         assert s == IntMatrix([[-1, 1], [0, 1]])
+        assert coxeter_element(A2).matrix == reflection_product(A2)
 
     def test_orthogonal_fixed(self):
         g = IntMatrix([[-2, 0], [0, -2]])
-        s = reflection_matrix(g, 0)
+        s = reflection(g, 0)
         assert s == IntMatrix([[-1, 0], [0, 1]])
-
-    def test_requires_root(self):
-        with pytest.raises(NotARoot):
-            reflection_matrix(IntMatrix([[-4]]), 0)
+        assert reflection_product(g) == IntMatrix([[-1, 0], [0, -1]])
+        assert coxeter_element(g).matrix == reflection_product(g)
 
     small_grams = st.integers(2, 5).flatmap(
         lambda n: st.lists(
@@ -50,9 +78,10 @@ class TestReflection:
         sym = [[rows[i][j] if i < j else rows[j][i] if j < i else -2 for j in range(n)] for i in range(n)]
         g = IntMatrix(sym)
         for i in range(n):
-            s = reflection_matrix(g, i)
+            s = reflection(g, i)
             assert s * s == IntMatrix.identity(n)
             assert preserves_form(s, g)
+        assert coxeter_element(g).matrix == reflection_product(g)
 
 
 class TestCoxeterElement:
@@ -71,6 +100,19 @@ class TestCoxeterElement:
         cox = coxeter_element(gram)
         assert cox.factorization.factors == {66: 1}
         assert cox.order == 66
+
+    def test_order_is_not_capped(self):
+        # A15+A8+A4+A6+A10: Coxeter numbers 16, 9, 5, 7, 11, lcm 55440
+        cox = coxeter_element(a_sum(15, 8, 4, 6, 10))
+        assert cox.factorization.lcm_of_orders() == 55440
+        assert cox.order == 55440
+
+    def test_affine_a1_has_infinite_order(self):
+        # (t - 1)^2 is cyclotomic, but tau is a nontrivial unipotent
+        cox = coxeter_element(IntMatrix([[-2, 2], [2, -2]]))
+        assert cox.matrix == IntMatrix([[3, -2], [2, -1]])
+        assert cox.factorization.factors == {1: 2}
+        assert cox.order is None
 
     def test_requires_root_basis(self):
         with pytest.raises(NotARootBasis):

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhdual.coxeter import NotARoot
 from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     CaseMismatch,
+    DimensionMismatch,
     MukaiClass,
     Sheaf,
     UnknownNode,
@@ -51,6 +53,39 @@ class TestPairing:
         a = class_of(Sheaf("OC-1", ("Einf",)), conf)
         b = class_of(Sheaf("OC", ("Einf",)), conf)
         assert mukai_pairing(a, b, conf) == -2
+
+
+PAIRING_CONFS = {name: conf_for(name) for name in ("S_16", "E_20", "J_3,0")}
+
+
+def classes_on(name):
+    size = len(PAIRING_CONFS[name].labels)
+    one = st.builds(
+        MukaiClass,
+        st.integers(-3, 3),
+        st.lists(st.integers(-3, 3), min_size=size, max_size=size).map(tuple),
+        st.integers(-3, 3),
+    )
+    return st.tuples(st.just(name), one, one)
+
+
+class TestPairingReference:
+    @given(st.sampled_from(sorted(PAIRING_CONFS)).flatmap(classes_on))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_intersection_matrix(self, case):
+        name, v, w = case
+        conf = PAIRING_CONFS[name]
+        m = conf.intersection_matrix()
+        n = len(conf.labels)
+        dd = sum(v.divisor[i] * m[i, j] * w.divisor[j] for i in range(n) for j in range(n))
+        expected = dd - v.rank * w.degree - w.rank * v.degree
+        assert mukai_pairing(v, w, conf) == expected
+
+    def test_dimension_mismatch(self):
+        conf = PAIRING_CONFS["S_16"]
+        short = MukaiClass(0, (1,), 0)
+        with pytest.raises(DimensionMismatch):
+            mukai_pairing(short, short, conf)
 
 
 class TestClassOf:
