@@ -22,10 +22,6 @@ from .exactalg import (
 )
 
 
-class NotARoot(ValueError):
-    pass
-
-
 class NotARootBasis(ValueError):
     pass
 

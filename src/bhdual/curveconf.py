@@ -16,12 +16,6 @@ class MissingAttachment(ValueError):
 
 
 @dataclass(frozen=True)
-class CurveNode:
-    label: str
-    self_intersection: int = -2
-
-
-@dataclass(frozen=True)
 class CurveConfiguration:
     """Labeled undirected multigraph of -2-curves.
 
@@ -31,14 +25,10 @@ class CurveConfiguration:
     K-group generator list.
     """
 
-    nodes: tuple[CurveNode, ...]
+    labels: tuple[str, ...]
     edges: dict[tuple[str, str], int]
     case_tag: str
     unused: frozenset[str] = field(default_factory=frozenset)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(node.label for node in self.nodes)
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -62,17 +52,17 @@ class CurveConfiguration:
                 yield a
 
     def is_connected(self) -> bool:
-        if not self.nodes:
+        if not self.labels:
             return True
-        seen = {self.nodes[0].label}
-        frontier = [self.nodes[0].label]
+        seen = {self.labels[0]}
+        frontier = [self.labels[0]]
         while frontier:
             current = frontier.pop()
             for other in self.neighbors(current):
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)
-        return len(seen) == len(self.nodes)
+        return len(seen) == len(self.labels)
 
 
 def arm_label(i: int, j: int) -> str:
@@ -147,7 +137,7 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
 
     unused = frozenset({"F1"}) if case == "Exceptional_a2" else frozenset()
     return CurveConfiguration(
-        nodes=tuple(CurveNode(label) for label in labels),
+        labels=tuple(labels),
         edges=edges,
         case_tag=case,
         unused=unused,
@@ -175,7 +165,7 @@ def attachment_consistent_with_rule(row: FixtureRow) -> bool:
 def validate_tree(conf: CurveConfiguration) -> bool:
     """True iff the subgraph on the arms and the central curve is a tree with
     exactly three branches at the center."""
-    core = {n.label for n in conf.nodes if n.label.startswith("E") and "_" in n.label}
+    core = {label for label in conf.labels if label.startswith("E") and "_" in label}
     core.add(CENTER)
     core_edges = [
         (a, b) for (a, b) in conf.edges if a in core and b in core
@@ -209,8 +199,8 @@ def _node_sort_key(label: str):
 def dual_graph_dot(conf: CurveConfiguration, name: str = "config") -> str:
     """Deterministic DOT rendering; multiplicity-m edges are emitted m times."""
     lines = [f"graph {name} {{"]
-    for node in sorted(conf.nodes, key=lambda n: _node_sort_key(n.label)):
-        lines.append(f"  {node.label};")
+    for label in sorted(conf.labels, key=_node_sort_key):
+        lines.append(f"  {label};")
     for (a, b), mult in sorted(conf.edges.items()):
         for _ in range(mult):
             lines.append(f"  {a} -- {b};")

@@ -155,14 +155,6 @@ class IntPolynomial:
             raise InexactDivision(f"{self} not divisible by {other}")
         return q
 
-    def divides(self, other: "IntPolynomial") -> bool:
-        """Whether self divides other over the integers."""
-        try:
-            other.exact_div(self)
-            return True
-        except InexactDivision:
-            return False
-
     def eval_at_integer(self, x: int) -> int:
         v = 0
         for c in reversed(self.coefficients):
@@ -177,11 +169,6 @@ class IntPolynomial:
         if c in (0, 1):
             return self
         return IntPolynomial(x // c for x in self.coefficients)
-
-    def is_reciprocal_up_to_sign(self) -> bool:
-        """Whether t^deg * p(1/t) == +-p(t)."""
-        c = self.coefficients
-        return c == tuple(reversed(c)) or c == tuple(-x for x in reversed(c))
 
     def __str__(self) -> str:
         if not self.coefficients:

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coxeter import NotARoot
 from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
 
 
 class DimensionMismatch(ValueError):
+    pass
+
+
+class NotARoot(ValueError):
     pass
 
 

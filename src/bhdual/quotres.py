@@ -6,11 +6,15 @@ hypersurface XY = Z^k via (X, Y, Z) = (x^k, y^k, x*y).  The resolution is
 covered by k charts with coordinates (u_i, v_i); chart i maps to (X, Y, Z) =
 (u^i v^(i-1), u^(k-i) v^(k+1-i), u*v), and the exceptional components are
 E_i = {u_i = 0} = {v_(i+1) = 0}, forming an A_(k-1) chain.
+
+A chart is a linear map on exponent vectors (X^a Y^b Z^c goes to one monomial
+u^p v^q with the same coefficient), so all the algebra stays over Z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .exactalg import IntPolynomial, polynomial_gcd
 
 
 class InvalidRange(ValueError):
@@ -23,70 +27,32 @@ class NotFactorable(ValueError):
 
 @dataclass(frozen=True)
 class LaurentPoly2:
-    """Laurent polynomial in two chart coordinates u, v with exact rational
-    coefficients; terms maps (exp_u, exp_v) to a nonzero coefficient."""
+    """Laurent polynomial in two chart coordinates u, v with integer
+    coefficients; terms maps (exp_u, exp_v) to a nonzero coefficient.  The
+    constructor sums the coefficients of equal exponents and drops zeros."""
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    terms: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, terms):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        cleaned = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        cleaned: dict[tuple[int, int], int] = {}
         for key, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff:
-                cleaned[tuple(key)] = cleaned.get(tuple(key), Fraction(0)) + coeff
-        cleaned = {k: c for k, c in cleaned.items() if c}
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def monomial(eu: int, ev: int, coeff=1) -> "LaurentPoly2":
-        return LaurentPoly2({(eu, ev): Fraction(coeff)})
-
-    @staticmethod
-    def zero() -> "LaurentPoly2":
-        return LaurentPoly2({})
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
+            key = tuple(key)
+            cleaned[key] = cleaned.get(key, 0) + coeff
+        object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        d = self.as_dict()
-        for key, coeff in other.terms:
-            d[key] = d.get(key, Fraction(0)) + coeff
-        return LaurentPoly2(d)
+    def constant_term(self) -> int:
+        return dict(self.terms).get((0, 0), 0)
 
-    def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        d: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                key = (a1 + a2, b1 + b2)
-                d[key] = d.get(key, Fraction(0)) + c1 * c2
-        return LaurentPoly2(d)
-
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        result = LaurentPoly2.monomial(0, 0)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def constant_term(self) -> Fraction:
-        return dict(self.terms).get((0, 0), Fraction(0))
-
-    def restrict_u0(self) -> dict[int, Fraction]:
+    def restrict_u0(self) -> dict[int, int]:
         """Coefficients of the restriction to {u = 0} as a map ev -> coeff."""
         return {ev: c for (eu, ev), c in self.terms if eu == 0}
 
-    def restrict_v0(self) -> dict[int, Fraction]:
+    def restrict_v0(self) -> dict[int, int]:
         return {eu: c for (eu, ev), c in self.terms if ev == 0}
-
-    def is_polynomial(self) -> bool:
-        return all(eu >= 0 and ev >= 0 for (eu, ev), _ in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -119,28 +85,21 @@ class ResolutionChart:
         if not 1 <= self.i <= self.k:
             raise InvalidRange(f"chart index {self.i} outside 1..{self.k}")
 
-    def substitution(self) -> dict[str, LaurentPoly2]:
+    def substitution(self) -> dict[str, tuple[int, int]]:
+        """The exponent pair (exp_u, exp_v) of the monomial each of X, Y, Z
+        becomes in this chart."""
         i, k = self.i, self.k
-        return {
-            "X": LaurentPoly2.monomial(i, i - 1),
-            "Y": LaurentPoly2.monomial(k - i, k + 1 - i),
-            "Z": LaurentPoly2.monomial(1, 1),
-        }
+        return {"X": (i, i - 1), "Y": (k - i, k + 1 - i), "Z": (1, 1)}
 
 
-def transition_image(chart: ResolutionChart) -> dict[str, LaurentPoly2]:
+def transition_image(chart: ResolutionChart) -> dict[str, tuple[int, int]]:
     """Chart-(i+1) substitution composed with the gluing map
-    (u_i, v_i) -> (1/v_i, u_i v_i^2); as Laurent polynomials in (u_i, v_i)."""
+    (u_i, v_i) -> (1/v_i, u_i v_i^2), which sends u^a v^b to u^b v^(2b-a);
+    as exponent pairs in (u_i, v_i)."""
     if chart.i >= chart.k:
         raise InvalidRange("no chart above the last one")
     nxt = ResolutionChart(chart.i + 1, chart.k).substitution()
-    u_new = LaurentPoly2.monomial(0, -1)
-    v_new = LaurentPoly2.monomial(1, 2)
-    out = {}
-    for name, mono in nxt.items():
-        ((eu, ev), coeff), = mono.terms
-        out[name] = (u_new ** eu) * (v_new ** ev) * LaurentPoly2.monomial(0, 0, coeff)
-    return out
+    return {name: (b, 2 * b - a) for name, (a, b) in nxt.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -159,13 +118,13 @@ class XYZPoly:
         object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
 
     def substitute(self, chart: ResolutionChart) -> LaurentPoly2:
+        """Chart image: each term goes to one monomial by the exponent map."""
         sub = chart.substitution()
-        total = LaurentPoly2.zero()
-        for (ex, ey, ez), coeff in self.terms:
-            mono = LaurentPoly2.monomial(0, 0, coeff)
-            mono = mono * sub["X"] ** ex * sub["Y"] ** ey * sub["Z"] ** ez
-            total = total + mono
-        return total
+        (xu, xv), (yu, yv), (zu, zv) = sub["X"], sub["Y"], sub["Z"]
+        return LaurentPoly2(
+            ((ex * xu + ey * yu + ez * zu, ex * xv + ey * yv + ez * zv), coeff)
+            for (ex, ey, ez), coeff in self.terms
+        )
 
     def __str__(self) -> str:
         parts = []
@@ -203,8 +162,7 @@ def proper_transform(curve: XYZPoly, chart: ResolutionChart):
         raise NotFactorable("curve image is zero in this chart")
     p = min(eu for (eu, ev), _ in image.terms)
     q = min(ev for (eu, ev), _ in image.terms)
-    shift = LaurentPoly2.monomial(-p, -q)
-    unit = shift * image
+    unit = LaurentPoly2(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
     if unit.constant_term() == 0:
         raise NotFactorable("unit factor vanishes at the chart origin")
     return (p, q), unit
@@ -230,55 +188,28 @@ def exceptional_components_met(curve: XYZPoly, k: int) -> list[int]:
 
     E_i is {u_i = 0} in chart i and {v_(i+1) = 0} in chart i+1; the transform
     meets it iff the unit factor restricted to that line is non-constant.
+    Each chart is transformed once and read on both of its lines.
     """
+    if k < 2:
+        return []
     met = set()
-    for i in range(1, k):
+    for i in range(1, k + 1):
         _, unit = proper_transform(curve, ResolutionChart(i, k))
-        on_line = unit.restrict_u0()
-        if set(on_line) - {0}:
+        if i < k and set(unit.restrict_u0()) - {0}:
             met.add(i)
-        _, unit = proper_transform(curve, ResolutionChart(i + 1, k))
-        on_line = unit.restrict_v0()
-        if set(on_line) - {0}:
-            met.add(i)
+        if i > 1 and set(unit.restrict_v0()) - {0}:
+            met.add(i - 1)
     return sorted(met)
-
-
-def _degree(p: list[Fraction]) -> int:
-    d = len(p) - 1
-    while d >= 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _gcd_degree(a: list[Fraction], b: list[Fraction]) -> int:
-    """Degree of gcd over Q, by the Euclidean algorithm on coefficient lists."""
-    a, b = a[:], b[:]
-    while _degree(b) >= 0:
-        da, db = _degree(a), _degree(b)
-        if da < db:
-            a, b = b, a
-            continue
-        factor = a[da] / b[db]
-        for j in range(db + 1):
-            a[da - db + j] -= factor * b[j]
-        if _degree(a) < _degree(b):
-            a, b = b, a
-    return max(_degree(a), 0)
 
 
 def branch_count_at_attachment(curve: XYZPoly, k: int, component: int) -> int:
     """Number of distinct transversal branch points on E_(component): the
-    count of distinct roots of the unit factor restricted to that line."""
+    count of distinct roots of the unit factor p restricted to that line,
+    deg p - deg gcd(p, p') (the gcd over Z has the degree of the one over Q)."""
     _, unit = proper_transform(curve, ResolutionChart(component, k))
     on_line = unit.restrict_u0()
-    if not on_line:
+    p = IntPolynomial(on_line.get(e, 0) for e in range(max(on_line, default=-1) + 1))
+    if p.degree <= 0:
         return 0
-    coeffs = [Fraction(0)] * (max(on_line) + 1)
-    for e, c in on_line.items():
-        coeffs[e] = c
-    deriv = [coeffs[e] * e for e in range(1, len(coeffs))]
-    d = _degree(coeffs)
-    if d <= 0:
-        return 0
-    return d - _gcd_degree(coeffs, deriv)
+    derivative = IntPolynomial(e * c for e, c in enumerate(p.coefficients) if e)
+    return p.degree - polynomial_gcd(p, derivative).degree

@@ -4,7 +4,6 @@ import pytest
 
 from bhdual.curveconf import (
     CurveConfiguration,
-    CurveNode,
     MissingAttachment,
     attachment_consistent_with_rule,
     build_configuration,
@@ -24,7 +23,7 @@ def expected_node_count(row):
 class TestBuildConfiguration:
     def test_two_component_case(self):
         conf = build_configuration(row_by_name("Z_1,0"))
-        assert len(conf.nodes) == 14  # arms 1+3+7, center, E0p, E0pp
+        assert len(conf.labels) == 14  # arms 1+3+7, center, E0p, E0pp
         assert conf.intersection("E0p", "E3_1") == 1
         assert conf.intersection("E0pp", "E3_1") == 1
         assert conf.intersection("E0p", "E0pp") == 0
@@ -33,7 +32,7 @@ class TestBuildConfiguration:
 
     def test_a5_case(self):
         conf = build_configuration(row_by_name("E_20"))
-        assert len(conf.nodes) == 19  # 13 arm + center + E0 + F1..F4
+        assert len(conf.labels) == 19  # 13 arm + center + E0 + F1..F4
         assert conf.intersection("E0", "F2") == 1
         assert conf.intersection("E0", "E3_1") == 1
         assert conf.intersection("F1", "F2") == 1
@@ -41,7 +40,7 @@ class TestBuildConfiguration:
 
     def test_a2_case(self):
         conf = build_configuration(row_by_name("S_16"))
-        assert len(conf.nodes) == 15  # 12 arm + center + E0 + F1
+        assert len(conf.labels) == 15  # 12 arm + center + E0 + F1
         assert conf.intersection("E0", "F1") == 1
         assert conf.intersection("E0", "E2_1") == 1
         assert conf.intersection("E0", "E3_2") == 1
@@ -50,9 +49,9 @@ class TestBuildConfiguration:
     def test_node_count_formula_and_connectivity(self):
         for row in load_rows():
             conf = build_configuration(row)
-            assert len(conf.nodes) == expected_node_count(row), row.name
+            assert len(conf.labels) == expected_node_count(row), row.name
             assert conf.is_connected(), row.name
-            assert all(n.self_intersection == -2 for n in conf.nodes)
+            assert all(conf.intersection(l, l) == -2 for l in conf.labels)
             assert all(mult == 1 for mult in conf.edges.values())
 
     def test_missing_attachment(self):
@@ -94,18 +93,18 @@ class TestValidateTree:
         edges = dict(conf.edges)
         edges[("E1_1", "E2_1")] = 1
         assert not validate_tree(
-            CurveConfiguration(conf.nodes, edges, conf.case_tag, conf.unused)
+            CurveConfiguration(conf.labels, edges, conf.case_tag, conf.unused)
         )
 
     def test_minimal_star(self):
         # bare (2,2,2) star: one curve per arm plus the center
-        nodes = tuple(CurveNode(label) for label in ("E1_1", "E2_1", "E3_1", "Einf"))
+        labels = ("E1_1", "E2_1", "E3_1", "Einf")
         edges = {
             ("E1_1", "Einf"): 1,
             ("E2_1", "Einf"): 1,
             ("E3_1", "Einf"): 1,
         }
-        assert validate_tree(CurveConfiguration(nodes, edges, "Quadrilateral_other"))
+        assert validate_tree(CurveConfiguration(labels, edges, "Quadrilateral_other"))
 
 
 class TestDot:

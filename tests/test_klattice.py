@@ -1,13 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhdual.coxeter import NotARoot
 from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     CaseMismatch,
     DimensionMismatch,
     MukaiClass,
+    NotARoot,
     Sheaf,
     UnknownNode,
     class_of,

@@ -1,6 +1,5 @@
-from fractions import Fraction
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhdual.quotres import (
     InvalidRange,
@@ -83,7 +82,7 @@ class TestAttachmentIndices:
 
 class TestLemmaSweep:
     def test_single_attachment_for_all_small_orders(self):
-        for k in range(2, 13):
+        for k in range(2, 41):
             for m in range(1, k):
                 curve = invariant_image(m, k)
                 for i in range(1, k + 1):
@@ -92,7 +91,7 @@ class TestLemmaSweep:
                 assert exceptional_components_met(curve, k) == [k - m], (m, k)
 
     def test_double_attachment_and_branches(self):
-        for k in range(2, 13):
+        for k in range(2, 41):
             curve = invariant_image_double(k)
             assert exceptional_components_met(curve, k) == [k - 1], k
             component, branches = attachment_double(k)
@@ -115,20 +114,69 @@ class TestChartTransitions:
             ResolutionChart(0, 4)
 
 
+class TestRepeatedRoots:
+    # (Z+Y)^2 and (Z^2-Y^2)^2: the restriction to E_(k-1) has a double root
+    SQUARE = XYZPoly({(0, 0, 2): 1, (0, 1, 1): 2, (0, 2, 0): 1})
+    SQUARED_DIFFERENCE = XYZPoly({(0, 0, 4): 1, (0, 2, 2): -2, (0, 4, 0): 1})
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_square(self, k):
+        assert exceptional_components_met(self.SQUARE, k) == [k - 1]
+        assert branch_count_at_attachment(self.SQUARE, k, k - 1) == 1
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_squared_difference(self, k):
+        assert exceptional_components_met(self.SQUARED_DIFFERENCE, k) == [k - 1]
+        assert branch_count_at_attachment(self.SQUARED_DIFFERENCE, k, k - 1) == 2
+
+
+def evaluate(terms, *point):
+    total = 0
+    for exps, coeff in terms:
+        for x, e in zip(point, exps):
+            coeff *= x ** e
+        total += coeff
+    return total
+
+
+xyz_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 6)] * 3), st.integers(-3, 3), max_size=4
+).map(XYZPoly)
+nonzero = st.integers(-4, 4).filter(bool)
+
+
+class TestEvaluationOracle:
+    @given(xyz_polys, st.data(), nonzero, nonzero)
+    @settings(max_examples=200)
+    def test_substitution_and_factorization(self, curve, data, u, v):
+        k = data.draw(st.integers(2, 30))
+        i = data.draw(st.integers(1, k))
+        chart = ResolutionChart(i, k)
+        xyz = (u ** i * v ** (i - 1), u ** (k - i) * v ** (k + 1 - i), u * v)
+        image = curve.substitute(chart)
+        assert evaluate(image.terms, u, v) == evaluate(curve.terms, *xyz)
+        try:
+            (p, q), unit = proper_transform(curve, chart)
+        except NotFactorable:
+            return
+        assert unit.constant_term() != 0
+        assert u ** p * v ** q * evaluate(unit.terms, u, v) == evaluate(image.terms, u, v)
+
+
 class TestLaurentPoly:
-    def test_arithmetic(self):
-        u = LaurentPoly2.monomial(1, 0)
-        v = LaurentPoly2.monomial(0, 1)
-        assert (u + v) * (u + v) == LaurentPoly2({(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    def test_constructor_sums_and_drops_zeros(self):
+        poly = LaurentPoly2([((1, 0), 2), ((1, 0), -2), ((0, 3), 1), ((0, 3), 4)])
+        assert poly == LaurentPoly2({(0, 3): 5})
+        assert LaurentPoly2([((0, 0), 1), ((0, 0), -1)]).is_zero()
 
     def test_negative_exponents_allowed(self):
-        inv = LaurentPoly2.monomial(-1, 0)
-        assert (inv * LaurentPoly2.monomial(1, 0)) == LaurentPoly2.monomial(0, 0)
-        assert not inv.is_polynomial()
+        poly = LaurentPoly2({(-1, 0): 1, (0, -2): 3})
+        assert poly.restrict_v0() == {-1: 1}
+        assert poly.restrict_u0() == {-2: 3}
+        assert str(poly) == "u^-1 + 3*v^-2"
 
-    def test_rational_coefficients(self):
-        half = LaurentPoly2({(0, 0): Fraction(1, 2)})
-        assert (half + half).constant_term() == 1
+    def test_coefficients_are_not_truncated(self):
+        assert LaurentPoly2({(0, 0): 0.5}).constant_term() == 0.5
 
     def test_str(self):
         assert str(LaurentPoly2({(0, 0): 1, (0, 1): 1})) == "1 + v"

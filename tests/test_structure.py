@@ -34,3 +34,19 @@ def test_series_imports_no_lattice_modules():
             for alias in node.names:
                 imported.update(alias.name.split("."))
     assert not imported & {"klattice", "coxeter", "curveconf", "dynkin"}
+
+
+def test_no_fractions_import():
+    # integer kernels throughout: no module of the package uses Fraction
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
