@@ -322,16 +322,13 @@ def _case_key_for_row(row: FixtureRow) -> str:
 
 
 def _row_passes(row: FixtureRow, conv: ConventionTable, oracle, gram_cache) -> bool:
+    """Isomorphism to the K-lattice diagram first (cheap, and None on a rank
+    mismatch), then the Coxeter factorization against the oracle."""
     diagram = diagram_for_row(row, conv)
-    cox = coxeter_element(diagram.gram)
-    if not cox.factorization.is_cyclotomic:
+    if graph_isomorphic(diagram.gram, gram_cache[row.name]) is None:
         return False
-    if cox.factorization.factors != oracle[row.name].factors:
-        return False
-    gram_k = gram_cache[row.name]
-    if diagram.rank != gram_k.dim:
-        return False
-    return graph_isomorphic(diagram.gram, gram_k) is not None
+    fac = coxeter_element(diagram.gram).factorization
+    return fac.is_cyclotomic and fac.factors == oracle[row.name].factors
 
 
 def calibrate(rows, oracle_fac) -> ConventionTable:
@@ -358,7 +355,7 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
         for key in sorted(by_case):
             winner = None
             for candidate in _case_candidates(key):
-                conv = ConventionTable(reading, {**table_cases, key: candidate})
+                conv = ConventionTable(reading, {key: candidate})
                 try:
                     if all(
                         _row_passes(row, conv, oracle, gram_cache)

@@ -1,9 +1,9 @@
 """Exact integer polynomial and matrix arithmetic.
 
 Everything in this module is exact: polynomials are dense lists of Python
-integers, rational functions are normalized quotients of such polynomials,
-and matrix kernels (determinant, characteristic polynomial) use fraction-free
-elimination.  Degrees in this project stay small (at most ~132), so dense
+integers, rational functions are quotients of such polynomials kept as
+given and only expanded as power series, and matrix kernels (determinant,
+characteristic polynomial) use fraction-free elimination.  Degrees in this project stay small (at most ~132), so dense
 representations and arbitrary precision are the right trade-off.
 """
 from __future__ import annotations
@@ -219,44 +219,10 @@ def _positive_leading(p: IntPolynomial) -> IntPolynomial:
 
 @dataclass(frozen=True)
 class RationalFunction:
-    """Quotient of integer polynomials, stored with the gcd removed and the
-    denominator normalized to positive leading coefficient."""
+    """Quotient of integer polynomials, kept exactly as given."""
 
     numerator: IntPolynomial
     denominator: IntPolynomial
-
-    def __init__(self, numerator: IntPolynomial, denominator: IntPolynomial = IntPolynomial((1,))):
-        if denominator.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if numerator.is_zero():
-            numerator, denominator = IntPolynomial.zero(), IntPolynomial.one()
-        else:
-            g = polynomial_gcd(numerator, denominator)
-            if g.degree > 0 or abs(g.eval_at_integer(0)) > 1:
-                numerator = numerator.exact_div(g)
-                denominator = denominator.exact_div(g)
-            if denominator.leading < 0:
-                numerator, denominator = -numerator, -denominator
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    @property
-    def degree(self) -> int:
-        """Degree as a rational function (numerator minus denominator degree)."""
-        return self.numerator.degree - self.denominator.degree
-
-    def is_polynomial(self) -> bool:
-        return self.denominator.degree == 0 and abs(self.denominator.leading) == 1
-
-    def as_polynomial(self) -> IntPolynomial:
-        if not self.is_polynomial():
-            raise InexactDivision(f"not a polynomial: denominator {self.denominator}")
-        return self.numerator if self.denominator.leading == 1 else -self.numerator
 
     def series_coefficients(self, k_max: int) -> list[int]:
         """Taylor coefficients at t=0 up to degree k_max.

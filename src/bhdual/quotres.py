@@ -108,14 +108,22 @@ def transition_image(chart: ResolutionChart) -> dict[str, tuple[int, int]]:
 
 @dataclass(frozen=True)
 class XYZPoly:
-    """Polynomial in the invariant coordinates X, Y, Z (exponent dict)."""
+    """Polynomial in the invariant coordinates X, Y, Z with integer
+    coefficients; terms maps (exp_X, exp_Y, exp_Z) to a nonzero coefficient.
+    The constructor sums the coefficients of equal exponents, drops zeros and
+    raises TypeError for a coefficient that is not an int."""
 
     terms: tuple[tuple[tuple[int, int, int], int], ...]
 
     def __init__(self, terms):
         items = terms.items() if isinstance(terms, dict) else terms
-        cleaned = {tuple(k): int(c) for k, c in items if c}
-        object.__setattr__(self, "terms", tuple(sorted(cleaned.items())))
+        cleaned: dict[tuple[int, int, int], int] = {}
+        for key, coeff in items:
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficient {coeff!r} of {key} is not an int")
+            key = tuple(key)
+            cleaned[key] = cleaned.get(key, 0) + coeff
+        object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
 
     def substitute(self, chart: ResolutionChart) -> LaurentPoly2:
         """Chart image: each term goes to one monomial by the exponent map."""

@@ -1,6 +1,5 @@
-"""Poincare series, the polynomial Delta_0, the characteristic function
-phi_f = p_f * Delta_0, the weighted-homogeneous monodromy oracle, and the
-identity checks built on them.
+"""Poincare series, the characteristic function phi_f = p_f * Delta_0, the
+weighted-homogeneous monodromy oracle, and the identity checks built on them.
 
 This module is pure series and monodromy arithmetic: the identity checks take
 the artifacts they compare (phi_f, the oracle, the Coxeter factorization) as
@@ -12,6 +11,10 @@ product formula prod (t^(d-q_i) - 1)/(t^(q_i) - 1), and a basis element of
 degree k contributes the eigenvalue exp(2*pi*i*(k + q_1 + q_2 + q_3)/d).
 Grouping eigenvalues by exact order yields the cyclotomic factorization of
 the characteristic polynomial.
+
+phi_f is a quotient of binomials 1 - t^n = -prod_{k | n} Phi_k, so it is kept
+as its cyclotomic exponents n -> e_n, and the identity checks compare
+exponents: no polynomial is multiplied, divided or factored.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .exactalg import (
     CyclotomicFactorization,
     IntPolynomial,
     RationalFunction,
-    factor_cyclotomic,
+    euler_totient,
     square_root_spectrum,
 )
 from .fixtures import FixtureRow, VARIABLES
@@ -70,21 +73,22 @@ def poincare_bruteforce(wsys: CanonicalWeights, k_max: int) -> list[int]:
     ]
 
 
-def delta0(alpha) -> RationalFunction:
-    """Delta_0(t) = (1-t)^(-2) * prod(1 - t^(alpha_i)); always a polynomial."""
+def characteristic_function(wsys: CanonicalWeights, alpha) -> dict[int, int]:
+    """phi_f = p_f * Delta_0 with Delta_0 = (1-t)^(-2) prod(1 - t^(alpha_i)),
+    from f's canonical weights, as cyclotomic exponents: phi_f equals
+    +-prod Phi_n^(e_n) for the returned map n -> e_n (nonzero e_n only)."""
     alpha = tuple(alpha)
     if any(a < 2 for a in alpha):
         raise ValueError("alpha components must be >= 2")
-    num = IntPolynomial.one()
-    for a in alpha:
-        num = num * IntPolynomial.one_minus_t_n(a)
-    den = IntPolynomial.one_minus_t_n(1) ** 2
-    return RationalFunction(num, den)
-
-
-def characteristic_function(wsys: CanonicalWeights, alpha) -> RationalFunction:
-    """phi_f(t) = p_f(t) * Delta_0(t), normalized, from f's canonical weights."""
-    return poincare_series(wsys) * delta0(alpha)
+    exponents: dict[int, int] = defaultdict(int)
+    # a binomial 1 - t^n adds +1 (numerator) or -1 (denominator) on each k | n
+    binomials = [(wsys.d_prime, 1), *((a, 1) for a in alpha)]
+    binomials += [(w, -1) for w in wsys.w] + [(1, -1), (1, -1)]
+    for n, sign in binomials:
+        for k in range(1, n + 1):
+            if n % k == 0:
+                exponents[k] += sign
+    return {n: e for n, e in sorted(exponents.items()) if e}
 
 
 def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
@@ -140,7 +144,7 @@ def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
 class PhiReport:
     holds: bool
     shift_exponent: int
-    phi: RationalFunction
+    phi: dict[int, int]
     oracle: CyclotomicFactorization
 
 
@@ -156,56 +160,49 @@ def transpose_reduced_weights(row: FixtureRow) -> ReducedWeights:
 
 
 def verify_phi_identity(
-    phi: RationalFunction, transpose_weights: ReducedWeights, oracle: CyclotomicFactorization
+    phi: dict[int, int], transpose_weights: ReducedWeights, oracle: CyclotomicFactorization
 ) -> PhiReport:
     """Find the unique e >= 0 with phi_f * (t-1)^e equal, up to sign, to the
     monodromy characteristic polynomial ``oracle`` of the transpose, whose
     reduced weight system is ``transpose_weights``.
 
-    Raises HypothesisNotMet when the canonical system of the transpose is not
-    reduced (the identity is only asserted in the reduced case).
+    ``phi`` holds the cyclotomic exponents of phi_f, so the identity holds iff
+    the oracle's exponents minus phi's vanish away from n = 1; e is the
+    difference at n = 1.  Raises HypothesisNotMet when the canonical system
+    of the transpose is not reduced (the identity is only asserted in the
+    reduced case).
     """
     if transpose_weights.c_f != 1:
         raise HypothesisNotMet(f"c_f = {transpose_weights.c_f} for the transpose")
-    target = oracle.reconstruct()
-    # phi * (t-1)^e == +-target  <=>  target * den == +-num * (t-1)^e
-    product = target * phi.denominator
-    try:
-        ratio = product.exact_div(phi.numerator)
-    except Exception:
-        return PhiReport(False, -1, phi, oracle)
-    fac = factor_cyclotomic(ratio)
-    if fac.is_cyclotomic and set(fac.factors) <= {1}:
-        return PhiReport(True, fac.factors.get(1, 0), phi, oracle)
+    gap = {n: oracle.factors.get(n, 0) - phi.get(n, 0) for n in {*oracle.factors, *phi}}
+    shift = gap.pop(1, 0)
+    if oracle.is_cyclotomic and shift >= 0 and not any(gap.values()):
+        return PhiReport(True, shift, phi, oracle)
     return PhiReport(False, -1, phi, oracle)
 
 
 def verify_square_relation(
-    phi: RationalFunction, coxeter: CyclotomicFactorization, rank: int
+    phi: dict[int, int], coxeter: CyclotomicFactorization, rank: int
 ) -> SquareReport:
     """Whether the squared spectrum of (t-1)^e * phi_f matches ``coxeter``,
     the Coxeter characteristic polynomial of a K-lattice of the given rank.
 
-    e is fixed by degree counting (the K-lattice rank); a phi_f that cannot be
-    completed to a cyclotomic polynomial by powers of (t-1) yields a negative
-    verdict, not an error.
+    ``phi`` holds the cyclotomic exponents of phi_f; e is fixed by degree
+    counting (the K-lattice rank), and a phi_f with a denominator factor
+    other than (t-1) yields a negative verdict, not an error.
     """
-    den_fac = factor_cyclotomic(phi.denominator)
-    if not den_fac.is_cyclotomic or set(den_fac.factors) - {1}:
+    if any(e < 0 for n, e in phi.items() if n != 1):
         return SquareReport(False, "denominator is not a power of (t-1)")
-    num_fac = factor_cyclotomic(phi.numerator)
-    if not num_fac.is_cyclotomic:
-        return SquareReport(False, "numerator is not fully cyclotomic")
     if not coxeter.is_cyclotomic:
         return SquareReport(False, "Coxeter characteristic polynomial not cyclotomic")
-    pad = rank - num_fac.degree
+    factors = {n: e for n, e in phi.items() if e > 0}
+    pad = rank - sum(euler_totient(n) * e for n, e in factors.items())
     if pad < 0:
         return SquareReport(False, "degree exceeds the lattice rank")
-    factors = dict(num_fac.factors)
     if pad:
         factors[1] = factors.get(1, 0) + pad
     squared = square_root_spectrum(CyclotomicFactorization(factors, 1, IntPolynomial.one()))
-    e = den_fac.factors.get(1, 0) + pad
+    e = max(0, -phi.get(1, 0)) + pad
     if squared.factors == coxeter.factors:
         return SquareReport(True, "squared spectrum matches", e)
     return SquareReport(False, "squared spectrum differs", e)

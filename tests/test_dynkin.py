@@ -1,5 +1,6 @@
 import pytest
 
+from bhdual import dynkin
 from bhdual.coxeter import coxeter_element, graph_isomorphic
 from bhdual.dynkin import (
     CalibrationFailed,
@@ -130,6 +131,42 @@ class TestCalibration:
         with pytest.raises(CalibrationFailed) as info:
             calibrate(rows, wrong_oracle)
         assert info.value.report == {"a5": ["E_20"]}
+
+
+class TestCalibrationRejectsCheaplyFirst:
+    @pytest.mark.parametrize("path", ["success", "failure"])
+    def test_coxeter_element_only_for_isomorphic_candidates(self, monkeypatch, path):
+        # a candidate reaches the Coxeter element only once its diagram is
+        # isomorphic to the row's K-lattice diagram
+        calls = []
+        current = {}
+
+        def traced_diagram(row, conv=None):
+            current["row"] = row
+            return diagram_for_row(row, conv)
+
+        def traced_coxeter(gram):
+            calls.append((current["row"], gram))
+            return coxeter_element(gram)
+
+        monkeypatch.setattr(dynkin, "diagram_for_row", traced_diagram)
+        monkeypatch.setattr(dynkin, "coxeter_element", traced_coxeter)
+        if path == "success":
+            calibrate(load_rows(), transpose_monodromy)
+        else:
+            from bhdual.exactalg import CyclotomicFactorization
+
+            def wrong_oracle(row):
+                return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
+
+            with pytest.raises(CalibrationFailed):
+                calibrate([row_by_name("E_20")], wrong_oracle)
+        assert calls
+        grams = {}
+        for row, gram in calls:
+            if row.name not in grams:
+                grams[row.name] = row_gram(row)[0]
+            assert graph_isomorphic(gram, grams[row.name]) is not None, row.name
 
 
 class TestDiagramAgainstKLattice:

@@ -181,3 +181,15 @@ class TestLaurentPoly:
     def test_str(self):
         assert str(LaurentPoly2({(0, 0): 1, (0, 1): 1})) == "1 + v"
         assert str(LaurentPoly2({(2, 3): 1})) == "u^2*v^3"
+
+
+class TestXYZPoly:
+    def test_constructor_sums_and_drops_zeros(self):
+        curve = XYZPoly([((0, 0, 1), 2), ((0, 0, 1), 3), ((0, 1, 0), 1), ((0, 1, 0), -1)])
+        assert curve == XYZPoly({(0, 0, 1): 5})
+        assert XYZPoly([((1, 0, 0), 1), ((1, 0, 0), -1)]).terms == ()
+
+    @pytest.mark.parametrize("coeff", [0.5, 1.0, "1"])
+    def test_non_integer_coefficient_rejected(self, coeff):
+        with pytest.raises(TypeError):
+            XYZPoly({(0, 0, 1): coeff, (0, 1, 0): 1})

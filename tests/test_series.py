@@ -1,9 +1,17 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhdual.coxeter import coxeter_element
-from bhdual.exactalg import RationalFunction, cyclotomic, factor_cyclotomic
+from bhdual.exactalg import (
+    CyclotomicFactorization,
+    IntPolynomial,
+    RationalFunction,
+    cyclotomic,
+    euler_totient,
+    square_root_spectrum,
+)
 from bhdual.fixtures import VARIABLES, load_rows, row_by_name
 from bhdual.klattice import row_gram
 from bhdual.polyparse import parse_polynomial
@@ -11,7 +19,6 @@ from bhdual.series import (
     HypothesisNotMet,
     SQUARE_RELATION_EXPECTED,
     characteristic_function,
-    delta0,
     milnor_orlik,
     poincare_bruteforce,
     poincare_series,
@@ -44,9 +51,7 @@ def square_report(row):
 class TestPoincareSeries:
     def test_fermat_weights(self):
         p = poincare_series(CanonicalWeights((6, 22, 33), 66))
-        # compare with the unreduced quotient as rational functions
-        from bhdual.exactalg import IntPolynomial
-
+        # the quotient is kept exactly as given
         num = IntPolynomial.one_minus_t_n(66)
         den = (
             IntPolynomial.one_minus_t_n(6)
@@ -61,8 +66,7 @@ class TestPoincareSeries:
 
     def test_unit_weights_degree_three(self):
         p = poincare_series(CanonicalWeights((1, 1, 1), 3))
-        # (1 + t + t^2) / (1 - t)^2
-        assert p.numerator == cyclotomic(3)
+        # (1 - t^3) / (1 - t)^3 = (1 + t + t^2) / (1 - t)^2
         assert p.series_coefficients(2) == [1, 3, 6]
 
 
@@ -87,35 +91,54 @@ class TestPoincareBruteforce:
             assert closed == poincare_bruteforce(w, bound), row.name
 
 
-class TestDelta0:
-    def test_always_polynomial_with_degree(self):
-        for alpha in [(2, 3, 11), (2, 2, 2), (3, 3, 8)] + [r.dolgachev for r in load_rows()]:
-            d = delta0(alpha)
-            assert d.is_polynomial()
-            assert d.as_polynomial().degree == sum(alpha) - 2
+def _binomial_product(ns):
+    product = IntPolynomial.one()
+    for n in ns:
+        product = product * IntPolynomial.one_minus_t_n(n)
+    return product
 
-    def test_small_case_factorization(self):
-        p = delta0((2, 2, 2)).as_polynomial()
-        fac = factor_cyclotomic(p)
-        # (1-t)(1+t)^3 up to sign
-        assert fac.factors == {1: 1, 2: 3}
+
+def _cyclotomic_product(exponents):
+    product = IntPolynomial.one()
+    for n, e in exponents.items():
+        product = product * cyclotomic(n) ** e
+    return product
 
 
 class TestCharacteristicFunction:
     def test_fermat_row(self):
         phi = characteristic_function(canonical_weights(poly("x^11 + y^3 + z^2")), (2, 3, 11))
-        assert factor_cyclotomic(phi.numerator).factors == {66: 1}
-        assert factor_cyclotomic(phi.denominator).factors == {1: 1}
+        assert phi == {1: -1, 66: 1}
 
     def test_a5_row_with_chain(self):
         phi = characteristic_function(canonical_weights(poly("x^8*z + y^3 + z^2")), (3, 3, 8))
-        assert factor_cyclotomic(phi.numerator).factors == {3: 1, 48: 1}
-        assert factor_cyclotomic(phi.denominator).factors == {1: 1}
+        assert phi == {1: -1, 3: 1, 48: 1}
 
     def test_degree_with_shift_equals_rank(self):
         row = row_by_name("J_3,0")
         phi = phi_of(row)
-        assert phi.degree + 1 == row.mu == 16
+        assert sum(euler_totient(n) * e for n, e in phi.items()) + 1 == row.mu == 16
+
+    def test_alpha_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            characteristic_function(CanonicalWeights((6, 22, 33), 66), (1, 3, 11))
+
+    @given(
+        st.tuples(*[st.integers(1, 24)] * 3),
+        st.integers(1, 48),
+        st.tuples(*[st.integers(2, 24)] * 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exponents_reproduce_the_binomial_quotient(self, w, d_prime, alpha):
+        # prod_{e>0} Phi_n^e * (1-t)^2 prod(1-t^w_i)
+        #   = +-(1-t^d') prod(1-t^alpha_i) * prod_{e<0} Phi_n^(-e)
+        phi = characteristic_function(CanonicalWeights(w, d_prime), alpha)
+        assert all(phi.values())
+        positive = _cyclotomic_product({n: e for n, e in phi.items() if e > 0})
+        negative = _cyclotomic_product({n: -e for n, e in phi.items() if e < 0})
+        left = positive * _binomial_product((1, 1, *w))
+        right = _binomial_product((d_prime, *alpha)) * negative
+        assert left in (right, -right)
 
 
 class TestMilnorOrlik:
@@ -184,6 +207,13 @@ class TestPhiIdentity:
         with pytest.raises(HypothesisNotMet):
             phi_report(row_by_name("J_3,0"))
 
+    def test_too_many_t_minus_one_factors(self):
+        # phi_f * (t-1)^e would need e = -1 to reach the oracle Phi_66
+        rw_T = transpose_reduced_weights(row_by_name("E_20"))
+        report = verify_phi_identity({1: 1, 66: 1}, rw_T, milnor_orlik(rw_T))
+        assert not report.holds
+        assert report.shift_exponent == -1
+
     def test_uniform_shift_across_exceptional_rows(self):
         exponents = set()
         for row in load_rows():
@@ -209,6 +239,23 @@ class TestSquareRelation:
         report = square_report(row_by_name("J_3,0"))
         assert not report.holds
         assert "denominator" in report.reason
+
+
+class TestIndexBeyond132:
+    # x^23 + y^3 + z^2 with alpha = (2, 3, 23): d' = 138, phi = Phi_138 / Phi_1,
+    # the Phi_66 twin of E_20 with a cyclotomic index past 132
+
+    def test_phi_exponents(self):
+        wsys = canonical_weights(poly("x^23 + y^3 + z^2"))
+        assert characteristic_function(wsys, (2, 3, 23)) == {1: -1, 138: 1}
+
+    def test_square_relation_holds(self):
+        wsys = canonical_weights(poly("x^23 + y^3 + z^2"))
+        phi = characteristic_function(wsys, (2, 3, 23))
+        spectrum = CyclotomicFactorization({1: 1, 138: 1}, 1, IntPolynomial.one())
+        report = verify_square_relation(phi, square_root_spectrum(spectrum), 45)
+        assert report.holds, report.reason
+        assert report.shift_exponent == 2
 
 
 class TestTransposeMonodromy:

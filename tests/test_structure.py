@@ -36,6 +36,21 @@ def test_series_imports_no_lattice_modules():
     assert not imported & {"klattice", "coxeter", "curveconf", "dynkin"}
 
 
+def test_series_uses_no_factorization_or_gcd():
+    # the phi checks add cyclotomic exponents, so they never meet the index
+    # bound of factor_cyclotomic; neither an import nor an attribute access
+    # (exactalg.factor_cyclotomic) may bring it back
+    names = set()
+    for node in ast.walk(_tree("series.py")):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not names & {"factor_cyclotomic", "polynomial_gcd"}
+
+
 def test_no_fractions_import():
     # integer kernels throughout: no module of the package uses Fraction
     found = []
