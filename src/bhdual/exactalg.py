@@ -3,12 +3,14 @@
 Everything in this module is exact: polynomials are dense lists of Python
 integers, rational functions are quotients of such polynomials kept as
 given and only expanded as power series, and matrix kernels (determinant,
-characteristic polynomial) use fraction-free elimination.  Degrees in this project stay small (at most ~132), so dense
-representations and arbitrary precision are the right trade-off.
+characteristic polynomial) use fraction-free elimination.  Degrees in this
+project stay small, so dense representations and arbitrary precision are the
+right trade-off.
 """
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,11 +237,14 @@ class RationalFunction:
         if not den or den[0] not in (1, -1):
             raise InexactDivision("denominator constant term must be a unit")
         d0 = den[0]
+        terms = [(j, c) for j, c in enumerate(den) if j and c]
         out = []
         for k in range(k_max + 1):
             acc = num[k] if k < len(num) else 0
-            for j in range(1, min(k, len(den) - 1) + 1):
-                acc -= den[j] * out[k - j]
+            for j, c in terms:
+                if j > k:
+                    break
+                acc -= c * out[k - j]
             out.append(acc * d0)
         return out
 
@@ -310,24 +315,86 @@ class CyclotomicFactorization:
         return body if self.unit == 1 else f"-{body}"
 
 
-def factor_cyclotomic(p: IntPolynomial, n_max: int = 132) -> CyclotomicFactorization:
-    """Split off every cyclotomic factor with index <= n_max."""
+@lru_cache(maxsize=None)
+def cyclotomic_index_bound(degree: int) -> int:
+    """max{n : phi(n) <= degree}, the largest index of a cyclotomic factor of
+    a polynomial of this degree (0 when there is none).
+
+    Every such n is a product of prime powers q^k with q - 1 <= degree, so
+    the search builds n prime by prime while tracking phi(n).
+    """
+    primes = [q for q in range(2, degree + 2) if all(q % r for r in range(2, math.isqrt(q) + 1))]
+    best = 0
+
+    def extend(start: int, n: int, phi: int) -> None:
+        nonlocal best
+        best = max(best, n)
+        for i in range(start, len(primes)):
+            q = primes[i]
+            n_q, phi_q = n * q, phi * (q - 1)
+            if phi_q > degree:
+                break
+            while phi_q <= degree:
+                extend(i + 1, n_q, phi_q)
+                n_q, phi_q = n_q * q, phi_q * q
+
+    if degree >= 1:
+        extend(0, 1, 1)
+    return best
+
+
+def cyclotomic_exponents(pairs) -> dict[int, int]:
+    """Cyclotomic exponents of prod (1 - t^m)^a over the pairs (m, a).
+
+    Since 1 - t^m = -prod_{n | m} Phi_n, the product is +-prod Phi_n^(e_n)
+    with e_n the sum of a over the m divisible by n; nonzero e_n only, by n.
+    """
+    exponents: dict[int, int] = defaultdict(int)
+    for m, a in pairs:
+        for n in range(1, m + 1):
+            if m % n == 0:
+                exponents[n] += a
+    return {n: e for n, e in sorted(exponents.items()) if e}
+
+
+def factor_cyclotomic(p: IntPolynomial) -> CyclotomicFactorization:
+    """p = unit * prod Phi_n^(e_n) exactly, or, when p is no such product,
+    CyclotomicFactorization({}, unit, unit * p): all or nothing.
+
+    With p(0) = +-1, p/p(0) = prod (1 - t^m)^(a_m) mod t^(N+1) fixes a_1..a_N,
+    peeled off one m at a time; N = cyclotomic_index_bound(deg p) bounds every
+    index, so p is cyclotomic iff every e_n >= 0 and sum m*a_m = deg p (both
+    sides then have degree deg p <= N and agree mod t^(N+1)).  A cyclotomic
+    product has sum |a_m| <= 2 deg p, which stops the peel early otherwise.
+    """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    factors: dict[int, int] = {}
-    rem = p
-    for n in range(1, n_max + 1):
-        phi = euler_totient(n)
-        while rem.degree >= phi:
-            q, r = rem.divmod_exact_leading(cyclotomic(n))
-            if r:
+    unit = 1 if p.leading > 0 else -1
+    degree, c0 = p.degree, p.coefficients[0]
+    if c0 in (1, -1):
+        bound = cyclotomic_index_bound(degree)
+        s = [c * c0 for c in p.coefficients] + [0] * (bound - degree)
+        pairs, budget = [], 2 * degree
+        for m in range(1, bound + 1):
+            a = -s[m]
+            if not a:
+                continue
+            budget -= abs(a)
+            if budget < 0:
                 break
-            rem = q
-            factors[n] = factors.get(n, 0) + 1
-    unit = 1
-    if rem.leading < 0:
-        unit, rem = -1, -rem
-    return CyclotomicFactorization(factors, unit, rem)
+            pairs.append((m, a))
+            # divide by (1 - t^m)^a: stride prefix sums; a < 0 multiplies
+            for _ in range(a):
+                for i in range(m, bound + 1):
+                    s[i] += s[i - m]
+            for _ in range(-a):
+                for i in range(bound, m - 1, -1):
+                    s[i] -= s[i - m]
+        else:
+            exponents = cyclotomic_exponents(pairs)
+            if all(e > 0 for e in exponents.values()) and sum(m * a for m, a in pairs) == degree:
+                return CyclotomicFactorization(exponents, unit, IntPolynomial.one())
+    return CyclotomicFactorization({}, unit, p * unit)
 
 
 def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:

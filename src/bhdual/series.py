@@ -26,6 +26,7 @@ from .exactalg import (
     CyclotomicFactorization,
     IntPolynomial,
     RationalFunction,
+    cyclotomic_exponents,
     euler_totient,
     square_root_spectrum,
 )
@@ -80,15 +81,9 @@ def characteristic_function(wsys: CanonicalWeights, alpha) -> dict[int, int]:
     alpha = tuple(alpha)
     if any(a < 2 for a in alpha):
         raise ValueError("alpha components must be >= 2")
-    exponents: dict[int, int] = defaultdict(int)
-    # a binomial 1 - t^n adds +1 (numerator) or -1 (denominator) on each k | n
     binomials = [(wsys.d_prime, 1), *((a, 1) for a in alpha)]
-    binomials += [(w, -1) for w in wsys.w] + [(1, -1), (1, -1)]
-    for n, sign in binomials:
-        for k in range(1, n + 1):
-            if n % k == 0:
-                exponents[k] += sign
-    return {n: e for n, e in sorted(exponents.items()) if e}
+    binomials += [(w, -1) for w in wsys.w] + [(1, -2)]
+    return cyclotomic_exponents(binomials)
 
 
 def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:

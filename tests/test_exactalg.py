@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,8 @@ from bhdual.exactalg import (
     RationalFunction,
     char_poly,
     cyclotomic,
+    cyclotomic_exponents,
+    cyclotomic_index_bound,
     det_bareiss,
     euler_totient,
     factor_cyclotomic,
@@ -170,6 +174,76 @@ class TestFactorCyclotomic:
             p = p * cyclotomic(n) ** m
         fac = factor_cyclotomic(p)
         assert fac.reconstruct() == p
+
+    def test_index_past_132(self):
+        fac = factor_cyclotomic(cyclotomic(133) * cyclotomic(1))
+        assert fac.is_cyclotomic and fac.unit == 1
+        assert fac.factors == {1: 1, 133: 1}
+
+    @given(
+        st.dictionaries(st.integers(1, 300), st.integers(1, 2), min_size=1, max_size=3),
+        st.sampled_from((1, -1)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_large_indices_roundtrip(self, factors, unit):
+        p = P.constant(unit)
+        for n, m in factors.items():
+            p = p * cyclotomic(n) ** m
+        fac = factor_cyclotomic(p)
+        assert fac.is_cyclotomic and fac.unit == unit
+        assert fac.factors == factors
+
+    def test_unit_constant_term_exhaustive(self):
+        # a constant term +-1 sends p down the peel; every accepted
+        # factorization must rebuild p exactly, and every rejected one keeps it
+        for degree in range(1, 6):
+            for c0, *middle, lead in itertools.product(
+                (1, -1), *[range(-2, 3)] * (degree - 1), (1, -1, 2, -2)
+            ):
+                p = poly(c0, *middle, lead)
+                fac = factor_cyclotomic(p)
+                assert all(e > 0 for e in fac.factors.values()), p
+                assert fac.is_cyclotomic or fac.factors == {}, p
+                assert fac.reconstruct() == p, p
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1),  # Lehmer's polynomial
+            poly(1, -3, 1),
+            cyclotomic(7) * poly(1, -3, 1),
+            poly(3),
+        ],
+        ids=["lehmer", "t2-3t+1", "phi7-cofactor", "constant-3"],
+    )
+    def test_non_cyclotomic_is_all_or_nothing(self, p):
+        fac = factor_cyclotomic(p)
+        assert not fac.is_cyclotomic
+        assert fac.factors == {}
+        assert fac.reconstruct() == p
+
+
+class TestCyclotomicIndexBound:
+    def test_against_brute_force(self):
+        # phi(n) >= sqrt(n/2), so every n with phi(n) <= 60 is at most 2*60^2
+        phi = [euler_totient(n) for n in range(1, 2 * 60 * 60 + 1)]
+        for degree in range(1, 61):
+            expected = max(n for n, f in enumerate(phi, 1) if f <= degree)
+            assert cyclotomic_index_bound(degree) == expected, degree
+
+    @pytest.mark.parametrize(
+        "degree, bound", [(0, 0), (22, 66), (100, 420), (343, 1470), (512, 2310)]
+    )
+    def test_anchors(self, degree, bound):
+        assert cyclotomic_index_bound(degree) == bound
+
+
+class TestCyclotomicExponents:
+    def test_binomials(self):
+        # 1 - t^6 = -Phi_1 Phi_2 Phi_3 Phi_6; (1 - t^2)/(1 - t) = 1 + t = Phi_2
+        assert cyclotomic_exponents([(6, 1)]) == {1: 1, 2: 1, 3: 1, 6: 1}
+        assert cyclotomic_exponents([(2, 1), (1, -1)]) == {2: 1}
+        assert cyclotomic_exponents([(3, 1), (3, -1)]) == {}
 
 
 class TestSquareRootSpectrum:

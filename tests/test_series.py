@@ -10,11 +10,12 @@ from bhdual.exactalg import (
     RationalFunction,
     cyclotomic,
     euler_totient,
+    factor_cyclotomic,
     square_root_spectrum,
 )
 from bhdual.fixtures import VARIABLES, load_rows, row_by_name
 from bhdual.klattice import row_gram
-from bhdual.polyparse import parse_polynomial
+from bhdual.polyparse import ExponentMatrix, InvertiblePolynomial, parse_polynomial, transpose
 from bhdual.series import (
     HypothesisNotMet,
     SQUARE_RELATION_EXPECTED,
@@ -27,7 +28,13 @@ from bhdual.series import (
     verify_phi_identity,
     verify_square_relation,
 )
-from bhdual.weights import CanonicalWeights, ReducedWeights, canonical_weights, reduce
+from bhdual.weights import (
+    CanonicalWeights,
+    ReducedWeights,
+    canonical_weights,
+    gorenstein_parameter,
+    reduce,
+)
 
 
 def poly(text):
@@ -256,6 +263,48 @@ class TestIndexBeyond132:
         report = verify_square_relation(phi, square_root_spectrum(spectrum), 45)
         assert report.holds, report.reason
         assert report.shift_exponent == 2
+
+
+#: Kreuzer-Skarke types of invertible polynomials in three variables, as
+#: exponent matrices in the exponents (a, b, c)
+KREUZER_SKARKE = {
+    "fermat": lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)),
+    "chain": lambda a, b, c: ((a, 1, 0), (0, b, 1), (0, 0, c)),
+    "loop": lambda a, b, c: ((a, 1, 0), (0, b, 1), (1, 0, c)),
+    "chain2+fermat": lambda a, b, c: ((a, 1, 0), (0, b, 0), (0, 0, c)),
+    "loop2+fermat": lambda a, b, c: ((a, 1, 0), (1, b, 0), (0, 0, c)),
+}
+
+
+class TestInvertiblePolynomials:
+    @given(st.sampled_from(sorted(KREUZER_SKARKE)), st.tuples(*[st.integers(2, 8)] * 3))
+    @settings(max_examples=30, deadline=None)
+    def test_pipeline(self, kind, exponents):
+        matrix = KREUZER_SKARKE[kind](*exponents)
+        f = InvertiblePolynomial(ExponentMatrix(matrix), VARIABLES)
+        w, w_t = canonical_weights(f), canonical_weights(transpose(f))
+        assert w.d_prime == abs(f.matrix.determinant())
+        assert all(sum(e * x for e, x in zip(row, w.w)) == w.d_prime for row in matrix)
+        assert gorenstein_parameter(w) == gorenstein_parameter(w_t)
+        k_max = 2 * w.d_prime
+        assert poincare_series(w).series_coefficients(k_max) == poincare_bruteforce(w, k_max)
+        rw = reduce(w_t)
+        oracle = milnor_orlik(rw)
+        numerator = (rw.d - rw.q[0]) * (rw.d - rw.q[1]) * (rw.d - rw.q[2])
+        assert numerator % (rw.q[0] * rw.q[1] * rw.q[2]) == 0
+        assert oracle.degree == numerator // (rw.q[0] * rw.q[1] * rw.q[2])
+        found = factor_cyclotomic(oracle.reconstruct())
+        assert found.is_cyclotomic and found.unit == 1
+        assert found.factors == oracle.factors
+
+    def test_index_1001(self):
+        # x^7 y + y^11 z + z^13: the transpose has reduced weights
+        # (143, 78, 71; 1001), and its monodromy reaches Phi_143 and Phi_1001
+        rw = reduce(canonical_weights(transpose(poly("x^7*y + y^11*z + z^13"))))
+        oracle = milnor_orlik(rw)
+        assert oracle.factors == {7: 1, 13: 1, 91: 1, 143: 1, 1001: 1}
+        found = factor_cyclotomic(oracle.reconstruct())
+        assert found.is_cyclotomic and found.factors == oracle.factors
 
 
 class TestTransposeMonodromy:

@@ -37,9 +37,9 @@ def test_series_imports_no_lattice_modules():
 
 
 def test_series_uses_no_factorization_or_gcd():
-    # the phi checks add cyclotomic exponents, so they never meet the index
-    # bound of factor_cyclotomic; neither an import nor an attribute access
-    # (exactalg.factor_cyclotomic) may bring it back
+    # the phi checks add cyclotomic exponents and factor no polynomial;
+    # neither an import nor an attribute access (exactalg.factor_cyclotomic)
+    # may bring a factorization back
     names = set()
     for node in ast.walk(_tree("series.py")):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -64,4 +64,37 @@ def test_no_fractions_import():
                 continue
             if any(name.split(".")[0] == "fractions" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_factor_cyclotomic_is_one_exact_pass():
+    # the index bound comes from the degree, not from a parameter, and the
+    # factorization peels binomials instead of trial-dividing by each Phi_n
+    func = next(
+        node
+        for node in ast.walk(_tree("exactalg.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "factor_cyclotomic"
+    )
+    args = func.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["p"]
+    assert args.vararg is None and args.kwarg is None
+    called = {
+        getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"cyclotomic", "divmod_exact_leading"}
+
+
+def test_no_n_max_parameter():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and any(
+            a.arg == "n_max"
+            for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        )
+    ]
     assert found == []

@@ -1,15 +1,19 @@
-"""Cross-check the exact kernels against sympy on the 20 fixture rows.
+"""Cross-check the exact kernels against sympy on the 20 fixture rows and
+on random inputs.
 
-sympy computes characteristic polynomials by Berkowitz' algorithm and
-factors over Z with its own machinery, so agreement here is independent of
-the Faddeev-LeVerrier, Bareiss and trial-division code in ``exactalg``.
+sympy computes characteristic polynomials by Berkowitz' algorithm, builds
+cyclotomic polynomials and factors over Z with its own machinery, so
+agreement here is independent of the Faddeev-LeVerrier, Bareiss and
+binomial-peeling code in ``exactalg``.
 """
+import random
+
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from bhdual.coxeter import coxeter_element
-from bhdual.exactalg import char_poly, det_bareiss, factor_cyclotomic
+from bhdual.exactalg import IntMatrix, IntPolynomial, char_poly, det_bareiss, factor_cyclotomic
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
 
@@ -55,16 +59,65 @@ def test_coxeter_char_poly_and_det(matrices):
     assert det_bareiss(cox.matrix) == m.det(method="berkowitz")
 
 
-def test_cyclotomic_factorization(matrices):
-    _, cox = matrices
-    expr = sum(c * t**k for k, c in enumerate(cox.char.coefficients))
+def sympy_cyclotomic_exponents(expr):
+    """(unit, n -> e) with expr = unit * prod Phi_n^e by sympy.factor_list,
+    or None when expr is no such product."""
     unit, factors = sympy.factor_list(expr, t)
-    expected = {}
+    if unit not in (1, -1):
+        return None
+    exponents = {}
     for factor, multiplicity in factors:
         n = cyclotomic_index(factor)
-        assert n is not None, factor
-        expected[n] = expected.get(n, 0) + multiplicity
+        if n is None:
+            return None
+        exponents[n] = exponents.get(n, 0) + multiplicity
+    return unit, exponents
+
+
+def test_cyclotomic_factorization(matrices):
+    _, cox = matrices
+    found = sympy_cyclotomic_exponents(sum(c * t**k for k, c in enumerate(cox.char.coefficients)))
+    assert found is not None
     fac = factor_cyclotomic(cox.char)
     assert fac.is_cyclotomic
-    assert fac.unit == unit
-    assert fac.factors == expected
+    assert (fac.unit, fac.factors) == found
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_cyclotomic_products(seed):
+    # sympy.factor_list needs up to seconds for a single Phi_n with n near
+    # 300, so it factors only the small cofactor, whose constant term +-1
+    # sends the product down the peeling path; by unique factorization in
+    # Z[t] the product is cyclotomic iff the cofactor is
+    rng = random.Random(seed)
+    exponents = {rng.randint(1, 300): rng.randint(1, 2) for _ in range(rng.randint(1, 3))}
+    if seed % 2:
+        middle = [rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+        cofactor = sympy.Poly([rng.choice((1, -1)), *middle, rng.choice((1, -1))], t)
+    else:
+        cofactor = sympy.Poly(rng.choice((1, -1)), t)
+    product = cofactor
+    for n, m in exponents.items():
+        product *= sympy.Poly(sympy.cyclotomic_poly(n, t), t) ** m
+    p = IntPolynomial(int(c) for c in reversed(product.all_coeffs()))
+    found = sympy_cyclotomic_exponents(cofactor.as_expr())
+    fac = factor_cyclotomic(p)
+    assert fac.reconstruct() == p
+    assert fac.unit == sympy.sign(product.LC())
+    if found is None:
+        assert not fac.is_cyclotomic and fac.factors == {}
+    else:
+        for n, m in found[1].items():
+            exponents[n] = exponents.get(n, 0) + m
+        assert fac.is_cyclotomic
+        assert fac.factors == exponents
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_matrix_char_poly_and_det(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    entries = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+    m = sympy.Matrix(entries)
+    assert char_poly(IntMatrix(entries)).coefficients == charpoly_coefficients(m)
+    assert det_bareiss(IntMatrix(entries)) == m.det(method="berkowitz")
