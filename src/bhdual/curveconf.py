@@ -6,6 +6,7 @@ exceptional cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
@@ -30,8 +31,10 @@ class CurveConfiguration:
     case_tag: str
     unused: frozenset[str] = field(default_factory=frozenset)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+    @cached_property
+    def index(self):
+        """label -> position, by a dict built once; KeyError when unknown."""
+        return {label: i for i, label in enumerate(self.labels)}.__getitem__
 
     def intersection(self, a: str, b: str) -> int:
         if a == b:

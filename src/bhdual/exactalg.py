@@ -13,6 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 
 class InexactDivision(ArithmeticError):
@@ -58,11 +59,6 @@ class IntPolynomial:
     @staticmethod
     def constant(c: int) -> "IntPolynomial":
         return IntPolynomial((c,))
-
-    @staticmethod
-    def t_n_minus_1(n: int) -> "IntPolynomial":
-        """t^n - 1"""
-        return IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
 
     @staticmethod
     def one_minus_t_n(n: int) -> "IntPolynomial":
@@ -156,12 +152,6 @@ class IntPolynomial:
         if not r.is_zero():
             raise InexactDivision(f"{self} not divisible by {other}")
         return q
-
-    def eval_at_integer(self, x: int) -> int:
-        v = 0
-        for c in reversed(self.coefficients):
-            v = v * x + c
-        return v
 
     def content(self) -> int:
         return math.gcd(*self.coefficients) if self.coefficients else 0
@@ -258,7 +248,7 @@ def cyclotomic(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = IntPolynomial.t_n_minus_1(n)
+    p = -IntPolynomial.one_minus_t_n(n)
     for d in range(1, n):
         if n % d == 0:
             p = p.exact_div(cyclotomic(d))
@@ -357,6 +347,18 @@ def cyclotomic_exponents(pairs) -> dict[int, int]:
     return {n: e for n, e in sorted(exponents.items()) if e}
 
 
+def divide_by_binomial(s: list[int], m: int, a: int) -> None:
+    """s <- s / (1 - t^m)^a mod t^len(s), in place, for the power series with
+    coefficient list s: one stride prefix sum per power; a < 0 multiplies."""
+    n = len(s)
+    for _ in range(a):
+        for i in range(m, n):
+            s[i] += s[i - m]
+    for _ in range(-a):
+        for i in range(n - 1, m - 1, -1):
+            s[i] -= s[i - m]
+
+
 def factor_cyclotomic(p: IntPolynomial) -> CyclotomicFactorization:
     """p = unit * prod Phi_n^(e_n) exactly, or, when p is no such product,
     CyclotomicFactorization({}, unit, unit * p): all or nothing.
@@ -383,13 +385,7 @@ def factor_cyclotomic(p: IntPolynomial) -> CyclotomicFactorization:
             if budget < 0:
                 break
             pairs.append((m, a))
-            # divide by (1 - t^m)^a: stride prefix sums; a < 0 multiplies
-            for _ in range(a):
-                for i in range(m, bound + 1):
-                    s[i] += s[i - m]
-            for _ in range(-a):
-                for i in range(bound, m - 1, -1):
-                    s[i] -= s[i - m]
+            divide_by_binomial(s, m, a)
         else:
             exponents = cyclotomic_exponents(pairs)
             if all(e > 0 for e in exponents.values()) and sum(m * a for m, a in pairs) == degree:
@@ -424,14 +420,16 @@ def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Square matrix of arbitrary-precision integers."""
+    """Square matrix of ``int`` entries, stored as given (TypeError otherwise)."""
 
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(map(tuple, entries))
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            raise TypeError("matrix entries must be of type int")
         object.__setattr__(self, "entries", rows)
 
     @staticmethod

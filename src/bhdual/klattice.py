@@ -115,7 +115,7 @@ def _divisor(conf: CurveConfiguration, *labels: str) -> tuple[int, ...]:
     for label in labels:
         try:
             out[conf.index(label)] += 1
-        except ValueError as exc:
+        except KeyError as exc:
             raise UnknownNode(label) from exc
     return tuple(out)
 

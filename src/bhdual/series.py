@@ -6,11 +6,11 @@ the artifacts they compare (phi_f, the oracle, the Coxeter factorization) as
 arguments and build no lattice themselves.
 
 The monodromy oracle is standard for weighted homogeneous isolated
-singularities: the graded dimensions of the Milnor algebra are read off the
-product formula prod (t^(d-q_i) - 1)/(t^(q_i) - 1), and a basis element of
-degree k contributes the eigenvalue exp(2*pi*i*(k + q_1 + q_2 + q_3)/d).
-Grouping eigenvalues by exact order yields the cyclotomic factorization of
-the characteristic polynomial.
+singularities: the spectrum prod (T^q_i - T^d)/(1 - T^q_i), built with the
+stride step of ``exactalg``, holds the graded dimensions of the Milnor algebra
+shifted by q_1 + q_2 + q_3, and a spectral number k/d is the eigenvalue
+exp(2*pi*i*k/d).  Grouping eigenvalues by exact order yields the cyclotomic
+factorization of the characteristic polynomial.
 
 phi_f is a quotient of binomials 1 - t^n = -prod_{k | n} Phi_k, so it is kept
 as its cyclotomic exponents n -> e_n, and the identity checks compare
@@ -19,7 +19,7 @@ exponents: no polynomial is multiplied, divided or factored.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .exactalg import (
@@ -27,6 +27,7 @@ from .exactalg import (
     IntPolynomial,
     RationalFunction,
     cyclotomic_exponents,
+    divide_by_binomial,
     euler_totient,
     square_root_spectrum,
 )
@@ -47,10 +48,10 @@ def poincare_series(wsys: CanonicalWeights) -> RationalFunction:
     """p_f(t) = (1 - t^d') / prod(1 - t^(w_i)) for a three-variable system."""
     if len(wsys.w) != 3:
         raise ValueError("Poincare series requires a three-variable system")
-    den = IntPolynomial.one()
+    den = [1] + [0] * sum(wsys.w)
     for w in wsys.w:
-        den = den * IntPolynomial.one_minus_t_n(w)
-    return RationalFunction(IntPolynomial.one_minus_t_n(wsys.d_prime), den)
+        divide_by_binomial(den, w, -1)
+    return RationalFunction(IntPolynomial.one_minus_t_n(wsys.d_prime), IntPolynomial(den))
 
 
 def poincare_bruteforce(wsys: CanonicalWeights, k_max: int) -> list[int]:
@@ -86,48 +87,44 @@ def characteristic_function(wsys: CanonicalWeights, alpha) -> dict[int, int]:
     return cyclotomic_exponents(binomials)
 
 
+def spectrum(rw: ReducedWeights) -> dict[int, int]:
+    """k -> multiplicity of the spectral number k/d: the nonzero coefficients
+    of S(T) = prod (T^q_i - T^d)/(1 - T^q_i), by k.  The list holds the whole
+    numerator, so S is a polynomial iff it vanishes above sum(d - 2 q_i)."""
+    q, d = rw.q, rw.d
+    if any(d - qi <= 0 for qi in q):
+        raise NonIntegralMilnorNumber(f"degenerate weights {rw}")
+    s = [1] + [0] * sum(d - qi for qi in q)
+    for qi in q:
+        divide_by_binomial(s, d - qi, -1)
+        divide_by_binomial(s, qi, 1)
+    top = sum(d - 2 * qi for qi in q)
+    if top < 0 or any(s[top + 1:]):
+        raise NonIntegralMilnorNumber(f"Milnor algebra series not polynomial for {rw}")
+    if min(s) < 0:
+        raise NonIntegralMilnorNumber(f"negative graded dimension for {rw}")
+    return {k + sum(q): m for k, m in enumerate(s) if m}
+
+
 def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
     """Cyclotomic factorization of the monic characteristic polynomial of the
     monodromy of a weighted homogeneous polynomial with reduced weights rw.
 
-    The degree is the Milnor number prod (d - q_i)/q_i.
-    """
-    q, d = rw.q, rw.d
-    if any(d - qi <= 0 for qi in q):
-        raise NonIntegralMilnorNumber(f"degenerate weights {rw}")
-    num = IntPolynomial.one()
-    den = IntPolynomial.one()
-    for qi in q:
-        num = num * IntPolynomial.t_n_minus_1(d - qi)
-        den = den * IntPolynomial.t_n_minus_1(qi)
-    try:
-        basis = num.exact_div(den)
-    except Exception as exc:
-        raise NonIntegralMilnorNumber(f"Milnor algebra series not polynomial for {rw}") from exc
-    mu = basis.eval_at_integer(1)
-    shift = sum(q)
-    residues: dict[int, int] = defaultdict(int)
-    for k, m in enumerate(basis.coefficients):
-        if m:
-            if m < 0:
-                raise NonIntegralMilnorNumber(f"negative graded dimension for {rw}")
-            residues[(k + shift) % d] += m
+    A spectral number k/d is an eigenvalue of order n = d/gcd(k, d); Phi_n's
+    exponent is the multiplicity shared by the phi(n) residues k mod d of
+    that order.  The degree is the Milnor number prod (d - q_i)/q_i."""
+    d = rw.d
+    orders: dict[int, Counter] = defaultdict(Counter)
+    for k, m in spectrum(rw).items():
+        orders[d // math.gcd(k, d)][k % d] += m
     factors: dict[int, int] = {}
-    for n in sorted({d // math.gcd(r, d) if r else 1 for r in range(d)}):
-        klass = [r for r in range(d) if (d // math.gcd(r, d) if r else 1) == n]
-        mults = {residues[r] for r in klass}
-        if len(mults) != 1:
-            raise NonIntegralMilnorNumber(
-                f"eigenvalue multiplicities not Galois-stable for {rw}"
-            )
-        m = mults.pop()
-        if m:
-            factors[n] = m
+    for n, residues in sorted(orders.items()):
+        factors[n], *others = set(residues.values())
+        if others or len(residues) != euler_totient(n):
+            raise NonIntegralMilnorNumber(f"eigenvalue multiplicities not Galois-stable for {rw}")
     result = CyclotomicFactorization(factors, 1, IntPolynomial.one())
-    if result.degree != mu:
-        raise NonIntegralMilnorNumber(
-            f"factor degree {result.degree} differs from the Milnor number {mu} for {rw}"
-        )
+    if result.degree * math.prod(rw.q) != math.prod(d - qi for qi in rw.q):
+        raise NonIntegralMilnorNumber(f"degree {result.degree} is not the Milnor number for {rw}")
     return result
 
 

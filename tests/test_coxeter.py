@@ -12,7 +12,7 @@ from bhdual.coxeter import (
 from bhdual.exactalg import IntMatrix, IntPolynomial, det_bareiss
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import row_gram
-from bhdual.series import transpose_monodromy
+from bhdual.series import transpose_monodromy, transpose_reduced_weights
 
 A2 = IntMatrix([[-2, 1], [1, -2]])
 
@@ -165,6 +165,55 @@ class TestLatticeInvariants:
     def test_requires_symmetric(self):
         with pytest.raises(NotSymmetric):
             lattice_invariants(IntMatrix([[0, 1], [2, 0]]))
+
+    def test_spectrum_gives_signature_and_discriminant(self, spectral_invariants):
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            inv = lattice_invariants(gram)
+            expected = spectral_invariants(transpose_reduced_weights(row))
+            assert (inv.signature, inv.det) == expected, row.name
+
+    def test_spectrum_catches_a_sign_flip(self, spectral_invariants):
+        # flipping a bridge edge is a sign change of the basis vectors on one
+        # side, so no invariant can see it; a flip on a cycle changes the
+        # lattice, and on every row some such flip moves the signature or
+        # the determinant away from the spectrum's
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            expected = spectral_invariants(transpose_reduced_weights(row))
+            caught = False
+            for i, j, bridge in _edges(gram):
+                if caught and not bridge:
+                    continue
+                inv = lattice_invariants(_flip(gram, i, j))
+                if bridge:
+                    assert (inv.signature, inv.det) == expected, (row.name, i, j)
+                else:
+                    caught = (inv.signature, inv.det) != expected
+            assert caught, row.name
+
+
+def _flip(g, i, j):
+    rows = [list(r) for r in g.entries]
+    rows[i][j] = rows[j][i] = -g[i, j]
+    return IntMatrix(rows)
+
+
+def _edges(g):
+    """(i, j, is_bridge) for the edges i < j of the diagram of g."""
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not g[i, j]:
+                continue
+            seen, frontier = {i}, [i]
+            while frontier:
+                a = frontier.pop()
+                for b in range(n):
+                    if g[a, b] and b != a and {a, b} != {i, j} and b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+            yield i, j, j not in seen
 
 
 class TestGraphIsomorphic:

@@ -11,6 +11,7 @@ from bhdual.curveconf import (
     validate_tree,
 )
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
+from bhdual.klattice import Sheaf, UnknownNode, class_of
 
 
 def expected_node_count(row):
@@ -72,6 +73,20 @@ class TestBuildConfiguration:
         )
         with pytest.raises(MissingAttachment):
             build_configuration(broken)
+
+
+class TestIndex:
+    def test_positions_of_labels(self):
+        for row in load_rows():
+            conf = build_configuration(row)
+            assert [conf.index(label) for label in conf.labels] == list(range(len(conf.labels)))
+
+    def test_unknown_label_is_an_unknown_node(self):
+        conf = build_configuration(row_by_name("S_16"))
+        with pytest.raises(KeyError):
+            conf.index("E9_9")
+        with pytest.raises(UnknownNode):
+            class_of(Sheaf("OC-1", ("F99",)), conf)
 
 
 class TestAttachmentRule:

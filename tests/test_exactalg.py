@@ -15,6 +15,7 @@ from bhdual.exactalg import (
     cyclotomic_exponents,
     cyclotomic_index_bound,
     det_bareiss,
+    divide_by_binomial,
     euler_totient,
     factor_cyclotomic,
     polynomial_gcd,
@@ -51,9 +52,6 @@ class TestPolyArith:
         p = P.one_minus_t_n(66) * P.one_minus_t_n(1)
         coeffs = dict(enumerate(p.coefficients))
         assert {k: v for k, v in coeffs.items() if v} == {0: 1, 1: -1, 66: -1, 67: 1}
-
-    def test_eval(self):
-        assert poly(1, 1, 1).eval_at_integer(2) == 7
 
     def test_inexact_division_raises(self):
         with pytest.raises(InexactDivision):
@@ -127,7 +125,7 @@ class TestCyclotomic:
             for d in range(1, n + 1):
                 if n % d == 0:
                     product = product * cyclotomic(d)
-            assert product == P.t_n_minus_1(n), n
+            assert product == -P.one_minus_t_n(n), n
 
 
 class TestFactorCyclotomic:
@@ -246,6 +244,26 @@ class TestCyclotomicExponents:
         assert cyclotomic_exponents([(3, 1), (3, -1)]) == {}
 
 
+class TestDivideByBinomial:
+    @given(st.lists(st.integers(-9, 9), min_size=1, max_size=12), st.integers(1, 14), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_against_polynomial_product(self, coeffs, m, a):
+        # the result s satisfies s * (1 - t^m)^a = coeffs mod t^n for a > 0,
+        # and s = coeffs * (1 - t^m)^(-a) mod t^n otherwise
+        n = len(coeffs)
+        s = list(coeffs)
+        divide_by_binomial(s, m, a)
+        source, target = (s, coeffs) if a > 0 else (coeffs, s)
+        product = (P(source) * P.one_minus_t_n(m) ** abs(a)).coefficients
+        assert (list(product) + [0] * n)[:n] == target
+
+    def test_inverse_steps(self):
+        s = [3, -1, 4, 1, -5, 9, 2, 6]
+        divide_by_binomial(s, 3, 2)
+        divide_by_binomial(s, 3, -2)
+        assert s == [3, -1, 4, 1, -5, 9, 2, 6]
+
+
 class TestSquareRootSpectrum:
     def test_fourth_roots(self):
         out = square_root_spectrum(CyclotomicFactorization({4: 1}, 1, P.one()))
@@ -284,6 +302,13 @@ class TestMatrices:
 
     def test_charpoly_identity(self):
         assert char_poly(IntMatrix.identity(3)) == poly(-1, 1) ** 3
+
+    def test_entries_must_be_int(self):
+        # stored as given: a float or bool entry is an error, not truncated
+        assert IntMatrix([[0, 1], [1, 2]]).entries == ((0, 1), (1, 2))
+        for bad in ([[0.5, 1], [1, 2.9]], [[1, 0], [0, True]], [["1", 0], [0, 1]]):
+            with pytest.raises(TypeError):
+                IntMatrix(bad)
 
     def test_charpoly_diagonal(self):
         assert char_poly(IntMatrix([[2, 0], [0, 3]])) == poly(6, -5, 1)

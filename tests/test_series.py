@@ -23,6 +23,7 @@ from bhdual.series import (
     milnor_orlik,
     poincare_bruteforce,
     poincare_series,
+    spectrum,
     transpose_monodromy,
     transpose_reduced_weights,
     verify_phi_identity,
@@ -172,6 +173,15 @@ class TestMilnorOrlik:
         fac = milnor_orlik(ReducedWeights((1, 1, 1), 2, 1))
         assert fac.factors == {2: 1}
 
+    def test_spectrum_anchors(self):
+        # node: the single spectral number 3/2; cubic cone: Milnor algebra
+        # dimensions 1, 3, 3, 1 shifted by q_1 + q_2 + q_3 = 3; the Fermat
+        # x^11 + y^3 + z^2: the numbers i/11 + j/3 + 1/2 with 0 < i < 11, 0 < j < 3
+        assert spectrum(ReducedWeights((1, 1, 1), 2, 1)) == {3: 1}
+        assert spectrum(ReducedWeights((1, 1, 1), 3, 1)) == {3: 1, 4: 3, 5: 3, 6: 1}
+        fermat = {6 * i + 22 * j + 33: 1 for i in range(1, 11) for j in (1, 2)}
+        assert spectrum(ReducedWeights((6, 22, 33), 66, 1)) == fermat
+
     def test_invalid_weights_rejected(self):
         from bhdual.series import NonIntegralMilnorNumber
 
@@ -179,6 +189,21 @@ class TestMilnorOrlik:
             milnor_orlik(ReducedWeights((2, 3, 4), 5, 1))
         with pytest.raises(NonIntegralMilnorNumber):
             milnor_orlik(ReducedWeights((3, 3, 3), 3, 1))
+        # mu = 6*6*3/4 = 27 is integral, and the series through degree
+        # sum(d - 2 q_i) = 9 is nonnegative and sums to 27, but
+        # (1 - t^6)^2 (1 - t^3) / ((1 - t)^2 (1 - t^4)) is no polynomial
+        with pytest.raises(NonIntegralMilnorNumber):
+            milnor_orlik(ReducedWeights((1, 1, 4), 7, 1))
+
+    @pytest.mark.parametrize("fake", [{1: 1}, {1: 1, 2: 2}])
+    def test_galois_stability_is_checked(self, monkeypatch, fake):
+        # a primitive cube root of unity without its conjugate, or with
+        # another multiplicity than its conjugate
+        from bhdual import series
+
+        monkeypatch.setattr(series, "spectrum", lambda rw: fake)
+        with pytest.raises(series.NonIntegralMilnorNumber, match="Galois"):
+            milnor_orlik(ReducedWeights((1, 1, 1), 3, 1))
 
     def test_degree_and_cyclotomic_on_all_rows(self):
         for row in load_rows():
@@ -385,6 +410,23 @@ class TestMonodromyDivisorCalculus:
                     row.name,
                     text,
                 )
+
+    @given(st.sampled_from(sorted(KREUZER_SKARKE)), st.tuples(*[st.integers(2, 8)] * 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_divisor_formula_on_invertible_polynomials(self, kind, exponents):
+        # Milnor-Orlik's divisor against milnor_orlik, which groups the
+        # spectrum; the spectrum is symmetric under k <-> 3d - k and has
+        # mu = prod (d - q_i)/q_i numbers
+        f = InvertiblePolynomial(ExponentMatrix(KREUZER_SKARKE[kind](*exponents)), VARIABLES)
+        for g in (f, transpose(f)):
+            rw = reduce(canonical_weights(g))
+            fac = milnor_orlik(rw)
+            assert _divisor_of_factorization(fac) == _divisor_product(rw.q, rw.d)
+            sp = spectrum(rw)
+            assert sp == {3 * rw.d - k: m for k, m in sp.items()}
+            q1, q2, q3 = rw.q
+            mu = (rw.d - q1) * (rw.d - q2) * (rw.d - q3) // (q1 * q2 * q3)
+            assert sum(sp.values()) == mu == fac.degree
 
     def test_classical_anchors(self):
         # textbook monodromy characteristic polynomials of simple singularities

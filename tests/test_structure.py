@@ -98,3 +98,30 @@ def test_no_n_max_parameter():
         )
     ]
     assert found == []
+
+
+def test_series_names_no_polynomial_division():
+    # spectrum and Poincare series are built by the exactalg stride step
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(_tree("series.py"))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    assert not names & {"exact_div", "divmod_exact_leading", "t_n_minus_1", "eval_at_integer"}
+
+
+def test_one_stride_step():
+    # factor_cyclotomic's peel calls the shared step and updates no
+    # coefficient list of its own
+    func = next(
+        node
+        for node in ast.walk(_tree("exactalg.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "factor_cyclotomic"
+    )
+    called = {getattr(node.func, "id", None) for node in ast.walk(func) if isinstance(node, ast.Call)}
+    assert "divide_by_binomial" in called
+    assert not [
+        node.lineno
+        for node in ast.walk(func)
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
+    ]
