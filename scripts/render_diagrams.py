@@ -8,7 +8,8 @@ import sys
 from pathlib import Path
 
 from bhdual.cli import _diagram_of, _sanitize
-from bhdual.curveconf import build_configuration, dual_graph_dot
+from bhdual.curveconf import build_configuration
+from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import load_rows
 
 
@@ -18,7 +19,8 @@ def main(out_dir: str = "diagrams") -> int:
     for row in load_rows():
         stem = _sanitize(row.name)
         conf = build_configuration(row)
-        (out / f"{stem}_config.dot").write_text(dual_graph_dot(conf, name=f"config_{stem}"))
+        config = DynkinDiagram(conf.labels, conf.intersection_matrix())
+        (out / f"{stem}_config.dot").write_text(config.dot(name=f"config_{stem}"))
         for source in ("rules", "ktheory"):
             diagram = _diagram_of(row, source)
             (out / f"{stem}_{source}.dot").write_text(diagram.dot(name=f"{source}_{stem}"))

@@ -47,27 +47,6 @@ class CurveConfiguration:
             [[self.intersection(a, b) for b in labels] for a in labels]
         )
 
-    def neighbors(self, label: str):
-        for (a, b), _ in sorted(self.edges.items()):
-            if a == label:
-                yield b
-            elif b == label:
-                yield a
-
-    def is_connected(self) -> bool:
-        if not self.labels:
-            return True
-        seen = {self.labels[0]}
-        frontier = [self.labels[0]]
-        while frontier:
-            current = frontier.pop()
-            for other in self.neighbors(current):
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-        return len(seen) == len(self.labels)
-
-
 def arm_label(i: int, j: int) -> str:
     return f"E{i}_{j}"
 
@@ -145,67 +124,3 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
         case_tag=case,
         unused=unused,
     )
-
-
-def attachment_consistent_with_rule(row: FixtureRow) -> bool:
-    """Whether the committed attachment table equals the literal reading
-    'position alpha_i - beta_i - 1 from the outside, skipping beta = alpha-1'.
-
-    Rows with provenance 'calibrated' are allowed to deviate; for all others
-    this is an integrity check on the fixture data.
-    """
-    expected = {
-        i: al - be - 1
-        for i, (al, be) in enumerate(row.alpha_beta, start=1)
-        if be != al - 1
-    }
-    if row.case_tag == "Quadrilateral_r1":
-        # both E0 components sit on the outermost curve of the third arm
-        return row.attachment_table.arms == {3: 1}
-    return row.attachment_table.arms == expected
-
-
-def validate_tree(conf: CurveConfiguration) -> bool:
-    """True iff the subgraph on the arms and the central curve is a tree with
-    exactly three branches at the center."""
-    core = {label for label in conf.labels if label.startswith("E") and "_" in label}
-    core.add(CENTER)
-    core_edges = [
-        (a, b) for (a, b) in conf.edges if a in core and b in core
-    ]
-    if len(core_edges) != len(core) - 1:
-        return False
-    # connectivity of the core
-    seen = {CENTER}
-    frontier = [CENTER]
-    adjacency: dict[str, list[str]] = {}
-    for a, b in core_edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    while frontier:
-        current = frontier.pop()
-        for other in adjacency.get(current, ()):
-            if other not in seen:
-                seen.add(other)
-                frontier.append(other)
-    if seen != core:
-        return False
-    return len(adjacency.get(CENTER, ())) == 3
-
-
-def _node_sort_key(label: str):
-    head = label.rstrip("0123456789")
-    tail = label[len(head):]
-    return (head, int(tail) if tail else -1)
-
-
-def dual_graph_dot(conf: CurveConfiguration, name: str = "config") -> str:
-    """Deterministic DOT rendering; multiplicity-m edges are emitted m times."""
-    lines = [f"graph {name} {{"]
-    for label in sorted(conf.labels, key=_node_sort_key):
-        lines.append(f"  {label};")
-    for (a, b), mult in sorted(conf.edges.items()):
-        for _ in range(mult):
-            lines.append(f"  {a} -- {b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

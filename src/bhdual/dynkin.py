@@ -169,6 +169,22 @@ def committed_convention() -> ConventionTable:
 LOWER, UPPER = "EinfL", "EinfU"
 
 
+def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
+    """The diagram on ``labels``: -2 on the diagonal, the Gram rows of
+    ``core`` (a diagram on the leading labels) in the top-left block, and
+    each (s, t, w) in ``edges`` set symmetrically, later ones winning."""
+    n = len(labels)
+    gram = [[*row, *[0] * (n - len(row))] for row in core]
+    for k in range(len(gram), n):
+        gram.append([0] * n)
+        gram[k][k] = -2
+    index = {s: k for k, s in enumerate(labels)}
+    for s, t, w in edges:
+        i, j = index[s], index[t]
+        gram[i][j] = gram[j][i] = w
+    return DynkinDiagram(tuple(labels), IntMatrix(gram))
+
+
 def t_graph(alpha) -> DynkinDiagram:
     """The T-shaped core diagram for a triple alpha.
 
@@ -179,26 +195,13 @@ def t_graph(alpha) -> DynkinDiagram:
     if any(a < 2 for a in alpha):
         raise ValueError("arm parameters must be >= 2")
     labels: list[str] = []
+    edges = []
     for i, a_i in enumerate(alpha, start=1):
         labels.extend(f"E{i}_{j}" for j in range(1, a_i))
-    labels += [LOWER, UPPER]
-    index = {s: k for k, s in enumerate(labels)}
-    n = len(labels)
-    gram = [[0] * n for _ in range(n)]
-    for k in range(n):
-        gram[k][k] = -2
-
-    def set_pair(s: str, t: str, value: int):
-        gram[index[s]][index[t]] = value
-        gram[index[t]][index[s]] = value
-
-    for i, a_i in enumerate(alpha, start=1):
-        for j in range(1, a_i - 1):
-            set_pair(f"E{i}_{j}", f"E{i}_{j+1}", 1)
-        set_pair(f"E{i}_{a_i-1}", LOWER, 1)
-        set_pair(f"E{i}_{a_i-1}", UPPER, 1)
-    set_pair(LOWER, UPPER, -2)
-    return DynkinDiagram(tuple(labels), IntMatrix(gram))
+        edges += [(f"E{i}_{j}", f"E{i}_{j+1}", 1) for j in range(1, a_i - 1)]
+        edges += [(f"E{i}_{a_i-1}", LOWER, 1), (f"E{i}_{a_i-1}", UPPER, 1)]
+    edges.append((LOWER, UPPER, -2))
+    return _minus_two_graph(labels + [LOWER, UPPER], edges)
 
 
 def extend(
@@ -213,24 +216,8 @@ def extend(
     if a not in (2, 3, 5):
         raise MissingConvention(f"no convention for a = {a}")
     case = conv.cases[conv.case_key(a, quadrilateral_r1)]
-    alpha_beta = tuple(tuple(p) for p in alpha_beta)
-    labels = list(t.vertices) + [f"B{k}" for k in range(1, a + 1)]
-    index = {s: k for k, s in enumerate(labels)}
-    n = len(labels)
-    gram = [[0] * n for _ in range(n)]
-    for i in range(t.rank):
-        for j in range(t.rank):
-            gram[i][j] = t.gram[i, j]
-    for k in range(t.rank, n):
-        gram[k][k] = -2
-
-    def set_pair(s: str, t_: str, value: int):
-        gram[index[s]][index[t_]] = value
-        gram[index[t_]][index[s]] = value
-
-    set_pair("B1", UPPER, case.upper_sign)
-    for i, j, sign in case.bullet_edges:
-        set_pair(f"B{i}", f"B{j}", sign)
+    edges = [("B1", UPPER, case.upper_sign)]
+    edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
     if case.arm_bullet is not None:
         for arm, (alpha, beta) in enumerate(alpha_beta, start=1):
             if beta == alpha - 1:
@@ -240,10 +227,10 @@ def extend(
                 raise MissingConvention(
                     f"reading {conv.reading} puts arm {arm} attachment at {pos}"
                 )
-            set_pair(f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign)
-    for bullet, arm, pos, sign in case.fixed_slots:
-        set_pair(f"B{bullet}", f"E{arm}_{pos}", sign)
-    return DynkinDiagram(tuple(labels), IntMatrix(gram))
+            edges.append((f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign))
+    edges += [(f"B{b}", f"E{arm}_{pos}", sign) for b, arm, pos, sign in case.fixed_slots]
+    labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
+    return _minus_two_graph(labels, edges, t.gram.entries)
 
 
 def diagram_for_row(row: FixtureRow, conv: ConventionTable | None = None) -> DynkinDiagram:

@@ -82,18 +82,8 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        n = max(len(a), len(b))
-        return IntPolynomial(
-            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-        )
-
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial(-c for c in self.coefficients)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):

@@ -8,7 +8,7 @@ stored values as a failure, so transcription errors surface immediately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from importlib import resources
 
 CASE_TAGS = (
@@ -65,24 +65,6 @@ class FixtureRow:
         """One of 'w', 'x', 'y', 'z': which coordinate accompanies the power of w."""
         head = self.compactifier.split("*")[0]
         return head if head in ("x", "y", "z") else "w"
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["alpha_beta"] = [list(p) for p in self.alpha_beta]
-        d["gabrielov"] = list(self.gabrielov)
-        d["dolgachev"] = list(self.dolgachev)
-        d["ambient"] = list(self.ambient)
-        d["action"] = {
-            "c": self.action_c,
-            "m": list(self.action_m) if self.action_m is not None else None,
-        }
-        del d["action_c"], d["action_m"]
-        d["attachment_table"] = {
-            "arms": {str(k): v for k, v in sorted(self.attachment_table.arms.items())},
-            "f_chain": self.attachment_table.f_chain,
-            "provenance": self.attachment_table.provenance,
-        }
-        return d
 
 
 def _row_from_dict(d: dict) -> FixtureRow:
@@ -146,16 +128,3 @@ def row_by_name(name: str) -> FixtureRow:
 
 def all_names() -> tuple[str, ...]:
     return tuple(row.name for row in load_rows())
-
-
-def dual_pairs() -> tuple[tuple[FixtureRow, FixtureRow], ...]:
-    """Pairs of rows that are mutually dual by name (including self-dual rows
-    paired with themselves); rows whose dual class has no fixture row of its
-    own are skipped."""
-    rows = {row.name: row for row in load_rows()}
-    pairs = []
-    for row in load_rows():
-        partner = rows.get(row.dual_name)
-        if partner is not None and partner.dual_name == row.name:
-            pairs.append((row, partner))
-    return tuple(pairs)

@@ -44,19 +44,6 @@ class MukaiClass:
     divisor: tuple[int, ...]
     degree: int
 
-    def __neg__(self) -> "MukaiClass":
-        return MukaiClass(-self.rank, tuple(-c for c in self.divisor), -self.degree)
-
-    def __add__(self, other: "MukaiClass") -> "MukaiClass":
-        return MukaiClass(
-            self.rank + other.rank,
-            tuple(a + b for a, b in zip(self.divisor, other.divisor)),
-            self.degree + other.degree,
-        )
-
-    def scale(self, c: int) -> "MukaiClass":
-        return MukaiClass(c * self.rank, tuple(c * x for x in self.divisor), c * self.degree)
-
 
 @dataclass(frozen=True)
 class Sheaf:
@@ -194,13 +181,6 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     return IntMatrix(
         [[mukai_pairing(v, w, conf) for w in classes] for v in classes]
     )
-
-
-def reflect(x: MukaiClass, root: MukaiClass, conf: CurveConfiguration) -> MukaiClass:
-    """Reflection along a root: x -> x + <x, root> * root."""
-    if mukai_pairing(root, root, conf) != -2:
-        raise NotARoot("reflection axis must have self-pairing -2")
-    return x + root.scale(mukai_pairing(x, root, conf))
 
 
 def row_gram(row: FixtureRow) -> tuple[IntMatrix, GeneratorList, CurveConfiguration]:

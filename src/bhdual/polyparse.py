@@ -44,70 +44,36 @@ class ZeroDeterminant(ValueError):
 
 
 @dataclass(frozen=True)
-class ExponentMatrix:
-    """Square matrix of non-negative integer exponents with det != 0."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def __init__(self, entries):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValueError("exponent matrix must be square")
-        if any(x < 0 for row in rows for x in row):
-            raise ValueError("exponents must be non-negative")
-        if det_bareiss(IntMatrix(rows)) == 0:
-            raise ZeroDeterminant("exponent matrix is singular")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def determinant(self) -> int:
-        return det_bareiss(IntMatrix(self.entries))
-
-    def transpose(self) -> "ExponentMatrix":
-        n = self.n
-        return ExponentMatrix(tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)))
-
-
-@dataclass(frozen=True)
 class InvertiblePolynomial:
     """Exponent matrix plus an ordered tuple of variable names.
 
     Row i of the matrix is the i-th monomial; column j carries the exponents
-    of ``variables[j]``.  All coefficients are normalized to 1.
+    of ``variables[j]``.  All coefficients are normalized to 1.  The matrix
+    has one row per variable, distinct rows, non-negative entries and
+    det != 0.
     """
 
-    matrix: ExponentMatrix
+    matrix: IntMatrix
     variables: tuple[str, ...]
 
-    def __init__(self, matrix: ExponentMatrix, variables):
+    def __init__(self, matrix: IntMatrix, variables):
         variables = tuple(variables)
-        if len(variables) != matrix.n:
+        if len(variables) != matrix.dim:
             raise MonomialCountMismatch(
-                f"{matrix.n} monomials for {len(variables)} variables"
+                f"{matrix.dim} monomials for {len(variables)} variables"
             )
-        if len(set(matrix.entries)) != matrix.n:
+        if len(set(matrix.entries)) != matrix.dim:
             raise DuplicateMonomial("two monomials have identical exponents")
+        if any(x < 0 for row in matrix.entries for x in row):
+            raise ValueError("exponents must be non-negative")
+        if det_bareiss(matrix) == 0:
+            raise ZeroDeterminant("exponent matrix is singular")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "variables", variables)
 
     @property
     def n(self) -> int:
-        return self.matrix.n
-
-    def row_sorted_entries(self) -> tuple[tuple[int, ...], ...]:
-        """Rows sorted lexicographically; the order-independent fingerprint."""
-        return tuple(sorted(self.matrix.entries))
-
-    def same_polynomial(self, other: "InvertiblePolynomial") -> bool:
-        """Equality up to monomial order (variables must match)."""
-        return (
-            self.variables == other.variables
-            and self.row_sorted_entries() == other.row_sorted_entries()
-        )
+        return self.matrix.dim
 
 
 def _tokenize(text: str):
@@ -197,12 +163,11 @@ def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
                 raise ParseError("trailing '+'", tokens[pos - 1][1])
 
     if len(monomials) != len(variables):
+        # a non-square list is no matrix: count before building one
         raise MonomialCountMismatch(
             f"{len(monomials)} monomials for {len(variables)} variables"
         )
-    if len(set(monomials)) != len(monomials):
-        raise DuplicateMonomial("two monomials have identical exponents")
-    return InvertiblePolynomial(ExponentMatrix(tuple(monomials)), variables)
+    return InvertiblePolynomial(IntMatrix(monomials), variables)
 
 
 def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:

@@ -92,16 +92,6 @@ class ResolutionChart:
         return {"X": (i, i - 1), "Y": (k - i, k + 1 - i), "Z": (1, 1)}
 
 
-def transition_image(chart: ResolutionChart) -> dict[str, tuple[int, int]]:
-    """Chart-(i+1) substitution composed with the gluing map
-    (u_i, v_i) -> (1/v_i, u_i v_i^2), which sends u^a v^b to u^b v^(2b-a);
-    as exponent pairs in (u_i, v_i)."""
-    if chart.i >= chart.k:
-        raise InvalidRange("no chart above the last one")
-    nxt = ResolutionChart(chart.i + 1, chart.k).substitution()
-    return {name: (b, 2 * b - a) for name, (a, b) in nxt.items()}
-
-
 # ---------------------------------------------------------------------------
 # curves in the quotient and their proper transforms
 # ---------------------------------------------------------------------------

@@ -51,15 +51,22 @@ class ReducedWeights:
 @dataclass(frozen=True)
 class AmbientWeights:
     """Weights of the ambient weighted projective space and the compactifying
-    monomial (over homogeneous coordinates w,x,y,z)."""
+    monomial (over homogeneous coordinates w,x,y,z): w^exponent times the
+    coordinate x, y or z at index ``coord`` (None: the plain power of w)."""
 
     q0: int
     q: tuple[int, int, int]
-    compactifier: str
+    coord: int | None
+    exponent: int
 
     @property
     def weights(self) -> tuple[int, int, int, int]:
         return (self.q0, *self.q)
+
+    @property
+    def compactifier(self) -> str:
+        power = f"w^{self.exponent}"
+        return power if self.coord is None else f"{'xyz'[self.coord]}*{power}"
 
 
 @dataclass(frozen=True)
@@ -80,7 +87,7 @@ def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
     """
     entries = f.matrix.entries
     n = f.n
-    det = f.matrix.determinant()
+    det = det_bareiss(f.matrix)
     sign = 1 if det > 0 else -1
     w = tuple(
         sign * det_bareiss(IntMatrix([[*row[:j], 1, *row[j + 1 :]] for row in entries]))
@@ -132,24 +139,20 @@ def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeig
         raise NonIntegralExponent(
             f"compactifier exponent {numerator}/{q0} is not an integer"
         )
-    exponent = numerator // q0
-    monomial = f"w^{exponent}" if coord is None else f"{'xyz'[coord]}*w^{exponent}"
+    ambient = AmbientWeights(q0, tuple(rw.q), coord, numerator // q0)
     # verified weighted degree
-    degree = q0 * exponent + (0 if coord is None else rw.q[coord])
+    degree = q0 * ambient.exponent + (0 if coord is None else rw.q[coord])
     if degree != rw.d:
-        raise WeightsError(f"compactifier {monomial} has degree {degree}, not {rw.d}")
-    return AmbientWeights(q0, tuple(rw.q), monomial)
+        raise WeightsError(f"compactifier {ambient.compactifier} has degree {degree}, not {rw.d}")
+    return ambient
 
 
 def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):
     """Exponent rows of F = f + compactifier over the coordinates (w,x,y,z)."""
     rows = [(0, *row) for row in f.matrix.entries]
-    body, _, power = ambient.compactifier.partition("^")
-    exponent = int(power)
-    extra = [exponent, 0, 0, 0]
-    if "*" in body:
-        coord = "xyz".index(body.split("*")[0])
-        extra[1 + coord] = 1
+    extra = [ambient.exponent, 0, 0, 0]
+    if ambient.coord is not None:
+        extra[1 + ambient.coord] = 1
     rows.append(tuple(extra))
     return tuple(rows)
 

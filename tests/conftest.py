@@ -1,7 +1,9 @@
 import math
+from collections import deque
 
 import pytest
 
+from bhdual.klattice import MukaiClass, mukai_pairing
 from bhdual.series import milnor_orlik, spectrum
 
 
@@ -33,3 +35,36 @@ def _spectral_invariants(rw):
 @pytest.fixture
 def spectral_invariants():
     return _spectral_invariants
+
+
+def _reachable(start, neighbors):
+    """The nodes a breadth-first search from ``start`` reaches, where
+    ``neighbors(node)`` lists the nodes adjacent to ``node``."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for other in neighbors(queue.popleft()):
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+    return seen
+
+
+@pytest.fixture
+def reachable():
+    return _reachable
+
+
+def _reflect(x, root, conf):
+    """Reflection along a root: x + <x, root> * root."""
+    c = mukai_pairing(x, root, conf)
+    return MukaiClass(
+        x.rank + c * root.rank,
+        tuple(a + c * b for a, b in zip(x.divisor, root.divisor)),
+        x.degree + c * root.degree,
+    )
+
+
+@pytest.fixture
+def reflect():
+    return _reflect

@@ -3,13 +3,12 @@ import dataclasses
 import pytest
 
 from bhdual.curveconf import (
+    CENTER,
     CurveConfiguration,
     MissingAttachment,
-    attachment_consistent_with_rule,
     build_configuration,
-    dual_graph_dot,
-    validate_tree,
 )
+from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
 from bhdual.klattice import Sheaf, UnknownNode, class_of
 
@@ -19,6 +18,51 @@ def expected_node_count(row):
     e0 = 2 if row.case_tag == "Quadrilateral_r1" else 1
     f_chain = row.a - 1 if row.case_tag.startswith("Exceptional") else 0
     return arms + 1 + e0 + f_chain
+
+
+def adjacency(conf, nodes=None):
+    """label -> adjacent labels, over the edges with both ends in ``nodes``
+    (default: every label)."""
+    nodes = set(conf.labels if nodes is None else nodes)
+    adjacent = {label: [] for label in nodes}
+    for a, b in conf.edges:
+        if a in nodes and b in nodes:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    return adjacent
+
+
+def is_core_tree(conf, reachable):
+    """Whether the subgraph on the arms and the central curve is a tree with
+    exactly three branches at the center."""
+    core = {label for label in conf.labels if label.startswith("E") and "_" in label}
+    core.add(CENTER)
+    adjacent = adjacency(conf, core)
+    n_edges = sum(map(len, adjacent.values())) // 2
+    return (
+        n_edges == len(core) - 1
+        and reachable(CENTER, adjacent.__getitem__) == core
+        and len(adjacent[CENTER]) == 3
+    )
+
+
+def follows_literal_rule(row):
+    """Whether the committed attachment table equals the literal reading
+    'position alpha_i - beta_i - 1 from the outside, skipping beta = alpha-1'
+    (both E0 components on the outermost curve of arm 3 for Quadrilateral_r1)."""
+    if row.case_tag == "Quadrilateral_r1":
+        return row.attachment_table.arms == {3: 1}
+    expected = {
+        i: al - be - 1
+        for i, (al, be) in enumerate(row.alpha_beta, start=1)
+        if be != al - 1
+    }
+    return row.attachment_table.arms == expected
+
+
+def config_dot(conf):
+    """The configuration drawn as render_diagrams.py draws it."""
+    return DynkinDiagram(conf.labels, conf.intersection_matrix()).dot(name="config")
 
 
 class TestBuildConfiguration:
@@ -47,11 +91,12 @@ class TestBuildConfiguration:
         assert conf.intersection("E0", "E3_2") == 1
         assert conf.unused == frozenset({"F1"})
 
-    def test_node_count_formula_and_connectivity(self):
+    def test_node_count_formula_and_connectivity(self, reachable):
         for row in load_rows():
             conf = build_configuration(row)
             assert len(conf.labels) == expected_node_count(row), row.name
-            assert conf.is_connected(), row.name
+            reached = reachable(conf.labels[0], adjacency(conf).__getitem__)
+            assert reached == set(conf.labels), row.name
             assert all(conf.intersection(l, l) == -2 for l in conf.labels)
             assert all(mult == 1 for mult in conf.edges.values())
 
@@ -92,26 +137,26 @@ class TestIndex:
 class TestAttachmentRule:
     def test_calibrated_rows_are_exactly_the_deviating_ones(self):
         deviating = {
-            row.name for row in load_rows() if not attachment_consistent_with_rule(row)
+            row.name for row in load_rows() if not follows_literal_rule(row)
         }
         assert deviating == {"Z_19"}
         assert row_by_name("Z_19").attachment_table.provenance == "calibrated"
 
 
 class TestValidateTree:
-    def test_built_configurations(self):
+    def test_built_configurations(self, reachable):
         for row in load_rows():
-            assert validate_tree(build_configuration(row)), row.name
+            assert is_core_tree(build_configuration(row), reachable), row.name
 
-    def test_cycle_detected(self):
+    def test_cycle_detected(self, reachable):
         conf = build_configuration(row_by_name("S_16"))
         edges = dict(conf.edges)
         edges[("E1_1", "E2_1")] = 1
-        assert not validate_tree(
-            CurveConfiguration(conf.labels, edges, conf.case_tag, conf.unused)
+        assert not is_core_tree(
+            CurveConfiguration(conf.labels, edges, conf.case_tag, conf.unused), reachable
         )
 
-    def test_minimal_star(self):
+    def test_minimal_star(self, reachable):
         # bare (2,2,2) star: one curve per arm plus the center
         labels = ("E1_1", "E2_1", "E3_1", "Einf")
         edges = {
@@ -119,24 +164,24 @@ class TestValidateTree:
             ("E2_1", "Einf"): 1,
             ("E3_1", "Einf"): 1,
         }
-        assert validate_tree(CurveConfiguration(labels, edges, "Quadrilateral_other"))
+        assert is_core_tree(CurveConfiguration(labels, edges, "Quadrilateral_other"), reachable)
 
 
 class TestDot:
     def test_counts(self):
-        dot = dual_graph_dot(build_configuration(row_by_name("Z_1,0")))
+        dot = config_dot(build_configuration(row_by_name("Z_1,0")))
         assert dot.count(";") == 14 + 13  # one line per node, one per edge
         assert dot.startswith("graph config {")
 
     def test_empty(self):
         empty = CurveConfiguration((), {}, "Quadrilateral_other")
-        assert dual_graph_dot(empty) == "graph config {\n}\n"
+        assert config_dot(empty) == "graph config {\n}\n"
 
     def test_a5_node_count(self):
-        dot = dual_graph_dot(build_configuration(row_by_name("E_20")))
+        dot = config_dot(build_configuration(row_by_name("E_20")))
         assert sum(1 for line in dot.splitlines() if line.endswith(";") and "--" not in line) == 19
 
     def test_deterministic(self):
-        a = dual_graph_dot(build_configuration(row_by_name("U_16")))
-        b = dual_graph_dot(build_configuration(row_by_name("U_16")))
+        a = config_dot(build_configuration(row_by_name("U_16")))
+        b = config_dot(build_configuration(row_by_name("U_16")))
         assert a == b

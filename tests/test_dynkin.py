@@ -198,23 +198,13 @@ class TestDiagramAgainstKLattice:
         for row in load_rows():
             assert diagram_for_row(row).rank == sum(a - 1 for a in row.alpha) + 2 + row.a
 
-    def test_connected(self):
+    def test_connected(self, reachable):
         for row in load_rows():
             diagram = diagram_for_row(row)
             n = diagram.rank
-            adjacency = {i: [] for i in range(n)}
-            for i in range(n):
-                for j in range(n):
-                    if i != j and diagram.gram[i, j]:
-                        adjacency[i].append(j)
-            seen = {0}
-            stack = [0]
-            while stack:
-                for j in adjacency[stack.pop()]:
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            assert len(seen) == n, row.name
+            gram = diagram.gram.entries
+            neighbors = [[j for j, w in enumerate(r) if w and j != i] for i, r in enumerate(gram)]
+            assert len(reachable(0, neighbors.__getitem__)) == n, row.name
 
 
 class TestDot:

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from bhdual.fixtures import (
@@ -8,7 +6,6 @@ from bhdual.fixtures import (
     _read_document,
     _row_from_dict,
     all_names,
-    dual_pairs,
     load_rows,
     normalize_name,
     row_by_name,
@@ -49,12 +46,6 @@ class TestStore:
     def test_all_names_order(self):
         assert all_names()[:3] == ("J_3,0", "Z_1,0", "Q_2,0")
 
-    def test_round_trip(self):
-        # load -> serialize -> load yields identical rows
-        for row in load_rows():
-            again = _row_from_dict(json.loads(json.dumps(row.to_json_dict())))
-            assert again == row
-
     def test_document_matches_rows(self):
         doc = _read_document()
         assert [d["name"] for d in doc["rows"]] == list(all_names())
@@ -64,7 +55,14 @@ class TestStore:
 
 class TestCrossChecks:
     def test_dual_pairs_swap_invariant_triples(self):
-        pairs = dual_pairs()
+        # rows that are mutually dual by name (self-dual rows paired with
+        # themselves); a row whose dual has no fixture row is skipped
+        rows = {row.name: row for row in load_rows()}
+        pairs = [
+            (row, rows[row.dual_name])
+            for row in load_rows()
+            if row.dual_name in rows and rows[row.dual_name].dual_name == row.name
+        ]
         assert pairs, "some mutual pairs must exist"
         for row, partner in pairs:
             assert row.gabrielov == partner.dolgachev, (row.name, partner.name)

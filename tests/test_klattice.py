@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,6 @@ from bhdual.klattice import (
     generator_list,
     gram_matrix,
     mukai_pairing,
-    reflect,
     row_gram,
 )
 from bhdual.series import transpose_monodromy
@@ -22,6 +23,10 @@ from bhdual.series import transpose_monodromy
 
 def conf_for(name):
     return build_configuration(row_by_name(name))
+
+
+def negate(v):
+    return MukaiClass(-v.rank, tuple(-c for c in v.divisor), -v.degree)
 
 
 class TestPairing:
@@ -100,7 +105,7 @@ class TestClassOf:
         conf = conf_for("E_20")
         ox = class_of(Sheaf("OX"), conf)
         shifted = class_of(Sheaf("OX[1]"), conf)
-        assert shifted == -ox
+        assert shifted == negate(ox)
         assert (shifted.rank, shifted.degree) == (-1, -1)
 
     def test_unknown_node(self):
@@ -189,26 +194,26 @@ class TestGramMatrix:
 
 
 class TestReflect:
-    def test_negates_axis(self):
+    def test_negates_axis(self, reflect):
         conf = conf_for("S_16")
         e = class_of(Sheaf("OC-1", ("E1_1",)), conf)
-        assert reflect(e, e, conf) == -e
+        assert reflect(e, e, conf) == negate(e)
 
-    def test_reflection_realizes_twist(self):
+    def test_reflection_realizes_twist(self, reflect):
         conf = conf_for("E_20")
         b = class_of(Sheaf("OC-1", ("E3_1",)), conf)
         c = class_of(Sheaf("OC-1", ("E3_2",)), conf)
         assert mukai_pairing(c, b, conf) == 1
         assert reflect(c, b, conf) == class_of(Sheaf("TW", ("E3_1", "E3_2")), conf)
 
-    def test_orthogonal_fixed(self):
+    def test_orthogonal_fixed(self, reflect):
         conf = conf_for("S_16")
         e = class_of(Sheaf("OC-1", ("E1_1",)), conf)
         x = class_of(Sheaf("OC-1", ("E2_1",)), conf)
         assert mukai_pairing(x, e, conf) == 0
         assert reflect(x, e, conf) == x
 
-    def test_involution_and_isometry(self):
+    def test_involution_and_isometry(self, reflect):
         row = row_by_name("W_18")
         conf = build_configuration(row)
         gens = generator_list(row, conf)
@@ -222,11 +227,13 @@ class TestReflect:
                 assert mukai_pairing(images[i], images[j], conf) == mukai_pairing(v, w, conf)
 
     def test_not_a_root(self):
-        conf = conf_for("S_16")
-        e = class_of(Sheaf("OC-1", ("E1_1",)), conf)
-        not_root = MukaiClass(0, tuple(0 for _ in conf.labels), 5)
-        with pytest.raises(NotARoot):
-            reflect(e, not_root, conf)
+        # the twist class T_E3_1(E3_2) is a root only because E3_1 meets E3_2
+        row = row_by_name("E_20")
+        conf = build_configuration(row)
+        edges = {pair: m for pair, m in conf.edges.items() if pair != ("E3_1", "E3_2")}
+        apart = dataclasses.replace(conf, edges=edges)
+        with pytest.raises(NotARoot, match="T_E3_1"):
+            generator_list(row, apart)
 
 
 class TestBaseChange:

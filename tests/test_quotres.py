@@ -14,8 +14,15 @@ from bhdual.quotres import (
     invariant_image,
     invariant_image_double,
     proper_transform,
-    transition_image,
 )
+
+
+def transition_image(chart):
+    """Chart-(i+1) substitution composed with the gluing map
+    (u_i, v_i) -> (1/v_i, u_i v_i^2), which sends u^a v^b to u^b v^(2b-a);
+    as exponent pairs in (u_i, v_i).  There is no chart above the last one."""
+    nxt = ResolutionChart(chart.i + 1, chart.k).substitution()
+    return {name: (b, 2 * b - a) for name, (a, b) in nxt.items()}
 
 
 class TestInvariantImage:

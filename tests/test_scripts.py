@@ -1,0 +1,42 @@
+"""The scripts run end to end in a fresh interpreter against the package."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from bhdual.cli import _sanitize
+from bhdual.curveconf import build_configuration
+from bhdual.fixtures import load_rows
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_render_diagrams(tmp_path):
+    done = run_script("render_diagrams.py", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*.dot"))) == 3 * len(load_rows()) == 60
+    for row in load_rows():
+        conf = build_configuration(row)
+        lines = (tmp_path / f"{_sanitize(row.name)}_config.dot").read_text().splitlines()
+        nodes = [line for line in lines if line.endswith(";") and " -- " not in line]
+        edges = [line.strip(" ;").split(" -- ") for line in lines if " -- " in line]
+        assert nodes == [f"  {label};" for label in conf.labels], row.name
+        assert len(edges) == len(conf.edges), row.name
+        assert {frozenset(edge) for edge in edges} == set(map(frozenset, conf.edges)), row.name
+
+
+def test_calibrate_conventions():
+    done = run_script("calibrate_conventions.py")
+    assert done.returncode == 0, done.stderr
+    assert "calibration reproduces the committed table" in done.stdout

@@ -6,16 +6,18 @@ from hypothesis import given, settings, strategies as st
 from bhdual.coxeter import coxeter_element
 from bhdual.exactalg import (
     CyclotomicFactorization,
+    IntMatrix,
     IntPolynomial,
     RationalFunction,
     cyclotomic,
+    det_bareiss,
     euler_totient,
     factor_cyclotomic,
     square_root_spectrum,
 )
 from bhdual.fixtures import VARIABLES, load_rows, row_by_name
 from bhdual.klattice import row_gram
-from bhdual.polyparse import ExponentMatrix, InvertiblePolynomial, parse_polynomial, transpose
+from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
 from bhdual.series import (
     HypothesisNotMet,
     SQUARE_RELATION_EXPECTED,
@@ -306,9 +308,9 @@ class TestInvertiblePolynomials:
     @settings(max_examples=30, deadline=None)
     def test_pipeline(self, kind, exponents):
         matrix = KREUZER_SKARKE[kind](*exponents)
-        f = InvertiblePolynomial(ExponentMatrix(matrix), VARIABLES)
+        f = InvertiblePolynomial(IntMatrix(matrix), VARIABLES)
         w, w_t = canonical_weights(f), canonical_weights(transpose(f))
-        assert w.d_prime == abs(f.matrix.determinant())
+        assert w.d_prime == abs(det_bareiss(f.matrix))
         assert all(sum(e * x for e, x in zip(row, w.w)) == w.d_prime for row in matrix)
         assert gorenstein_parameter(w) == gorenstein_parameter(w_t)
         k_max = 2 * w.d_prime
@@ -417,7 +419,7 @@ class TestMonodromyDivisorCalculus:
         # Milnor-Orlik's divisor against milnor_orlik, which groups the
         # spectrum; the spectrum is symmetric under k <-> 3d - k and has
         # mu = prod (d - q_i)/q_i numbers
-        f = InvertiblePolynomial(ExponentMatrix(KREUZER_SKARKE[kind](*exponents)), VARIABLES)
+        f = InvertiblePolynomial(IntMatrix(KREUZER_SKARKE[kind](*exponents)), VARIABLES)
         for g in (f, transpose(f)):
             rw = reduce(canonical_weights(g))
             fac = milnor_orlik(rw)

@@ -1,10 +1,12 @@
 """Source-level guards on the package layout."""
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import bhdual
 
 PACKAGE = Path(bhdual.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _tree(name):
@@ -125,3 +127,53 @@ def test_one_stride_step():
         for node in ast.walk(func)
         if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
     ]
+
+
+def _definitions(path):
+    """(qualified name, node) for every top-level function and class and
+    every non-dunder method of a module of the package."""
+    for node in _tree(path.name).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{node.name}.{method.name}", method
+
+
+def _mentioned_name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_every_name_has_a_caller():
+    # a name that only tests reach is API nothing uses: each function, class
+    # and method of the package must be named by the package, a script or
+    # the benchmark outside its own definition
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    mentions = defaultdict(list)
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = _mentioned_name(node)
+            if name is not None:
+                mentions[name].append((path, node.lineno))
+    uncalled = [
+        f"{path.stem}.{qualname}"
+        for path in modules
+        for qualname, node in _definitions(path)
+        if all(
+            where == path and node.lineno <= line <= node.end_lineno
+            for where, line in mentions[node.name]
+        )
+    ]
+    assert uncalled == []
