@@ -12,6 +12,7 @@ update, so no reflection matrix is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactalg import (
     CyclotomicFactorization,
@@ -35,24 +36,33 @@ class CoxeterResult:
     matrix: IntMatrix
     char: IntPolynomial
     factorization: CyclotomicFactorization
-    order: int | None  # None: tau has infinite order
+
+    @cached_property
+    def order(self) -> int | None:
+        """The order of tau, None when it is infinite; computed on first read.
+
+        The order is exact: a matrix of finite order is semisimple with root
+        of unity eigenvalues, so its characteristic polynomial is fully
+        cyclotomic and its order is the lcm N of the factor indices.  Either
+        tau^N = 1 and the order is N, or tau has infinite order.
+        """
+        if not self.factorization.is_cyclotomic:
+            return None
+        candidate = self.factorization.lcm_of_orders()
+        if self.matrix ** candidate == IntMatrix.identity(self.matrix.dim):
+            return candidate
+        return None
 
 
 def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     """Ordered product of the basis reflections, with characteristic
-    polynomial, cyclotomic factorization and (finite) order.
-
-    The order is exact: a matrix of finite order is semisimple with root of
-    unity eigenvalues, so its characteristic polynomial is fully cyclotomic
-    and its order is the lcm N of the factor indices.  Either tau^N = 1 and
-    the order is N, or tau has infinite order.
-    """
+    polynomial and cyclotomic factorization; the order is read on demand."""
     n = gram.dim
     if not gram.is_symmetric():
         raise NotSymmetric("Gram matrix must be symmetric")
-    if any(gram[i, i] != -2 for i in range(n)):
-        raise NotARootBasis("all diagonal entries must be -2")
     g = gram.entries
+    if any(row[i] != -2 for i, row in enumerate(g)):
+        raise NotARootBasis("all diagonal entries must be -2")
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         gi = g[i]
@@ -63,13 +73,7 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
                     row[j] += c * gi[j]
     tau = IntMatrix(rows)
     char = char_poly(tau)
-    fac = factor_cyclotomic(char)
-    order = None
-    if fac.is_cyclotomic:
-        candidate = fac.lcm_of_orders()
-        if tau ** candidate == IntMatrix.identity(n):
-            order = candidate
-    return CoxeterResult(tau, char, fac, order)
+    return CoxeterResult(tau, char, factor_cyclotomic(char))
 
 
 def preserves_form(tau: IntMatrix, gram: IntMatrix) -> bool:
@@ -107,56 +111,75 @@ def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
     return LatticeInvariants(n, (-1) ** n * p[0], (pos, zero, neg))
 
 
+def _recolour(colours, adjacency, palette) -> list[int]:
+    """One refinement round: vertex i's new colour interns its colour and the
+    sorted (weight, colour) pairs of its neighbours in ``palette``."""
+    return [
+        palette.setdefault(
+            (colours[i], tuple(sorted((w, colours[j]) for j, w in adj))), len(palette)
+        )
+        for i, adj in enumerate(adjacency)
+    ]
+
+
 def graph_isomorphic(g1: IntMatrix, g2: IntMatrix) -> list[int] | None:
     """Search for a permutation p with G1[i][j] == G2[p[i]][p[j]].
 
-    Backtracking over vertices ordered by invariant rarity, with a two-round
-    neighborhood refinement for pruning; deterministic.  Returns one witness
-    permutation or None.
+    Colour refinement, then backtracking; deterministic.  Each vertex starts
+    coloured by its diagonal entry.  Three rounds then recolour vertex i by
+    its colour and the sorted (weight, colour) pairs of its nonzero
+    off-diagonal entries, read from adjacency lists built once.  Both graphs
+    are refined together and each round's signatures are interned in one
+    palette shared by the two, so a colour is a small int that means the same
+    thing in either graph; the two colour multisets must agree after every
+    round.  Backtracking then maps vertices, rarest colour first, only onto
+    vertices of equal colour, and checks every entry against the vertices
+    already mapped.  The result stays exact: an isomorphism preserves colours,
+    so refinement only prunes, and a returned permutation has passed every
+    entry check.  Returns one witness permutation or None.
     """
     if not g1.is_symmetric() or not g2.is_symmetric():
         raise NotSymmetric("isomorphism testing requires symmetric matrices")
     n = g1.dim
     if g2.dim != n:
         return None
-
-    def refine(g: IntMatrix):
-        inv = [
-            (g[i, i], tuple(sorted(g[i, j] for j in range(n) if j != i and g[i, j])))
-            for i in range(n)
-        ]
-        for _ in range(2):
-            inv = [
-                (
-                    inv[i],
-                    tuple(sorted((g[i, j], inv[j]) for j in range(n) if j != i and g[i, j])),
-                )
-                for i in range(n)
-            ]
-        return inv
-
-    inv1, inv2 = refine(g1), refine(g2)
-    if sorted(inv1) != sorted(inv2):
-        return None
-    rarity = {key: sum(1 for x in inv1 if x == key) for key in set(inv1)}
-    order = sorted(range(n), key=lambda i: (rarity[inv1[i]], i))
+    e1, e2 = g1.entries, g2.entries
+    adj1, adj2 = (
+        [[(j, w) for j, w in enumerate(row) if w and j != i] for i, row in enumerate(e)]
+        for e in (e1, e2)
+    )
+    c1 = [row[i] for i, row in enumerate(e1)]
+    c2 = [row[i] for i, row in enumerate(e2)]
+    for _ in range(3):
+        palette: dict = {}
+        c1, c2 = _recolour(c1, adj1, palette), _recolour(c2, adj2, palette)
+        if sorted(c1) != sorted(c2):
+            return None
+    targets: dict[int, list[int]] = {}
+    for p, c in enumerate(c2):
+        targets.setdefault(c, []).append(p)
+    order = sorted(range(n), key=lambda i: (len(targets[c1[i]]), i))
     mapping = [-1] * n
     used = [False] * n
+    placed: list[tuple[int, int]] = []
 
     def backtrack(k: int) -> bool:
         if k == n:
             return True
         i = order[k]
-        for p in range(n):
-            if used[p] or inv2[p] != inv1[i]:
+        r1 = e1[i]
+        for p in targets[c1[i]]:
+            if used[p]:
                 continue
-            if all(g1[i, order[t]] == g2[p, mapping[order[t]]] for t in range(k)):
+            r2 = e2[p]
+            if all(r1[a] == r2[b] for a, b in placed):
                 mapping[i] = p
                 used[p] = True
+                placed.append((i, p))
                 if backtrack(k + 1):
                     return True
+                placed.pop()
                 used[p] = False
-                mapping[i] = -1
         return False
 
-    return mapping[:] if backtrack(0) else None
+    return mapping if backtrack(0) else None

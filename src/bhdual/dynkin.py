@@ -308,16 +308,6 @@ def _case_key_for_row(row: FixtureRow) -> str:
     return f"a{row.a}_r1" if row.case_tag == "Quadrilateral_r1" else f"a{row.a}"
 
 
-def _row_passes(row: FixtureRow, conv: ConventionTable, oracle, gram_cache) -> bool:
-    """Isomorphism to the K-lattice diagram first (cheap, and None on a rank
-    mismatch), then the Coxeter factorization against the oracle."""
-    diagram = diagram_for_row(row, conv)
-    if graph_isomorphic(diagram.gram, gram_cache[row.name]) is None:
-        return False
-    fac = coxeter_element(diagram.gram).factorization
-    return fac.is_cyclotomic and fac.factors == oracle[row.name].factors
-
-
 def calibrate(rows, oracle_fac) -> ConventionTable:
     """Search the bounded variant space for the assignment under which, for
     every row, the rule-built diagram has the oracle characteristic
@@ -335,6 +325,29 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
         by_case.setdefault(_case_key_for_row(row), []).append(row)
     oracle = {row.name: oracle_fac(row) for row in rows}
     gram_cache = {row.name: klattice.row_gram(row)[0] for row in rows}
+    verdicts: dict = {}
+    extension_rows: dict = {}
+
+    def passes(row: FixtureRow, conv: ConventionTable) -> bool:
+        """Isomorphism to the K-lattice diagram first (cheap, and None on a
+        rank mismatch), then the Coxeter factorization against the oracle.
+
+        Each distinct diagram is judged once.  ``extend`` writes only edges
+        with a B endpoint onto the fixed ``t_graph(row.alpha)`` block, and
+        the Gram is symmetric, so the row and the last ``a`` Gram rows
+        determine the diagram; they key ``verdicts``.  Equal rows are kept
+        once, in ``extension_rows``, so the keys hold little memory.
+        """
+        gram = diagram_for_row(row, conv).gram
+        extension = tuple(extension_rows.setdefault(r, r) for r in gram.entries[-row.a:])
+        key = (row.name, extension)
+        if key not in verdicts:
+            verdict = graph_isomorphic(gram, gram_cache[row.name]) is not None
+            if verdict:
+                fac = coxeter_element(gram).factorization
+                verdict = fac.is_cyclotomic and fac.factors == oracle[row.name].factors
+            verdicts[key] = verdict
+        return verdicts[key]
 
     for reading in READINGS:
         table_cases: dict[str, CaseConvention] = {}
@@ -344,10 +357,7 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
             for candidate in _case_candidates(key):
                 conv = ConventionTable(reading, {key: candidate})
                 try:
-                    if all(
-                        _row_passes(row, conv, oracle, gram_cache)
-                        for row in by_case[key]
-                    ):
+                    if all(passes(row, conv) for row in by_case[key]):
                         winner = candidate
                         break
                 except MissingConvention:

@@ -468,7 +468,7 @@ class IntMatrix:
         return IntMatrix([[self.entries[j][i] for j in range(n)] for i in range(n)])
 
     def is_symmetric(self) -> bool:
-        return self.entries == self.transpose().entries
+        return self.entries == tuple(zip(*self.entries))
 
 
 def det_bareiss(matrix: IntMatrix) -> int:

@@ -124,8 +124,13 @@ _COMPACTIFIER_COORD = {"w": None, "x": 0, "y": 1, "z": 2}
 
 def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeights:
     """Ambient space P(q0,q1,q2,q3) with q0 = d - q1 - q2 - q3, plus the
-    compactifying monomial of the given shape, verified to have weighted
-    degree exactly d."""
+    compactifying monomial of the given shape, of weighted degree exactly d.
+
+    The exponent is numerator // q0 with numerator = d - q[coord] (d for the
+    plain w-power), once q0 divides it.  Its degree is therefore
+    q0 * (numerator // q0) + q[coord] = (d - q[coord]) + q[coord] = d by
+    construction, so no separate degree check is made.
+    """
     if len(rw.q) != 3:
         raise WeightsError("ambient weights require a three-variable system")
     if compactifier_choice not in _COMPACTIFIER_COORD:
@@ -139,12 +144,7 @@ def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeig
         raise NonIntegralExponent(
             f"compactifier exponent {numerator}/{q0} is not an integer"
         )
-    ambient = AmbientWeights(q0, tuple(rw.q), coord, numerator // q0)
-    # verified weighted degree
-    degree = q0 * ambient.exponent + (0 if coord is None else rw.q[coord])
-    if degree != rw.d:
-        raise WeightsError(f"compactifier {ambient.compactifier} has degree {degree}, not {rw.d}")
-    return ambient
+    return AmbientWeights(q0, tuple(rw.q), coord, numerator // q0)
 
 
 def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):

@@ -248,3 +248,58 @@ class TestGraphIsomorphic:
         for i in range(gram.dim):
             for j in range(gram.dim):
                 assert diagram.gram[i, j] == gram[perm[i], perm[j]]
+
+    def test_reads_rows_not_entries(self, monkeypatch):
+        # the refinement and the backtracking read the rows of ``entries``
+        from bhdual.dynkin import diagram_for_row
+
+        row = row_by_name("E_20")
+        g1, g2 = diagram_for_row(row).gram, row_gram(row)[0]
+
+        def no_getitem(self, ij):
+            raise AssertionError("IntMatrix.__getitem__ called")
+
+        monkeypatch.setattr(IntMatrix, "__getitem__", no_getitem)
+        assert graph_isomorphic(g1, g2) is not None
+        assert graph_isomorphic(g1, g1) is not None
+
+    # Pairs below are regular graphs with one edge weight, so colour
+    # refinement gives every vertex the same colour and backtracking decides.
+
+    def test_hexagon_is_not_two_triangles(self):
+        assert graph_isomorphic(cycles(6), cycles(3, 3)) is None
+        assert graph_isomorphic(cycles(3, 3), cycles(6)) is None
+
+    def test_relabelled_hexagon(self):
+        g1 = cycles(6)
+        perm = [3, 0, 4, 1, 5, 2]
+        g2 = IntMatrix(
+            [[g1[perm.index(i), perm.index(j)] for j in range(6)] for i in range(6)]
+        )
+        assert g2 != g1
+        witness = graph_isomorphic(g1, g2)
+        assert witness is not None
+        assert sorted(witness) == list(range(6))
+        for i in range(6):
+            for j in range(6):
+                assert g1[i, j] == g2[witness[i], witness[j]]
+
+    def test_sign_flip_on_a_cycle(self):
+        for name in ("E_20", "Q_16"):
+            gram, _, _ = row_gram(row_by_name(name))
+            i, j, _ = next(e for e in _edges(gram) if not e[2])
+            assert graph_isomorphic(gram, _flip(gram, i, j)) is None, name
+
+
+def cycles(*lengths):
+    """Gram of disjoint cycles of the given lengths (-2 diagonal, 1 on edges)."""
+    n = sum(lengths)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for length in lengths:
+        for k in range(length):
+            a, b = start + k, start + (k + 1) % length
+            rows[a][a] = -2
+            rows[a][b] = rows[b][a] = 1
+        start += length
+    return IntMatrix(rows)

@@ -12,10 +12,23 @@ from bhdual.dynkin import (
     read_position,
     t_graph,
 )
-from bhdual.exactalg import IntPolynomial
+from bhdual.exactalg import CyclotomicFactorization, IntMatrix, IntPolynomial
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import row_gram
 from bhdual.series import transpose_monodromy
+
+
+def wrong_oracle(row):
+    """A monodromy oracle no candidate diagram can match (all eigenvalues -1)."""
+    return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
+
+
+def wiring(table):
+    """A convention table without its provenance notes."""
+    return table.reading, {
+        key: (c.upper_sign, c.bullet_edges, c.arm_bullet, c.arm_sign, c.fixed_slots)
+        for key, c in table.cases.items()
+    }
 
 
 class TestTGraph:
@@ -115,19 +128,11 @@ class TestCalibration:
 
     def test_a2_toy_char_poly_convention_free(self):
         # two plainly joined roots: characteristic polynomial t^2 + t + 1
-        from bhdual.exactalg import IntMatrix
-
         cox = coxeter_element(IntMatrix([[-2, 1], [1, -2]]))
         assert cox.char == IntPolynomial((1, 1, 1))
 
     def test_calibration_failure_reports_rows(self):
         rows = [row_by_name("E_20")]
-
-        def wrong_oracle(row):
-            from bhdual.exactalg import CyclotomicFactorization, IntPolynomial
-
-            return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
-
         with pytest.raises(CalibrationFailed) as info:
             calibrate(rows, wrong_oracle)
         assert info.value.report == {"a5": ["E_20"]}
@@ -154,11 +159,6 @@ class TestCalibrationRejectsCheaplyFirst:
         if path == "success":
             calibrate(load_rows(), transpose_monodromy)
         else:
-            from bhdual.exactalg import CyclotomicFactorization
-
-            def wrong_oracle(row):
-                return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
-
             with pytest.raises(CalibrationFailed):
                 calibrate([row_by_name("E_20")], wrong_oracle)
         assert calls
@@ -167,6 +167,53 @@ class TestCalibrationRejectsCheaplyFirst:
             if row.name not in grams:
                 grams[row.name] = row_gram(row)[0]
             assert graph_isomorphic(gram, grams[row.name]) is not None, row.name
+
+
+class TestCalibrationJudgesEachDiagramOnce:
+    def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
+        # E_20 under four readings builds 512 candidate diagrams; the a5
+        # candidates without rule-read attachments ignore the reading, and
+        # under outside-minus the rule-read ones repeat them, so 256 differ
+        calls = []
+
+        def counted(g1, g2):
+            calls.append(g1.entries)
+            return graph_isomorphic(g1, g2)
+
+        monkeypatch.setattr(dynkin, "graph_isomorphic", counted)
+        with pytest.raises(CalibrationFailed):
+            calibrate([row_by_name("E_20")], wrong_oracle)
+        assert len(calls) == len(set(calls)) == 256
+
+    def test_extension_keeps_the_core_block(self):
+        # the verdict key is the extension rows: every candidate diagram
+        # carries t_graph(alpha) unchanged in its top-left block
+        for row in load_rows():
+            core = t_graph(row.alpha).gram.entries
+            k = len(core)
+            key = dynkin._case_key_for_row(row)
+            for reading in dynkin.READINGS:
+                for candidate in dynkin._case_candidates(key):
+                    conv = dynkin.ConventionTable(reading, {key: candidate})
+                    try:
+                        gram = diagram_for_row(row, conv).gram.entries
+                    except MissingConvention:
+                        continue
+                    assert len(gram) == k + row.a, row.name
+                    assert tuple(r[:k] for r in gram[:k]) == core, (row.name, reading)
+
+    def test_no_matrix_power(self, monkeypatch):
+        # calibration never reads the order of tau, so it raises no power
+        def no_power(self, n):
+            raise AssertionError("matrix power computed")
+
+        monkeypatch.setattr(IntMatrix, "__pow__", no_power)
+        assert wiring(calibrate(load_rows(), transpose_monodromy)) == wiring(
+            committed_convention()
+        )
+        with pytest.raises(CalibrationFailed) as info:
+            calibrate([row_by_name("E_20")], wrong_oracle)
+        assert info.value.report == {"a5": ["E_20"]}
 
 
 class TestDiagramAgainstKLattice:

@@ -153,6 +153,26 @@ class TestFixtureReproduction:
             assert amb.weights == row.ambient, row.name
             assert amb.compactifier == row.compactifier, row.name
 
+    def test_compactifier_has_degree_d(self):
+        # q0 * exponent + q[coord] = d for every shape whose exponent is an
+        # integer; the row's own shape is always one of them
+        for row in load_rows():
+            f = poly(row.f)
+            rw = reduce(canonical_weights(f))
+            shapes = []
+            for shape in ("w", "x", "y", "z"):
+                try:
+                    amb = ambient_weights(rw, shape)
+                except NonIntegralExponent:
+                    continue
+                shapes.append(shape)
+                q0 = amb.weights[0]
+                degree = q0 * amb.exponent + (0 if amb.coord is None else rw.q[amb.coord])
+                assert degree == rw.d, (row.name, shape)
+                monomial = compactified_monomials(f, amb)[-1]
+                assert sum(e * q for e, q in zip(monomial, amb.weights)) == rw.d, (row.name, shape)
+            assert row.compactifier_shape in shapes, row.name
+
     def test_congruence_on_reduced_rows(self):
         for row in load_rows():
             verdict = beta_congruence_check(row.alpha_beta, row.a, row.c_f)
