@@ -11,6 +11,7 @@ update, so no reflection matrix is ever formed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,9 @@ from .exactalg import (
     CyclotomicFactorization,
     IntMatrix,
     IntPolynomial,
+    annihilates,
     char_poly,
+    cyclotomic,
     factor_cyclotomic,
 )
 
@@ -41,17 +44,15 @@ class CoxeterResult:
     def order(self) -> int | None:
         """The order of tau, None when it is infinite; computed on first read.
 
-        The order is exact: a matrix of finite order is semisimple with root
-        of unity eigenvalues, so its characteristic polynomial is fully
-        cyclotomic and its order is the lcm N of the factor indices.  Either
-        tau^N = 1 and the order is N, or tau has infinite order.
+        Let N be the lcm of the indices n of char = prod Phi_n^(e_n) and r =
+        prod Phi_n over them.  The minimal polynomial has the roots of char, so
+        tau^N = I <=> minpoly | t^N - 1 <=> minpoly is squarefree <=> r(tau) = 0;
+        tau^m = I forces a squarefree minpoly and n | m for every n: N is the order.
         """
         if not self.factorization.is_cyclotomic:
             return None
-        candidate = self.factorization.lcm_of_orders()
-        if self.matrix ** candidate == IntMatrix.identity(self.matrix.dim):
-            return candidate
-        return None
+        radical = math.prod(map(cyclotomic, self.factorization.factors), start=IntPolynomial.one())
+        return self.factorization.lcm_of_orders() if annihilates(radical, self.matrix) else None
 
 
 def coxeter_element(gram: IntMatrix) -> CoxeterResult:
@@ -77,7 +78,11 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
 
 
 def preserves_form(tau: IntMatrix, gram: IntMatrix) -> bool:
-    return tau.transpose() * gram * tau == gram
+    """tau^T G tau == G, on packed rows: G tau first, then tau^T (G tau).
+    Their entries are at most rho(tau^T) rho(G) rho(tau), as are G's."""
+    tau_t = tau.transpose()
+    bound = tau_t.row_sum_bound * gram.row_sum_bound * tau.row_sum_bound
+    return tau_t.times_packed(gram.times_packed(tau.packed(bound))) == gram.packed(bound)
 
 
 @dataclass(frozen=True)

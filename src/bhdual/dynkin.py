@@ -13,6 +13,7 @@ against the monodromy oracle and the K-lattice diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 from . import klattice
@@ -185,13 +186,13 @@ def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
     return DynkinDiagram(tuple(labels), IntMatrix(gram))
 
 
+@cache
 def t_graph(alpha) -> DynkinDiagram:
-    """The T-shaped core diagram for a triple alpha.
+    """The T-shaped core diagram for a triple alpha, built once per tuple.
 
     Vertex numbering: arm 1 outside-in, arm 2, arm 3, lower central vertex,
     upper central vertex.
     """
-    alpha = tuple(alpha)
     if any(a < 2 for a in alpha):
         raise ValueError("arm parameters must be >= 2")
     labels: list[str] = []
@@ -267,37 +268,28 @@ def _case_candidates(key: str):
     not searched.
     """
     if key == "a2":
-        for signs in _sign_variants((-1, -1, 1)):
-            up, chain, arm = signs
-            yield CaseConvention(up, ((1, 2, chain),), 2, arm)
-        for signs in _sign_variants((-1, -1, 1)):
-            up, chain, arm = signs
-            yield CaseConvention(up, ((1, 2, chain),), 1, arm)
+        for arm_bullet in (2, 1):
+            for up, chain, arm in _sign_variants((-1, -1, 1)):
+                yield CaseConvention(up, ((1, 2, chain),), arm_bullet, arm)
     elif key == "a2_r1":
-        for signs in _sign_variants((-1, -1, 1)):
-            up, chain, arm = signs
+        for up, chain, arm in _sign_variants((-1, -1, 1)):
             yield CaseConvention(up, ((1, 2, chain),), None, 1, ((2, 3, 2, arm),))
-        for signs in _sign_variants((-1, -1, 1)):
-            up, chain, arm = signs
+        for up, chain, arm in _sign_variants((-1, -1, 1)):
             yield CaseConvention(up, ((1, 2, chain),), 2, arm)
     elif key == "a3":
         # K-derived edge set: B1-B3, B2-B3, arms on B3
-        for signs in _sign_variants((-1, -1, 1, 1)):
-            up, e13, e23, arm = signs
+        for up, e13, e23, arm in _sign_variants((-1, -1, 1, 1)):
             yield CaseConvention(up, ((1, 3, e13), (2, 3, e23)), 3, arm)
         # literal chain: B1-B2-B3, arms on B3, then arms on B2
         for arm_bullet in (3, 2):
-            for signs in _sign_variants((-1, -1, 1, 1)):
-                up, e12, e23, arm = signs
+            for up, e12, e23, arm in _sign_variants((-1, -1, 1, 1)):
                 yield CaseConvention(up, ((1, 2, e12), (2, 3, e23)), arm_bullet, arm)
     elif key == "a5":
         chain_edges = ((1, 2), (2, 3), (3, 4), (4, 5))
-        for signs in _sign_variants((1, 1, 1, 1, 1, 1)):
-            up, *chain, arm = signs
+        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
             edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
             yield CaseConvention(up, edges, None, 1, ((3, 3, 1, arm),))
-        for signs in _sign_variants((1, 1, 1, 1, 1, 1)):
-            up, *chain, arm = signs
+        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
             edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
             yield CaseConvention(up, edges, 3, arm)
     else:

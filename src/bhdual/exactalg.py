@@ -2,17 +2,17 @@
 
 Everything in this module is exact: polynomials are dense lists of Python
 integers, rational functions are quotients of such polynomials kept as
-given and only expanded as power series, and matrix kernels (determinant,
-characteristic polynomial) use fraction-free elimination.  Degrees in this
-project stay small, so dense representations and arbitrary precision are the
-right trade-off.
+given and only expanded as power series, and matrix kernels are fraction-free,
+with products on rows packed into one integer each (slot width bounded from
+the matrix).  Degrees in this project stay small, so dense representations
+and arbitrary precision are the right trade-off.
 """
 from __future__ import annotations
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 
@@ -422,10 +422,6 @@ class IntMatrix:
             raise TypeError("matrix entries must be of type int")
         object.__setattr__(self, "entries", rows)
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -434,34 +430,26 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        n = self.dim
-        if other.dim != n:
-            raise ValueError("dimension mismatch")
-        b = other.entries
-        out = [[0] * n for _ in range(n)]
-        for i in range(n):
-            arow = self.entries[i]
-            orow = out[i]
-            for k in range(n):
-                a = arow[k]
-                if a:
-                    brow = b[k]
-                    for j in range(n):
-                        orow[j] += a * brow[j]
-        return IntMatrix(out)
+    @property
+    def row_sum_bound(self) -> int:
+        """rho = max(1, largest absolute row sum): it bounds every entry and is
+        submultiplicative, so entries of a product are at most the product of rho."""
+        return max([1, *(sum(map(abs, row)) for row in self.entries)])
 
-    def __pow__(self, n: int) -> "IntMatrix":
-        if n < 0:
-            raise ValueError("negative matrix power")
-        result = IntMatrix.identity(self.dim)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    def packed(self, bound: int) -> list[int]:
+        """Row i as the integer sum_j M[i][j] * 2^(b*j), b = _slot_bits(bound): for
+        entries at most ``bound``, packed rows are equal iff the rows are."""
+        bits = _slot_bits(bound)
+        return [sum(e << bits * j for j, e in enumerate(row) if e) for row in self.entries]
+
+    @cached_property
+    def _nonzero_rows(self) -> list[list[tuple[int, int]]]:
+        return [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
+
+    def times_packed(self, packed: list[int]) -> list[int]:
+        """Packed rows of M * B from packed rows of B: one small-int times big-int
+        multiply-add per nonzero entry of M; bignum code runs the column loop."""
+        return [sum(a * packed[k] for k, a in row) for row in self._nonzero_rows]
 
     def transpose(self) -> "IntMatrix":
         n = self.dim
@@ -495,34 +483,47 @@ def det_bareiss(matrix: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def char_poly(matrix: IntMatrix) -> IntPolynomial:
-    """det(t*I - M) by the Faddeev-LeVerrier recursion.
+def _slot_bits(bound: int) -> int:
+    """Slot width for packed rows of entries at most ``bound`` in absolute
+    value: every such entry satisfies |e| < 2^(bits-1)."""
+    return bound.bit_length() + 1
 
-    The trace divisions are exact over the integers, so the computation stays
-    fraction-free; the result is monic of degree ``matrix.dim``.
+
+def char_poly(matrix: IntMatrix) -> IntPolynomial:
+    """det(t*I - M) by the Faddeev-LeVerrier recursion on packed rows.
+
+    W_0 = I, c_k = -tr(M W_(k-1)) / k and W_k = M W_(k-1) + c_k I; the trace
+    divisions are exact over the integers, so the computation stays
+    fraction-free and the result is monic of degree ``matrix.dim``.  Every
+    W_k is a polynomial in M with |c_k| <= C(n, k) rho^k, so its entries and
+    those of M W_(k-1) stay below 2^n rho^n, which sets the slot width.  Adding
+    ``half`` to every slot makes each one a plain base-2^bits digit, so the
+    diagonal entry of row i is read off by one shift and mask.
     """
     n = matrix.dim
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    work = [list(row) for row in IntMatrix.identity(n).entries]
-    m = matrix.entries
+    bits = _slot_bits((2 * matrix.row_sum_bound) ** n)
+    half = 1 << (bits - 1)
+    offset = sum(half << bits * i for i in range(n))
+    coeffs = [1]  # c_0, c_1, ..., the coefficients from t^n down
+    work = [1 << bits * i for i in range(n)]
     for k in range(1, n + 1):
-        nxt = [[0] * n for _ in range(n)]
-        for i in range(n):
-            mrow = m[i]
-            orow = nxt[i]
-            for t in range(n):
-                a = mrow[t]
-                if a:
-                    wrow = work[t]
-                    for j in range(n):
-                        orow[j] += a * wrow[j]
-        trace = sum(nxt[i][i] for i in range(n))
+        work = matrix.times_packed(work)
+        digits = (((row + offset) >> bits * i) & (2 * half - 1) for i, row in enumerate(work))
+        trace = sum(digits) - n * half
         if trace % k:
             raise InexactDivision(f"trace {trace} not divisible by {k} in Faddeev-LeVerrier")
-        c = -trace // k
-        coeffs[n - k] = c
-        for i in range(n):
-            nxt[i][i] += c
-        work = nxt
-    return IntPolynomial(coeffs)
+        coeffs.append(-trace // k)
+        work = [row + (coeffs[k] << bits * i) for i, row in enumerate(work)]
+    return IntPolynomial(reversed(coeffs))
+
+
+def annihilates(p: IntPolynomial, matrix: IntMatrix) -> bool:
+    """Whether p(M) = 0, by Horner's rule on packed rows: R <- M R + c I from
+    the leading coefficient down.  Every R is a polynomial in M with entries
+    at most sum |c| * rho^deg p, which sets the slot width, so p(M) = 0 iff
+    every packed row is 0."""
+    bits = _slot_bits(sum(map(abs, p.coefficients)) * matrix.row_sum_bound ** max(p.degree, 0))
+    work = [0] * matrix.dim
+    for c in reversed(p.coefficients):
+        work = [row + (c << bits * i) for i, row in enumerate(matrix.times_packed(work))]
+    return not any(work)

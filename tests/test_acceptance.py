@@ -195,12 +195,14 @@ def test_c9_property_suites(reflect):
         p = char_poly(m)
         n = m.dim
         acc = IntMatrix([[0] * n for _ in range(n)])
-        power = IntMatrix.identity(n)
+        power = IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
         for c in p.coefficients:
             acc = IntMatrix(
                 [[acc[i, j] + c * power[i, j] for j in range(n)] for i in range(n)]
             )
-            power = power * m
+            power = IntMatrix(
+                [[sum(power[i, k] * m[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
+            )
         ok &= acc == IntMatrix([[0] * n for _ in range(n)])
         ok &= det_bareiss(m) == (-1) ** n * p.coefficients[0]
     # deterministic verify output

@@ -25,10 +25,31 @@ def reflection(g, i):
     )
 
 
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a, b):
+    """Dense reference product, independent of the packed-row kernels."""
+    columns = list(zip(*b.entries))
+    return IntMatrix([[sum(map(int.__mul__, row, col)) for col in columns] for row in a.entries])
+
+
+def matrix_power(m, k):
+    """Reference m^k by repeated squaring of dense products."""
+    result = identity(m.dim)
+    while k:
+        if k & 1:
+            result = matmul(result, m)
+        m = matmul(m, m)
+        k >>= 1
+    return result
+
+
 def reflection_product(g):
-    tau = IntMatrix.identity(g.dim)
+    tau = identity(g.dim)
     for i in range(g.dim):
-        tau = tau * reflection(g, i)
+        tau = matmul(tau, reflection(g, i))
     return tau
 
 
@@ -79,7 +100,7 @@ class TestReflection:
         g = IntMatrix(sym)
         for i in range(n):
             s = reflection(g, i)
-            assert s * s == IntMatrix.identity(n)
+            assert matmul(s, s) == identity(n)
             assert preserves_form(s, g)
         assert coxeter_element(g).matrix == reflection_product(g)
 
@@ -130,11 +151,74 @@ class TestCoxeterElement:
                 c = cox.char.coefficients  # reciprocal up to sign
                 assert c == c[::-1] or c == tuple(-x for x in c[::-1]), row.name
 
+    def test_det_matches_char_constant(self):
+        # Bareiss and Faddeev-LeVerrier are independent kernels: det(tau) =
+        # (-1)^mu char(0) on every row
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            cox = coxeter_element(gram)
+            assert det_bareiss(cox.matrix) == (-1) ** row.mu * cox.char.coefficients[0], row.name
+
     def test_char_matches_monodromy_oracle_everywhere(self):
         for row in load_rows():
             gram, _, _ = row_gram(row)
             cox = coxeter_element(gram)
             assert cox.factorization.factors == transpose_monodromy(row).factors, row.name
+
+
+AFFINE_CONTROLS = {
+    # name: (Gram, cyclotomic exponents of char, order)
+    "D4~": (
+        [[-2, 1, 1, 1, 1], [1, -2, 0, 0, 0], [1, 0, -2, 0, 0], [1, 0, 0, -2, 0], [1, 0, 0, 0, -2]],
+        {1: 2, 2: 3},
+        None,
+    ),
+    "triangle+1": ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], {1: 2, 2: 1}, None),
+    "triangle-1": ([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]], {2: 1, 4: 1}, 4),
+}
+
+
+def reference_order(cox):
+    """tau^N = I with N the lcm of the factor indices, by dense powers."""
+    if not cox.factorization.is_cyclotomic:
+        return None
+    n = cox.factorization.lcm_of_orders()
+    return n if matrix_power(cox.matrix, n) == identity(cox.matrix.dim) else None
+
+
+def reference_preserves_form(tau, gram):
+    return matmul(matmul(tau.transpose(), gram), tau) == gram
+
+
+class TestOrderAndFormControls:
+    def test_order_matches_power_on_rows(self):
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            cox = coxeter_element(gram)
+            assert cox.order == reference_order(cox) == cox.factorization.lcm_of_orders(), row.name
+
+    @pytest.mark.parametrize("name", sorted(AFFINE_CONTROLS))
+    def test_order_on_affine_controls(self, name):
+        # a cyclotomic char whose minimal polynomial is not squarefree has
+        # infinite order, which the radical test must see
+        rows, factors, order = AFFINE_CONTROLS[name]
+        cox = coxeter_element(IntMatrix(rows))
+        assert cox.factorization.factors == factors
+        assert cox.order == reference_order(cox) == order
+
+    def test_form_rejects_one_entry_changed(self):
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            tau = coxeter_element(gram).matrix
+            n = tau.dim
+            for i in range(n):
+                j = (7 * i + 3) % n
+                for delta in (1, -1):
+                    rows = [list(r) for r in tau.entries]
+                    rows[i][j] += delta
+                    bad = IntMatrix(rows)
+                    assert not reference_preserves_form(bad, gram), (row.name, i, j, delta)
+                    assert not preserves_form(bad, gram), (row.name, i, j, delta)
 
 
 class TestLatticeInvariants:

@@ -1,6 +1,6 @@
 import pytest
 
-from bhdual import dynkin
+from bhdual import coxeter, dynkin
 from bhdual.coxeter import coxeter_element, graph_isomorphic
 from bhdual.dynkin import (
     CalibrationFailed,
@@ -203,11 +203,14 @@ class TestCalibrationJudgesEachDiagramOnce:
                     assert tuple(r[:k] for r in gram[:k]) == core, (row.name, reading)
 
     def test_no_matrix_power(self, monkeypatch):
-        # calibration never reads the order of tau, so it raises no power
-        def no_power(self, n):
-            raise AssertionError("matrix power computed")
+        # calibration never reads the order of tau, whose only matrix work is
+        # the radical test exactalg.annihilates
+        def no_power(p, matrix):
+            raise AssertionError("order of tau computed")
 
-        monkeypatch.setattr(IntMatrix, "__pow__", no_power)
+        monkeypatch.setattr(coxeter, "annihilates", no_power)
+        with pytest.raises(AssertionError, match="order of tau computed"):
+            coxeter_element(IntMatrix([[-2]])).order
         assert wiring(calibrate(load_rows(), transpose_monodromy)) == wiring(
             committed_convention()
         )

@@ -10,6 +10,7 @@ from bhdual.exactalg import (
     IntPolynomial,
     NotCyclotomic,
     RationalFunction,
+    annihilates,
     char_poly,
     cyclotomic,
     cyclotomic_exponents,
@@ -27,6 +28,16 @@ P = IntPolynomial
 
 def poly(*coeffs):
     return P(coeffs)
+
+
+def identity(n):
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a, b):
+    """Dense reference product, independent of the packed-row kernels."""
+    columns = list(zip(*b.entries))
+    return IntMatrix([[sum(map(int.__mul__, row, col)) for col in columns] for row in a.entries])
 
 
 small_polys = st.builds(P, st.lists(st.integers(-9, 9), max_size=6))
@@ -288,7 +299,7 @@ class TestMatrices:
         assert det_bareiss(IntMatrix([[6, 1, 0], [0, 3, 0], [0, 0, 2]])) == 36
 
     def test_det_identity(self):
-        assert det_bareiss(IntMatrix.identity(5)) == 1
+        assert det_bareiss(identity(5)) == 1
 
     def test_det_cartan_block(self):
         assert det_bareiss(IntMatrix([[-2, 1], [1, -2]])) == 3
@@ -297,7 +308,7 @@ class TestMatrices:
         assert char_poly(IntMatrix([[0, -1], [1, -1]])) == poly(1, 1, 1)
 
     def test_charpoly_identity(self):
-        assert char_poly(IntMatrix.identity(3)) == poly(-1, 1) ** 3
+        assert char_poly(identity(3)) == poly(-1, 1) ** 3
 
     def test_entries_must_be_int(self):
         # stored as given: a float or bool entry is an error, not truncated
@@ -322,7 +333,7 @@ class TestMatrices:
         p = char_poly(m)
         n = m.dim
         acc = IntMatrix([[0] * n for _ in range(n)])
-        power = IntMatrix.identity(n)
+        power = identity(n)
         for c in p.coefficients:
             if c:
                 acc = IntMatrix(
@@ -331,8 +342,17 @@ class TestMatrices:
                         for i in range(n)
                     ]
                 )
-            power = power * m
+            power = matmul(power, m)
         assert acc == IntMatrix([[0] * n for _ in range(n)])
+
+    def test_annihilates_reads_across_slots(self):
+        # M = [[0, 1], [B^2, 0]] has M - B I = [[-B, 1], [B^2, -B]] != 0, whose
+        # rows packed b bits per slot (B = 2^b) read as 0: any fixed width
+        # up to 64 bits would call t - B an annihilator
+        for b in range(1, 65):
+            m = IntMatrix([[0, 1], [4**b, 0]])
+            assert not annihilates(poly(-(2**b), 1), m)
+            assert annihilates(poly(-(4**b), 0, 1), m)
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)

@@ -13,7 +13,14 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from bhdual.coxeter import coxeter_element
-from bhdual.exactalg import IntMatrix, IntPolynomial, char_poly, det_bareiss, factor_cyclotomic
+from bhdual.exactalg import (
+    IntMatrix,
+    IntPolynomial,
+    annihilates,
+    char_poly,
+    det_bareiss,
+    factor_cyclotomic,
+)
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
 
@@ -121,3 +128,43 @@ def test_random_matrix_char_poly_and_det(seed):
     m = sympy.Matrix(entries)
     assert char_poly(IntMatrix(entries)).coefficients == charpoly_coefficients(m)
     assert det_bareiss(IntMatrix(entries)) == m.det(method="berkowitz")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wide_entries_char_poly_and_cayley_hamilton(seed):
+    # entries up to 10^6 and n up to 9 reach the widest slots the packed
+    # Faddeev-LeVerrier and Horner kernels size from the matrix; some rows
+    # are zero
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    entries = [[rng.randint(-(10**6), 10**6) for _ in range(n)] for _ in range(n)]
+    for i in rng.sample(range(n), rng.randint(0, n // 2)):
+        entries[i] = [0] * n
+    m = IntMatrix(entries)
+    p = char_poly(m)
+    assert p.coefficients == charpoly_coefficients(sympy.Matrix(entries))
+    assert annihilates(p, m)
+    # p(M) + I = I
+    assert not annihilates(IntPolynomial((p.coefficients[0] + 1, *p.coefficients[1:])), m)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[0]],
+        [[7]],
+        [[-(10**6)]],
+        [[0] * 4 for _ in range(4)],
+        [[0, 0, 0], [1, 2, 3], [0, 0, 0]],
+        # (M W_(n-1))_ii = (-10^6)^9: the entries reach 2^(-n) of the bound
+        [[-(10**6) * (i == j) for j in range(9)] for i in range(9)],
+        [[10**6 * (i == j) + (j == i + 1) for j in range(9)] for i in range(9)],
+    ],
+    ids=["zero1", "one1", "wide1", "zero4", "zero_rows3", "scalar9", "jordan9"],
+)
+def test_small_and_zero_matrices(entries):
+    m = IntMatrix(entries)
+    p = char_poly(m)
+    assert p.coefficients == charpoly_coefficients(sympy.Matrix(entries))
+    assert det_bareiss(m) == sympy.Matrix(entries).det(method="berkowitz")
+    assert annihilates(p, m)
