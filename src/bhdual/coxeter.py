@@ -7,7 +7,10 @@ basis itself its matrix is s_i = I + e_i G[i, :].  The Coxeter element is the
 product s_0 s_1 ... s_{n-1} of all basis reflections in basis order.  It is
 built by applying the reflections in place: right multiplication by s_i adds
 c * G[i, :] to every row whose entry c in column i is nonzero, a rank-one
-update, so no reflection matrix is ever formed.
+update, so no reflection matrix is ever formed.  The product is checked by one
+identity with the Seifert matrix U, the upper triangle of G with -1 on the
+diagonal: U tau = -U^T, which implies both tau^T G tau = G and det tau =
+(-1)^mu (see ``seifert_identity``).
 """
 from __future__ import annotations
 
@@ -77,12 +80,21 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     return CoxeterResult(tau, char, factor_cyclotomic(char))
 
 
-def preserves_form(tau: IntMatrix, gram: IntMatrix) -> bool:
-    """tau^T G tau == G, on packed rows: G tau first, then tau^T (G tau).
-    Their entries are at most rho(tau^T) rho(G) rho(tau), as are G's."""
-    tau_t = tau.transpose()
-    bound = tau_t.row_sum_bound * gram.row_sum_bound * tau.row_sum_bound
-    return tau_t.times_packed(gram.times_packed(tau.packed(bound))) == gram.packed(bound)
+def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
+    """U tau == -U^T on packed rows, for the Seifert matrix U: the upper
+    triangle of G with -1 on the diagonal, so G = U + U^T and tau is the
+    Picard-Lefschetz monodromy -U^-1 U^T.  Entries are at most rho(U) rho(tau).
+
+    U is triangular with diagonal -1, hence invertible over the integers, and
+    the identity pins tau exactly.  It implies tau^T G tau = U U^-T (U + U^T)
+    U^-1 U^T = U (U^-T + U^-1) U^T = U + U^T = G, and det tau = det(-U^T) /
+    det U = (-1)^mu.
+    """
+    n = gram.dim
+    g = gram.entries
+    upper = IntMatrix([[g[i][j] if j > i else -(i == j) for j in range(n)] for i in range(n)])
+    bound = upper.row_sum_bound * tau.row_sum_bound
+    return upper.times_packed(tau.packed(bound)) == [-row for row in upper.transpose().packed(bound)]
 
 
 @dataclass(frozen=True)

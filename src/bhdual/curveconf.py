@@ -6,7 +6,6 @@ exceptional cases.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
@@ -30,11 +29,6 @@ class CurveConfiguration:
     edges: dict[tuple[str, str], int]
     case_tag: str
     unused: frozenset[str] = field(default_factory=frozenset)
-
-    @cached_property
-    def index(self):
-        """label -> position, by a dict built once; KeyError when unknown."""
-        return {label: i for i, label in enumerate(self.labels)}.__getitem__
 
     def intersection(self, a: str, b: str) -> int:
         if a == b:

@@ -8,10 +8,11 @@ A class is a triple (rank, divisor, degree) with pairing
     <(r, D, s), (r', D', s')> = D.D' - r*s' - r'*s,
 
 where D.D' uses the configuration's intersection numbers (-2 on the
-diagonal).  The dictionary is: a line bundle of degree -1 on a curve C gives
-(0, C, 0); its untwisted structure sheaf gives (0, C, 1); the structure sheaf
-of the surface gives (1, 0, 1); a shift negates; the spherical twist of one
-curve class along an adjacent one adds the divisors.
+diagonal) and D names its curves by label, at most two for any generator.
+The dictionary is: a line bundle of degree -1 on a curve C gives (0, C, 0);
+its untwisted structure sheaf gives (0, C, 1); the structure sheaf of the
+surface gives (1, 0, 1); a shift negates; the spherical twist of one curve
+class along an adjacent one adds the divisors.
 """
 from __future__ import annotations
 
@@ -20,10 +21,6 @@ from dataclasses import dataclass
 from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class NotARoot(ValueError):
@@ -40,8 +37,11 @@ class CaseMismatch(ValueError):
 
 @dataclass(frozen=True)
 class MukaiClass:
+    """(rank, D, degree) with D the sum of m * C over the (label C,
+    multiplicity m) pairs of ``divisor``, sorted by label, every m nonzero."""
+
     rank: int
-    divisor: tuple[int, ...]
+    divisor: tuple[tuple[str, int], ...]
     degree: int
 
 
@@ -83,45 +83,32 @@ class GeneratorList:
         return tuple(str(sheaf) for sheaf, _ in self.items)
 
 
+def _known(conf: CurveConfiguration, divisor: tuple[tuple[str, int], ...]):
+    for label, _ in divisor:
+        if label not in conf.labels:
+            raise UnknownNode(label)
+    return divisor
+
+
 def mukai_pairing(v: MukaiClass, w: MukaiClass, conf: CurveConfiguration) -> int:
-    """Negative Euler pairing of two classes over the same configuration."""
-    labels = conf.labels
-    if len(v.divisor) != len(labels) or len(w.divisor) != len(labels):
-        raise DimensionMismatch("class indexed by a different configuration")
-    dd = 0
-    for i, a in enumerate(v.divisor):
-        if a:
-            for j, b in enumerate(w.divisor):
-                if b:
-                    dd += a * b * conf.intersection(labels[i], labels[j])
+    """Negative Euler pairing of two classes over the same configuration;
+    UnknownNode when either names a curve the configuration lacks."""
+    vd, wd = _known(conf, v.divisor), _known(conf, w.divisor)
+    dd = sum(a * b * conf.intersection(c, d) for c, a in vd for d, b in wd)
     return dd - v.rank * w.degree - w.rank * v.degree
-
-
-def _divisor(conf: CurveConfiguration, *labels: str) -> tuple[int, ...]:
-    out = [0] * len(conf.labels)
-    for label in labels:
-        try:
-            out[conf.index(label)] += 1
-        except KeyError as exc:
-            raise UnknownNode(label) from exc
-    return tuple(out)
 
 
 def class_of(descriptor: Sheaf, conf: CurveConfiguration) -> MukaiClass:
     """Class of a generator descriptor in (rank, divisor, degree) form."""
-    zero = (0,) * len(conf.labels)
-    if descriptor.kind == "OC-1":
-        return MukaiClass(0, _divisor(conf, descriptor.nodes[0]), 0)
-    if descriptor.kind == "OC":
-        return MukaiClass(0, _divisor(conf, descriptor.nodes[0]), 1)
-    if descriptor.kind == "OX":
-        return MukaiClass(1, zero, 1)
-    if descriptor.kind == "OX[1]":
-        return MukaiClass(-1, zero, -1)
-    if descriptor.kind == "TW":
-        b, c = descriptor.nodes
-        return MukaiClass(0, _divisor(conf, b, c), 0)
-    raise CaseMismatch(f"unknown descriptor kind {descriptor.kind!r}")
+    kind, nodes = descriptor.kind, descriptor.nodes
+    if kind in ("OC-1", "OC", "TW"):
+        divisor = _known(conf, tuple((label, 1) for label in sorted(nodes)))
+        return MukaiClass(0, divisor, int(kind == "OC"))
+    if kind == "OX":
+        return MukaiClass(1, (), 1)
+    if kind == "OX[1]":
+        return MukaiClass(-1, (), -1)
+    raise CaseMismatch(f"unknown descriptor kind {kind!r}")
 
 
 def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
@@ -177,10 +164,15 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
 
 
 def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
+    """Gram matrix in listing order: each unordered pair is paired once and
+    the result mirrored, since the pairing is symmetric."""
     classes = gens.classes
-    return IntMatrix(
-        [[mukai_pairing(v, w, conf) for w in classes] for v in classes]
-    )
+    n = len(classes)
+    rows = [[0] * n for _ in range(n)]
+    for i, v in enumerate(classes):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = mukai_pairing(v, classes[j], conf)
+    return IntMatrix(rows)
 
 
 def row_gram(row: FixtureRow) -> tuple[IntMatrix, GeneratorList, CurveConfiguration]:

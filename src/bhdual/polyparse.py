@@ -86,9 +86,9 @@ def _tokenize(text: str):
         elif ch in "+*^":
             tokens.append((ch, i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # not str.isdigit, which also accepts '³' and '٣'
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", i, int(text[i:j])))
             i = j

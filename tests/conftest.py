@@ -58,9 +58,12 @@ def reachable():
 def _reflect(x, root, conf):
     """Reflection along a root: x + <x, root> * root."""
     c = mukai_pairing(x, root, conf)
+    divisor = dict(x.divisor)
+    for label, m in root.divisor:
+        divisor[label] = divisor.get(label, 0) + c * m
     return MukaiClass(
         x.rank + c * root.rank,
-        tuple(a + c * b for a, b in zip(x.divisor, root.divisor)),
+        tuple(sorted((label, m) for label, m in divisor.items() if m)),
         x.degree + c * root.degree,
     )
 

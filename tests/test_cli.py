@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from bhdual.cli import main
 from bhdual.fixtures import load_rows
@@ -65,6 +69,23 @@ class TestWeights:
         data = json.loads(out)
         assert data["canonical"] == [1, 2]
         assert "a" not in data
+
+
+    def test_superscript_digit_exits_2_with_position(self, capsys):
+        code, out, err = run(capsys, "weights", "x^2 + y^\u00b3 + z^5")
+        assert code == 2
+        assert out == ""
+        assert "unexpected character" in err and "position 8" in err
+
+
+class TestFuzz:
+    @given(st.text(alphabet="xyzw0123456789\u00b3\u0663+*^ ", max_size=24))
+    @settings(max_examples=200, deadline=None)
+    def test_polynomial_commands_exit_cleanly(self, text):
+        # any string ends in a clean exit code, never an exception
+        for command in ("weights", "transpose"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main([command, text]) in (0, 2), (command, text)
 
 
 class TestDiagram:

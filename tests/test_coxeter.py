@@ -7,7 +7,7 @@ from bhdual.coxeter import (
     coxeter_element,
     graph_isomorphic,
     lattice_invariants,
-    preserves_form,
+    seifert_identity,
 )
 from bhdual.exactalg import IntMatrix, IntPolynomial, det_bareiss
 from bhdual.fixtures import load_rows, row_by_name
@@ -101,7 +101,7 @@ class TestReflection:
         for i in range(n):
             s = reflection(g, i)
             assert matmul(s, s) == identity(n)
-            assert preserves_form(s, g)
+            assert reference_preserves_form(s, g)
         assert coxeter_element(g).matrix == reflection_product(g)
 
 
@@ -143,7 +143,8 @@ class TestCoxeterElement:
         for row in load_rows():
             gram, gens, _ = row_gram(row)
             cox = coxeter_element(gram)
-            assert preserves_form(cox.matrix, gram), row.name
+            assert seifert_identity(cox.matrix, gram), row.name
+            assert reference_preserves_form(cox.matrix, gram), row.name
             assert det_bareiss(cox.matrix) == (-1) ** row.mu, row.name
             assert cox.factorization.is_cyclotomic, row.name
             assert cox.order == cox.factorization.lcm_of_orders(), row.name
@@ -218,7 +219,41 @@ class TestOrderAndFormControls:
                     rows[i][j] += delta
                     bad = IntMatrix(rows)
                     assert not reference_preserves_form(bad, gram), (row.name, i, j, delta)
-                    assert not preserves_form(bad, gram), (row.name, i, j, delta)
+                    assert not seifert_identity(bad, gram), (row.name, i, j, delta)
+
+    def test_seifert_rejects_every_one_entry_change(self):
+        # U is invertible over the integers, so U tau = -U^T pins every entry
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            tau = coxeter_element(gram).matrix
+            for i in range(tau.dim):
+                for j in range(tau.dim):
+                    rows = [list(r) for r in tau.entries]
+                    rows[i][j] += 1
+                    assert not seifert_identity(IntMatrix(rows), gram), (row.name, i, j)
+
+    def test_seifert_rejects_other_isometries(self):
+        # I and tau^2 preserve the form, so only the Seifert identity tells
+        # them from tau
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            tau = coxeter_element(gram).matrix
+            for other in (identity(tau.dim), matmul(tau, tau)):
+                assert reference_preserves_form(other, gram), row.name
+                assert not seifert_identity(other, gram), row.name
+
+    @given(TestReflection.small_grams)
+    @settings(max_examples=40, deadline=None)
+    def test_seifert_matches_picard_lefschetz(self, rows):
+        # tau = -U^-1 U^T for any root basis, checked densely as U tau == -U^T
+        n = len(rows)
+        g = IntMatrix(
+            [[rows[i][j] if i < j else rows[j][i] if j < i else -2 for j in range(n)] for i in range(n)]
+        )
+        u = IntMatrix([[g[i, j] if j > i else -(i == j) for j in range(n)] for i in range(n)])
+        tau = coxeter_element(g).matrix
+        assert matmul(u, tau) == IntMatrix([[-u[j, i] for j in range(n)] for i in range(n)])
+        assert seifert_identity(tau, g)
 
 
 class TestLatticeInvariants:

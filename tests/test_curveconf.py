@@ -10,7 +10,7 @@ from bhdual.curveconf import (
 )
 from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import Sheaf, UnknownNode, class_of
+from bhdual.klattice import MukaiClass, Sheaf, UnknownNode, class_of, mukai_pairing
 
 
 def expected_node_count(row):
@@ -121,15 +121,10 @@ class TestBuildConfiguration:
 
 
 class TestIndex:
-    def test_positions_of_labels(self):
-        for row in load_rows():
-            conf = build_configuration(row)
-            assert [conf.index(label) for label in conf.labels] == list(range(len(conf.labels)))
-
     def test_unknown_label_is_an_unknown_node(self):
         conf = build_configuration(row_by_name("S_16"))
-        with pytest.raises(KeyError):
-            conf.index("E9_9")
+        with pytest.raises(UnknownNode):
+            mukai_pairing(MukaiClass(0, (("E9_9", 1),), 0), class_of(Sheaf("OX"), conf), conf)
         with pytest.raises(UnknownNode):
             class_of(Sheaf("OC-1", ("F99",)), conf)
 

@@ -3,11 +3,11 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhdual import klattice
 from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     CaseMismatch,
-    DimensionMismatch,
     MukaiClass,
     NotARoot,
     Sheaf,
@@ -26,7 +26,7 @@ def conf_for(name):
 
 
 def negate(v):
-    return MukaiClass(-v.rank, tuple(-c for c in v.divisor), -v.degree)
+    return MukaiClass(-v.rank, tuple((label, -m) for label, m in v.divisor), -v.degree)
 
 
 class TestPairing:
@@ -63,34 +63,51 @@ class TestPairing:
 PAIRING_CONFS = {name: conf_for(name) for name in ("S_16", "E_20", "J_3,0")}
 
 
-def classes_on(name):
+def dense_classes_on(name):
+    """(rank, dense divisor with one slot per curve, degree) triples."""
     size = len(PAIRING_CONFS[name].labels)
-    one = st.builds(
-        MukaiClass,
+    one = st.tuples(
         st.integers(-3, 3),
-        st.lists(st.integers(-3, 3), min_size=size, max_size=size).map(tuple),
+        st.lists(st.integers(-3, 3), min_size=size, max_size=size),
         st.integers(-3, 3),
     )
     return st.tuples(st.just(name), one, one)
 
 
+def sparse(dense, conf):
+    """The class of a dense triple, its divisor named by label."""
+    rank, divisor, degree = dense
+    return MukaiClass(
+        rank, tuple(sorted((conf.labels[i], m) for i, m in enumerate(divisor) if m)), degree
+    )
+
+
 class TestPairingReference:
-    @given(st.sampled_from(sorted(PAIRING_CONFS)).flatmap(classes_on))
+    @given(st.sampled_from(sorted(PAIRING_CONFS)).flatmap(dense_classes_on))
     @settings(max_examples=60, deadline=None)
     def test_matches_intersection_matrix(self, case):
-        name, v, w = case
+        name, (r, dv, s), (r2, dw, s2) = case
         conf = PAIRING_CONFS[name]
         m = conf.intersection_matrix()
         n = len(conf.labels)
-        dd = sum(v.divisor[i] * m[i, j] * w.divisor[j] for i in range(n) for j in range(n))
-        expected = dd - v.rank * w.degree - w.rank * v.degree
+        dd = sum(dv[i] * m[i, j] * dw[j] for i in range(n) for j in range(n))
+        expected = dd - r * s2 - r2 * s
+        v, w = sparse((r, dv, s), conf), sparse((r2, dw, s2), conf)
         assert mukai_pairing(v, w, conf) == expected
 
-    def test_dimension_mismatch(self):
-        conf = PAIRING_CONFS["S_16"]
-        short = MukaiClass(0, (1,), 0)
-        with pytest.raises(DimensionMismatch):
-            mukai_pairing(short, short, conf)
+    def test_cross_configuration_class_raises(self):
+        # F4 is a curve of the E_20 configuration (a = 5), not of S_16 (a = 2)
+        s16, e20 = PAIRING_CONFS["S_16"], PAIRING_CONFS["E_20"]
+        foreign = class_of(Sheaf("OC-1", ("F4",)), e20)
+        native = class_of(Sheaf("OC", ("Einf",)), s16)
+        ox = class_of(Sheaf("OX"), e20)
+        for v, w in ((foreign, native), (native, foreign), (foreign, foreign), (ox, foreign)):
+            with pytest.raises(UnknownNode, match="F4"):
+                mukai_pairing(v, w, s16)
+        with pytest.raises(UnknownNode, match="F4"):
+            class_of(Sheaf("OC-1", ("F4",)), s16)
+        # a class with no curves pairs on any configuration
+        assert mukai_pairing(ox, ox, s16) == -2
 
 
 class TestClassOf:
@@ -99,7 +116,7 @@ class TestClassOf:
         tw = class_of(Sheaf("TW", ("E3_1", "E3_2")), conf)
         assert tw.rank == 0 and tw.degree == 0
         assert mukai_pairing(tw, tw, conf) == -2
-        assert sum(tw.divisor) == 2
+        assert tw.divisor == (("E3_1", 1), ("E3_2", 1))
 
     def test_shift_negates(self):
         conf = conf_for("E_20")
@@ -191,6 +208,22 @@ class TestGramMatrix:
                 if i != j
             }
             assert off <= {-2, -1, 0, 1}, row.name
+
+    def test_pairs_each_unordered_pair_once(self, monkeypatch):
+        # n(n+1)/2 pairings for the Gram matrix plus one root check per generator
+        calls = 0
+
+        def counting(v, w, conf):
+            nonlocal calls
+            calls += 1
+            return mukai_pairing(v, w, conf)
+
+        monkeypatch.setattr(klattice, "mukai_pairing", counting)
+        for row in load_rows():
+            calls = 0
+            gram, _, _ = row_gram(row)
+            n = gram.dim
+            assert calls == n * (n + 1) // 2 + n, row.name
 
 
 class TestReflect:

@@ -73,6 +73,14 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_polynomial(text, XYZ)
 
+    def test_non_ascii_digit_rejected_at_its_position(self):
+        # str.isdigit accepts both characters, and int() even reads the second
+        for ch in ("\u00b3", "\u0663"):
+            text = f"x^2 + y^{ch} + z^5"
+            with pytest.raises(ParseError, match="unexpected character") as info:
+                parse_polynomial(text, XYZ)
+            assert info.value.position == text.index(ch)
+
 
 class TestInvertiblePolynomial:
     def test_float_exponent_rejected(self):
