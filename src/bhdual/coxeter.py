@@ -14,7 +14,6 @@ diagonal: U tau = -U^T, which implies both tau^T G tau = G and det tau =
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +23,6 @@ from .exactalg import (
     IntPolynomial,
     annihilates,
     char_poly,
-    cyclotomic,
     factor_cyclotomic,
 )
 
@@ -54,7 +52,9 @@ class CoxeterResult:
         """
         if not self.factorization.is_cyclotomic:
             return None
-        radical = math.prod(map(cyclotomic, self.factorization.factors), start=IntPolynomial.one())
+        radical = CyclotomicFactorization(
+            dict.fromkeys(self.factorization.factors, 1), 1, IntPolynomial.one()
+        ).reconstruct()
         return self.factorization.lcm_of_orders() if annihilates(radical, self.matrix) else None
 
 

@@ -57,10 +57,6 @@ class IntPolynomial:
         return IntPolynomial((1,))
 
     @staticmethod
-    def constant(c: int) -> "IntPolynomial":
-        return IntPolynomial((c,))
-
-    @staticmethod
     def one_minus_t_n(n: int) -> "IntPolynomial":
         """1 - t^n"""
         return IntPolynomial((1,) + (0,) * (n - 1) + (-1,))
@@ -99,18 +95,6 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = IntPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def divmod_exact_leading(self, other: "IntPolynomial"):
         """Quotient and remainder, requiring every leading-term division to be
@@ -245,17 +229,24 @@ def cyclotomic(n: int) -> IntPolynomial:
     return p
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_totient(n: int) -> int:
     result = n
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -276,10 +267,25 @@ class CyclotomicFactorization:
         return sum(euler_totient(n) * m for n, m in self.factors.items()) + self.remainder.degree
 
     def reconstruct(self) -> IntPolynomial:
-        p = IntPolynomial.constant(self.unit)
-        for n in sorted(self.factors):
-            p = p * cyclotomic(n) ** self.factors[n]
-        return p * self.remainder
+        """The product, expanded by the stride step of ``factor_cyclotomic``.
+
+        prod Phi_n^(e_n) = (-1)^(e_1) prod (1 - t^m)^(a_m), where a_m = sum of
+        mu(n/m) e_n over the n divisible by m inverts ``cyclotomic_exponents``;
+        mod t^(D+1), D = sum phi(n) e_n, each a_m < 0 is an exact power-series
+        division, as the product is a polynomial of degree D.
+        """
+        binomials: dict[int, int] = defaultdict(int)
+        for n, e in self.factors.items():
+            terms = [(n, e)]  # (n/d, mu(d) e) over the squarefree d | n
+            for q in _prime_divisors(n):
+                terms += [(m // q, -c) for m, c in terms]
+            for m, c in terms:
+                binomials[m] += c
+        s = [0] * (sum(euler_totient(n) * e for n, e in self.factors.items()) + 1)
+        s[0] = -self.unit if self.factors.get(1, 0) % 2 else self.unit
+        for m, a in binomials.items():
+            divide_by_binomial(s, m, -a)
+        return IntPolynomial(s) * self.remainder
 
     def lcm_of_orders(self) -> int:
         return math.lcm(*self.factors) if self.factors else 1

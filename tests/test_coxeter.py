@@ -53,6 +53,23 @@ def reflection_product(g):
     return tau
 
 
+def char_values(p, mu):
+    """p(t) at t = 0, 1, ..., mu."""
+    return [sum(c * t**k for k, c in enumerate(p.coefficients)) for t in range(mu + 1)]
+
+
+def seifert_char_values(gram):
+    """(-1)^mu det(tU + U^T) at t = 0, 1, ..., mu, for U the upper triangle of
+    G with -1 on the diagonal: since tau = -U^-1 U^T and det U = (-1)^mu,
+    these are the values of det(tI - tau), found without tau."""
+    mu = gram.dim
+    u = [[gram[i, j] if j > i else -(i == j) for j in range(mu)] for i in range(mu)]
+    return [
+        (-1) ** mu * det_bareiss(IntMatrix([[t * u[i][j] + u[j][i] for j in range(mu)] for i in range(mu)]))
+        for t in range(mu + 1)
+    ]
+
+
 def a_sum(*ranks):
     """Gram of the orthogonal sum of A_r root lattices (-2 diagonal, 1 on edges)."""
     n = sum(ranks)
@@ -160,6 +177,14 @@ class TestCoxeterElement:
             cox = coxeter_element(gram)
             assert det_bareiss(cox.matrix) == (-1) ** row.mu * cox.char.coefficients[0], row.name
 
+    def test_char_poly_from_seifert_pencil(self):
+        # agreement at mu + 1 points pins the degree-mu polynomial
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            assert gram.dim == row.mu, row.name
+            char = coxeter_element(gram).char
+            assert char_values(char, row.mu) == seifert_char_values(gram), row.name
+
     def test_char_matches_monodromy_oracle_everywhere(self):
         for row in load_rows():
             gram, _, _ = row_gram(row)
@@ -254,6 +279,7 @@ class TestOrderAndFormControls:
         tau = coxeter_element(g).matrix
         assert matmul(u, tau) == IntMatrix([[-u[j, i] for j in range(n)] for i in range(n)])
         assert seifert_identity(tau, g)
+        assert char_values(coxeter_element(g).char, n) == seifert_char_values(g)
 
 
 class TestLatticeInvariants:

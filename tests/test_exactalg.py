@@ -22,12 +22,24 @@ from bhdual.exactalg import (
     polynomial_gcd,
     square_root_spectrum,
 )
+from bhdual.fixtures import VARIABLES, load_rows
+from bhdual.polyparse import parse_polynomial, transpose
+from bhdual.series import milnor_orlik
+from bhdual.weights import canonical_weights, reduce
 
 P = IntPolynomial
 
 
 def poly(*coeffs):
     return P(coeffs)
+
+
+def power(p, e):
+    """p^e by repeated dense multiplication."""
+    out = P.one()
+    for _ in range(e):
+        out = out * p
+    return out
 
 
 def identity(n):
@@ -143,7 +155,7 @@ class TestFactorCyclotomic:
 
     def test_mixed_powers(self):
         # expand (t-1)^2 (t^2+t+1)^3 independently, then factor
-        p = poly(-1, 1) ** 2 * poly(1, 1, 1) ** 3
+        p = power(poly(-1, 1), 2) * power(poly(1, 1, 1), 3)
         fac = factor_cyclotomic(p)
         assert fac.factors == {1: 2, 3: 3}
         assert fac.is_cyclotomic
@@ -162,7 +174,7 @@ class TestFactorCyclotomic:
     def test_factor_reconstruct_roundtrip(self, factors):
         p = P.one()
         for n, m in factors.items():
-            p = p * cyclotomic(n) ** m
+            p = p * power(cyclotomic(n), m)
         fac = factor_cyclotomic(p)
         assert fac.reconstruct() == p
         assert fac.factors == factors
@@ -176,7 +188,7 @@ class TestFactorCyclotomic:
             return
         p = extra
         for n, m in factors.items():
-            p = p * cyclotomic(n) ** m
+            p = p * power(cyclotomic(n), m)
         fac = factor_cyclotomic(p)
         assert fac.reconstruct() == p
 
@@ -191,9 +203,9 @@ class TestFactorCyclotomic:
     )
     @settings(max_examples=25, deadline=None)
     def test_large_indices_roundtrip(self, factors, unit):
-        p = P.constant(unit)
+        p = poly(unit)
         for n, m in factors.items():
-            p = p * cyclotomic(n) ** m
+            p = p * power(cyclotomic(n), m)
         fac = factor_cyclotomic(p)
         assert fac.is_cyclotomic and fac.unit == unit
         assert fac.factors == factors
@@ -226,6 +238,46 @@ class TestFactorCyclotomic:
         assert not fac.is_cyclotomic
         assert fac.factors == {}
         assert fac.reconstruct() == p
+
+
+def dense_product(fac):
+    """unit * prod power(Phi_n, e_n) * remainder, multiplied out densely."""
+    p = poly(fac.unit)
+    for n, e in fac.factors.items():
+        p = p * power(cyclotomic(n), e)
+    return p * fac.remainder
+
+
+# indices 1-60, with the square-ful 4, 8, 9, 12 and 18 drawn often
+factor_maps = st.dictionaries(
+    st.one_of(st.sampled_from((4, 8, 9, 12, 18)), st.integers(1, 60)), st.integers(1, 3), max_size=4
+)
+remainders = st.one_of(
+    st.just(P.one()),
+    st.sampled_from((poly(-2, 0, 1), poly(1, -3, 1), poly(3))),
+    small_polys.filter(bool),
+)
+
+
+class TestReconstruct:
+    @given(factor_maps, st.sampled_from((1, -1)), remainders)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_product(self, factors, unit, remainder):
+        fac = CyclotomicFactorization(factors, unit, remainder)
+        assert fac.reconstruct() == dense_product(fac)
+
+    @given(factor_maps, st.sampled_from((1, -1)))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_inverts_reconstruct(self, factors, unit):
+        fac = CyclotomicFactorization(factors, unit, P.one())
+        assert factor_cyclotomic(fac.reconstruct()) == fac
+
+    def test_milnor_orlik_oracles_of_all_rows(self):
+        for row in load_rows():
+            f = parse_polynomial(row.f, VARIABLES)
+            for g in (f, transpose(f)):
+                oracle = milnor_orlik(reduce(canonical_weights(g)))
+                assert oracle.reconstruct() == dense_product(oracle), row.name
 
 
 class TestCyclotomicIndexBound:
@@ -261,7 +313,7 @@ class TestDivideByBinomial:
         s = list(coeffs)
         divide_by_binomial(s, m, a)
         source, target = (s, coeffs) if a > 0 else (coeffs, s)
-        product = (P(source) * P.one_minus_t_n(m) ** abs(a)).coefficients
+        product = (P(source) * power(P.one_minus_t_n(m), abs(a))).coefficients
         assert (list(product) + [0] * n)[:n] == target
 
     def test_inverse_steps(self):
@@ -308,7 +360,7 @@ class TestMatrices:
         assert char_poly(IntMatrix([[0, -1], [1, -1]])) == poly(1, 1, 1)
 
     def test_charpoly_identity(self):
-        assert char_poly(identity(3)) == poly(-1, 1) ** 3
+        assert char_poly(identity(3)) == power(poly(-1, 1), 3)
 
     def test_entries_must_be_int(self):
         # stored as given: a float or bool entry is an error, not truncated

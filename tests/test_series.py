@@ -111,7 +111,8 @@ def _binomial_product(ns):
 def _cyclotomic_product(exponents):
     product = IntPolynomial.one()
     for n, e in exponents.items():
-        product = product * cyclotomic(n) ** e
+        for _ in range(e):
+            product = product * cyclotomic(n)
     return product
 
 

@@ -69,23 +69,31 @@ def test_no_fractions_import():
     assert found == []
 
 
-def test_factor_cyclotomic_is_one_exact_pass():
-    # the index bound comes from the degree, not from a parameter, and the
-    # factorization peels binomials instead of trial-dividing by each Phi_n
-    func = next(
+def _exactalg_function(name):
+    return next(
         node
         for node in ast.walk(_tree("exactalg.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "factor_cyclotomic"
+        if isinstance(node, ast.FunctionDef) and node.name == name
     )
-    args = func.args
-    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["p"]
-    assert args.vararg is None and args.kwarg is None
-    called = {
+
+
+def _called(func):
+    """Names called in ``func``, as bare names or attributes."""
+    return {
         getattr(node.func, "attr", None) or getattr(node.func, "id", None)
         for node in ast.walk(func)
         if isinstance(node, ast.Call)
     }
-    assert not called & {"cyclotomic", "divmod_exact_leading"}
+
+
+def test_factor_cyclotomic_is_one_exact_pass():
+    # the index bound comes from the degree, not from a parameter, and the
+    # factorization peels binomials instead of trial-dividing by each Phi_n
+    func = _exactalg_function("factor_cyclotomic")
+    args = func.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["p"]
+    assert args.vararg is None and args.kwarg is None
+    assert not _called(func) & {"cyclotomic", "divmod_exact_leading"}
 
 
 def test_no_n_max_parameter():
@@ -115,18 +123,22 @@ def test_series_names_no_polynomial_division():
 def test_one_stride_step():
     # factor_cyclotomic's peel calls the shared step and updates no
     # coefficient list of its own
-    func = next(
-        node
-        for node in ast.walk(_tree("exactalg.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "factor_cyclotomic"
-    )
-    called = {getattr(node.func, "id", None) for node in ast.walk(func) if isinstance(node, ast.Call)}
-    assert "divide_by_binomial" in called
+    func = _exactalg_function("factor_cyclotomic")
+    assert "divide_by_binomial" in _called(func)
     assert not [
         node.lineno
         for node in ast.walk(func)
         if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)
     ]
+
+
+def test_reconstruct_expands_by_the_stride_step():
+    # CyclotomicFactorization.reconstruct inverts the peel with the same step;
+    # neither Phi_n nor a dense power may bring the product back
+    func = _exactalg_function("reconstruct")
+    called = _called(func)
+    assert "divide_by_binomial" in called and "cyclotomic" not in called
+    assert not [node.lineno for node in ast.walk(func) if isinstance(node, ast.Pow)]
 
 
 def _definitions(path):
@@ -144,7 +156,9 @@ def _definitions(path):
 
 
 def _mentioned_name(node):
-    if isinstance(node, ast.Name):
+    # binding a name (an assignment target, a loop variable, a parameter)
+    # mentions no definition
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
         return node.id
     if isinstance(node, ast.Attribute):
         return node.attr
@@ -158,7 +172,8 @@ def _mentioned_name(node):
 def test_every_name_has_a_caller():
     # a name that only tests reach is API nothing uses: each function, class
     # and method of the package must be named by the package, a script or
-    # the benchmark outside its own definition
+    # the benchmark outside its own definition; a method only as an attribute
+    # or a string, so a local variable of the same name keeps no method alive
     modules = sorted(PACKAGE.glob("*.py"))
     callers = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     mentions = defaultdict(list)
@@ -166,14 +181,14 @@ def test_every_name_has_a_caller():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = _mentioned_name(node)
             if name is not None:
-                mentions[name].append((path, node.lineno))
+                mentions[name].append((path, node.lineno, isinstance(node, ast.Name)))
     uncalled = [
         f"{path.stem}.{qualname}"
         for path in modules
         for qualname, node in _definitions(path)
         if all(
-            where == path and node.lineno <= line <= node.end_lineno
-            for where, line in mentions[node.name]
+            (where == path and node.lineno <= line <= node.end_lineno) or (bare and "." in qualname)
+            for where, line, bare in mentions[node.name]
         )
     ]
     assert uncalled == []
