@@ -9,7 +9,6 @@ from .exactalg import (
     IntPolynomial,
     RationalFunction,
     char_poly,
-    cyclotomic,
     det_bareiss,
     factor_cyclotomic,
     square_root_spectrum,
@@ -30,7 +29,6 @@ __all__ = [
     "all_names",
     "canonical_weights",
     "char_poly",
-    "cyclotomic",
     "det_bareiss",
     "factor_cyclotomic",
     "gorenstein_parameter",

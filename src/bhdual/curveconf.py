@@ -5,7 +5,7 @@ exceptional cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
@@ -21,14 +21,11 @@ class CurveConfiguration:
 
     ``edges`` maps a sorted label pair to its intersection multiplicity (all
     multiplicities are 1 here: transversal intersections in distinct points).
-    ``unused`` flags nodes present in the geometry but not enrolled in the
-    K-group generator list.
     """
 
     labels: tuple[str, ...]
     edges: dict[tuple[str, str], int]
     case_tag: str
-    unused: frozenset[str] = field(default_factory=frozenset)
 
     def intersection(self, a: str, b: str) -> int:
         if a == b:
@@ -111,10 +108,4 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
         for l in range(1, row.a - 1):
             join(f"F{l}", f"F{l+1}")
 
-    unused = frozenset({"F1"}) if case == "Exceptional_a2" else frozenset()
-    return CurveConfiguration(
-        labels=tuple(labels),
-        edges=edges,
-        case_tag=case,
-        unused=unused,
-    )
+    return CurveConfiguration(labels=tuple(labels), edges=edges, case_tag=case)

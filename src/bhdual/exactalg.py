@@ -4,8 +4,10 @@ Everything in this module is exact: polynomials are dense lists of Python
 integers, rational functions are quotients of such polynomials kept as
 given and only expanded as power series, and matrix kernels are fraction-free,
 with products on rows packed into one integer each (slot width bounded from
-the matrix).  Degrees in this project stay small, so dense representations
-and arbitrary precision are the right trade-off.
+the matrix).  Bareiss elimination is the one elimination kernel: it gives
+determinants and, on Sylvester blocks, the degree of a polynomial gcd.
+Degrees in this project stay small, so dense representations and arbitrary
+precision are the right trade-off.
 """
 from __future__ import annotations
 
@@ -96,46 +98,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def divmod_exact_leading(self, other: "IntPolynomial"):
-        """Quotient and remainder, requiring every leading-term division to be
-        exact over the integers (sufficient for all divisors used here)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        d = other.coefficients
-        if len(rem) < len(d):
-            return IntPolynomial.zero(), self
-        q = [0] * (len(rem) - len(d) + 1)
-        for i in range(len(rem) - len(d), -1, -1):
-            c = rem[i + len(d) - 1]
-            if c % d[-1] != 0:
-                raise InexactDivision(f"{c} not divisible by {d[-1]}")
-            t = c // d[-1]
-            q[i] = t
-            if t:
-                for j, y in enumerate(d):
-                    rem[i + j] -= t * y
-        return IntPolynomial(q), IntPolynomial(rem)
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Exact quotient; raises InexactDivision if ``other`` does not divide."""
-        try:
-            q, r = self.divmod_exact_leading(other)
-        except InexactDivision as exc:
-            raise InexactDivision(f"{self} not divisible by {other}") from exc
-        if not r.is_zero():
-            raise InexactDivision(f"{self} not divisible by {other}")
-        return q
-
-    def content(self) -> int:
-        return math.gcd(*self.coefficients) if self.coefficients else 0
-
-    def primitive_part(self) -> "IntPolynomial":
-        c = self.content()
-        if c in (0, 1):
-            return self
-        return IntPolynomial(x // c for x in self.coefficients)
-
     def __str__(self) -> str:
         if not self.coefficients:
             return "0"
@@ -152,31 +114,6 @@ class IntPolynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def polynomial_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd in Z[t] via the subresultant pseudo-remainder sequence."""
-    if a.is_zero():
-        return _positive_leading(b.primitive_part())
-    if b.is_zero():
-        return _positive_leading(a.primitive_part())
-    content = math.gcd(a.content(), b.content())
-    a, b = a.primitive_part(), b.primitive_part()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero():
-        delta = a.degree - b.degree
-        scaled = a * (b.leading ** (delta + 1))
-        _, r = scaled.divmod_exact_leading(b)
-        a, b = b, r.primitive_part() if not r.is_zero() else IntPolynomial.zero()
-    g = _positive_leading(a) * content
-    return g
-
-
-def _positive_leading(p: IntPolynomial) -> IntPolynomial:
-    if not p.is_zero() and p.leading < 0:
-        return -p
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +151,8 @@ class RationalFunction:
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic polynomials and factorizations
+# Cyclotomic factorizations
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def cyclotomic(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, by exact division of t^n - 1."""
-    if n < 1:
-        raise ValueError("cyclotomic index must be >= 1")
-    p = -IntPolynomial.one_minus_t_n(n)
-    for d in range(1, n):
-        if n % d == 0:
-            p = p.exact_div(cyclotomic(d))
-    return p
-
 
 def _prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, by trial division."""
@@ -252,7 +177,7 @@ def euler_totient(n: int) -> int:
 
 @dataclass(frozen=True)
 class CyclotomicFactorization:
-    """unit * prod(cyclotomic(n)^multiplicity) * remainder."""
+    """unit * prod(Phi_n^multiplicity) * remainder."""
 
     factors: dict[int, int]
     unit: int
@@ -487,6 +412,28 @@ def det_bareiss(matrix: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def gcd_degree(p: IntPolynomial, q: IntPolynomial) -> int:
+    """deg gcd(p, q) over Q, by principal subresultant coefficients.
+
+    For p, q of degrees m, n the gcd has degree the least k whose k-th
+    principal subresultant coefficient is nonzero: the determinant of the
+    leading (m+n-2k)-square block of the k-th Sylvester matrix, whose rows
+    are n-k shifts of p over m-k shifts of q, coefficients from the top down.
+    The loop returns by k = min(m, n): that block is the |m-n| shifts of the
+    lower-degree polynomial, triangular with its leading coefficient on the
+    diagonal (the empty block, determinant 1, when m = n).
+    """
+    if p.is_zero() or q.is_zero():
+        raise ValueError("gcd_degree of the zero polynomial")
+    m, n = p.degree, q.degree
+    top_p, top_q = p.coefficients[::-1], q.coefficients[::-1]
+    for k in range(min(m, n) + 1):
+        size = m + n - 2 * k
+        rows = [(0,) * j + top_p for j in range(n - k)] + [(0,) * j + top_q for j in range(m - k)]
+        if det_bareiss(IntMatrix([(row + (0,) * size)[:size] for row in rows])):
+            return k
 
 
 def _slot_bits(bound: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import IntPolynomial, polynomial_gcd
+from .exactalg import IntPolynomial, gcd_degree
 
 
 class InvalidRange(ValueError):
@@ -203,11 +203,11 @@ def exceptional_components_met(curve: XYZPoly, k: int) -> list[int]:
 def branch_count_at_attachment(curve: XYZPoly, k: int, component: int) -> int:
     """Number of distinct transversal branch points on E_(component): the
     count of distinct roots of the unit factor p restricted to that line,
-    deg p - deg gcd(p, p') (the gcd over Z has the degree of the one over Q)."""
+    deg p - deg gcd(p, p')."""
     _, unit = proper_transform(curve, ResolutionChart(component, k))
     on_line = unit.restrict_u0()
     p = IntPolynomial(on_line.get(e, 0) for e in range(max(on_line, default=-1) + 1))
     if p.degree <= 0:
         return 0
     derivative = IntPolynomial(e * c for e, c in enumerate(p.coefficients) if e)
-    return p.degree - polynomial_gcd(p, derivative).degree
+    return p.degree - gcd_degree(p, derivative)

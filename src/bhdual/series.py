@@ -140,8 +140,6 @@ def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
 class PhiReport:
     holds: bool
     shift_exponent: int
-    phi: dict[int, int]
-    oracle: CyclotomicFactorization
 
 
 @dataclass(frozen=True)
@@ -173,8 +171,8 @@ def verify_phi_identity(
     gap = {n: oracle.factors.get(n, 0) - phi.get(n, 0) for n in {*oracle.factors, *phi}}
     shift = gap.pop(1, 0)
     if oracle.is_cyclotomic and shift >= 0 and not any(gap.values()):
-        return PhiReport(True, shift, phi, oracle)
-    return PhiReport(False, -1, phi, oracle)
+        return PhiReport(True, shift)
+    return PhiReport(False, -1)
 
 
 def verify_square_relation(

@@ -1,8 +1,10 @@
 import math
 from collections import deque
+from functools import cache
 
 import pytest
 
+from bhdual.exactalg import InexactDivision, IntPolynomial
 from bhdual.klattice import MukaiClass, mukai_pairing
 from bhdual.series import milnor_orlik, spectrum
 
@@ -15,6 +17,34 @@ def _phi_at_one(n):
     while n % p == 0:
         n //= p
     return p if n == 1 else 1
+
+
+def long_division(p, d):
+    """The exact quotient p / d in Z[t] by schoolbook long division; raises
+    InexactDivision when d does not divide p over the integers."""
+    rem, divisor = list(p.coefficients), d.coefficients
+    quotient = [0] * max(len(rem) - len(divisor) + 1, 0)
+    for i in reversed(range(len(quotient))):
+        c, r = divmod(rem[i + len(divisor) - 1], divisor[-1])
+        if r:
+            raise InexactDivision(f"{p} not divisible by {d}")
+        quotient[i] = c
+        for j, y in enumerate(divisor):
+            rem[i + j] -= c * y
+    if any(rem):
+        raise InexactDivision(f"{p} not divisible by {d}")
+    return IntPolynomial(quotient)
+
+
+@cache
+def cyclotomic(n):
+    """Phi_n, densely: t^n - 1 long-divided by Phi_d for every proper divisor d
+    of n.  The tests' reference; the package itself never forms Phi_n."""
+    p = -IntPolynomial.one_minus_t_n(n)
+    for d in range(1, n):
+        if n % d == 0:
+            p = long_division(p, cyclotomic(d))
+    return p
 
 
 def _spectral_invariants(rw):

@@ -16,7 +16,6 @@ from bhdual.exactalg import (
     IntMatrix,
     IntPolynomial,
     char_poly,
-    cyclotomic,
     det_bareiss,
 )
 from bhdual.fixtures import VARIABLES, load_rows, row_by_name
@@ -36,6 +35,7 @@ from bhdual.weights import (
     gorenstein_parameter,
     reduce,
 )
+from conftest import cyclotomic
 
 ROWS = load_rows()
 

@@ -10,7 +10,7 @@ from bhdual.curveconf import (
 )
 from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import MukaiClass, Sheaf, UnknownNode, class_of, mukai_pairing
+from bhdual.klattice import MukaiClass, Sheaf, UnknownNode, class_of, generator_list, mukai_pairing
 
 
 def expected_node_count(row):
@@ -89,7 +89,17 @@ class TestBuildConfiguration:
         assert conf.intersection("E0", "F1") == 1
         assert conf.intersection("E0", "E2_1") == 1
         assert conf.intersection("E0", "E3_2") == 1
-        assert conf.unused == frozenset({"F1"})
+
+    def test_a2_generators_leave_f1_out(self):
+        # F1 is in the geometry of the a2 case but enrolls no generator
+        rows = [row for row in load_rows() if row.case_tag == "Exceptional_a2"]
+        assert rows
+        for row in rows:
+            conf = build_configuration(row)
+            assert "F1" in conf.labels, row.name
+            for sheaf, cls in generator_list(row, conf).items:
+                assert "F1" not in sheaf.nodes, row.name
+                assert "F1" not in dict(cls.divisor), row.name
 
     def test_node_count_formula_and_connectivity(self, reachable):
         for row in load_rows():
@@ -148,7 +158,7 @@ class TestValidateTree:
         edges = dict(conf.edges)
         edges[("E1_1", "E2_1")] = 1
         assert not is_core_tree(
-            CurveConfiguration(conf.labels, edges, conf.case_tag, conf.unused), reachable
+            CurveConfiguration(conf.labels, edges, conf.case_tag), reachable
         )
 
     def test_minimal_star(self, reachable):

@@ -12,16 +12,16 @@ from bhdual.exactalg import (
     RationalFunction,
     annihilates,
     char_poly,
-    cyclotomic,
     cyclotomic_exponents,
     cyclotomic_index_bound,
     det_bareiss,
     divide_by_binomial,
     euler_totient,
     factor_cyclotomic,
-    polynomial_gcd,
+    gcd_degree,
     square_root_spectrum,
 )
+from conftest import cyclotomic, long_division
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.polyparse import parse_polynomial, transpose
 from bhdual.series import milnor_orlik
@@ -55,20 +55,10 @@ def matmul(a, b):
 small_polys = st.builds(P, st.lists(st.integers(-9, 9), max_size=6))
 
 
-def divides(d, p):
-    """Whether d divides p over the integers; an inexact leading-term
-    division means it does not."""
-    try:
-        _, r = p.divmod_exact_leading(d)
-    except InexactDivision:
-        return False
-    return r.is_zero()
-
-
 class TestPolyArith:
     def test_geometric_quotient(self):
         # (1 - t^6) / (1 - t^2) = 1 + t^2 + t^4
-        q = P.one_minus_t_n(6).exact_div(P.one_minus_t_n(2))
+        q = long_division(P.one_minus_t_n(6), P.one_minus_t_n(2))
         assert q == poly(1, 0, 1, 0, 1)
 
     def test_product_coefficients(self):
@@ -78,7 +68,7 @@ class TestPolyArith:
 
     def test_inexact_division_raises(self):
         with pytest.raises(InexactDivision):
-            poly(1, 1).exact_div(poly(0, 1))
+            long_division(poly(1, 1), poly(0, 1))
 
     @given(small_polys, small_polys)
     def test_mul_commutes(self, a, b):
@@ -88,37 +78,56 @@ class TestPolyArith:
     def test_exact_div_roundtrip(self, a, b):
         if b.is_zero():
             return
-        assert (a * b).exact_div(b) == a
+        assert long_division(a * b, b) == a
 
     def test_str(self):
         assert str(poly(-1, 0, 1)) == "t^2 - 1"
         assert str(P.zero()) == "0"
 
 
-class TestGcd:
-    def test_common_factor(self):
-        a = poly(-1, 1) * poly(1, 1, 1)
-        b = poly(-1, 1) * poly(2, 1)
-        assert polynomial_gcd(a, b) == poly(-1, 1)
+def root_product(exponents):
+    """prod (t - r)^e over the (root r, exponent e) pairs."""
+    p = P.one()
+    for r, e in exponents.items():
+        p = p * power(poly(-r, 1), e)
+    return p
 
-    @given(small_polys, small_polys, small_polys)
-    @settings(max_examples=40)
-    def test_common_factor_divides_gcd(self, a, b, c):
-        if a.is_zero() and b.is_zero():
-            return
-        if c.is_zero():
-            return
-        g = polynomial_gcd(a * c, b * c)
-        assert divides(c.primitive_part(), g)
 
-    @given(small_polys, small_polys)
-    @settings(max_examples=40)
-    def test_gcd_divides_both(self, a, b):
-        g = polynomial_gcd(a, b)
-        if g.is_zero():
-            assert a.is_zero() and b.is_zero()
-        else:
-            assert divides(g, a) and divides(g, b)
+class TestGcdDegree:
+    @given(
+        st.dictionaries(st.integers(-6, 6), st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5),
+        st.integers(-3, 3).filter(bool),
+        st.integers(-3, 3).filter(bool),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_distinct_roots(self, exponents, scale_p, scale_q):
+        # deg gcd of prod (t - r)^(e_p(r)) and prod (t - r)^(e_q(r)) over
+        # distinct integer roots r is sum min(e_p(r), e_q(r))
+        p = root_product({r: e for r, (e, _) in exponents.items()}) * scale_p
+        q = root_product({r: e for r, (_, e) in exponents.items()}) * scale_q
+        expected = sum(min(e, f) for e, f in exponents.values())
+        assert gcd_degree(p, q) == gcd_degree(q, p) == expected
+
+    def test_constants(self):
+        assert gcd_degree(poly(3), poly(1, 0, 1)) == 0
+        assert gcd_degree(poly(1, 0, 1), poly(-2)) == 0
+        assert gcd_degree(poly(2), poly(5)) == 0
+
+    def test_equal_degrees(self):
+        assert gcd_degree(poly(2, -3, 1), poly(3, -4, 1)) == 1  # (t-1)(t-2), (t-1)(t-3)
+        assert gcd_degree(poly(2, -3, 1), poly(12, -7, 1)) == 0  # (t-3)(t-4)
+        assert gcd_degree(poly(2, -3, 1), poly(-4, 6, -2)) == 2
+
+    def test_q_divides_p(self):
+        q = poly(1, 1, 1)
+        p = q * poly(5, 0, -2, 1)
+        assert gcd_degree(p, q) == gcd_degree(q, p) == 2
+        assert gcd_degree(p * q, q * q) == 4
+
+    def test_zero_raises(self):
+        for pair in ((P.zero(), poly(1, 1)), (poly(1, 1), P.zero()), (P.zero(), P.zero())):
+            with pytest.raises(ValueError):
+                gcd_degree(*pair)
 
 
 class TestRationalFunction:

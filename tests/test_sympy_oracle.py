@@ -4,7 +4,8 @@ on random inputs.
 sympy computes characteristic polynomials by Berkowitz' algorithm, builds
 cyclotomic polynomials and factors over Z with its own machinery, so
 agreement here is independent of the Faddeev-LeVerrier, Bareiss and
-binomial-peeling code in ``exactalg``.
+binomial-peeling code in ``exactalg``; its polynomial gcd checks the degrees
+``gcd_degree`` reads off Sylvester minors.
 """
 import random
 
@@ -20,6 +21,7 @@ from bhdual.exactalg import (
     char_poly,
     det_bareiss,
     factor_cyclotomic,
+    gcd_degree,
 )
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
@@ -118,6 +120,27 @@ def test_random_cyclotomic_products(seed):
             exponents[n] = exponents.get(n, 0) + m
         assert fac.is_cyclotomic
         assert fac.factors == exponents
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_gcd_degree(seed):
+    # p = a c^i and q = b c^j share c^min(i, j) at least, and a repeated
+    # factor c^2 of p leaves c in gcd(p, p')
+    rng = random.Random(seed)
+
+    def random_poly(max_degree):
+        degree = rng.randint(0, max_degree)
+        return sympy.Poly([rng.choice((1, -1, 2, -3)), *(rng.randint(-4, 4) for _ in range(degree))], t)
+
+    def ours(poly):
+        return IntPolynomial(int(c) for c in reversed(poly.all_coeffs()))
+
+    for _ in range(10):
+        a, b, c = random_poly(4), random_poly(4), random_poly(3)
+        p, q = a * c ** rng.randint(0, 3), b * c ** rng.randint(0, 3)
+        for x, y in ((p, q), (p, p.diff(t))):
+            if not y.is_zero:
+                assert gcd_degree(ours(x), ours(y)) == sympy.degree(sympy.gcd(x, y), t), (x, y)
 
 
 @pytest.mark.parametrize("seed", range(12))
