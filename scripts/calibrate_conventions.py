@@ -25,12 +25,10 @@ def main() -> int:
     table = calibrate(load_rows(), transpose_monodromy)
     committed = committed_convention()
     print(f"reading: {table.reading} (committed: {committed.reading})")
-    agree = table.reading == committed.reading
     for key in sorted(table.cases):
-        found, pinned = table.cases[key], committed.cases[key]
-        same = describe(found) == describe(pinned)
-        agree &= same
-        print(f"{key:6s} {describe(found)}  [{'matches committed' if same else 'DIFFERS'}]")
+        same = table.cases[key] == committed.cases.get(key)
+        print(f"{key:6s} {describe(table.cases[key])}  [{'matches committed' if same else 'DIFFERS'}]")
+    agree = table == committed
     print("calibration reproduces the committed table" if agree else "MISMATCH")
     return 0 if agree else 1
 

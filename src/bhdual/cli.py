@@ -21,7 +21,6 @@ from .coxeter import (
 from .fixtures import FixtureRow, UnknownFixture, VARIABLES, all_names, load_rows, row_by_name
 from .polyparse import (
     InvertiblePolynomial,
-    ParseError,
     infer_variables,
     parse_polynomial,
     render,
@@ -50,7 +49,7 @@ def cmd_transpose(args) -> int:
     try:
         f = _parse_cli_polynomial(args.polynomial, args.vars)
         print(render(transpose(f)))
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -61,7 +60,7 @@ def cmd_weights(args) -> int:
         f = _parse_cli_polynomial(args.polynomial, args.vars)
         canonical = canonical_weights(f)
         reduced = reduce(canonical)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = {
@@ -73,15 +72,6 @@ def cmd_weights(args) -> int:
         out["a"] = gorenstein_parameter(canonical)
     print(json.dumps(out))
     return 0
-
-
-def _resolve_row(name: str) -> FixtureRow:
-    try:
-        return row_by_name(name)
-    except UnknownFixture:
-        print(f"unknown fixture {name!r}; valid names:", file=sys.stderr)
-        print("  " + " ".join(all_names()), file=sys.stderr)
-        raise
 
 
 def _sanitize(label: str) -> str:
@@ -102,10 +92,7 @@ def _diagram_of(row: FixtureRow, source: str) -> dynkin.DynkinDiagram:
 
 
 def cmd_diagram(args) -> int:
-    try:
-        row = _resolve_row(args.name)
-    except UnknownFixture:
-        return 3
+    row = row_by_name(args.name)
     diagram = _diagram_of(row, args.source)
     if args.format == "dot":
         print(diagram.dot(name=f"{args.source}_{_sanitize(row.name)}"), end="")
@@ -115,10 +102,7 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_coxeter(args) -> int:
-    try:
-        row = _resolve_row(args.name)
-    except UnknownFixture:
-        return 3
+    row = row_by_name(args.name)
     diagram = _diagram_of(row, args.source)
     cox = coxeter_element(diagram.gram)
     invariants = lattice_invariants(diagram.gram)
@@ -164,7 +148,7 @@ def cmd_lemma(args) -> int:
                 (p, q), unit = quotres.proper_transform(curve, quotres.ResolutionChart(i, args.k))
                 charts[str(i)] = {"monomial": f"u^{p}*v^{q}", "unit": str(unit)}
             out["charts"] = charts
-    except (quotres.InvalidRange, quotres.NotFactorable, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(out))
@@ -333,13 +317,7 @@ def _human_table(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.name:
-        try:
-            rows = [_resolve_row(args.name)]
-        except UnknownFixture:
-            return 3
-    else:
-        rows = list(load_rows())
+    rows = [row_by_name(args.name)] if args.name else list(load_rows())
     started = time.monotonic()
     report = build_report(rows)
     elapsed = time.monotonic() - started
@@ -395,7 +373,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnknownFixture:
+        print(f"unknown fixture {args.name!r}; valid names:", file=sys.stderr)
+        print("  " + " ".join(all_names()), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

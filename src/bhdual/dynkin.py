@@ -105,7 +105,6 @@ class CaseConvention:
     arm_bullet: int | None
     arm_sign: int
     fixed_slots: tuple[tuple[int, int, int, int], ...] = ()
-    provenance: str = "calibrated"
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ def committed_convention() -> ConventionTable:
                 bullet_edges=((1, 2, -1),),
                 arm_bullet=2,
                 arm_sign=1,
-                provenance="literal-rule",
             ),
             "a2_r1": CaseConvention(
                 upper_sign=-1,
@@ -142,14 +140,12 @@ def committed_convention() -> ConventionTable:
                 arm_bullet=None,
                 arm_sign=1,
                 fixed_slots=((2, 3, 2, 1),),
-                provenance="calibrated",
             ),
             "a3": CaseConvention(
                 upper_sign=-1,
                 bullet_edges=((1, 3, -1), (2, 3, 1)),
                 arm_bullet=3,
                 arm_sign=1,
-                provenance="calibrated",
             ),
             "a5": CaseConvention(
                 upper_sign=1,
@@ -157,7 +153,6 @@ def committed_convention() -> ConventionTable:
                 arm_bullet=None,
                 arm_sign=1,
                 fixed_slots=((3, 3, 1, 1),),
-                provenance="calibrated",
             ),
         },
     )

@@ -80,9 +80,6 @@ class IntPolynomial:
     def __bool__(self) -> bool:
         return bool(self.coefficients)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coefficients)
-
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial(c * other for c in self.coefficients)
@@ -95,8 +92,6 @@ class IntPolynomial:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return IntPolynomial(out)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.coefficients:

@@ -10,7 +10,7 @@ accepted by :func:`parse_polynomial` is
 
 with single-letter variable names, optional '*' and whitespace, and an
 optional leading literal ``1`` in a monomial.  Coefficients other than 1 are
-rejected.
+rejected, and so is a '*' with no factor after it.
 """
 from __future__ import annotations
 
@@ -103,64 +103,53 @@ def _tokenize(text: str):
 def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
     """Parse '+'-separated monomials into an InvertiblePolynomial.
 
-    Raises UnknownVariable, DuplicateMonomial, MonomialCountMismatch or
+    Each token is checked only against the kind of the token before it:
+    ``"+"`` (a monomial may start), ``"*"``, ``"^"``, ``"var"``, ``"exp"``
+    (the integer after '^') or ``"one"`` (a leading 1).  Raises
+    UnknownVariable, DuplicateMonomial, MonomialCountMismatch or
     ZeroDeterminant on semantically invalid input, ParseError on malformed
     text.
     """
     variables = tuple(variables)
     index = {v: k for k, v in enumerate(variables)}
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial", 0)
-
     monomials = []
-    pos = 0
-    while pos < len(tokens):
-        row = [0] * len(variables)
-        saw_factor = False
-        expect_factor = True
-        leading_one_allowed = True
-        while pos < len(tokens) and tokens[pos][0] != "+":
-            tok = tokens[pos]
-            if tok[0] == "*":
-                if expect_factor:
-                    raise ParseError("misplaced '*'", tok[1])
-                expect_factor = True
-                pos += 1
-                continue
-            if tok[0] == "int":
-                if not (leading_one_allowed and tok[2] == 1):
-                    raise ParseError("numeric coefficients other than a leading 1 are not allowed", tok[1])
-                leading_one_allowed = False
-                saw_factor = True
-                expect_factor = False
-                pos += 1
-                continue
-            if tok[0] == "^":
-                raise ParseError("misplaced '^'", tok[1])
-            # variable factor
-            name = tok[2]
-            if name not in index:
-                raise UnknownVariable(f"unknown variable {name!r}", tok[1])
-            exponent = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos][0] == "^":
-                pos += 1
-                if pos >= len(tokens) or tokens[pos][0] != "int":
-                    raise ParseError("'^' must be followed by an integer", tokens[pos - 1][1])
-                exponent = tokens[pos][2]
-                pos += 1
-            row[index[name]] += exponent
-            saw_factor = True
-            expect_factor = False
-            leading_one_allowed = False
-        if not saw_factor:
-            raise ParseError("empty monomial", tokens[pos][1] if pos < len(tokens) else len(text))
-        monomials.append(tuple(row))
-        if pos < len(tokens):
-            pos += 1  # skip '+'
-            if pos == len(tokens):
-                raise ParseError("trailing '+'", tokens[pos - 1][1])
+    row = [0] * len(variables)
+    prev, prev_position, column = "+", 0, 0
+    for tok in _tokenize(text) + [("end", len(text))]:
+        kind, position = tok[0], tok[1]
+        if prev == "^" and kind != "int":
+            raise ParseError("'^' must be followed by an integer", prev_position)
+        if kind == "var":
+            if tok[2] not in index:
+                raise UnknownVariable(f"unknown variable {tok[2]!r}", position)
+            column = index[tok[2]]
+            row[column] += 1
+        elif kind == "int":
+            if prev == "^":
+                kind = "exp"
+                row[column] += tok[2] - 1  # the variable already counted once
+            elif prev == "+" and tok[2] == 1:
+                kind = "one"
+            else:
+                raise ParseError("numeric coefficients other than a leading 1 are not allowed", position)
+        elif kind == "^":
+            if prev != "var":
+                raise ParseError("misplaced '^'", position)
+        elif kind == "*":
+            if prev in ("+", "*"):
+                raise ParseError("misplaced '*'", position)
+        else:  # '+' or the end of the text closes a monomial
+            if prev == "*":
+                raise ParseError("dangling '*'", prev_position)
+            if prev == "+":
+                if kind == "+":
+                    raise ParseError("empty monomial", position)
+                if not monomials:
+                    raise ParseError("empty polynomial", 0)
+                raise ParseError("trailing '+'", prev_position)
+            monomials.append(tuple(row))
+            row = [0] * len(variables)
+        prev, prev_position = kind, position
 
     if len(monomials) != len(variables):
         # a non-square list is no matrix: count before building one

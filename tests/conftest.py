@@ -40,7 +40,7 @@ def long_division(p, d):
 def cyclotomic(n):
     """Phi_n, densely: t^n - 1 long-divided by Phi_d for every proper divisor d
     of n.  The tests' reference; the package itself never forms Phi_n."""
-    p = -IntPolynomial.one_minus_t_n(n)
+    p = IntPolynomial.one_minus_t_n(n) * -1
     for d in range(1, n):
         if n % d == 0:
             p = long_division(p, cyclotomic(d))

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhdual.cli import main
-from bhdual.fixtures import load_rows
+from bhdual.fixtures import all_names, load_rows
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
@@ -77,6 +78,12 @@ class TestWeights:
         assert out == ""
         assert "unexpected character" in err and "position 8" in err
 
+    def test_dangling_star_exits_2_with_position(self, capsys):
+        code, out, err = run(capsys, "weights", "x^2* + y^3 + z^5")
+        assert code == 2
+        assert out == ""
+        assert "dangling '*'" in err and "position 3" in err
+
 
 class TestFuzz:
     @given(st.text(alphabet="xyzw0123456789\u00b3\u0663+*^ ", max_size=24))
@@ -102,10 +109,12 @@ class TestDiagram:
         nodes = [l for l in out.splitlines() if l.endswith(";") and "--" not in l]
         assert len(nodes) == 16
 
-    def test_unknown_name_exits_3(self, capsys):
-        code, _, err = run(capsys, "diagram", "--name", "E_99")
-        assert code == 3
-        assert "valid names" in err and "E_20" in err
+
+@pytest.mark.parametrize("command", ["diagram", "coxeter", "verify"])
+def test_unknown_name_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--name", "E_99")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["unknown fixture 'E_99'; valid names:", "  " + " ".join(all_names())]
 
 
 class TestCoxeterCommand:
@@ -162,10 +171,6 @@ class TestVerify:
         assert checks["square_relation"]["status"] == "pass"
         assert checks["square_relation"]["holds"] is False
         assert "negative control" in checks["square_relation"]["note"]
-
-    def test_unknown_name_exits_3(self, capsys):
-        code, _, _ = run(capsys, "verify", "--name", "nope")
-        assert code == 3
 
     def test_all_rows_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--all")

@@ -23,14 +23,6 @@ def wrong_oracle(row):
     return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
 
 
-def wiring(table):
-    """A convention table without its provenance notes."""
-    return table.reading, {
-        key: (c.upper_sign, c.bullet_edges, c.arm_bullet, c.arm_sign, c.fixed_slots)
-        for key, c in table.cases.items()
-    }
-
-
 class TestTGraph:
     def test_smallest(self):
         t = t_graph((2, 2, 2))
@@ -107,24 +99,8 @@ class TestReadings:
 
 class TestCalibration:
     def test_committed_table_is_the_calibration_result(self):
-        table = calibrate(load_rows(), transpose_monodromy)
-        committed = committed_convention()
-        assert table.reading == committed.reading
-        for key, case in committed.cases.items():
-            found = table.cases[key]
-            assert (
-                found.upper_sign,
-                found.bullet_edges,
-                found.arm_bullet,
-                found.arm_sign,
-                found.fixed_slots,
-            ) == (
-                case.upper_sign,
-                case.bullet_edges,
-                case.arm_bullet,
-                case.arm_sign,
-                case.fixed_slots,
-            ), key
+        # plain equality: a CaseConvention carries nothing but its wiring
+        assert calibrate(load_rows(), transpose_monodromy) == committed_convention()
 
     def test_a2_toy_char_poly_convention_free(self):
         # two plainly joined roots: characteristic polynomial t^2 + t + 1
@@ -211,9 +187,7 @@ class TestCalibrationJudgesEachDiagramOnce:
         monkeypatch.setattr(coxeter, "annihilates", no_power)
         with pytest.raises(AssertionError, match="order of tau computed"):
             coxeter_element(IntMatrix([[-2]])).order
-        assert wiring(calibrate(load_rows(), transpose_monodromy)) == wiring(
-            committed_convention()
-        )
+        assert calibrate(load_rows(), transpose_monodromy) == committed_convention()
         with pytest.raises(CalibrationFailed) as info:
             calibrate([row_by_name("E_20")], wrong_oracle)
         assert info.value.report == {"a5": ["E_20"]}

@@ -69,9 +69,12 @@ class TestParse:
             parse_polynomial("x^2*y^2 + x*y", ("x", "y"))
 
     def test_malformed(self):
-        for text in ("", "x +", "^2", "x^", "x**y"):
+        for text in ("", "x +", "^2", "x^", "x**y", "x*", "x^2* + y^3 + z^5"):
             with pytest.raises(ParseError):
                 parse_polynomial(text, XYZ)
+        with pytest.raises(ParseError, match="dangling") as info:
+            parse_polynomial("x^2* + y^3 + z^5", XYZ)
+        assert info.value.position == 3
 
     def test_non_ascii_digit_rejected_at_its_position(self):
         # str.isdigit accepts both characters, and int() even reads the second
@@ -195,3 +198,42 @@ def test_render_parse_round_trip(entries):
     variables = XYZ[: len(entries)]
     f = InvertiblePolynomial(IntMatrix(entries), variables)
     assert parse_polynomial(render(f), variables) == f
+
+
+@st.composite
+def decorated_texts(draw):
+    """A nonsingular exponent matrix and a text for it with random spaces,
+    optional '*', an optional leading 1 or 1*, and exponents split across
+    repeated factors (x^3 as x*x^2)."""
+    entries = draw(invertible_matrices())
+    if entries is None:
+        return None, None
+    variables = XYZ[: len(entries)]
+    space = st.sampled_from(["", " "])
+    monomials = []
+    for row in entries:
+        factors = []
+        for name, e in zip(variables, row):
+            while e > 0:
+                part = draw(st.integers(1, e))
+                bare = part == 1 and draw(st.booleans())
+                factors.append(name if bare else f"{name}{draw(space)}^{draw(space)}{part}")
+                e -= part
+        factors = draw(st.permutations(factors))
+        text = draw(st.sampled_from(["", "1", "1*", "1 * "]))
+        for k, factor in enumerate(factors):
+            if k:
+                text += draw(st.sampled_from(["", " ", "*", " * "]))
+            text += factor
+        monomials.append(f"{draw(space)}{text}{draw(space)}")
+    return entries, "+".join(monomials)
+
+
+@given(decorated_texts())
+@settings(max_examples=200)
+def test_parse_sums_the_factors_of_each_monomial(case):
+    entries, text = case
+    if entries is None:
+        return
+    f = parse_polynomial(text, XYZ[: len(entries)])
+    assert f.matrix.entries == entries, text

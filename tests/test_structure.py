@@ -212,3 +212,19 @@ def test_one_elimination_kernel():
         if isinstance(node, ast.FunctionDef) and node.name == "branch_count_at_attachment"
     )
     assert "gcd_degree" in _called(branch_count)
+
+
+def test_parser_keeps_no_state_flags():
+    # parse_polynomial checks each token against the kind of the one before
+    # it; the three flags of the nested-loop parser stay out
+    func = next(
+        node
+        for node in ast.walk(_tree("polyparse.py"))
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_polynomial"
+    )
+    bound = {
+        node.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    assert not bound & {"saw_factor", "expect_factor", "leading_one_allowed"}
