@@ -134,6 +134,8 @@ def cmd_lemma(args) -> int:
                 "branches": 1,
             }
         else:
+            if args.m is not None:
+                raise ValueError("lemma c2double takes no --m")
             curve = quotres.invariant_image_double(args.k)
             index, branches = quotres.attachment_double(args.k)
             out = {

@@ -128,54 +128,87 @@ def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
     return LatticeInvariants(n, (-1) ** n * p[0], (pos, zero, neg))
 
 
-def _recolour(colours, adjacency, palette) -> list[int]:
-    """One refinement round: vertex i's new colour interns its colour and the
-    sorted (weight, colour) pairs of its neighbours in ``palette``."""
+def _adjacency(entries) -> list[list[tuple[int, int]]]:
+    """(j, weight) for the nonzero off-diagonal entries of each row."""
+    return [[(j, w) for j, w in enumerate(row) if w and j != i] for i, row in enumerate(entries)]
+
+
+def _signatures(colours, adjacency):
+    """One refinement round: vertex i's signature is its colour and the sorted
+    (weight, colour) pairs of its neighbours."""
     return [
-        palette.setdefault(
-            (colours[i], tuple(sorted((w, colours[j]) for j, w in adj))), len(palette)
-        )
+        (colours[i], tuple(sorted([(w, colours[j]) for j, w in adj])))
         for i, adj in enumerate(adjacency)
     ]
 
 
-def graph_isomorphic(g1: IntMatrix, g2: IntMatrix) -> list[int] | None:
-    """Search for a permutation p with G1[i][j] == G2[p[i]][p[j]].
+@dataclass(frozen=True)
+class Reference:
+    """A graph refined by itself: ``palettes[r]`` interns round r's signatures
+    as small int colours, ``rounds[r]`` is the sorted colour list after round
+    r, and ``targets`` lists the vertices of each final colour."""
 
-    Colour refinement, then backtracking; deterministic.  Each vertex starts
-    coloured by its diagonal entry.  Three rounds then recolour vertex i by
-    its colour and the sorted (weight, colour) pairs of its nonzero
-    off-diagonal entries, read from adjacency lists built once.  Both graphs
-    are refined together and each round's signatures are interned in one
-    palette shared by the two, so a colour is a small int that means the same
-    thing in either graph; the two colour multisets must agree after every
-    round.  Backtracking then maps vertices, rarest colour first, only onto
-    vertices of equal colour, and checks every entry against the vertices
-    already mapped.  The result stays exact: an isomorphism preserves colours,
-    so refinement only prunes, and a returned permutation has passed every
-    entry check.  Returns one witness permutation or None.
+    gram: IntMatrix
+    palettes: tuple[dict, ...]
+    rounds: tuple[list[int], ...]
+    targets: dict[int, list[int]]
+
+
+def refine(gram: IntMatrix) -> Reference:
+    """Colour refinement of the reference side of :func:`graph_isomorphic`.
+
+    Each vertex starts coloured by its diagonal entry; each of three rounds
+    recolours it by its signature, interned in that round's palette.
     """
-    if not g1.is_symmetric() or not g2.is_symmetric():
+    if not gram.is_symmetric():
         raise NotSymmetric("isomorphism testing requires symmetric matrices")
-    n = g1.dim
-    if g2.dim != n:
-        return None
-    e1, e2 = g1.entries, g2.entries
-    adj1, adj2 = (
-        [[(j, w) for j, w in enumerate(row) if w and j != i] for i, row in enumerate(e)]
-        for e in (e1, e2)
-    )
-    c1 = [row[i] for i, row in enumerate(e1)]
-    c2 = [row[i] for i, row in enumerate(e2)]
+    adjacency = _adjacency(gram.entries)
+    colours = [row[i] for i, row in enumerate(gram.entries)]
+    palettes, rounds = [], []
     for _ in range(3):
         palette: dict = {}
-        c1, c2 = _recolour(c1, adj1, palette), _recolour(c2, adj2, palette)
-        if sorted(c1) != sorted(c2):
-            return None
+        colours = [palette.setdefault(s, len(palette)) for s in _signatures(colours, adjacency)]
+        palettes.append(palette)
+        rounds.append(sorted(colours))
     targets: dict[int, list[int]] = {}
-    for p, c in enumerate(c2):
+    for p, c in enumerate(colours):
         targets.setdefault(c, []).append(p)
-    order = sorted(range(n), key=lambda i: (len(targets[c1[i]]), i))
+    return Reference(gram, tuple(palettes), tuple(rounds), targets)
+
+
+def graph_isomorphic(g1: IntMatrix, g2: IntMatrix | Reference) -> list[int] | None:
+    """Search for a permutation p with G1[i][j] == G2[p[i]][p[j]].
+
+    Colour refinement, then backtracking; deterministic.  G2, the reference,
+    is refined by itself (:func:`refine`), or passed already refined when
+    many candidates meet one reference.  G1 is recoloured round by round
+    from its own adjacency lists, and each of its signatures is only looked
+    up in the reference's palette for that round: a signature the palette
+    does not hold rejects at once, and G1 never adds a colour.  The two
+    colour multisets must agree after every round.  Backtracking then maps
+    vertices, rarest colour first, only onto vertices of equal colour, and
+    checks every entry against the vertices already mapped.  The result
+    stays exact: an isomorphism maps each vertex to one with an equal
+    signature in every round, so the lookups only prune, and a returned
+    permutation has passed every entry check.  Returns one witness
+    permutation or None.
+    """
+    if not g1.is_symmetric():
+        raise NotSymmetric("isomorphism testing requires symmetric matrices")
+    reference = g2 if isinstance(g2, Reference) else refine(g2)
+    n = g1.dim
+    if reference.gram.dim != n:
+        return None
+    e1, e2 = g1.entries, reference.gram.entries
+    adjacency = _adjacency(e1)
+    colours = [row[i] for i, row in enumerate(e1)]
+    for palette, expected in zip(reference.palettes, reference.rounds):
+        lookup = palette.get
+        colours = [lookup(s) for s in _signatures(colours, adjacency)]
+        if None in colours or sorted(colours) != expected:
+            return None
+    targets = reference.targets
+    order = sorted(range(n), key=lambda i: (len(targets[colours[i]]), i))
     mapping = [-1] * n
     used = [False] * n
     placed: list[tuple[int, int]] = []
@@ -185,7 +218,7 @@ def graph_isomorphic(g1: IntMatrix, g2: IntMatrix) -> list[int] | None:
             return True
         i = order[k]
         r1 = e1[i]
-        for p in targets[c1[i]]:
+        for p in targets[colours[i]]:
             if used[p]:
                 continue
             r2 = e2[p]

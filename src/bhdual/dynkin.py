@@ -17,7 +17,7 @@ from functools import cache
 from itertools import product
 
 from . import klattice
-from .coxeter import coxeter_element, graph_isomorphic
+from .coxeter import coxeter_element, graph_isomorphic, refine
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
 
@@ -200,15 +200,14 @@ def t_graph(alpha) -> DynkinDiagram:
     return _minus_two_graph(labels + [LOWER, UPPER], edges)
 
 
-def extend(
-    t: DynkinDiagram,
+def extension_edges(
     alpha_beta,
     a: int,
     conv: ConventionTable,
     quadrilateral_r1: bool = False,
-) -> DynkinDiagram:
-    """Append the chain of ``a`` extra vertices B1..Ba to a T-core, wiring
-    them according to the convention table; new vertices are numbered last."""
+) -> list[tuple[str, str, int]]:
+    """The (B vertex, vertex, sign) edges that wire the chain of ``a`` extra
+    vertices B1..Ba to a T-core according to the convention table."""
     if a not in (2, 3, 5):
         raise MissingConvention(f"no convention for a = {a}")
     case = conv.cases[conv.case_key(a, quadrilateral_r1)]
@@ -225,21 +224,26 @@ def extend(
                 )
             edges.append((f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign))
     edges += [(f"B{b}", f"E{arm}_{pos}", sign) for b, arm, pos, sign in case.fixed_slots]
+    return edges
+
+
+def extend(t: DynkinDiagram, a: int, edges) -> DynkinDiagram:
+    """Append the chain of ``a`` extra vertices B1..Ba to a T-core with the
+    given :func:`extension_edges`; new vertices are numbered last."""
     labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
     return _minus_two_graph(labels, edges, t.gram.entries)
+
+
+def _row_edges(row: FixtureRow, conv: ConventionTable) -> list[tuple[str, str, int]]:
+    return extension_edges(
+        row.alpha_beta, row.a, conv, quadrilateral_r1=(row.case_tag == "Quadrilateral_r1")
+    )
 
 
 def diagram_for_row(row: FixtureRow, conv: ConventionTable | None = None) -> DynkinDiagram:
     if conv is None:
         conv = committed_convention()
-    core = t_graph(row.alpha)
-    return extend(
-        core,
-        row.alpha_beta,
-        row.a,
-        conv,
-        quadrilateral_r1=(row.case_tag == "Quadrilateral_r1"),
-    )
+    return extend(t_graph(row.alpha), row.a, _row_edges(row, conv))
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +315,32 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     for row in rows:
         by_case.setdefault(_case_key_for_row(row), []).append(row)
     oracle = {row.name: oracle_fac(row) for row in rows}
-    gram_cache = {row.name: klattice.row_gram(row)[0] for row in rows}
+    # each row's K-lattice Gram, replaced by its refinement once a second
+    # distinct candidate meets it
+    references = {row.name: klattice.row_gram(row)[0] for row in rows}
+    misses: dict[str, int] = {}
     verdicts: dict = {}
-    extension_rows: dict = {}
+    interned: dict = {}
 
     def passes(row: FixtureRow, conv: ConventionTable) -> bool:
         """Isomorphism to the K-lattice diagram first (cheap, and None on a
         rank mismatch), then the Coxeter factorization against the oracle.
 
-        Each distinct diagram is judged once.  ``extend`` writes only edges
-        with a B endpoint onto the fixed ``t_graph(row.alpha)`` block, and
-        the Gram is symmetric, so the row and the last ``a`` Gram rows
-        determine the diagram; they key ``verdicts``.  Equal rows are kept
-        once, in ``extension_rows``, so the keys hold little memory.
+        Each distinct diagram is judged once.  The diagram is the fixed
+        ``t_graph(row.alpha)`` plus the row's :func:`extension_edges`, so the
+        row name and that edge list key ``verdicts`` before any Gram is
+        built; the edge tuples are interned, so the keys hold little memory.
+        A row's reference is refined once, when a second distinct diagram
+        meets it.
         """
-        gram = diagram_for_row(row, conv).gram
-        extension = tuple(extension_rows.setdefault(r, r) for r in gram.entries[-row.a:])
-        key = (row.name, extension)
+        edges = _row_edges(row, conv)
+        key = (row.name, tuple([interned.setdefault(e, e) for e in edges]))
         if key not in verdicts:
-            verdict = graph_isomorphic(gram, gram_cache[row.name]) is not None
+            gram = extend(t_graph(row.alpha), row.a, edges).gram
+            misses[row.name] = misses.get(row.name, 0) + 1
+            if misses[row.name] == 2:
+                references[row.name] = refine(references[row.name])
+            verdict = graph_isomorphic(gram, references[row.name]) is not None
             if verdict:
                 fac = coxeter_element(gram).factorization
                 verdict = fac.is_cyclotomic and fac.factors == oracle[row.name].factors

@@ -105,13 +105,19 @@ def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
 
     Each token is checked only against the kind of the token before it:
     ``"+"`` (a monomial may start), ``"*"``, ``"^"``, ``"var"``, ``"exp"``
-    (the integer after '^') or ``"one"`` (a leading 1).  Raises
-    UnknownVariable, DuplicateMonomial, MonomialCountMismatch or
-    ZeroDeterminant on semantically invalid input, ParseError on malformed
+    (the integer after '^') or ``"one"`` (a leading 1).  Raises ValueError
+    naming an empty or repeated name in ``variables`` before reading the
+    text; UnknownVariable, DuplicateMonomial, MonomialCountMismatch or
+    ZeroDeterminant on semantically invalid input; ParseError on malformed
     text.
     """
     variables = tuple(variables)
     index = {v: k for k, v in enumerate(variables)}
+    if "" in index:
+        raise ValueError("empty variable name")
+    if len(index) < len(variables):
+        repeated = sorted({v for v in variables if variables.count(v) > 1})
+        raise ValueError("repeated variable name " + ", ".join(map(repr, repeated)))
     monomials = []
     row = [0] * len(variables)
     prev, prev_position, column = "+", 0, 0

@@ -84,6 +84,23 @@ class TestWeights:
         assert out == ""
         assert "dangling '*'" in err and "position 3" in err
 
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ("x,x", "repeated variable name 'x'"),
+            ("x,y,y", "repeated variable name 'y'"),
+            (",,", "empty variable name"),
+            ("x,,y", "empty variable name"),
+        ],
+    )
+    def test_bad_vars_exit_2_naming_them(self, capsys, names, message):
+        # the names are checked before the text, so no variable of the
+        # polynomial is blamed
+        for command in ("weights", "transpose"):
+            code, out, err = run(capsys, command, "x^2+y^3", "--vars", names)
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
+
 
 class TestFuzz:
     @given(st.text(alphabet="xyzw0123456789\u00b3\u0663+*^ ", max_size=24))
@@ -147,6 +164,11 @@ class TestLemma:
     def test_missing_m_exits_2(self, capsys):
         code, _, err = run(capsys, "lemma", "c2", "--k", "5")
         assert code == 2
+
+    def test_double_rejects_m(self, capsys):
+        code, out, err = run(capsys, "lemma", "c2double", "--k", "3", "--m", "1")
+        assert code == 2 and out == ""
+        assert err == "error: lemma c2double takes no --m\n"
 
     def test_invalid_range_exits_2(self, capsys):
         code, _, err = run(capsys, "lemma", "c2", "--m", "5", "--k", "5")

@@ -9,6 +9,7 @@ from bhdual.dynkin import (
     committed_convention,
     diagram_for_row,
     extend,
+    extension_edges,
     read_position,
     t_graph,
 )
@@ -73,7 +74,7 @@ class TestExtend:
     def test_escape_clause_all_beta_maximal(self):
         conv = committed_convention()
         t = t_graph((2, 2, 2))
-        diagram = extend(t, ((2, 1), (2, 1), (2, 1)), 2, conv)
+        diagram = extend(t, 2, extension_edges(((2, 1), (2, 1), (2, 1)), 2, conv))
         b2 = diagram.vertices.index("B2")
         neighbors = [
             v for k, v in enumerate(diagram.vertices) if k != b2 and diagram.gram[b2, k]
@@ -86,7 +87,7 @@ class TestExtend:
 
     def test_unknown_a(self):
         with pytest.raises(MissingConvention):
-            extend(t_graph((2, 2, 2)), ((2, 1),) * 3, 4, committed_convention())
+            extension_edges(((2, 1),) * 3, 4, committed_convention())
 
 
 class TestReadings:
@@ -122,15 +123,17 @@ class TestCalibrationRejectsCheaplyFirst:
         calls = []
         current = {}
 
-        def traced_diagram(row, conv=None):
+        row_edges = dynkin._row_edges
+
+        def traced_edges(row, conv):
             current["row"] = row
-            return diagram_for_row(row, conv)
+            return row_edges(row, conv)
 
         def traced_coxeter(gram):
             calls.append((current["row"], gram))
             return coxeter_element(gram)
 
-        monkeypatch.setattr(dynkin, "diagram_for_row", traced_diagram)
+        monkeypatch.setattr(dynkin, "_row_edges", traced_edges)
         monkeypatch.setattr(dynkin, "coxeter_element", traced_coxeter)
         if path == "success":
             calibrate(load_rows(), transpose_monodromy)
@@ -146,24 +149,61 @@ class TestCalibrationRejectsCheaplyFirst:
 
 
 class TestCalibrationJudgesEachDiagramOnce:
-    def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
-        # E_20 under four readings builds 512 candidate diagrams; the a5
-        # candidates without rule-read attachments ignore the reading, and
-        # under outside-minus the rule-read ones repeat them, so 256 differ
-        calls = []
+    def count_work(self, monkeypatch):
+        """Record the candidate Grams built, the isomorphism tests (candidate
+        entries, reference) and the references calibration keeps."""
+        work = {"built": [], "tests": [], "kept": []}
 
-        def counted(g1, g2):
-            calls.append(g1.entries)
+        def counted_extend(t, a, edges):
+            diagram = extend(t, a, edges)
+            work["built"].append(diagram.gram.entries)
+            return diagram
+
+        def counted_isomorphic(g1, g2):
+            work["tests"].append((g1.entries, g2))
             return graph_isomorphic(g1, g2)
 
-        monkeypatch.setattr(dynkin, "graph_isomorphic", counted)
+        def counted_refine(gram):
+            work["kept"].append(gram.entries)
+            return coxeter.refine(gram)
+
+        monkeypatch.setattr(dynkin, "extend", counted_extend)
+        monkeypatch.setattr(dynkin, "graph_isomorphic", counted_isomorphic)
+        monkeypatch.setattr(dynkin, "refine", counted_refine)
+        return work
+
+    def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
+        # E_20 under four readings meets 512 candidate wirings; the a5
+        # candidates without rule-read attachments ignore the reading, and
+        # under outside-minus the rule-read ones repeat them, so 256 differ.
+        # Only those 256 are built, each is tested once, and the E_20
+        # reference is refined once, when the second candidate meets it.
+        work = self.count_work(monkeypatch)
         with pytest.raises(CalibrationFailed):
             calibrate([row_by_name("E_20")], wrong_oracle)
-        assert len(calls) == len(set(calls)) == 256
+        assert len(work["built"]) == len(set(work["built"])) == 256
+        tested = [entries for entries, _ in work["tests"]]
+        assert len(tested) == len(set(tested)) == 256
+        assert set(tested) == set(work["built"])
+        assert work["kept"] == [row_gram(row_by_name("E_20"))[0].entries]
+        first, *rest = [reference for _, reference in work["tests"]]
+        assert isinstance(first, IntMatrix)
+        assert all(reference is rest[0] for reference in rest)
+        assert isinstance(rest[0], coxeter.Reference)
+
+    def test_success_path_keeps_no_reference(self, monkeypatch):
+        # every row meets one candidate, the committed one, and compares it
+        # against its plain K-lattice Gram
+        work = self.count_work(monkeypatch)
+        assert calibrate(load_rows(), transpose_monodromy) == committed_convention()
+        assert len(work["tests"]) == len(work["built"]) == 20
+        assert work["kept"] == []
+        assert all(isinstance(reference, IntMatrix) for _, reference in work["tests"])
 
     def test_extension_keeps_the_core_block(self):
-        # the verdict key is the extension rows: every candidate diagram
-        # carries t_graph(alpha) unchanged in its top-left block
+        # the verdict key is the row and its extension edges: every candidate
+        # diagram carries t_graph(alpha) unchanged in its top-left block, so
+        # the edges determine the rest of the diagram
         for row in load_rows():
             core = t_graph(row.alpha).gram.entries
             k = len(core)

@@ -9,10 +9,11 @@ row's K-lattice diagram, and seeded random weighted graphs.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 nx = pytest.importorskip("networkx")
 
-from bhdual.coxeter import graph_isomorphic
+from bhdual.coxeter import graph_isomorphic, refine
 from bhdual.dynkin import (
     READINGS,
     ConventionTable,
@@ -129,3 +130,36 @@ def test_random_weighted_graphs_agree_with_vf2():
         assert check_agreement(g1, IntMatrix(rows)) is not flipped
         flips.append(flipped)
     assert 50 < sum(flips) < 250
+
+
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_reused_reference_answers_like_a_fresh_one(n, seed):
+    # one refined reference against a shuffled stream of its relabelled
+    # copies and their one-entry sign flips: every answer is the one-shot
+    # answer, agrees with VF2 and has a valid witness, and the reference's
+    # palettes stay as refine left them.  The graphs come from a seeded
+    # Random: a Hypothesis-driven one degenerates to complete graphs with
+    # one weight, where VF2 needs factorial time to reject a sign flip.
+    rng = random.Random(seed)
+    gram = random_gram(rng, n)
+    reference = refine(gram)
+    palettes = [dict(p) for p in reference.palettes]
+    stream = []
+    for _ in range(6):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        copy = relabel(gram, perm)
+        stream.append(copy)
+        rows = [list(r) for r in copy.entries]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+        if edges:
+            i, j = rng.choice(edges)
+            rows[i][j] = rows[j][i] = -rows[i][j]
+            stream.append(IntMatrix(rows))
+    rng.shuffle(stream)
+    for candidate in stream:
+        witness = graph_isomorphic(candidate, reference)
+        assert witness == graph_isomorphic(candidate, gram)
+        assert check_agreement(candidate, gram) is (witness is not None)
+    assert [dict(p) for p in reference.palettes] == palettes
