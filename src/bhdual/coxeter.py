@@ -1,5 +1,5 @@
-"""Reflections, Coxeter elements, lattice invariants, and isomorphism testing
-for the small edge-weighted graphs arising as Coxeter-Dynkin diagrams.
+"""Reflections, Coxeter elements and lattice invariants for the small
+edge-weighted graphs arising as Coxeter-Dynkin diagrams.
 
 A root basis is encoded by its Gram matrix G (symmetric, all diagonal entries
 -2).  The reflection in basis vector e_i acts by x -> x + <x, e_i> e_i; in the
@@ -11,6 +11,9 @@ update, so no reflection matrix is ever formed.  The product is checked by one
 identity with the Seifert matrix U, the upper triangle of G with -1 on the
 diagonal: U tau = -U^T, which implies both tau^T G tau = G and det tau =
 (-1)^mu (see ``seifert_identity``).
+
+Diagrams are compared in ``dynkin``, entry by entry under the named vertex
+correspondence; no isomorphism search is needed.
 """
 from __future__ import annotations
 
@@ -126,110 +129,3 @@ def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
     pos = _sign_changes(q)
     neg = _sign_changes(c if k % 2 == 0 else -c for k, c in enumerate(q))
     return LatticeInvariants(n, (-1) ** n * p[0], (pos, zero, neg))
-
-
-def _adjacency(entries) -> list[list[tuple[int, int]]]:
-    """(j, weight) for the nonzero off-diagonal entries of each row."""
-    return [[(j, w) for j, w in enumerate(row) if w and j != i] for i, row in enumerate(entries)]
-
-
-def _signatures(colours, adjacency):
-    """One refinement round: vertex i's signature is its colour and the sorted
-    (weight, colour) pairs of its neighbours."""
-    return [
-        (colours[i], tuple(sorted([(w, colours[j]) for j, w in adj])))
-        for i, adj in enumerate(adjacency)
-    ]
-
-
-@dataclass(frozen=True)
-class Reference:
-    """A graph refined by itself: ``palettes[r]`` interns round r's signatures
-    as small int colours, ``rounds[r]`` is the sorted colour list after round
-    r, and ``targets`` lists the vertices of each final colour."""
-
-    gram: IntMatrix
-    palettes: tuple[dict, ...]
-    rounds: tuple[list[int], ...]
-    targets: dict[int, list[int]]
-
-
-def refine(gram: IntMatrix) -> Reference:
-    """Colour refinement of the reference side of :func:`graph_isomorphic`.
-
-    Each vertex starts coloured by its diagonal entry; each of three rounds
-    recolours it by its signature, interned in that round's palette.
-    """
-    if not gram.is_symmetric():
-        raise NotSymmetric("isomorphism testing requires symmetric matrices")
-    adjacency = _adjacency(gram.entries)
-    colours = [row[i] for i, row in enumerate(gram.entries)]
-    palettes, rounds = [], []
-    for _ in range(3):
-        palette: dict = {}
-        colours = [palette.setdefault(s, len(palette)) for s in _signatures(colours, adjacency)]
-        palettes.append(palette)
-        rounds.append(sorted(colours))
-    targets: dict[int, list[int]] = {}
-    for p, c in enumerate(colours):
-        targets.setdefault(c, []).append(p)
-    return Reference(gram, tuple(palettes), tuple(rounds), targets)
-
-
-def graph_isomorphic(g1: IntMatrix, g2: IntMatrix | Reference) -> list[int] | None:
-    """Search for a permutation p with G1[i][j] == G2[p[i]][p[j]].
-
-    Colour refinement, then backtracking; deterministic.  G2, the reference,
-    is refined by itself (:func:`refine`), or passed already refined when
-    many candidates meet one reference.  G1 is recoloured round by round
-    from its own adjacency lists, and each of its signatures is only looked
-    up in the reference's palette for that round: a signature the palette
-    does not hold rejects at once, and G1 never adds a colour.  The two
-    colour multisets must agree after every round.  Backtracking then maps
-    vertices, rarest colour first, only onto vertices of equal colour, and
-    checks every entry against the vertices already mapped.  The result
-    stays exact: an isomorphism maps each vertex to one with an equal
-    signature in every round, so the lookups only prune, and a returned
-    permutation has passed every entry check.  Returns one witness
-    permutation or None.
-    """
-    if not g1.is_symmetric():
-        raise NotSymmetric("isomorphism testing requires symmetric matrices")
-    reference = g2 if isinstance(g2, Reference) else refine(g2)
-    n = g1.dim
-    if reference.gram.dim != n:
-        return None
-    e1, e2 = g1.entries, reference.gram.entries
-    adjacency = _adjacency(e1)
-    colours = [row[i] for i, row in enumerate(e1)]
-    for palette, expected in zip(reference.palettes, reference.rounds):
-        lookup = palette.get
-        colours = [lookup(s) for s in _signatures(colours, adjacency)]
-        if None in colours or sorted(colours) != expected:
-            return None
-    targets = reference.targets
-    order = sorted(range(n), key=lambda i: (len(targets[colours[i]]), i))
-    mapping = [-1] * n
-    used = [False] * n
-    placed: list[tuple[int, int]] = []
-
-    def backtrack(k: int) -> bool:
-        if k == n:
-            return True
-        i = order[k]
-        r1 = e1[i]
-        for p in targets[colours[i]]:
-            if used[p]:
-                continue
-            r2 = e2[p]
-            if all(r1[a] == r2[b] for a, b in placed):
-                mapping[i] = p
-                used[p] = True
-                placed.append((i, p))
-                if backtrack(k + 1):
-                    return True
-                placed.pop()
-                used[p] = False
-        return False
-
-    return mapping if backtrack(0) else None

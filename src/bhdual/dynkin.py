@@ -8,16 +8,19 @@ plainly to every arm's innermost vertex, and a doubled dashed edge between
 the two central vertices.  The extension appends ``a`` extra vertices
 B1..Ba; how they wire to the core and to the arms is case data kept in a
 ConventionTable, seeded from the literal attachment rule and calibrated once
-against the monodromy oracle and the K-lattice diagrams.
+against the monodromy oracle and the K-lattice diagrams.  Each rule vertex
+stands for one named K-lattice generator (:func:`correspondence`), and the
+two diagrams are compared entry by entry under that correspondence.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from operator import itemgetter
 
 from . import klattice
-from .coxeter import coxeter_element, graph_isomorphic, refine
+from .coxeter import coxeter_element
 from .exactalg import IntMatrix
 from .fixtures import FixtureRow
 
@@ -246,6 +249,37 @@ def diagram_for_row(row: FixtureRow, conv: ConventionTable | None = None) -> Dyn
     return extend(t_graph(row.alpha), row.a, _row_edges(row, conv))
 
 
+def correspondence(row: FixtureRow) -> list[int]:
+    """sigma: rule vertex i stands for generator sigma[i] of the row's
+    K-lattice generator list.
+
+    Both list arm 1, arm 2 and arm 3 outside-in, then the lower and upper
+    central vertices (O_E(-1), O_E) and the extra vertices B1..Ba, so sigma
+    is the identity outside the twisted cases.  There the list replaces the
+    two outermost arm-3 classes by the twist class and lists the E0 class
+    (O_E0(-1), or O_E0pp(-1)) last, and that class stands at E3_1, the outer
+    end of arm 3: sigma = [0, ..., s-1, n-1, s, ..., n-2] with s the number
+    of vertices on arms 1 and 2.
+    """
+    n = sum(a - 1 for a in row.alpha) + 2 + row.a
+    if row.case_tag not in klattice.TWISTED:
+        return list(range(n))
+    s = row.alpha[0] - 1 + row.alpha[1] - 1
+    return [*range(s), n - 1, *range(s, n - 1)]
+
+
+def equal_under_correspondence(row: FixtureRow, rule_gram: IntMatrix, k_gram: IntMatrix) -> bool:
+    """rule_gram[i][j] == k_gram[sigma[i]][sigma[j]] for all i, j, with sigma
+    the row's :func:`correspondence`: the two diagrams are one basis, vertex
+    by vertex, which is stronger than being isomorphic."""
+    sigma = correspondence(row)
+    if not rule_gram.dim == k_gram.dim == len(sigma):
+        return False
+    pick = itemgetter(*sigma)  # a tuple: every diagram has at least five vertices
+    k = k_gram.entries
+    return rule_gram.entries == tuple(pick(k[p]) for p in sigma)
+
+
 # ---------------------------------------------------------------------------
 # calibration
 # ---------------------------------------------------------------------------
@@ -302,7 +336,7 @@ def _case_key_for_row(row: FixtureRow) -> str:
 def calibrate(rows, oracle_fac) -> ConventionTable:
     """Search the bounded variant space for the assignment under which, for
     every row, the rule-built diagram has the oracle characteristic
-    polynomial and is isomorphic to the K-lattice diagram.
+    polynomial and equals the K-lattice diagram under :func:`correspondence`.
 
     ``oracle_fac`` maps a row to the cyclotomic factorization of its
     monodromy characteristic polynomial.  Deterministic: readings and
@@ -315,32 +349,24 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     for row in rows:
         by_case.setdefault(_case_key_for_row(row), []).append(row)
     oracle = {row.name: oracle_fac(row) for row in rows}
-    # each row's K-lattice Gram, replaced by its refinement once a second
-    # distinct candidate meets it
-    references = {row.name: klattice.row_gram(row)[0] for row in rows}
-    misses: dict[str, int] = {}
+    k_grams = {row.name: klattice.row_gram(row)[0] for row in rows}
     verdicts: dict = {}
     interned: dict = {}
 
     def passes(row: FixtureRow, conv: ConventionTable) -> bool:
-        """Isomorphism to the K-lattice diagram first (cheap, and None on a
-        rank mismatch), then the Coxeter factorization against the oracle.
+        """Equality with the K-lattice diagram under the correspondence first
+        (cheap), then the Coxeter factorization against the oracle.
 
         Each distinct diagram is judged once.  The diagram is the fixed
         ``t_graph(row.alpha)`` plus the row's :func:`extension_edges`, so the
         row name and that edge list key ``verdicts`` before any Gram is
         built; the edge tuples are interned, so the keys hold little memory.
-        A row's reference is refined once, when a second distinct diagram
-        meets it.
         """
         edges = _row_edges(row, conv)
         key = (row.name, tuple([interned.setdefault(e, e) for e in edges]))
         if key not in verdicts:
             gram = extend(t_graph(row.alpha), row.a, edges).gram
-            misses[row.name] = misses.get(row.name, 0) + 1
-            if misses[row.name] == 2:
-                references[row.name] = refine(references[row.name])
-            verdict = graph_isomorphic(gram, references[row.name]) is not None
+            verdict = equal_under_correspondence(row, gram, k_grams[row.name])
             if verdict:
                 fac = coxeter_element(gram).factorization
                 verdict = fac.is_cyclotomic and fac.factors == oracle[row.name].factors

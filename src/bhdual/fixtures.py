@@ -33,7 +33,6 @@ class AttachmentTable:
 
     arms: dict[int, int]
     f_chain: int | None
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,6 @@ def _row_from_dict(d: dict) -> FixtureRow:
         attachment_table=AttachmentTable(
             arms={int(k): v for k, v in table["arms"].items()},
             f_chain=table["f_chain"],
-            provenance=table["provenance"],
         ),
         mu=d["mu"],
         metadata=dict(d["metadata"]),

@@ -23,6 +23,11 @@ from .exactalg import IntMatrix
 from .fixtures import FixtureRow
 
 
+#: the cases whose generator list replaces the two outermost arm-3 classes by
+#: one spherical-twist class and lists the E0 class last
+TWISTED = ("Quadrilateral_r1", "Exceptional_a5")
+
+
 class NotARoot(ValueError):
     pass
 
@@ -129,7 +134,7 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
         sheaves.append(Sheaf("OC-1", (arm_label(1, j),)))
     for j in range(1, a2):
         sheaves.append(Sheaf("OC-1", (arm_label(2, j),)))
-    if case in ("Quadrilateral_r1", "Exceptional_a5"):
+    if case in TWISTED:
         sheaves.append(Sheaf("TW", (arm_label(3, 1), arm_label(3, 2))))
         for j in range(3, a3):
             sheaves.append(Sheaf("OC-1", (arm_label(3, j),)))

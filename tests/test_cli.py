@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhdual.cli import main
+from bhdual import dynkin
+from bhdual.cli import build_report, main
+from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import all_names, load_rows
 
 
@@ -219,6 +221,34 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256
+
+    @pytest.mark.parametrize("name", ["E_20", "Q_16"])
+    def test_one_sign_flip_fails_only_its_diagram_check(self, monkeypatch, name):
+        # negate the E3_1 edge to E3_2 in one row's rule diagram, on a twisted
+        # row and on an identity row: that row's diagram check fails and
+        # nothing else in the report changes
+        clean = build_report(load_rows())
+        rule_diagram = dynkin.diagram_for_row
+
+        def flipped(row, conv=None):
+            diagram = rule_diagram(row, conv)
+            if row.name != name:
+                return diagram
+            rows = [list(r) for r in diagram.gram.entries]
+            i, j = diagram.vertices.index("E3_1"), diagram.vertices.index("E3_2")
+            assert rows[i][j] == 1
+            rows[i][j] = rows[j][i] = -1
+            return dynkin.DynkinDiagram(diagram.vertices, IntMatrix(rows))
+
+        monkeypatch.setattr(dynkin, "diagram_for_row", flipped)
+        report = build_report(load_rows())
+        assert report["summary"]["fail"] == 1
+        for before, after in zip(clean["rows"], report["rows"]):
+            if after["name"] == name:
+                check = after["checks"].pop("diagram_isomorphic")
+                assert check == {"status": "fail", "identity_permutation": False}
+                before["checks"].pop("diagram_isomorphic")
+            assert after == before
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

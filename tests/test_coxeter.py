@@ -5,7 +5,6 @@ from bhdual.coxeter import (
     NotARootBasis,
     NotSymmetric,
     coxeter_element,
-    graph_isomorphic,
     lattice_invariants,
     seifert_identity,
 )
@@ -359,92 +358,3 @@ def _edges(g):
                         seen.add(b)
                         frontier.append(b)
             yield i, j, j not in seen
-
-
-class TestGraphIsomorphic:
-    def test_identity(self):
-        gram, _, _ = row_gram(row_by_name("Q_16"))
-        assert graph_isomorphic(gram, gram) is not None
-
-    def test_transposition(self):
-        g1 = IntMatrix([[-2, 1, 0], [1, -2, 0], [0, 0, -2]])
-        g2 = IntMatrix([[-2, 0, 1], [0, -2, 0], [1, 0, -2]])
-        perm = graph_isomorphic(g1, g2)
-        assert perm is not None
-        n = 3
-        for i in range(n):
-            for j in range(n):
-                assert g1[i, j] == g2[perm[i], perm[j]]
-
-    def test_distinguishes_weights(self):
-        g1 = IntMatrix([[-2, 1], [1, -2]])
-        g2 = IntMatrix([[-2, -1], [-1, -2]])
-        assert graph_isomorphic(g1, g2) is None
-
-    def test_witness_is_valid_permutation(self):
-        from bhdual.dynkin import diagram_for_row
-
-        row = row_by_name("S_16")
-        gram, _, _ = row_gram(row)
-        diagram = diagram_for_row(row)
-        perm = graph_isomorphic(diagram.gram, gram)
-        assert perm is not None
-        assert sorted(perm) == list(range(gram.dim))
-        for i in range(gram.dim):
-            for j in range(gram.dim):
-                assert diagram.gram[i, j] == gram[perm[i], perm[j]]
-
-    def test_reads_rows_not_entries(self, monkeypatch):
-        # the refinement and the backtracking read the rows of ``entries``
-        from bhdual.dynkin import diagram_for_row
-
-        row = row_by_name("E_20")
-        g1, g2 = diagram_for_row(row).gram, row_gram(row)[0]
-
-        def no_getitem(self, ij):
-            raise AssertionError("IntMatrix.__getitem__ called")
-
-        monkeypatch.setattr(IntMatrix, "__getitem__", no_getitem)
-        assert graph_isomorphic(g1, g2) is not None
-        assert graph_isomorphic(g1, g1) is not None
-
-    # Pairs below are regular graphs with one edge weight, so colour
-    # refinement gives every vertex the same colour and backtracking decides.
-
-    def test_hexagon_is_not_two_triangles(self):
-        assert graph_isomorphic(cycles(6), cycles(3, 3)) is None
-        assert graph_isomorphic(cycles(3, 3), cycles(6)) is None
-
-    def test_relabelled_hexagon(self):
-        g1 = cycles(6)
-        perm = [3, 0, 4, 1, 5, 2]
-        g2 = IntMatrix(
-            [[g1[perm.index(i), perm.index(j)] for j in range(6)] for i in range(6)]
-        )
-        assert g2 != g1
-        witness = graph_isomorphic(g1, g2)
-        assert witness is not None
-        assert sorted(witness) == list(range(6))
-        for i in range(6):
-            for j in range(6):
-                assert g1[i, j] == g2[witness[i], witness[j]]
-
-    def test_sign_flip_on_a_cycle(self):
-        for name in ("E_20", "Q_16"):
-            gram, _, _ = row_gram(row_by_name(name))
-            i, j, _ = next(e for e in _edges(gram) if not e[2])
-            assert graph_isomorphic(gram, _flip(gram, i, j)) is None, name
-
-
-def cycles(*lengths):
-    """Gram of disjoint cycles of the given lengths (-2 diagonal, 1 on edges)."""
-    n = sum(lengths)
-    rows = [[0] * n for _ in range(n)]
-    start = 0
-    for length in lengths:
-        for k in range(length):
-            a, b = start + k, start + (k + 1) % length
-            rows[a][a] = -2
-            rows[a][b] = rows[b][a] = 1
-        start += length
-    return IntMatrix(rows)

@@ -112,9 +112,7 @@ class TestBuildConfiguration:
 
     def test_missing_attachment(self):
         row = row_by_name("S_16")
-        broken = dataclasses.replace(
-            row, attachment_table=AttachmentTable(arms={}, f_chain=1, provenance="literal-rule")
-        )
+        broken = dataclasses.replace(row, attachment_table=AttachmentTable(arms={}, f_chain=1))
         with pytest.raises(MissingAttachment):
             build_configuration(broken)
 
@@ -122,9 +120,7 @@ class TestBuildConfiguration:
         row = row_by_name("S_16")
         broken = dataclasses.replace(
             row,
-            attachment_table=AttachmentTable(
-                arms={2: 1, 3: 9}, f_chain=1, provenance="literal-rule"
-            ),
+            attachment_table=AttachmentTable(arms={2: 1, 3: 9}, f_chain=1),
         )
         with pytest.raises(MissingAttachment):
             build_configuration(broken)
@@ -145,7 +141,6 @@ class TestAttachmentRule:
             row.name for row in load_rows() if not follows_literal_rule(row)
         }
         assert deviating == {"Z_19"}
-        assert row_by_name("Z_19").attachment_table.provenance == "calibrated"
 
 
 class TestValidateTree:

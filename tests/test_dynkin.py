@@ -1,13 +1,16 @@
 import pytest
 
 from bhdual import coxeter, dynkin
-from bhdual.coxeter import coxeter_element, graph_isomorphic
+from bhdual.coxeter import coxeter_element
 from bhdual.dynkin import (
     CalibrationFailed,
+    ConventionTable,
     MissingConvention,
     calibrate,
     committed_convention,
+    correspondence,
     diagram_for_row,
+    equal_under_correspondence,
     extend,
     extension_edges,
     read_position,
@@ -22,6 +25,13 @@ from bhdual.series import transpose_monodromy
 def wrong_oracle(row):
     """A monodromy oracle no candidate diagram can match (all eigenvalues -1)."""
     return CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
+
+
+def k_lattice_in_rule_order(row, k_gram):
+    """K[sigma[i]][sigma[j]] for the row's correspondence sigma, read entry
+    by entry."""
+    sigma = correspondence(row)
+    return tuple(tuple(k_gram[p, q] for q in sigma) for p in sigma)
 
 
 class TestTGraph:
@@ -118,8 +128,8 @@ class TestCalibration:
 class TestCalibrationRejectsCheaplyFirst:
     @pytest.mark.parametrize("path", ["success", "failure"])
     def test_coxeter_element_only_for_isomorphic_candidates(self, monkeypatch, path):
-        # a candidate reaches the Coxeter element only once its diagram is
-        # isomorphic to the row's K-lattice diagram
+        # a candidate reaches the Coxeter element only once its diagram
+        # equals the row's K-lattice diagram under the correspondence
         calls = []
         current = {}
 
@@ -145,60 +155,49 @@ class TestCalibrationRejectsCheaplyFirst:
         for row, gram in calls:
             if row.name not in grams:
                 grams[row.name] = row_gram(row)[0]
-            assert graph_isomorphic(gram, grams[row.name]) is not None, row.name
+            assert gram.entries == k_lattice_in_rule_order(row, grams[row.name]), row.name
 
 
 class TestCalibrationJudgesEachDiagramOnce:
     def count_work(self, monkeypatch):
-        """Record the candidate Grams built, the isomorphism tests (candidate
-        entries, reference) and the references calibration keeps."""
-        work = {"built": [], "tests": [], "kept": []}
+        """Record the candidate Grams built and the comparisons under the
+        correspondence, as (row name, candidate entries)."""
+        work = {"built": [], "compared": []}
 
         def counted_extend(t, a, edges):
             diagram = extend(t, a, edges)
             work["built"].append(diagram.gram.entries)
             return diagram
 
-        def counted_isomorphic(g1, g2):
-            work["tests"].append((g1.entries, g2))
-            return graph_isomorphic(g1, g2)
-
-        def counted_refine(gram):
-            work["kept"].append(gram.entries)
-            return coxeter.refine(gram)
+        def counted_equal(row, rule_gram, k_gram):
+            work["compared"].append((row.name, rule_gram.entries))
+            return equal_under_correspondence(row, rule_gram, k_gram)
 
         monkeypatch.setattr(dynkin, "extend", counted_extend)
-        monkeypatch.setattr(dynkin, "graph_isomorphic", counted_isomorphic)
-        monkeypatch.setattr(dynkin, "refine", counted_refine)
+        monkeypatch.setattr(dynkin, "equal_under_correspondence", counted_equal)
         return work
 
     def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
         # E_20 under four readings meets 512 candidate wirings; the a5
         # candidates without rule-read attachments ignore the reading, and
         # under outside-minus the rule-read ones repeat them, so 256 differ.
-        # Only those 256 are built, each is tested once, and the E_20
-        # reference is refined once, when the second candidate meets it.
+        # Only those 256 are built, and each is compared once.
         work = self.count_work(monkeypatch)
         with pytest.raises(CalibrationFailed):
             calibrate([row_by_name("E_20")], wrong_oracle)
         assert len(work["built"]) == len(set(work["built"])) == 256
-        tested = [entries for entries, _ in work["tests"]]
-        assert len(tested) == len(set(tested)) == 256
-        assert set(tested) == set(work["built"])
-        assert work["kept"] == [row_gram(row_by_name("E_20"))[0].entries]
-        first, *rest = [reference for _, reference in work["tests"]]
-        assert isinstance(first, IntMatrix)
-        assert all(reference is rest[0] for reference in rest)
-        assert isinstance(rest[0], coxeter.Reference)
+        compared = [entries for _, entries in work["compared"]]
+        assert len(compared) == len(set(compared)) == 256
+        assert set(compared) == set(work["built"])
+        assert {name for name, _ in work["compared"]} == {"E_20"}
 
     def test_success_path_keeps_no_reference(self, monkeypatch):
         # every row meets one candidate, the committed one, and compares it
-        # against its plain K-lattice Gram
+        # once against its K-lattice Gram
         work = self.count_work(monkeypatch)
         assert calibrate(load_rows(), transpose_monodromy) == committed_convention()
-        assert len(work["tests"]) == len(work["built"]) == 20
-        assert work["kept"] == []
-        assert all(isinstance(reference, IntMatrix) for _, reference in work["tests"])
+        assert len(work["compared"]) == len(work["built"]) == 20
+        assert sorted(name for name, _ in work["compared"]) == sorted(r.name for r in load_rows())
 
     def test_extension_keeps_the_core_block(self):
         # the verdict key is the row and its extension edges: every candidate
@@ -242,15 +241,18 @@ class TestDiagramAgainstKLattice:
             assert cox.factorization.factors == transpose_monodromy(row).factors, row.name
 
     def test_isomorphic_to_k_lattice(self):
+        # equal entry by entry under the correspondence, which is stronger
+        # than isomorphic; it is the identity outside the two twisted cases
         identity_rows = []
         for row in load_rows():
             diagram = diagram_for_row(row)
             gram, _, _ = row_gram(row)
             assert diagram.rank == gram.dim == row.mu, row.name
-            assert graph_isomorphic(diagram.gram, gram) is not None, row.name
-            if diagram.gram.entries == gram.entries:
+            assert diagram.gram.entries == k_lattice_in_rule_order(row, gram), row.name
+            assert equal_under_correspondence(row, diagram.gram, gram), row.name
+            if correspondence(row) == list(range(row.mu)):
                 identity_rows.append(row.name)
-        # the identity permutation works outside the two twisted cases
+                assert diagram.gram.entries == gram.entries, row.name
         expected_identity = {
             row.name
             for row in load_rows()
@@ -269,6 +271,49 @@ class TestDiagramAgainstKLattice:
             gram = diagram.gram.entries
             neighbors = [[j for j, w in enumerate(r) if w and j != i] for i, r in enumerate(gram)]
             assert len(reachable(0, neighbors.__getitem__)) == n, row.name
+
+
+class TestCorrespondence:
+    def test_twisted_cases_move_the_last_generator_to_e3_1(self):
+        # the K-lattice lists the E0 class last; the rule diagram puts it at
+        # E3_1, after the arm-1 and arm-2 vertices
+        for row in load_rows():
+            sigma = correspondence(row)
+            n = row.mu
+            assert sorted(sigma) == list(range(n)), row.name
+            if row.case_tag in ("Quadrilateral_r1", "Exceptional_a5"):
+                s = row.alpha[0] - 1 + row.alpha[1] - 1
+                assert sigma == [*range(s), n - 1, *range(s, n - 1)], row.name
+                assert diagram_for_row(row).vertices[s] == "E3_1"
+                assert row_gram(row)[1].descriptors[-1] in ("O_E0(-1)", "O_E0pp(-1)")
+            else:
+                assert sigma == list(range(n)), row.name
+
+    def test_accepts_the_committed_a3_wiring_only(self):
+        # on every a3 row two wirings have the oracle characteristic
+        # polynomial and are isomorphic to the K-lattice diagram (see the
+        # networkx oracle): the committed one and the literal chain with its
+        # arms on B2; only the committed one is the K-lattice basis
+        committed = committed_convention()
+        chain_on_b2 = list(dynkin._case_candidates("a3"))[32]
+        assert chain_on_b2.bullet_edges == ((1, 2, -1), (2, 3, 1))
+        assert chain_on_b2.arm_bullet == 2
+        a3_rows = [row for row in load_rows() if dynkin._case_key_for_row(row) == "a3"]
+        assert [row.name for row in a3_rows] == ["E_19", "Z_18", "Q_17", "W_18", "S_17"]
+        for row in a3_rows:
+            k_gram = row_gram(row)[0]
+            for candidate, expected in ((committed.cases["a3"], True), (chain_on_b2, False)):
+                conv = ConventionTable(committed.reading, {"a3": candidate})
+                gram = diagram_for_row(row, conv).gram
+                fac = coxeter_element(gram).factorization
+                assert fac.factors == transpose_monodromy(row).factors, row.name
+                assert equal_under_correspondence(row, gram, k_gram) is expected, row.name
+
+    def test_rank_mismatch_is_unequal(self):
+        row = row_by_name("E_20")
+        gram = row_gram(row)[0]
+        smaller = IntMatrix([list(r[:-1]) for r in gram.entries[:-1]])
+        assert not equal_under_correspondence(row, diagram_for_row(row).gram, smaller)
 
 
 class TestDot:

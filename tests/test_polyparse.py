@@ -76,6 +76,34 @@ class TestParse:
             parse_polynomial("x^2* + y^3 + z^5", XYZ)
         assert info.value.position == 3
 
+    @pytest.mark.parametrize(
+        "text, entries",
+        [("x^9", ((9,),)), ("x^10", ((10,),)), ("x^19", ((19,),)), ("x^09", ((9,),))],
+    )
+    def test_every_ascii_digit_reads(self, text, entries):
+        # 0 and 9 in the first and in a later digit of an exponent
+        assert parse_polynomial(text, ("x",)).matrix.entries == entries
+
+    def test_exponent_zero_drops_the_variable(self):
+        assert parse_polynomial("x^2*y^0 + y^3", ("x", "y")).matrix.entries == ((2, 0), (0, 3))
+        with pytest.raises(ZeroDeterminant):
+            parse_polynomial("x^0", ("x",))
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x + + y", "empty monomial", 4),
+            ("+ x", "empty monomial", 0),
+            ("x + y +", "trailing '\\+'", 6),
+            ("", "empty polynomial", 0),
+            ("   ", "empty polynomial", 0),
+        ],
+    )
+    def test_empty_monomial_errors(self, text, message, position):
+        with pytest.raises(ParseError, match=message) as info:
+            parse_polynomial(text, ("x", "y"))
+        assert info.value.position == position
+
     def test_non_ascii_digit_rejected_at_its_position(self):
         # str.isdigit accepts both characters, and int() even reads the second
         for ch in ("\u00b3", "\u0663"):

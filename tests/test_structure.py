@@ -69,10 +69,10 @@ def test_no_fractions_import():
     assert found == []
 
 
-def _exactalg_function(name):
+def _function(module, name):
     return next(
         node
-        for node in ast.walk(_tree("exactalg.py"))
+        for node in ast.walk(_tree(module))
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
 
@@ -89,7 +89,7 @@ def _called(func):
 def test_factor_cyclotomic_is_one_exact_pass():
     # the index bound comes from the degree, not from a parameter, and the
     # factorization peels binomials instead of trial-dividing by each Phi_n
-    func = _exactalg_function("factor_cyclotomic")
+    func = _function("exactalg.py", "factor_cyclotomic")
     args = func.args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["p"]
     assert args.vararg is None and args.kwarg is None
@@ -123,7 +123,7 @@ def test_series_names_no_polynomial_division():
 def test_one_stride_step():
     # factor_cyclotomic's peel calls the shared step and updates no
     # coefficient list of its own
-    func = _exactalg_function("factor_cyclotomic")
+    func = _function("exactalg.py", "factor_cyclotomic")
     assert "divide_by_binomial" in _called(func)
     assert not [
         node.lineno
@@ -135,7 +135,7 @@ def test_one_stride_step():
 def test_reconstruct_expands_by_the_stride_step():
     # CyclotomicFactorization.reconstruct inverts the peel with the same step;
     # neither Phi_n nor a dense power may bring the product back
-    func = _exactalg_function("reconstruct")
+    func = _function("exactalg.py", "reconstruct")
     called = _called(func)
     assert "divide_by_binomial" in called and "cyclotomic" not in called
     assert not [node.lineno for node in ast.walk(func) if isinstance(node, ast.Pow)]
@@ -205,26 +205,36 @@ def test_one_elimination_kernel():
     deleted = {"polynomial_gcd", "_positive_leading", "divmod_exact_leading", "exact_div",
                "content", "primitive_part", "cyclotomic"}
     assert not defined & deleted
-    assert "det_bareiss" in _called(_exactalg_function("gcd_degree"))
-    branch_count = next(
-        node
-        for node in ast.walk(_tree("quotres.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "branch_count_at_attachment"
-    )
-    assert "gcd_degree" in _called(branch_count)
+    assert "det_bareiss" in _called(_function("exactalg.py", "gcd_degree"))
+    assert "gcd_degree" in _called(_function("quotres.py", "branch_count_at_attachment"))
 
 
 def test_parser_keeps_no_state_flags():
     # parse_polynomial checks each token against the kind of the one before
     # it; the three flags of the nested-loop parser stay out
-    func = next(
-        node
-        for node in ast.walk(_tree("polyparse.py"))
-        if isinstance(node, ast.FunctionDef) and node.name == "parse_polynomial"
-    )
+    func = _function("polyparse.py", "parse_polynomial")
     bound = {
         node.id
         for node in ast.walk(func)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
     }
     assert not bound & {"saw_factor", "expect_factor", "leading_one_allowed"}
+
+
+def test_one_correspondence_check():
+    # bh verify and calibration compare the rule diagram with the K-lattice
+    # Gram through the same dynkin function, and only dynkin reads the vertex
+    # correspondence; no module keeps an isomorphism search
+    assert "equal_under_correspondence" in _called(_function("cli.py", "verify_row"))
+    assert "equal_under_correspondence" in _called(_function("dynkin.py", "calibrate"))
+    readers = {
+        path.name for path in PACKAGE.glob("*.py") if "correspondence" in _called(_tree(path.name))
+    }
+    assert readers == {"dynkin.py"}
+    defined = {
+        node.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not defined & {"graph_isomorphic", "refine", "Reference", "_adjacency", "_signatures"}

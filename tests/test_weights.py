@@ -10,6 +10,7 @@ from bhdual.weights import (
     NonIntegralExponent,
     NonPositiveQ0,
     ReducedWeights,
+    WeightsError,
     ambient_weights,
     beta_congruence_check,
     canonical_weights,
@@ -139,6 +140,14 @@ class TestBetaCongruence:
 
     def test_inapplicable_for_nonreduced(self):
         assert beta_congruence_check(((2, 1), (3, 2), (10, 7)), 2, 2) is None
+
+    @pytest.mark.parametrize("pair", [(1, 1), (3, 0), (3, 3)])
+    def test_invalid_pair_raises(self, pair):
+        # alpha < 2, beta = 0 and beta = alpha, each next to two valid pairs;
+        # the pairs are checked before c_f decides applicability
+        for c_f in (1, 2):
+            with pytest.raises(WeightsError, match="invalid pair"):
+                beta_congruence_check(((2, 1), (3, 2), pair), 5, c_f)
 
 
 class TestFixtureReproduction:
