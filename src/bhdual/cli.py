@@ -28,6 +28,7 @@ from .weights import (
     compactified_monomials,
     GroupActionData,
     gorenstein_parameter,
+    NonIntegralExponent,
     reduce,
     validate_action,
 )
@@ -169,10 +170,16 @@ def cmd_tables(args) -> int:
 # verification runner
 # ---------------------------------------------------------------------------
 
-def _status(ok: bool | None) -> str:
-    if ok is None:
-        return "inapplicable"
-    return "pass" if ok else "fail"
+def _check(conditions, **fields) -> dict:
+    """One check's record: its status, then ``fields``.  ``conditions`` lists
+    named (condition, expected, actual) triples, or is None when the check does
+    not apply; a failing record ends with ``failed``, each triple that differs."""
+    if conditions is None:
+        return {"status": "inapplicable", **fields}
+    failed = [{"condition": c, "expected": e, "actual": a} for c, e, a in conditions if a != e]
+    if failed:
+        fields["failed"] = failed
+    return {"status": "fail" if failed else "pass", **fields}
 
 
 def verify_row(row: FixtureRow) -> dict:
@@ -188,102 +195,93 @@ def verify_row(row: FixtureRow) -> dict:
 
     # table reproduction: c_f, Gorenstein parameter of the transpose, ambient
     a_value = gorenstein_parameter(canonical_T)
-    ambient = ambient_weights(reduced, row.compactifier_shape)
-    table_ok = (
-        reduced.c_f == row.c_f
-        and a_value == row.a
-        and ambient.weights == row.ambient
-        and ambient.compactifier == row.compactifier
+    try:
+        ambient = ambient_weights(reduced, row.compactifier_shape)
+        weights, compactifier = ambient.weights, ambient.compactifier
+    except NonIntegralExponent as exc:  # no monomial of the stored shape has degree d
+        ambient, weights, compactifier = None, (reduced.d - sum(reduced.q), *reduced.q), str(exc)
+    derived = {"c_f": reduced.c_f, "a": a_value, "ambient": weights, "compactifier": compactifier}
+    checks["weights_table"] = _check(
+        [(column, getattr(row, column), value) for column, value in derived.items()],
+        canonical=[*canonical.w, canonical.d_prime],
+        **derived,
     )
-    checks["weights_table"] = {
-        "status": _status(table_ok),
-        "canonical": [*canonical.w, canonical.d_prime],
-        "c_f": reduced.c_f,
-        "a": a_value,
-        "ambient": list(ambient.weights),
-        "compactifier": ambient.compactifier,
-    }
 
-    congruence = beta_congruence_check(row.alpha_beta, row.a, row.c_f)
-    checks["beta_congruence"] = {"status": _status(congruence)}
-
-    action_ok = validate_action(
-        compactified_monomials(f, ambient),
-        GroupActionData(row.action_c, row.action_m or (0, 0, 0, 0)),
+    # the recomputed a and c_f: their stored values are compared in weights_table only
+    congruence = beta_congruence_check(row.alpha_beta, a_value, reduced.c_f)
+    checks["beta_congruence"] = _check(
+        None if congruence is None else [("a*beta_i = 1 mod alpha_i", True, congruence)]
     )
-    checks["action_invariance"] = {"status": _status(action_ok)}
+
+    # the group acts on F = f + compactifier, so there is nothing to check without one
+    action = GroupActionData(row.action_c, row.action_m or (0, 0, 0, 0))
+    invariant = ambient and validate_action(compactified_monomials(f, ambient), action)
+    checks["action_invariance"] = _check(ambient and [("one character mod c", True, invariant)])
 
     k_max = 2 * canonical.d_prime
     closed = series.poincare_series(canonical).series_coefficients(k_max)
     brute = series.poincare_bruteforce(canonical, k_max)
-    checks["poincare_series"] = {
-        "status": _status(closed == brute),
-        "checked_through": k_max,
-    }
+    checks["poincare_series"] = _check([("closed form", brute, closed)], checked_through=k_max)
 
-    gram, gens, _ = klattice.row_gram(row)
+    gram, _, _ = klattice.row_gram(row)
     oracle = series.milnor_orlik(reduced_T)
-    checks["rank_mu"] = {
-        "status": _status(len(gens) == row.mu == oracle.degree),
-        "rank": len(gens),
-        "mu": row.mu,
-    }
+    checks["rank_mu"] = _check(
+        [("mu", row.mu, oracle.degree), ("rank", oracle.degree, gram.dim)], rank=gram.dim, mu=row.mu
+    )
 
     off = {e for i, row in enumerate(gram.entries) for j, e in enumerate(row) if i != j}
-    gram_ok = (
-        gram.is_symmetric()
-        and all(row[i] == -2 for i, row in enumerate(gram.entries))
-        and off <= {-2, -1, 0, 1}
+    checks["gram_form"] = _check(
+        [
+            ("symmetric", True, gram.is_symmetric()),
+            ("diagonal", [-2] * gram.dim, [row[i] for i, row in enumerate(gram.entries)]),
+            ("off-diagonal outside -2..1", [], sorted(off - {-2, -1, 0, 1})),
+        ]
     )
-    checks["gram_form"] = {"status": _status(gram_ok)}
 
     # the Seifert identity implies tau^T G tau = G and det tau = (-1)^mu
     cox = coxeter_element(gram)
-    cox_ok = (
-        cox.factorization.is_cyclotomic
-        and cox.factorization.factors == oracle.factors
-        and seifert_identity(cox.matrix, gram)
-        and gram.dim == row.mu
+    checks["coxeter_monodromy"] = _check(
+        [
+            ("cyclotomic", True, cox.factorization.is_cyclotomic),
+            ("char", oracle.factors, cox.factorization.factors),
+            ("Seifert identity", True, seifert_identity(cox.matrix, gram)),
+        ],
+        char=str(cox.factorization),
+        order=cox.order,
+        det_tau=(-1) ** gram.dim * cox.char.coefficients[0],
     )
-    checks["coxeter_monodromy"] = {
-        "status": _status(cox_ok),
-        "char": str(cox.factorization),
-        "order": cox.order,
-        "det_tau": (-1) ** gram.dim * cox.char.coefficients[0],
-    }
 
     phi = series.characteristic_function(canonical, row.dolgachev)
     try:
         phi_report = series.verify_phi_identity(phi, reduced_T, oracle)
-        checks["phi_identity"] = {
-            "status": _status(phi_report.holds and phi_report.shift_exponent == 1),
-            "shift_exponent": phi_report.shift_exponent,
-        }
+        checks["phi_identity"] = _check(
+            [("holds", True, phi_report.holds), ("shift_exponent", 1, phi_report.shift_exponent)],
+            shift_exponent=phi_report.shift_exponent,
+        )
     except series.HypothesisNotMet:
-        checks["phi_identity"] = {"status": "inapplicable", "shift_exponent": None}
+        checks["phi_identity"] = _check(None, shift_exponent=None)
 
     expected = series.SQUARE_RELATION_EXPECTED.get(row.name)
     if expected is None:
-        checks["square_relation"] = {"status": "inapplicable"}
+        checks["square_relation"] = _check(None)
     else:
         square = series.verify_square_relation(phi, cox.factorization, gram.dim)
-        checks["square_relation"] = {
-            "status": _status(square.holds == expected),
-            "holds": square.holds,
-            "expected": expected,
-            "note": "fails as expected (negative control)"
+        checks["square_relation"] = _check(
+            [("holds", expected, square.holds)],
+            holds=square.holds,
+            expected=expected,
+            note="fails as expected (negative control)"
             if (not expected and not square.holds)
             else square.reason,
-        }
+        )
 
     # equal under the named vertex correspondence, hence isomorphic
     diagram = dynkin.diagram_for_row(row)
-    checks["diagram_isomorphic"] = {
-        "status": _status(
-            diagram.rank == row.mu and dynkin.equal_under_correspondence(row, diagram.gram, gram)
-        ),
-        "identity_permutation": diagram.gram.entries == gram.entries,
-    }
+    equal = dynkin.equal_under_correspondence(row, diagram.gram, gram)
+    checks["diagram_isomorphic"] = _check(
+        [("correspondence", True, equal)],
+        identity_permutation=diagram.gram.entries == gram.entries,
+    )
 
     return {"name": row.name, "checks": checks}
 

@@ -53,7 +53,6 @@ class FixtureRow:
     case_tag: str
     attachment_table: AttachmentTable
     mu: int
-    metadata: dict
 
     @property
     def alpha(self) -> tuple[int, int, int]:
@@ -91,7 +90,6 @@ def _row_from_dict(d: dict) -> FixtureRow:
             f_chain=table["f_chain"],
         ),
         mu=d["mu"],
-        metadata=dict(d["metadata"]),
     )
 
 

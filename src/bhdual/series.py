@@ -146,7 +146,6 @@ class PhiReport:
 class SquareReport:
     holds: bool
     reason: str
-    shift_exponent: int | None = None
 
 
 def transpose_reduced_weights(row: FixtureRow) -> ReducedWeights:
@@ -196,10 +195,9 @@ def verify_square_relation(
     if pad:
         factors[1] = factors.get(1, 0) + pad
     squared = square_root_spectrum(CyclotomicFactorization(factors, 1, IntPolynomial.one()))
-    e = max(0, -phi.get(1, 0)) + pad
     if squared.factors == coxeter.factors:
-        return SquareReport(True, "squared spectrum matches", e)
-    return SquareReport(False, "squared spectrum differs", e)
+        return SquareReport(True, "squared spectrum matches")
+    return SquareReport(False, "squared spectrum differs")
 
 
 def transpose_monodromy(row: FixtureRow) -> CyclotomicFactorization:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,10 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bhdual import dynkin
-from bhdual.cli import build_report, main
+from bhdual import cli, dynkin
+from bhdual.cli import build_report, main, verify_row
 from bhdual.exactalg import IntMatrix
-from bhdual.fixtures import all_names, load_rows
+from bhdual.fixtures import all_names, load_rows, row_by_name
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
@@ -73,6 +74,13 @@ class TestWeights:
         assert data["canonical"] == [1, 2]
         assert "a" not in data
 
+
+    def test_zero_weight_exits_2(self, capsys):
+        # det E = 4, but w = (2, 2, 0): not a weight system of an invertible polynomial
+        code, out, err = run(capsys, "weights", "x^2 + y^2 + x*y*z")
+        assert code == 2
+        assert out == ""
+        assert "not all positive" in err
 
     def test_superscript_digit_exits_2_with_position(self, capsys):
         code, out, err = run(capsys, "weights", "x^2 + y^\u00b3 + z^5")
@@ -246,9 +254,60 @@ class TestVerify:
         for before, after in zip(clean["rows"], report["rows"]):
             if after["name"] == name:
                 check = after["checks"].pop("diagram_isomorphic")
-                assert check == {"status": "fail", "identity_permutation": False}
+                assert check == {
+                    "status": "fail",
+                    "identity_permutation": False,
+                    "failed": [{"condition": "correspondence", "expected": True, "actual": False}],
+                }
                 before["checks"].pop("diagram_isomorphic")
             assert after == before
+
+    @pytest.mark.parametrize(
+        "name, column, value, check, condition",
+        [
+            ("E_20", "c_f", 2, "weights_table", "c_f"),
+            ("E_18", "c_f", 1, "weights_table", "c_f"),
+            ("Z_18", "ambient", (3, 4, 10, 18), "weights_table", "ambient"),
+            ("J_3,0", "compactifier", "w^17", "weights_table", "compactifier"),
+            ("J_3,0", "action_c", 3, "action_invariance", "one character mod c"),
+            ("E_20", "mu", 21, "rank_mu", "mu"),
+        ],
+    )
+    def test_one_wrong_column_names_its_condition(self, name, column, value, check, condition):
+        # one stored column changed: its own check fails, naming only its own
+        # condition, and every other check of the row keeps its clean record
+        row = row_by_name(name)
+        clean = verify_row(row)["checks"]
+        checks = verify_row(dataclasses.replace(row, **{column: value}))["checks"]
+        failed = checks.pop(check)["failed"]
+        assert [entry["condition"] for entry in failed] == [condition]
+        clean.pop(check)
+        assert checks == clean
+
+    def test_wrong_mu_fails_only_rank_mu(self):
+        for row in load_rows():
+            checks = verify_row(dataclasses.replace(row, mu=row.mu + 1))["checks"]
+            assert [name for name, check in checks.items() if check["status"] == "fail"] == ["rank_mu"]
+            assert checks["rank_mu"]["failed"] == [
+                {"condition": "mu", "expected": row.mu + 1, "actual": row.mu}
+            ]
+
+    @pytest.mark.parametrize("name", ["E_20", "Q_16"])
+    def test_compactifier_of_no_degree_fails_its_column(self, capsys, monkeypatch, name):
+        # no power of w alone has degree d on these rows: a failing record and
+        # exit 1, not an exception; with no F = f + compactifier, the action
+        # check does not apply
+        wrong = dataclasses.replace(row_by_name(name), compactifier="w^99")
+        checks = verify_row(wrong)["checks"]
+        failed = checks["weights_table"]["failed"]
+        assert [entry["condition"] for entry in failed] == ["compactifier"]
+        assert "is not an integer" in failed[0]["actual"]
+        assert checks["action_invariance"] == {"status": "inapplicable"}
+        assert [n for n, check in checks.items() if check["status"] == "fail"] == ["weights_table"]
+        monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
+        code, out, _ = run(capsys, "verify", "--name", name)
+        assert code == 1
+        assert json.loads(out)["summary"]["fail"] == 1
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

@@ -269,7 +269,7 @@ class TestSquareRelation:
 
     def test_positive_case_detail(self):
         report = square_report(row_by_name("Q_2,0"))
-        assert report.holds and report.shift_exponent == 1
+        assert report.holds and report.reason == "squared spectrum matches"
 
     def test_negative_control_reason(self):
         report = square_report(row_by_name("J_3,0"))
@@ -291,7 +291,6 @@ class TestIndexBeyond132:
         spectrum = CyclotomicFactorization({1: 1, 138: 1}, 1, IntPolynomial.one())
         report = verify_square_relation(phi, square_root_spectrum(spectrum), 45)
         assert report.holds, report.reason
-        assert report.shift_exponent == 2
 
 
 #: Kreuzer-Skarke types of invertible polynomials in three variables, as

@@ -238,3 +238,93 @@ def test_one_correspondence_check():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     assert not defined & {"graph_isomorphic", "refine", "Reference", "_adjacency", "_signatures"}
+
+
+def _scopes(tree):
+    """The nodes of each function of ``tree`` and of its top level, each node
+    with the innermost function that holds it."""
+    pending = [tree]
+    while pending:
+        scope, nodes = pending.pop(), []
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.append(node)
+            else:
+                nodes.append(node)
+                todo.extend(ast.iter_child_nodes(node))
+        yield nodes
+
+
+def test_every_dataclass_field_is_read():
+    # a field that only tests read is data nothing uses: each field of a
+    # dataclass of the package must be read as an attribute by the package, a
+    # script or the benchmark. A read counts for one class when the receiver
+    # was bound, in the same function, to a call of that class or of a package
+    # function annotated to return it; otherwise for every class with a field
+    # of that name
+    modules = sorted(PACKAGE.glob("*.py"))
+    fields = [
+        (node.name, stmt.target.id)
+        for path in modules
+        for node in _tree(path.name).body
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    classes = {cls for cls, _ in fields}
+    returns = {
+        node.name: ast.unparse(node.returns).strip("'\"")
+        for path in modules
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+    }
+    callers = [path for path in modules if path.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    read = set()
+    for path in callers:
+        for nodes in _scopes(ast.parse(path.read_text(), filename=str(path))):
+            bound = {}
+            for node in nodes:
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    callee = _mentioned_name(node.value.func)
+                    cls = callee if callee in classes else returns.get(callee)
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            bound[target.id] = cls if cls in classes else None
+            for node in nodes:
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    receiver = node.value.id if isinstance(node.value, ast.Name) else None
+                    read.add((bound.get(receiver), node.attr))
+    unread = [
+        f"{cls}.{name}"
+        for cls, name in fields
+        if (cls, name) not in read and (None, name) not in read
+    ]
+    assert unread == []
+
+
+def test_one_status_rule():
+    # bh verify decides pass, fail or inapplicable in one place: verify_row
+    # puts into its checks dict only what cli._check returns, and names no
+    # status itself
+    cli = _tree("cli.py")
+    defined = {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
+    assert "_check" in defined and "_status" not in defined
+    verify_row = _function("cli.py", "verify_row")
+    placed = [
+        node.value
+        for node in ast.walk(verify_row)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == "checks"
+    ]
+    assert placed
+    assert all(isinstance(v, ast.Call) and getattr(v.func, "id", None) == "_check" for v in placed)
+    assert not [
+        node.lineno
+        for node in ast.walk(verify_row)
+        if isinstance(node, ast.Constant) and node.value in ("status", "pass", "fail", "inapplicable")
+    ]

@@ -53,6 +53,9 @@ class TestCanonicalWeights:
         # x*y^2 + y solves to w = (-1, 1)
         with pytest.raises(NonPositiveWeights):
             canonical_weights(parse_polynomial("x*y^2 + y", ("x", "y")))
+        # det E = 4, and x^2 + y^2 + x*y*z solves to w = (2, 2, 0): a zero weight
+        with pytest.raises(NonPositiveWeights):
+            canonical_weights(parse_polynomial("x^2 + y^2 + x*y*z", ("x", "y", "z")))
 
 
 class TestReduce:
