@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from . import dynkin, klattice, quotres, series
+from . import dynkin, klattice, series
 from .coxeter import coxeter_element, lattice_invariants, seifert_identity
 from .fixtures import FixtureRow, UnknownFixture, VARIABLES, all_names, load_rows, row_by_name
 from .polyparse import (
@@ -31,6 +31,7 @@ from .weights import (
     NonIntegralExponent,
     reduce,
     validate_action,
+    WeightsError,
 )
 
 REPORT_SCHEMA = "bh-report/1"
@@ -117,6 +118,8 @@ def cmd_coxeter(args) -> int:
 
 
 def cmd_lemma(args) -> int:
+    from . import quotres  # only this command needs it: bh verify does not load it
+
     try:
         if args.which == "c2":
             if args.m is None:
@@ -208,14 +211,20 @@ def verify_row(row: FixtureRow) -> dict:
     )
 
     # the recomputed a and c_f: their stored values are compared in weights_table only
-    congruence = beta_congruence_check(row.alpha_beta, a_value, reduced.c_f)
+    try:
+        congruence = beta_congruence_check(row.alpha_beta, a_value, reduced.c_f)
+    except WeightsError as exc:  # a stored beta outside 1..alpha-1
+        congruence = str(exc)
     checks["beta_congruence"] = _check(
         None if congruence is None else [("a*beta_i = 1 mod alpha_i", True, congruence)]
     )
 
     # the group acts on F = f + compactifier, so there is nothing to check without one
     action = GroupActionData(row.action_c, row.action_m or (0, 0, 0, 0))
-    invariant = ambient and validate_action(compactified_monomials(f, ambient), action)
+    try:
+        invariant = ambient and validate_action(compactified_monomials(f, ambient), action)
+    except WeightsError as exc:  # a stored group order below 1
+        invariant = str(exc)
     checks["action_invariance"] = _check(ambient and [("one character mod c", True, invariant)])
 
     k_max = 2 * canonical.d_prime
@@ -276,11 +285,14 @@ def verify_row(row: FixtureRow) -> dict:
         )
 
     # equal under the named vertex correspondence, hence isomorphic
-    diagram = dynkin.diagram_for_row(row)
-    equal = dynkin.equal_under_correspondence(row, diagram.gram, gram)
+    try:
+        rule_gram = dynkin.diagram_for_row(row).gram
+        equal = dynkin.equal_under_correspondence(row, rule_gram, gram)
+        identity = rule_gram.entries == gram.entries
+    except dynkin.MissingConvention as exc:  # a stored a or beta the convention does not wire
+        equal, identity = exc.args[0], None
     checks["diagram_isomorphic"] = _check(
-        [("correspondence", True, equal)],
-        identity_permutation=diagram.gram.entries == gram.entries,
+        [("correspondence", True, equal)], identity_permutation=identity
     )
 
     return {"name": row.name, "checks": checks}

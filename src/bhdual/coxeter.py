@@ -52,13 +52,18 @@ class CoxeterResult:
         prod Phi_n over them.  The minimal polynomial has the roots of char, so
         tau^N = I <=> minpoly | t^N - 1 <=> minpoly is squarefree <=> r(tau) = 0;
         tau^m = I forces a squarefree minpoly and n | m for every n: N is the order.
+        When every e_n is 1, r is char up to its unit, and char(tau) = 0 by
+        Cayley-Hamilton, since char is tau's own characteristic polynomial: no
+        test is needed.
         """
         if not self.factorization.is_cyclotomic:
             return None
-        radical = CyclotomicFactorization(
-            dict.fromkeys(self.factorization.factors, 1), 1, IntPolynomial.one()
-        ).reconstruct()
-        return self.factorization.lcm_of_orders() if annihilates(radical, self.matrix) else None
+        factors = self.factorization.factors
+        if any(e > 1 for e in factors.values()):
+            radical = CyclotomicFactorization(dict.fromkeys(factors, 1), 1, IntPolynomial.one())
+            if not annihilates(radical.reconstruct(), self.matrix):
+                return None
+        return self.factorization.lcm_of_orders()
 
 
 def coxeter_element(gram: IntMatrix) -> CoxeterResult:

@@ -16,6 +16,7 @@ class along an adjacent one adds the divisors.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
@@ -50,6 +51,10 @@ class MukaiClass:
     degree: int
 
 
+#: how each descriptor kind prints, its nodes filled in
+_FORMS = {"OC-1": "O_{0}(-1)", "OC": "O_{0}", "OX": "O_X", "OX[1]": "O_X[1]", "TW": "T_{0}({1})"}
+
+
 @dataclass(frozen=True)
 class Sheaf:
     """Descriptor of a generator: kind is one of 'OC-1', 'OC', 'OX', 'OX[1]',
@@ -59,17 +64,8 @@ class Sheaf:
     nodes: tuple[str, ...] = ()
 
     def __str__(self) -> str:
-        if self.kind == "OC-1":
-            return f"O_{self.nodes[0]}(-1)"
-        if self.kind == "OC":
-            return f"O_{self.nodes[0]}"
-        if self.kind == "OX":
-            return "O_X"
-        if self.kind == "OX[1]":
-            return "O_X[1]"
-        if self.kind == "TW":
-            return f"T_{self.nodes[0]}({self.nodes[1]})"
-        return self.kind
+        form = _FORMS.get(self.kind)
+        return self.kind if form is None else form.format(*self.nodes)
 
 
 @dataclass(frozen=True)
@@ -127,40 +123,22 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
     """
     if conf.case_tag != row.case_tag:
         raise CaseMismatch(f"configuration built for {conf.case_tag}, row is {row.case_tag}")
-    a1, a2, a3 = row.alpha
     case = row.case_tag
-    sheaves: list[Sheaf] = []
-    for j in range(1, a1):
-        sheaves.append(Sheaf("OC-1", (arm_label(1, j),)))
-    for j in range(1, a2):
-        sheaves.append(Sheaf("OC-1", (arm_label(2, j),)))
-    if case in TWISTED:
-        sheaves.append(Sheaf("TW", (arm_label(3, 1), arm_label(3, 2))))
-        for j in range(3, a3):
-            sheaves.append(Sheaf("OC-1", (arm_label(3, j),)))
-    else:
-        for j in range(1, a3):
-            sheaves.append(Sheaf("OC-1", (arm_label(3, j),)))
-    sheaves.append(Sheaf("OC-1", (CENTER,)))
-    sheaves.append(Sheaf("OC", (CENTER,)))
+    arms = [arm_label(i, j) for i, a_i in enumerate(row.alpha, start=1) for j in range(1, a_i)]
+    sheaves = [Sheaf("OC-1", (label,)) for label in arms]
+    if case in TWISTED:  # after the a1 - 1 + a2 - 1 curves of arms 1 and 2
+        k = row.alpha[0] + row.alpha[1] - 2
+        sheaves[k : k + 2] = [Sheaf("TW", (arm_label(3, 1), arm_label(3, 2)))]
+    sheaves += [Sheaf("OC-1", (CENTER,)), Sheaf("OC", (CENTER,))]
     if case == "Exceptional_a5":
-        sheaves.append(Sheaf("OX[1]"))
-        sheaves.append(Sheaf("OC", ("F1",)))
-        sheaves.append(Sheaf("OC-1", ("F2",)))
-        sheaves.append(Sheaf("OC-1", ("F3",)))
-        sheaves.append(Sheaf("OC-1", ("F4",)))
-        sheaves.append(Sheaf("OC-1", (E0,)))
+        sheaves += [Sheaf("OX[1]"), Sheaf("OC", ("F1",))]
+        sheaves += [Sheaf("OC-1", (label,)) for label in ("F2", "F3", "F4", E0)]
     elif case == "Exceptional_a3":
-        sheaves.append(Sheaf("OX"))
-        sheaves.append(Sheaf("OC-1", ("F1",)))
-        sheaves.append(Sheaf("OC", (E0,)))
+        sheaves += [Sheaf("OX"), Sheaf("OC-1", ("F1",)), Sheaf("OC", (E0,))]
     elif case == "Quadrilateral_r1":
-        sheaves.append(Sheaf("OX"))
-        sheaves.append(Sheaf("OC", (E0P,)))
-        sheaves.append(Sheaf("OC-1", (E0PP,)))
+        sheaves += [Sheaf("OX"), Sheaf("OC", (E0P,)), Sheaf("OC-1", (E0PP,))]
     else:
-        sheaves.append(Sheaf("OX"))
-        sheaves.append(Sheaf("OC", (E0,)))
+        sheaves += [Sheaf("OX"), Sheaf("OC", (E0,))]
     items = tuple((sheaf, class_of(sheaf, conf)) for sheaf in sheaves)
     for sheaf, cls in items:
         if mukai_pairing(cls, cls, conf) != -2:
@@ -169,14 +147,31 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
 
 
 def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
-    """Gram matrix in listing order: each unordered pair is paired once and
-    the result mirrored, since the pairing is symmetric."""
+    """Gram matrix in listing order: the pairing of :func:`mukai_pairing`, read
+    from the adjacency once each class is known.  Row i adds a * m * b at j for
+    each curve C of class i (multiplicity a), curve C' with C.C' = m (-2 when
+    C' = C) and class j holding C' b times; the rank terms touch only the row
+    and column of a class of nonzero rank."""
     classes = gens.classes
+    near, holders = defaultdict(dict), defaultdict(list)
+    for (c, d), m in conf.edges.items():
+        near[c][d] = near[d][c] = m
+    for label in conf.labels:
+        near[label][label] = -2
+    for j, w in enumerate(classes):
+        for d, b in _known(conf, w.divisor):
+            holders[d].append((j, b))
     n = len(classes)
     rows = [[0] * n for _ in range(n)]
     for i, v in enumerate(classes):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = mukai_pairing(v, classes[j], conf)
+        for c, a in v.divisor:
+            for d, m in near[c].items():
+                for j, b in holders[d]:
+                    rows[i][j] += a * m * b
+        if v.rank:
+            for j, w in enumerate(classes):
+                rows[i][j] -= v.rank * w.degree
+                rows[j][i] -= v.rank * w.degree
     return IntMatrix(rows)
 
 

@@ -184,6 +184,28 @@ class TestLemma:
         code, _, err = run(capsys, "lemma", "c2", "--m", "5", "--k", "5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["c2", "--m", "1", "--k", "3"],
+                '{"curve": "x^1 + y^2", "image": "Z + Y", "attachment_component": 2, "branches": 1}',
+            ),
+            (
+                ["c2double", "--k", "4", "--symbolic"],
+                '{"curve": "x^2 + y^6", "image": "Z^2 + Y^2", "attachment_component": 3, '
+                '"branches": 2, "charts": {"1": {"monomial": "u^2*v^2", "unit": "1 + u^4*v^6"}, '
+                '"2": {"monomial": "u^2*v^2", "unit": "1 + u^2*v^4"}, '
+                '"3": {"monomial": "u^2*v^2", "unit": "1 + v^2"}, '
+                '"4": {"monomial": "u^0*v^2", "unit": "1 + u^2"}}}',
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, argv, expected):
+        # quotres is imported by this command alone; its output is unchanged
+        code, out, err = run(capsys, "lemma", *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
 
 class TestVerify:
     def test_single_row(self, capsys):
@@ -308,6 +330,61 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--name", name)
         assert code == 1
         assert json.loads(out)["summary"]["fail"] == 1
+
+    @pytest.mark.parametrize(
+        "name, column, value, failed",
+        [
+            # group order 0: validate_action raises WeightsError
+            ("J_3,0", "action_c", 0, {"action_invariance": ("one character mod c", "group order must be >= 1")}),
+            # beta = 0: beta_congruence_check raises WeightsError; the a5
+            # convention does not read beta, so the diagram is unchanged
+            (
+                "E_20",
+                "alpha_beta",
+                ((2, 1), (3, 2), (11, 0)),
+                {"beta_congruence": ("a*beta_i = 1 mod alpha_i", "invalid pair (alpha, beta) = (11, 0)")},
+            ),
+            # beta = alpha on an a2 row: the reading also puts the arm
+            # attachment outside the arm, so extension_edges raises too
+            (
+                "E_18",
+                "alpha_beta",
+                ((2, 1), (3, 2), (12, 12)),
+                {
+                    "beta_congruence": ("a*beta_i = 1 mod alpha_i", "invalid pair (alpha, beta) = (12, 12)"),
+                    "diagram_isomorphic": (
+                        "correspondence",
+                        "reading outside-minus puts arm 3 attachment at -1",
+                    ),
+                },
+            ),
+            # a = 6: no convention wires six extra vertices (MissingConvention);
+            # the stored a is compared in weights_table as well
+            (
+                "E_20",
+                "a",
+                6,
+                {"weights_table": ("a", 5), "diagram_isomorphic": ("correspondence", "no convention for a = 6")},
+            ),
+        ],
+    )
+    def test_out_of_range_column_fails_its_check(self, capsys, monkeypatch, name, column, value, failed):
+        # a stored value outside the range a stage accepts is a failing check
+        # naming its condition, and bh verify exits 1: no traceback
+        row = row_by_name(name)
+        clean = verify_row(row)["checks"]
+        wrong = dataclasses.replace(row, **{column: value})
+        checks = verify_row(wrong)["checks"]
+        for check, (condition, actual) in failed.items():
+            record = checks.pop(check)
+            assert record["status"] == "fail"
+            assert [(e["condition"], e["actual"]) for e in record["failed"]] == [(condition, actual)]
+            clean.pop(check)
+        assert checks == clean
+        monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
+        code, out, _ = run(capsys, "verify", "--name", name)
+        assert code == 1
+        assert json.loads(out)["summary"]["fail"] == len(failed)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bhdual import coxeter
 from bhdual.coxeter import (
     NotARootBasis,
     NotSymmetric,
@@ -222,6 +223,26 @@ class TestOrderAndFormControls:
             cox = coxeter_element(gram)
             assert cox.order == reference_order(cox) == cox.factorization.lcm_of_orders(), row.name
 
+    def test_order_tests_only_a_non_squarefree_char(self, monkeypatch):
+        # a squarefree char is its own radical and annihilates tau by
+        # Cayley-Hamilton, so only the other rows reach the radical test
+        def no_test(p, matrix):
+            raise LookupError("radical test")
+
+        monkeypatch.setattr(coxeter, "annihilates", no_test)
+        squarefree = set()
+        for row in load_rows():
+            cox = coxeter_element(row_gram(row)[0])
+            if set(cox.factorization.factors.values()) == {1}:
+                squarefree.add(row.name)
+                assert cox.order == cox.factorization.lcm_of_orders(), row.name
+            else:
+                with pytest.raises(LookupError, match="radical test"):
+                    cox.order
+        assert squarefree == {
+            "E_18", "E_19", "E_20", "Z_17", "Z_19", "Q_17", "Q_18", "W_17", "W_18", "S_16", "S_17"
+        }
+
     @pytest.mark.parametrize("name", sorted(AFFINE_CONTROLS))
     def test_order_on_affine_controls(self, name):
         # a cyclotomic char whose minimal polynomial is not squarefree has
@@ -255,6 +276,25 @@ class TestOrderAndFormControls:
                     rows = [list(r) for r in tau.entries]
                     rows[i][j] += 1
                     assert not seifert_identity(IntMatrix(rows), gram), (row.name, i, j)
+
+    def test_seifert_rejects_a_difference_packed_to_zero_in_a_narrow_slot(self):
+        # rho(tau) > rho(U) on every row.  Changing row 0 of tau by (-2, +1)
+        # makes row 0 of U tau + U^T read (2, -1, 0, ...), since U is upper
+        # triangular with U[0][0] = -1: in slots of one bit that packs to 2 -
+        # 2 = 0, so only slots as wide as the bound rho(U) rho(tau) see it
+        for row in load_rows():
+            gram, _, _ = row_gram(row)
+            tau = coxeter_element(gram).matrix
+            rows = [list(r) for r in tau.entries]
+            rows[0][0] -= 2
+            rows[0][1] += 1
+            bad = IntMatrix(rows)
+            n = gram.dim
+            u = IntMatrix([[gram[i, j] if j > i else -(i == j) for j in range(n)] for i in range(n)])
+            difference = [[a + u[j, i] for j, a in enumerate(r)] for i, r in enumerate(matmul(u, bad).entries)]
+            assert difference == [[2, -1] + [0] * (n - 2)] + [[0] * n] * (n - 1), row.name
+            assert bad.row_sum_bound > u.row_sum_bound, row.name
+            assert not seifert_identity(bad, gram), row.name
 
     def test_seifert_rejects_other_isometries(self):
         # I and tau^2 preserve the form, so only the Seifert identity tells

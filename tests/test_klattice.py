@@ -8,6 +8,7 @@ from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     CaseMismatch,
+    GeneratorList,
     MukaiClass,
     NotARoot,
     Sheaf,
@@ -94,6 +95,17 @@ class TestPairingReference:
         expected = dd - r * s2 - r2 * s
         v, w = sparse((r, dv, s), conf), sparse((r2, dw, s2), conf)
         assert mukai_pairing(v, w, conf) == expected
+
+    @given(st.sampled_from(sorted(PAIRING_CONFS)).flatmap(dense_classes_on))
+    @settings(max_examples=60, deadline=None)
+    def test_gram_matches_pairing(self, case):
+        # dense divisors and nonzero ranks on both classes, past the
+        # generators' at most two curves
+        name, v, w = case
+        conf = PAIRING_CONFS[name]
+        classes = [sparse(v, conf), sparse(w, conf)]
+        gram = gram_matrix(GeneratorList(tuple((Sheaf("dense"), c) for c in classes)), conf)
+        assert gram.entries == tuple(tuple(mukai_pairing(a, b, conf) for b in classes) for a in classes)
 
     def test_cross_configuration_class_raises(self):
         # F4 is a curve of the E_20 configuration (a = 5), not of S_16 (a = 2)
@@ -209,8 +221,25 @@ class TestGramMatrix:
             }
             assert off <= {-2, -1, 0, 1}, row.name
 
-    def test_pairs_each_unordered_pair_once(self, monkeypatch):
-        # n(n+1)/2 pairings for the Gram matrix plus one root check per generator
+    def test_equals_mukai_pairing_on_every_pair(self):
+        # the adjacency read is the pairing's definition, entry by entry
+        for row in load_rows():
+            gram, gens, conf = row_gram(row)
+            classes = gens.classes
+            for i, v in enumerate(classes):
+                for j, w in enumerate(classes):
+                    assert gram[i, j] == mukai_pairing(v, w, conf), (row.name, i, j)
+
+    def test_unknown_curve_raises(self):
+        conf = conf_for("S_16")
+        gens = generator_list(row_by_name("S_16"), conf)
+        stray = (Sheaf("OC-1", ("E9_1",)), MukaiClass(0, (("E9_1", 1),), 0))
+        with pytest.raises(UnknownNode, match="E9_1"):
+            gram_matrix(GeneratorList((*gens.items, stray)), conf)
+
+    def test_pairs_only_for_the_root_checks(self, monkeypatch):
+        # one root check per generator; the Gram reads the adjacency and
+        # pairs nothing
         calls = 0
 
         def counting(v, w, conf):
@@ -221,9 +250,11 @@ class TestGramMatrix:
         monkeypatch.setattr(klattice, "mukai_pairing", counting)
         for row in load_rows():
             calls = 0
-            gram, _, _ = row_gram(row)
-            n = gram.dim
-            assert calls == n * (n + 1) // 2 + n, row.name
+            gram, gens, conf = row_gram(row)
+            assert calls == gram.dim, row.name
+            calls = 0
+            gram_matrix(gens, conf)
+            assert calls == 0, row.name
 
 
 class TestReflect:

@@ -1,5 +1,8 @@
 """Source-level guards on the package layout."""
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -328,3 +331,11 @@ def test_one_status_rule():
         for node in ast.walk(verify_row)
         if isinstance(node, ast.Constant) and node.value in ("status", "pass", "fail", "inapplicable")
     ]
+
+
+def test_cli_loads_quotres_for_lemma_only():
+    # cmd_lemma imports quotres itself, so bh verify never compiles or loads it
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = "import sys, bhdual.cli; print('bhdual.quotres' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
