@@ -196,7 +196,8 @@ def verify_row(row: FixtureRow) -> dict:
     canonical_T = canonical_weights(f_T)
     reduced_T = reduce(canonical_T)
 
-    # table reproduction: c_f, Gorenstein parameter of the transpose, ambient
+    # table reproduction: c_f, Gorenstein parameter of the transpose, ambient;
+    # alpha_beta repeats the Dolgachev triple as its alphas
     a_value = gorenstein_parameter(canonical_T)
     try:
         ambient = ambient_weights(reduced, row.compactifier_shape)
@@ -205,7 +206,8 @@ def verify_row(row: FixtureRow) -> dict:
         ambient, weights, compactifier = None, (reduced.d - sum(reduced.q), *reduced.q), str(exc)
     derived = {"c_f": reduced.c_f, "a": a_value, "ambient": weights, "compactifier": compactifier}
     checks["weights_table"] = _check(
-        [(column, getattr(row, column), value) for column, value in derived.items()],
+        [(column, getattr(row, column), value) for column, value in derived.items()]
+        + [("alpha_beta", row.dolgachev, tuple(alpha for alpha, _ in row.alpha_beta))],
         canonical=[*canonical.w, canonical.d_prime],
         **derived,
     )
@@ -289,7 +291,7 @@ def verify_row(row: FixtureRow) -> dict:
         rule_gram = dynkin.diagram_for_row(row).gram
         equal = dynkin.equal_under_correspondence(row, rule_gram, gram)
         identity = rule_gram.entries == gram.entries
-    except dynkin.MissingConvention as exc:  # a stored a or beta the convention does not wire
+    except dynkin.MissingConvention as exc:  # a stored beta the reading puts outside its arm
         equal, identity = exc.args[0], None
     checks["diagram_isomorphic"] = _check(
         [("correspondence", True, equal)], identity_permutation=identity

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactalg import IntMatrix
-from .fixtures import FixtureRow
+from .fixtures import CASE_TAGS, FixtureRow
 
 
 class MissingAttachment(ValueError):
@@ -55,8 +55,8 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     case it has two components, both meeting the outermost curve of the third
     arm and nothing else.
     """
-    alpha = row.alpha
-    case = row.case_tag
+    alpha, case = row.alpha, row.case_tag
+    a = CASE_TAGS[case]
     labels: list[str] = []
     for i, a_i in enumerate(alpha, start=1):
         labels.extend(arm_label(i, j) for j in range(1, a_i))
@@ -67,12 +67,12 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
         labels.append(E0)
     exceptional = case.startswith("Exceptional")
     if exceptional:
-        labels.extend(f"F{l}" for l in range(1, row.a))
+        labels.extend(f"F{l}" for l in range(1, a))
 
     edges: dict[tuple[str, str], int] = {}
 
-    def join(a: str, b: str):
-        key = (min(a, b), max(a, b))
+    def join(u: str, v: str):
+        key = (min(u, v), max(u, v))
         edges[key] = edges.get(key, 0) + 1
 
     for i, a_i in enumerate(alpha, start=1):
@@ -98,14 +98,14 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
                 )
             join(E0, arm_label(i, pos))
         if exceptional:
-            if table.f_chain is None or not 1 <= table.f_chain <= row.a - 1:
+            if table.f_chain is None or not 1 <= table.f_chain <= a - 1:
                 raise MissingAttachment(
                     f"row {row.name}: missing F-chain attachment for case {case}"
                 )
             join(E0, f"F{table.f_chain}")
 
     if exceptional:
-        for l in range(1, row.a - 1):
+        for l in range(1, a - 1):
             join(f"F{l}", f"F{l+1}")
 
     return CurveConfiguration(labels=tuple(labels), edges=edges, case_tag=case)

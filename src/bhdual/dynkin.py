@@ -5,16 +5,17 @@ calibration that fixes the figure-dependent details of that extension.
 The core T(alpha_1, alpha_2, alpha_3) has three arm chains of lengths
 alpha_i - 1 (plain edges), a lower and an upper central vertex each joined
 plainly to every arm's innermost vertex, and a doubled dashed edge between
-the two central vertices.  The extension appends ``a`` extra vertices
-B1..Ba; how they wire to the core and to the arms is case data kept in a
-ConventionTable, seeded from the literal attachment rule and calibrated once
-against the monodromy oracle and the K-lattice diagrams.  Each rule vertex
+the two central vertices.  The extension appends the ``a`` extra vertices
+B1..Ba that the row's case tag fixes (``fixtures.CASE_TAGS``); how they
+wire to the core and to the arms is case data kept in a ConventionTable,
+seeded from the literal attachment rule and calibrated once against the
+monodromy oracle and the K-lattice diagrams.  Each rule vertex
 stands for one named K-lattice generator (:func:`correspondence`), and the
 two diagrams are compared entry by entry under that correspondence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import itemgetter
@@ -22,7 +23,7 @@ from operator import itemgetter
 from . import klattice
 from .coxeter import coxeter_element
 from .exactalg import IntMatrix
-from .fixtures import FixtureRow
+from .fixtures import CASE_TAGS, FixtureRow
 
 
 class MissingConvention(KeyError):
@@ -116,13 +117,14 @@ class ConventionTable:
     CaseConvention per extension case."""
 
     reading: str
-    cases: dict[str, CaseConvention] = field(default_factory=dict)
+    cases: dict[str, CaseConvention]
 
-    def case_key(self, a: int, quadrilateral_r1: bool) -> str:
-        key = f"a{a}_r1" if quadrilateral_r1 else f"a{a}"
-        if key not in self.cases:
-            raise MissingConvention(key)
-        return key
+
+def case_key(row: FixtureRow) -> str:
+    """The row's key in a ConventionTable: a2, a2_r1, a3 or a5, with a the
+    extension size its case tag fixes."""
+    a = CASE_TAGS[row.case_tag]
+    return f"a{a}_r1" if row.case_tag == "Quadrilateral_r1" else f"a{a}"
 
 
 def committed_convention() -> ConventionTable:
@@ -203,28 +205,18 @@ def t_graph(alpha) -> DynkinDiagram:
     return _minus_two_graph(labels + [LOWER, UPPER], edges)
 
 
-def extension_edges(
-    alpha_beta,
-    a: int,
-    conv: ConventionTable,
-    quadrilateral_r1: bool = False,
-) -> list[tuple[str, str, int]]:
-    """The (B vertex, vertex, sign) edges that wire the chain of ``a`` extra
-    vertices B1..Ba to a T-core according to the convention table."""
-    if a not in (2, 3, 5):
-        raise MissingConvention(f"no convention for a = {a}")
-    case = conv.cases[conv.case_key(a, quadrilateral_r1)]
+def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list[tuple[str, str, int]]:
+    """The (B vertex, vertex, sign) edges that wire the row's extra vertices
+    B1..Ba to its T-core under one case convention and one position reading."""
     edges = [("B1", UPPER, case.upper_sign)]
     edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
     if case.arm_bullet is not None:
-        for arm, (alpha, beta) in enumerate(alpha_beta, start=1):
+        for arm, (alpha, beta) in enumerate(row.alpha_beta, start=1):
             if beta == alpha - 1:
                 continue
-            pos = read_position(conv.reading, alpha, beta)
+            pos = read_position(reading, alpha, beta)
             if not 1 <= pos <= alpha - 1:
-                raise MissingConvention(
-                    f"reading {conv.reading} puts arm {arm} attachment at {pos}"
-                )
+                raise MissingConvention(f"reading {reading} puts arm {arm} attachment at {pos}")
             edges.append((f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign))
     edges += [(f"B{b}", f"E{arm}_{pos}", sign) for b, arm, pos, sign in case.fixed_slots]
     return edges
@@ -237,16 +229,14 @@ def extend(t: DynkinDiagram, a: int, edges) -> DynkinDiagram:
     return _minus_two_graph(labels, edges, t.gram.entries)
 
 
-def _row_edges(row: FixtureRow, conv: ConventionTable) -> list[tuple[str, str, int]]:
-    return extension_edges(
-        row.alpha_beta, row.a, conv, quadrilateral_r1=(row.case_tag == "Quadrilateral_r1")
-    )
-
-
 def diagram_for_row(row: FixtureRow, conv: ConventionTable | None = None) -> DynkinDiagram:
     if conv is None:
         conv = committed_convention()
-    return extend(t_graph(row.alpha), row.a, _row_edges(row, conv))
+    key = case_key(row)
+    if key not in conv.cases:
+        raise MissingConvention(key)
+    edges = extension_edges(row, conv.reading, conv.cases[key])
+    return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], edges)
 
 
 def correspondence(row: FixtureRow) -> list[int]:
@@ -261,7 +251,7 @@ def correspondence(row: FixtureRow) -> list[int]:
     end of arm 3: sigma = [0, ..., s-1, n-1, s, ..., n-2] with s the number
     of vertices on arms 1 and 2.
     """
-    n = sum(a - 1 for a in row.alpha) + 2 + row.a
+    n = sum(a - 1 for a in row.alpha) + 2 + CASE_TAGS[row.case_tag]
     if row.case_tag not in klattice.TWISTED:
         return list(range(n))
     s = row.alpha[0] - 1 + row.alpha[1] - 1
@@ -329,10 +319,6 @@ def _case_candidates(key: str):
         raise MissingConvention(key)
 
 
-def _case_key_for_row(row: FixtureRow) -> str:
-    return f"a{row.a}_r1" if row.case_tag == "Quadrilateral_r1" else f"a{row.a}"
-
-
 def calibrate(rows, oracle_fac) -> ConventionTable:
     """Search the bounded variant space for the assignment under which, for
     every row, the rule-built diagram has the oracle characteristic
@@ -347,13 +333,13 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     rows = list(rows)
     by_case: dict[str, list[FixtureRow]] = {}
     for row in rows:
-        by_case.setdefault(_case_key_for_row(row), []).append(row)
+        by_case.setdefault(case_key(row), []).append(row)
     oracle = {row.name: oracle_fac(row) for row in rows}
     k_grams = {row.name: klattice.row_gram(row)[0] for row in rows}
     verdicts: dict = {}
     interned: dict = {}
 
-    def passes(row: FixtureRow, conv: ConventionTable) -> bool:
+    def passes(row: FixtureRow, reading: str, candidate: CaseConvention) -> bool:
         """Equality with the K-lattice diagram under the correspondence first
         (cheap), then the Coxeter factorization against the oracle.
 
@@ -362,10 +348,10 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
         row name and that edge list key ``verdicts`` before any Gram is
         built; the edge tuples are interned, so the keys hold little memory.
         """
-        edges = _row_edges(row, conv)
+        edges = extension_edges(row, reading, candidate)
         key = (row.name, tuple([interned.setdefault(e, e) for e in edges]))
         if key not in verdicts:
-            gram = extend(t_graph(row.alpha), row.a, edges).gram
+            gram = extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], edges).gram
             verdict = equal_under_correspondence(row, gram, k_grams[row.name])
             if verdict:
                 fac = coxeter_element(gram).factorization
@@ -379,9 +365,8 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
         for key in sorted(by_case):
             winner = None
             for candidate in _case_candidates(key):
-                conv = ConventionTable(reading, {key: candidate})
                 try:
-                    if all(passes(row, conv) for row in by_case[key]):
+                    if all(passes(row, reading, candidate) for row in by_case[key]):
                         winner = candidate
                         break
                 except MissingConvention:

@@ -11,13 +11,14 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-CASE_TAGS = (
-    "Quadrilateral_r1",
-    "Quadrilateral_other",
-    "Exceptional_a2",
-    "Exceptional_a3",
-    "Exceptional_a5",
-)
+#: each case tag and the size a of its extension: B1..Ba, and F1..F(a-1) if exceptional
+CASE_TAGS = {
+    "Quadrilateral_r1": 2,
+    "Quadrilateral_other": 2,
+    "Exceptional_a2": 2,
+    "Exceptional_a3": 3,
+    "Exceptional_a5": 5,
+}
 
 VARIABLES = ("x", "y", "z")
 

@@ -293,6 +293,9 @@ class TestVerify:
             ("J_3,0", "compactifier", "w^17", "weights_table", "compactifier"),
             ("J_3,0", "action_c", 3, "action_invariance", "one character mod c"),
             ("E_20", "mu", 21, "rank_mu", "mu"),
+            # the case tag fixes the extension, so only weights_table reads a
+            ("Q_16", "a", 3, "weights_table", "a"),
+            ("E_20", "a", 6, "weights_table", "a"),
         ],
     )
     def test_one_wrong_column_names_its_condition(self, name, column, value, check, condition):
@@ -358,19 +361,24 @@ class TestVerify:
                     ),
                 },
             ),
-            # a = 6: no convention wires six extra vertices (MissingConvention);
-            # the stored a is compared in weights_table as well
+            # a = 6: the diagram takes a from the case tag, so only the
+            # comparison with the recomputed Gorenstein parameter fails
+            ("E_20", "a", 6, {"weights_table": ("a", 5)}),
+            # alpha_3 = 13 in alpha_beta against the Dolgachev triple (2, 3, 12):
+            # weights_table names the column; the reading moves the arm-3
+            # attachment, so the diagram differs too (beta does not apply: c_f = 2)
             (
-                "E_20",
-                "a",
-                6,
-                {"weights_table": ("a", 5), "diagram_isomorphic": ("correspondence", "no convention for a = 6")},
+                "E_18",
+                "alpha_beta",
+                ((2, 1), (3, 2), (13, 8)),
+                {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
             ),
         ],
     )
     def test_out_of_range_column_fails_its_check(self, capsys, monkeypatch, name, column, value, failed):
-        # a stored value outside the range a stage accepts is a failing check
-        # naming its condition, and bh verify exits 1: no traceback
+        # a stored value outside the range a stage accepts, or at odds with
+        # the column it repeats, is a failing check naming its condition, and
+        # bh verify exits 1: no traceback
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
         wrong = dataclasses.replace(row, **{column: value})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bhdual import coxeter, dynkin
@@ -7,6 +9,7 @@ from bhdual.dynkin import (
     ConventionTable,
     MissingConvention,
     calibrate,
+    case_key,
     committed_convention,
     correspondence,
     diagram_for_row,
@@ -83,8 +86,10 @@ class TestExtend:
 
     def test_escape_clause_all_beta_maximal(self):
         conv = committed_convention()
-        t = t_graph((2, 2, 2))
-        diagram = extend(t, 2, extension_edges(((2, 1), (2, 1), (2, 1)), 2, conv))
+        row = dataclasses.replace(row_by_name("S_16"), dolgachev=(2, 2, 2), alpha_beta=((2, 1),) * 3)
+        assert case_key(row) == "a2"
+        diagram = extend(t_graph((2, 2, 2)), 2, extension_edges(row, conv.reading, conv.cases["a2"]))
+        assert diagram_for_row(row, conv) == diagram
         b2 = diagram.vertices.index("B2")
         neighbors = [
             v for k, v in enumerate(diagram.vertices) if k != b2 and diagram.gram[b2, k]
@@ -96,8 +101,13 @@ class TestExtend:
         assert diagram.vertices[-3:] == ("B1", "B2", "B3")
 
     def test_unknown_a(self):
-        with pytest.raises(MissingConvention):
-            extension_edges(((2, 1),) * 3, 4, committed_convention())
+        # a table without the row's case has no wiring for its extension
+        committed = committed_convention()
+        for row in load_rows():
+            key = case_key(row)
+            cases = {k: case for k, case in committed.cases.items() if k != key}
+            with pytest.raises(MissingConvention, match=key):
+                diagram_for_row(row, ConventionTable(committed.reading, cases))
 
 
 class TestReadings:
@@ -133,17 +143,15 @@ class TestCalibrationRejectsCheaplyFirst:
         calls = []
         current = {}
 
-        row_edges = dynkin._row_edges
-
-        def traced_edges(row, conv):
+        def traced_edges(row, reading, case):
             current["row"] = row
-            return row_edges(row, conv)
+            return extension_edges(row, reading, case)
 
         def traced_coxeter(gram):
             calls.append((current["row"], gram))
             return coxeter_element(gram)
 
-        monkeypatch.setattr(dynkin, "_row_edges", traced_edges)
+        monkeypatch.setattr(dynkin, "extension_edges", traced_edges)
         monkeypatch.setattr(dynkin, "coxeter_element", traced_coxeter)
         if path == "success":
             calibrate(load_rows(), transpose_monodromy)
@@ -206,7 +214,7 @@ class TestCalibrationJudgesEachDiagramOnce:
         for row in load_rows():
             core = t_graph(row.alpha).gram.entries
             k = len(core)
-            key = dynkin._case_key_for_row(row)
+            key = case_key(row)
             for reading in dynkin.READINGS:
                 for candidate in dynkin._case_candidates(key):
                     conv = dynkin.ConventionTable(reading, {key: candidate})
@@ -300,7 +308,7 @@ class TestCorrespondence:
         chain_on_b2 = list(dynkin._case_candidates("a3"))[32]
         assert chain_on_b2.bullet_edges == ((1, 2, -1), (2, 3, 1))
         assert chain_on_b2.arm_bullet == 2
-        a3_rows = [row for row in load_rows() if dynkin._case_key_for_row(row) == "a3"]
+        a3_rows = [row for row in load_rows() if case_key(row) == "a3"]
         assert [row.name for row in a3_rows] == ["E_19", "Z_18", "Q_17", "W_18", "S_17"]
         for row in a3_rows:
             k_gram = row_gram(row)[0]

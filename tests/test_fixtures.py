@@ -29,6 +29,7 @@ class TestStore:
 
     def test_a_matches_case(self):
         for row in load_rows():
+            assert row.a == CASE_TAGS[row.case_tag], row.name
             if row.case_tag == "Exceptional_a3":
                 assert row.a == 3
             elif row.case_tag == "Exceptional_a5":

@@ -16,7 +16,7 @@ from bhdual.dynkin import (
     ConventionTable,
     MissingConvention,
     _case_candidates,
-    _case_key_for_row,
+    case_key,
     committed_convention,
     correspondence,
     diagram_for_row,
@@ -54,7 +54,7 @@ def calibration_candidates():
     calibration can build, over every reading."""
     for row in load_rows():
         k_gram = row_gram(row)[0]
-        key = _case_key_for_row(row)
+        key = case_key(row)
         for reading in READINGS:
             for candidate in _case_candidates(key):
                 try:
@@ -100,7 +100,7 @@ def test_two_a3_wirings_are_isomorphic():
     committed = committed_convention()
     chain_on_b2 = list(_case_candidates("a3"))[32]
     for row in load_rows():
-        if _case_key_for_row(row) != "a3":
+        if case_key(row) != "a3":
             continue
         k_gram = row_gram(row)[0]
         for candidate in (committed.cases["a3"], chain_on_b2):

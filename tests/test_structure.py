@@ -339,3 +339,38 @@ def test_cli_loads_quotres_for_lemma_only():
     probe = "import sys, bhdual.cli; print('bhdual.quotres' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def _owned_nodes(path):
+    """(owner, node) for every node of a package module, the owner being the
+    top-level function or class that holds it (None at module level)."""
+    for top in _tree(path.name).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def test_case_tag_fixes_the_extension():
+    # every shape builder takes the extension size a from the case tag
+    # (fixtures.CASE_TAGS): no module reads the stored a column as an
+    # attribute but bh tables, which prints it, and weights_table, which
+    # compares it through getattr; one function spells a case's key in a
+    # convention table
+    modules = sorted(PACKAGE.glob("*.py"))
+    readers = {
+        f"{path.stem}.{owner}"
+        for path in modules
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.Attribute) and node.attr == "a"
+    }
+    assert readers == {"cli.cmd_tables"}
+    assert "getattr" in _called(_function("cli.py", "verify_row"))
+    spellers = {
+        f"{path.stem}.{owner}"
+        for path in modules
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.JoinedStr)
+        and "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        in ("a{}", "a{}_r1")
+    }
+    assert spellers == {"dynkin.case_key"}
