@@ -25,7 +25,6 @@ class CurveConfiguration:
 
     labels: tuple[str, ...]
     edges: dict[tuple[str, str], int]
-    case_tag: str
 
     def intersection(self, a: str, b: str) -> int:
         if a == b:
@@ -108,4 +107,4 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
         for l in range(1, a - 1):
             join(f"F{l}", f"F{l+1}")
 
-    return CurveConfiguration(labels=tuple(labels), edges=edges, case_tag=case)
+    return CurveConfiguration(labels=tuple(labels), edges=edges)

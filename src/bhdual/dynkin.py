@@ -229,13 +229,10 @@ def extend(t: DynkinDiagram, a: int, edges) -> DynkinDiagram:
     return _minus_two_graph(labels, edges, t.gram.entries)
 
 
-def diagram_for_row(row: FixtureRow, conv: ConventionTable | None = None) -> DynkinDiagram:
-    if conv is None:
-        conv = committed_convention()
-    key = case_key(row)
-    if key not in conv.cases:
-        raise MissingConvention(key)
-    edges = extension_edges(row, conv.reading, conv.cases[key])
+def diagram_for_row(row: FixtureRow) -> DynkinDiagram:
+    """The row's rule diagram under the committed conventions."""
+    conv = committed_convention()
+    edges = extension_edges(row, conv.reading, conv.cases[case_key(row)])
     return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], edges)
 
 

@@ -1,7 +1,7 @@
 """K-group lattice of the triangulated category attached to a curve
 configuration: Mukai-style classes for the generator lists, the negative
-Euler pairing, spherical-twist base change, and Gram matrices in listing
-order.
+Euler pairing as a Gram matrix in listing order, and spherical-twist base
+change.
 
 A class is a triple (rank, divisor, degree) with pairing
 
@@ -12,7 +12,9 @@ diagonal) and D names its curves by label, at most two for any generator.
 The dictionary is: a line bundle of degree -1 on a curve C gives (0, C, 0);
 its untwisted structure sheaf gives (0, C, 1); the structure sheaf of the
 surface gives (1, 0, 1); a shift negates; the spherical twist of one curve
-class along an adjacent one adds the divisors.
+class along an adjacent one adds the divisors.  The generator list and its
+classes depend on the row alone; :func:`gram_matrix` is the one place that
+reads the configuration.
 """
 from __future__ import annotations
 
@@ -34,10 +36,6 @@ class NotARoot(ValueError):
 
 
 class UnknownNode(KeyError):
-    pass
-
-
-class CaseMismatch(ValueError):
     pass
 
 
@@ -84,35 +82,17 @@ class GeneratorList:
         return tuple(str(sheaf) for sheaf, _ in self.items)
 
 
-def _known(conf: CurveConfiguration, divisor: tuple[tuple[str, int], ...]):
-    for label, _ in divisor:
-        if label not in conf.labels:
-            raise UnknownNode(label)
-    return divisor
+#: (rank, degree) of each descriptor kind; the divisor is its nodes, each once
+_RANK_DEGREE = {"OC-1": (0, 0), "OC": (0, 1), "TW": (0, 0), "OX": (1, 1), "OX[1]": (-1, -1)}
 
 
-def mukai_pairing(v: MukaiClass, w: MukaiClass, conf: CurveConfiguration) -> int:
-    """Negative Euler pairing of two classes over the same configuration;
-    UnknownNode when either names a curve the configuration lacks."""
-    vd, wd = _known(conf, v.divisor), _known(conf, w.divisor)
-    dd = sum(a * b * conf.intersection(c, d) for c, a in vd for d, b in wd)
-    return dd - v.rank * w.degree - w.rank * v.degree
-
-
-def class_of(descriptor: Sheaf, conf: CurveConfiguration) -> MukaiClass:
+def class_of(sheaf: Sheaf) -> MukaiClass:
     """Class of a generator descriptor in (rank, divisor, degree) form."""
-    kind, nodes = descriptor.kind, descriptor.nodes
-    if kind in ("OC-1", "OC", "TW"):
-        divisor = _known(conf, tuple((label, 1) for label in sorted(nodes)))
-        return MukaiClass(0, divisor, int(kind == "OC"))
-    if kind == "OX":
-        return MukaiClass(1, (), 1)
-    if kind == "OX[1]":
-        return MukaiClass(-1, (), -1)
-    raise CaseMismatch(f"unknown descriptor kind {kind!r}")
+    rank, degree = _RANK_DEGREE[sheaf.kind]
+    return MukaiClass(rank, tuple((label, 1) for label in sorted(sheaf.nodes)), degree)
 
 
-def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
+def generator_list(row: FixtureRow) -> GeneratorList:
     """The ordered generator system for the row's case.
 
     Arms are listed outside-in, arm 1 first; the two cases that shorten the
@@ -121,8 +101,6 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
     structure-sheaf class of one component and the (-1)-twisted class of the
     other (the committed resolution of the single-symbol listing).
     """
-    if conf.case_tag != row.case_tag:
-        raise CaseMismatch(f"configuration built for {conf.case_tag}, row is {row.case_tag}")
     case = row.case_tag
     arms = [arm_label(i, j) for i, a_i in enumerate(row.alpha, start=1) for j in range(1, a_i)]
     sheaves = [Sheaf("OC-1", (label,)) for label in arms]
@@ -139,19 +117,16 @@ def generator_list(row: FixtureRow, conf: CurveConfiguration) -> GeneratorList:
         sheaves += [Sheaf("OX"), Sheaf("OC", (E0P,)), Sheaf("OC-1", (E0PP,))]
     else:
         sheaves += [Sheaf("OX"), Sheaf("OC", (E0,))]
-    items = tuple((sheaf, class_of(sheaf, conf)) for sheaf in sheaves)
-    for sheaf, cls in items:
-        if mukai_pairing(cls, cls, conf) != -2:
-            raise NotARoot(f"generator {sheaf} is not a root")
-    return GeneratorList(items)
+    return GeneratorList(tuple((sheaf, class_of(sheaf)) for sheaf in sheaves))
 
 
 def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
-    """Gram matrix in listing order: the pairing of :func:`mukai_pairing`, read
-    from the adjacency once each class is known.  Row i adds a * m * b at j for
-    each curve C of class i (multiplicity a), curve C' with C.C' = m (-2 when
-    C' = C) and class j holding C' b times; the rank terms touch only the row
-    and column of a class of nonzero rank."""
+    """Gram matrix of the negative Euler pairing in listing order, read from
+    the adjacency; UnknownNode when a class names a curve the configuration
+    lacks.  Row i adds a * m * b at j for each curve C of class i
+    (multiplicity a), curve C' with C.C' = m (-2 when C' = C) and class j
+    holding C' b times; the rank terms touch only the row and column of a
+    class of nonzero rank."""
     classes = gens.classes
     near, holders = defaultdict(dict), defaultdict(list)
     for (c, d), m in conf.edges.items():
@@ -159,7 +134,9 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     for label in conf.labels:
         near[label][label] = -2
     for j, w in enumerate(classes):
-        for d, b in _known(conf, w.divisor):
+        for d, b in w.divisor:
+            if d not in conf.labels:
+                raise UnknownNode(d)
             holders[d].append((j, b))
     n = len(classes)
     rows = [[0] * n for _ in range(n)]
@@ -176,7 +153,12 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
 
 
 def row_gram(row: FixtureRow) -> tuple[IntMatrix, GeneratorList, CurveConfiguration]:
-    """Configuration, generator list, and Gram matrix for a fixture row."""
+    """Gram matrix, generator list and configuration for a fixture row;
+    NotARoot, naming the generator, when a diagonal entry is not -2."""
     conf = build_configuration(row)
-    gens = generator_list(row, conf)
-    return gram_matrix(gens, conf), gens, conf
+    gens = generator_list(row)
+    gram = gram_matrix(gens, conf)
+    for i, (sheaf, _) in enumerate(gens.items):
+        if gram[i, i] != -2:
+            raise NotARoot(f"generator {sheaf} is not a root")
+    return gram, gens, conf

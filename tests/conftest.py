@@ -4,8 +4,10 @@ from functools import cache
 
 import pytest
 
+from bhdual.dynkin import extend, extension_edges, t_graph
 from bhdual.exactalg import InexactDivision, IntPolynomial
-from bhdual.klattice import MukaiClass, mukai_pairing
+from bhdual.fixtures import CASE_TAGS
+from bhdual.klattice import MukaiClass, UnknownNode
 from bhdual.series import milnor_orlik, spectrum
 
 
@@ -83,6 +85,25 @@ def _reachable(start, neighbors):
 @pytest.fixture
 def reachable():
     return _reachable
+
+
+def mukai_pairing(v, w, conf):
+    """The negative Euler pairing D.D' - r*s' - r'*s of two classes over one
+    configuration, curve pair by curve pair from ``conf.intersection``;
+    raises UnknownNode when either names a curve the configuration lacks.
+    The tests' reference for klattice.gram_matrix, which the package uses
+    instead."""
+    for label, _ in (*v.divisor, *w.divisor):
+        if label not in conf.labels:
+            raise UnknownNode(label)
+    dd = sum(a * b * conf.intersection(c, d) for c, a in v.divisor for d, b in w.divisor)
+    return dd - v.rank * w.degree - w.rank * v.degree
+
+
+def rule_diagram(row, reading, case):
+    """The row's rule diagram under one position reading and one case
+    convention, built as dynkin.calibrate builds its candidates."""
+    return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], extension_edges(row, reading, case))
 
 
 def _reflect(x, root, conf):

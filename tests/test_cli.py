@@ -260,8 +260,8 @@ class TestVerify:
         clean = build_report(load_rows())
         rule_diagram = dynkin.diagram_for_row
 
-        def flipped(row, conv=None):
-            diagram = rule_diagram(row, conv)
+        def flipped(row):
+            diagram = rule_diagram(row)
             if row.name != name:
                 return diagram
             rows = [list(r) for r in diagram.gram.entries]
@@ -373,20 +373,49 @@ class TestVerify:
                 ((2, 1), (3, 2), (13, 8)),
                 {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
             ),
+            # alpha_1 = 1 in the Dolgachev triple: phi_f and t_graph reject it,
+            # the configuration loses arm 1, so rank and char fail too
+            (
+                "E_18",
+                "dolgachev",
+                (1, 3, 12),
+                {
+                    "weights_table": ("alpha_beta", (2, 3, 12)),
+                    "rank_mu": ("rank", 17),
+                    "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
+                    "phi_identity": ("holds", "alpha components must be >= 2"),
+                    "diagram_isomorphic": ("correspondence", "arm parameters must be >= 2"),
+                },
+            ),
+            # the same on an I0* row, where phi_f also feeds the square relation
+            (
+                "Z_1,0",
+                "dolgachev",
+                (1, 4, 8),
+                {
+                    "weights_table": ("alpha_beta", (2, 4, 8)),
+                    "rank_mu": ("rank", 14),
+                    "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
+                    "phi_identity": ("holds", "alpha components must be >= 2"),
+                    "square_relation": ("holds", "alpha components must be >= 2"),
+                    "diagram_isomorphic": ("correspondence", "arm parameters must be >= 2"),
+                },
+            ),
         ],
     )
     def test_out_of_range_column_fails_its_check(self, capsys, monkeypatch, name, column, value, failed):
         # a stored value outside the range a stage accepts, or at odds with
-        # the column it repeats, is a failing check naming its condition, and
-        # bh verify exits 1: no traceback
+        # the column it repeats, is a failing check naming its conditions
+        # (one pair, or a list of them), and bh verify exits 1: no traceback
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
         wrong = dataclasses.replace(row, **{column: value})
         checks = verify_row(wrong)["checks"]
-        for check, (condition, actual) in failed.items():
+        for check, conditions in failed.items():
             record = checks.pop(check)
             assert record["status"] == "fail"
-            assert [(e["condition"], e["actual"]) for e in record["failed"]] == [(condition, actual)]
+            expected = conditions if isinstance(conditions, list) else [conditions]
+            assert [(e["condition"], e["actual"]) for e in record["failed"]] == expected
             clean.pop(check)
         assert checks == clean
         monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)

@@ -10,7 +10,7 @@ from bhdual.curveconf import (
 )
 from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import MukaiClass, Sheaf, UnknownNode, class_of, generator_list, mukai_pairing
+from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, UnknownNode, class_of, generator_list, gram_matrix
 
 
 def expected_node_count(row):
@@ -95,9 +95,8 @@ class TestBuildConfiguration:
         rows = [row for row in load_rows() if row.case_tag == "Exceptional_a2"]
         assert rows
         for row in rows:
-            conf = build_configuration(row)
-            assert "F1" in conf.labels, row.name
-            for sheaf, cls in generator_list(row, conf).items:
+            assert "F1" in build_configuration(row).labels, row.name
+            for sheaf, cls in generator_list(row).items:
                 assert "F1" not in sheaf.nodes, row.name
                 assert "F1" not in dict(cls.divisor), row.name
 
@@ -129,10 +128,12 @@ class TestBuildConfiguration:
 class TestIndex:
     def test_unknown_label_is_an_unknown_node(self):
         conf = build_configuration(row_by_name("S_16"))
-        with pytest.raises(UnknownNode):
-            mukai_pairing(MukaiClass(0, (("E9_9", 1),), 0), class_of(Sheaf("OX"), conf), conf)
-        with pytest.raises(UnknownNode):
-            class_of(Sheaf("OC-1", ("F99",)), conf)
+        stray = (Sheaf("dense"), MukaiClass(0, (("E9_9", 1),), 0))
+        with pytest.raises(UnknownNode, match="E9_9"):
+            gram_matrix(GeneratorList((stray,)), conf)
+        sheaf = Sheaf("OC-1", ("F99",))
+        with pytest.raises(UnknownNode, match="F99"):
+            gram_matrix(GeneratorList(((sheaf, class_of(sheaf)),)), conf)
 
 
 class TestAttachmentRule:
@@ -153,7 +154,7 @@ class TestValidateTree:
         edges = dict(conf.edges)
         edges[("E1_1", "E2_1")] = 1
         assert not is_core_tree(
-            CurveConfiguration(conf.labels, edges, conf.case_tag), reachable
+            CurveConfiguration(conf.labels, edges), reachable
         )
 
     def test_minimal_star(self, reachable):
@@ -164,7 +165,7 @@ class TestValidateTree:
             ("E2_1", "Einf"): 1,
             ("E3_1", "Einf"): 1,
         }
-        assert is_core_tree(CurveConfiguration(labels, edges, "Quadrilateral_other"), reachable)
+        assert is_core_tree(CurveConfiguration(labels, edges), reachable)
 
 
 class TestDot:
@@ -174,7 +175,7 @@ class TestDot:
         assert dot.startswith("graph config {")
 
     def test_empty(self):
-        empty = CurveConfiguration((), {}, "Quadrilateral_other")
+        empty = CurveConfiguration((), {})
         assert config_dot(empty) == "graph config {\n}\n"
 
     def test_a5_node_count(self):

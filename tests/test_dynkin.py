@@ -6,7 +6,6 @@ from bhdual import coxeter, dynkin
 from bhdual.coxeter import coxeter_element
 from bhdual.dynkin import (
     CalibrationFailed,
-    ConventionTable,
     MissingConvention,
     calibrate,
     case_key,
@@ -23,6 +22,7 @@ from bhdual.exactalg import CyclotomicFactorization, IntMatrix, IntPolynomial
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import row_gram
 from bhdual.series import transpose_monodromy
+from conftest import rule_diagram
 
 
 def wrong_oracle(row):
@@ -89,7 +89,7 @@ class TestExtend:
         row = dataclasses.replace(row_by_name("S_16"), dolgachev=(2, 2, 2), alpha_beta=((2, 1),) * 3)
         assert case_key(row) == "a2"
         diagram = extend(t_graph((2, 2, 2)), 2, extension_edges(row, conv.reading, conv.cases["a2"]))
-        assert diagram_for_row(row, conv) == diagram
+        assert diagram_for_row(row) == diagram
         b2 = diagram.vertices.index("B2")
         neighbors = [
             v for k, v in enumerate(diagram.vertices) if k != b2 and diagram.gram[b2, k]
@@ -99,15 +99,6 @@ class TestExtend:
     def test_new_vertices_numbered_last(self):
         diagram = diagram_for_row(row_by_name("W_18"))
         assert diagram.vertices[-3:] == ("B1", "B2", "B3")
-
-    def test_unknown_a(self):
-        # a table without the row's case has no wiring for its extension
-        committed = committed_convention()
-        for row in load_rows():
-            key = case_key(row)
-            cases = {k: case for k, case in committed.cases.items() if k != key}
-            with pytest.raises(MissingConvention, match=key):
-                diagram_for_row(row, ConventionTable(committed.reading, cases))
 
 
 class TestReadings:
@@ -217,9 +208,8 @@ class TestCalibrationJudgesEachDiagramOnce:
             key = case_key(row)
             for reading in dynkin.READINGS:
                 for candidate in dynkin._case_candidates(key):
-                    conv = dynkin.ConventionTable(reading, {key: candidate})
                     try:
-                        gram = diagram_for_row(row, conv).gram.entries
+                        gram = rule_diagram(row, reading, candidate).gram.entries
                     except MissingConvention:
                         continue
                     assert len(gram) == k + row.a, row.name
@@ -313,8 +303,7 @@ class TestCorrespondence:
         for row in a3_rows:
             k_gram = row_gram(row)[0]
             for candidate, expected in ((committed.cases["a3"], True), (chain_on_b2, False)):
-                conv = ConventionTable(committed.reading, {"a3": candidate})
-                gram = diagram_for_row(row, conv).gram
+                gram = rule_diagram(row, committed.reading, candidate).gram
                 fac = coxeter_element(gram).factorization
                 assert fac.factors == transpose_monodromy(row).factors, row.name
                 assert equal_under_correspondence(row, gram, k_gram) is expected, row.name

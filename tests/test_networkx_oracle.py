@@ -13,7 +13,6 @@ nx = pytest.importorskip("networkx")
 
 from bhdual.dynkin import (
     READINGS,
-    ConventionTable,
     MissingConvention,
     _case_candidates,
     case_key,
@@ -25,6 +24,7 @@ from bhdual.dynkin import (
 from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
+from conftest import rule_diagram
 
 
 def to_networkx(g: IntMatrix):
@@ -58,7 +58,7 @@ def calibration_candidates():
         for reading in READINGS:
             for candidate in _case_candidates(key):
                 try:
-                    diagram = diagram_for_row(row, ConventionTable(reading, {key: candidate}))
+                    diagram = rule_diagram(row, reading, candidate)
                 except MissingConvention:
                     continue
                 yield row, diagram.gram, k_gram
@@ -104,5 +104,5 @@ def test_two_a3_wirings_are_isomorphic():
             continue
         k_gram = row_gram(row)[0]
         for candidate in (committed.cases["a3"], chain_on_b2):
-            gram = diagram_for_row(row, ConventionTable(committed.reading, {"a3": candidate})).gram
+            gram = rule_diagram(row, committed.reading, candidate).gram
             assert vf2_isomorphic(gram, k_gram), row.name

@@ -1,5 +1,6 @@
 """Source-level guards on the package layout."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import bhdual
+from bhdual import dynkin, klattice
 
 PACKAGE = Path(bhdual.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -374,3 +376,26 @@ def test_case_tag_fixes_the_extension():
         in ("a{}", "a{}_r1")
     }
     assert spellers == {"dynkin.case_key"}
+
+
+def test_verify_builders_take_the_row_alone():
+    # the generator list, its classes and the rule diagram depend on the row
+    # alone; gram_matrix is the one reader of the configuration's curves and
+    # the one pairing: no other package code reads a class's divisor, so a
+    # second pairing cannot drift from it
+    for func, params in (
+        (klattice.generator_list, ["row"]),
+        (klattice.class_of, ["sheaf"]),
+        (dynkin.diagram_for_row, ["row"]),
+    ):
+        assert list(inspect.signature(func).parameters) == params, func.__name__
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {name for path in modules for name, _ in _definitions(path)}
+    assert not defined & {"mukai_pairing", "_known"}
+    readers = {
+        f"{path.stem}.{owner}"
+        for path in modules
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.Attribute) and node.attr == "divisor"
+    }
+    assert readers == {"klattice.gram_matrix"}
