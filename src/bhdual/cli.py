@@ -26,12 +26,9 @@ from .weights import (
     beta_congruence_check,
     canonical_weights,
     compactified_monomials,
-    GroupActionData,
     gorenstein_parameter,
-    NonIntegralExponent,
     reduce,
     validate_action,
-    WeightsError,
 )
 
 REPORT_SCHEMA = "bh-report/1"
@@ -102,7 +99,7 @@ def cmd_coxeter(args) -> int:
     row = row_by_name(args.name)
     diagram = _diagram_of(row, args.source)
     cox = coxeter_element(diagram.gram)
-    invariants = lattice_invariants(diagram.gram)
+    det, signature = lattice_invariants(diagram.gram)
     out = {
         "name": row.name,
         "source": args.source,
@@ -110,8 +107,8 @@ def cmd_coxeter(args) -> int:
         "char_cyclotomic": str(cox.factorization),
         "char_coefficients": list(cox.char.coefficients),
         "order": cox.order,
-        "det_gram": invariants.det,
-        "signature": list(invariants.signature),
+        "det_gram": det,
+        "signature": list(signature),
     }
     print(json.dumps(out))
     return 0
@@ -185,128 +182,131 @@ def _check(conditions, **fields) -> dict:
     return {"status": "fail" if failed else "pass", **fields}
 
 
+def _stages(row: FixtureRow):
+    """The row's stages in dependency order: (name, the stages its builder
+    reads, builder), the builder taking those stages' values."""
+    return (
+        ("f", (), lambda: parse_polynomial(row.f, VARIABLES)),
+        ("f_T", (), lambda: parse_polynomial(row.f_T, VARIABLES)),
+        ("canonical", ("f",), canonical_weights),
+        ("reduced", ("canonical",), reduce),
+        ("canonical_T", ("f_T",), canonical_weights),
+        ("reduced_T", ("canonical_T",), reduce),
+        ("a", ("canonical_T",), gorenstein_parameter),
+        ("ambient", ("reduced",), lambda reduced: ambient_weights(reduced, row.compactifier_shape)),
+        # the recomputed a and c_f: their stored values are compared in weights_table only
+        ("beta", ("a", "reduced"), lambda a, reduced: beta_congruence_check(row.alpha_beta, a, reduced.c_f)),
+        # the group acts on F = f + compactifier
+        ("action", ("f", "ambient"), lambda f, ambient: validate_action(
+            compactified_monomials(f, ambient), row.action_c, row.action_m or (0, 0, 0, 0))),
+        ("gram", (), lambda: klattice.row_gram(row)[0]),
+        ("oracle", ("reduced_T",), series.milnor_orlik),
+        ("coxeter", ("gram",), coxeter_element),
+        # phi_f reads the stored Dolgachev triple
+        ("phi", ("canonical",), lambda canonical: series.characteristic_function(canonical, row.dolgachev)),
+        ("rule", (), lambda: dynkin.diagram_for_row(row).gram),
+    )
+
+
 def verify_row(row: FixtureRow) -> dict:
-    """Run every check for one fixture row; returns the JSON-ready record."""
-    checks: dict[str, dict] = {}
-    f = parse_polynomial(row.f, VARIABLES)
-    f_T = parse_polynomial(row.f_T, VARIABLES)
+    """Run every check for one fixture row; returns the JSON-ready record.
 
-    canonical = canonical_weights(f)
-    reduced = reduce(canonical)
-    canonical_T = canonical_weights(f_T)
-    reduced_T = reduce(canonical_T)
+    A stage whose builder raises holds its (name, error text), and so does
+    every stage that reads it.  A check that reads such a stage fails with
+    the condition ``stage <name>`` and the error text as the actual value, so
+    a bad stored column fails a check and never raises."""
+    value, broken = {}, {}
+    for name, reads, build in _stages(row):
+        if not broken.keys().isdisjoint(reads):
+            broken[name] = next(broken[r] for r in reads if r in broken)
+        else:
+            try:
+                value[name] = build(*map(value.get, reads))
+            except ValueError as exc:
+                broken[name] = (name, str(exc))
 
-    # table reproduction: c_f, Gorenstein parameter of the transpose, ambient;
-    # alpha_beta repeats the Dolgachev triple as its alphas
-    a_value = gorenstein_parameter(canonical_T)
-    try:
-        ambient = ambient_weights(reduced, row.compactifier_shape)
-        weights, compactifier = ambient.weights, ambient.compactifier
-    except NonIntegralExponent as exc:  # no monomial of the stored shape has degree d
-        ambient, weights, compactifier = None, (reduced.d - sum(reduced.q), *reduced.q), str(exc)
-    derived = {"c_f": reduced.c_f, "a": a_value, "ambient": weights, "compactifier": compactifier}
-    checks["weights_table"] = _check(
-        [(column, getattr(row, column), value) for column, value in derived.items()]
-        + [("alpha_beta", row.dolgachev, tuple(alpha for alpha, _ in row.alpha_beta))],
-        canonical=[*canonical.w, canonical.d_prime],
-        **derived,
-    )
+    # each judge takes the values of the stages its check reads and returns
+    # the check's conditions (None: it does not apply) and its fields
+    def weights_table(canonical, reduced, a, ambient):
+        derived = {"c_f": reduced.c_f, "a": a, "ambient": ambient.weights, "compactifier": ambient.compactifier}
+        conditions = [(column, getattr(row, column), v) for column, v in derived.items()]
+        # alpha_beta repeats the Dolgachev triple as its alphas
+        conditions.append(("alpha_beta", row.dolgachev, tuple(alpha for alpha, _ in row.alpha_beta)))
+        return conditions, {"canonical": [*canonical.w, canonical.d_prime], **derived}
 
-    # the recomputed a and c_f: their stored values are compared in weights_table only
-    try:
-        congruence = beta_congruence_check(row.alpha_beta, a_value, reduced.c_f)
-    except WeightsError as exc:  # a stored beta outside 1..alpha-1
-        congruence = str(exc)
-    checks["beta_congruence"] = _check(
-        None if congruence is None else [("a*beta_i = 1 mod alpha_i", True, congruence)]
-    )
+    def beta_congruence(beta):
+        return None if beta is None else [("a*beta_i = 1 mod alpha_i", True, beta)], {}
 
-    # the group acts on F = f + compactifier, so there is nothing to check without one
-    action = GroupActionData(row.action_c, row.action_m or (0, 0, 0, 0))
-    try:
-        invariant = ambient and validate_action(compactified_monomials(f, ambient), action)
-    except WeightsError as exc:  # a stored group order below 1
-        invariant = str(exc)
-    checks["action_invariance"] = _check(ambient and [("one character mod c", True, invariant)])
+    def action_invariance(action):
+        return [("one character mod c", True, action)], {}
 
-    k_max = 2 * canonical.d_prime
-    closed = series.poincare_series(canonical).series_coefficients(k_max)
-    brute = series.poincare_bruteforce(canonical, k_max)
-    checks["poincare_series"] = _check([("closed form", brute, closed)], checked_through=k_max)
+    def poincare_series(canonical):
+        k_max = 2 * canonical.d_prime
+        closed = series.poincare_series(canonical).series_coefficients(k_max)
+        brute = series.poincare_bruteforce(canonical, k_max)
+        return [("closed form", brute, closed)], {"checked_through": k_max}
 
-    gram, _, _ = klattice.row_gram(row)
-    oracle = series.milnor_orlik(reduced_T)
-    checks["rank_mu"] = _check(
-        [("mu", row.mu, oracle.degree), ("rank", oracle.degree, gram.dim)], rank=gram.dim, mu=row.mu
-    )
+    def rank_mu(gram, oracle):
+        conditions = [("mu", row.mu, oracle.degree), ("rank", oracle.degree, gram.dim)]
+        return conditions, {"rank": gram.dim, "mu": row.mu}
 
-    off = {e for i, row in enumerate(gram.entries) for j, e in enumerate(row) if i != j}
-    checks["gram_form"] = _check(
-        [
+    def gram_form(gram):
+        off = {e for i, r in enumerate(gram.entries) for j, e in enumerate(r) if i != j}
+        return [
             ("symmetric", True, gram.is_symmetric()),
-            ("diagonal", [-2] * gram.dim, [row[i] for i, row in enumerate(gram.entries)]),
+            ("diagonal", [-2] * gram.dim, [r[i] for i, r in enumerate(gram.entries)]),
             ("off-diagonal outside -2..1", [], sorted(off - {-2, -1, 0, 1})),
-        ]
-    )
+        ], {}
 
     # the Seifert identity implies tau^T G tau = G and det tau = (-1)^mu
-    cox = coxeter_element(gram)
-    checks["coxeter_monodromy"] = _check(
-        [
+    def coxeter_monodromy(gram, oracle, cox):
+        conditions = [
             ("cyclotomic", True, cox.factorization.is_cyclotomic),
             ("char", oracle.factors, cox.factorization.factors),
             ("Seifert identity", True, seifert_identity(cox.matrix, gram)),
-        ],
-        char=str(cox.factorization),
-        order=cox.order,
-        det_tau=(-1) ** gram.dim * cox.char.coefficients[0],
-    )
+        ]
+        det_tau = (-1) ** gram.dim * cox.char.coefficients[0]
+        return conditions, {"char": str(cox.factorization), "order": cox.order, "det_tau": det_tau}
 
-    # phi_f reads the stored Dolgachev triple: an alpha_i below 2 fails both
-    # checks that read phi_f, as beta_congruence fails on a stored beta
-    try:
-        phi = series.characteristic_function(canonical, row.dolgachev)
-    except ValueError as exc:
-        phi = str(exc)
-    if isinstance(phi, str):
-        checks["phi_identity"] = _check([("holds", True, phi)], shift_exponent=None)
-    else:
-        phi_report = series.verify_phi_identity(phi, reduced_T, oracle)
-        checks["phi_identity"] = _check(
-            phi_report
-            and [("holds", True, phi_report.holds), ("shift_exponent", 1, phi_report.shift_exponent)],
-            shift_exponent=phi_report and phi_report.shift_exponent,
-        )
+    def phi_identity(phi, reduced_T, oracle):
+        report = series.verify_phi_identity(phi, reduced_T, oracle)
+        holds, shift = report or (None, None)
+        return report and [("holds", True, holds), ("shift_exponent", 1, shift)], {"shift_exponent": shift}
 
     expected = series.SQUARE_RELATION_EXPECTED.get(row.name)
-    if expected is None:
-        checks["square_relation"] = _check(None)
-    elif isinstance(phi, str):
-        checks["square_relation"] = _check([("holds", expected, phi)], expected=expected)
-    else:
-        square = series.verify_square_relation(phi, cox.factorization, gram.dim)
-        checks["square_relation"] = _check(
-            [("holds", expected, square.holds)],
-            holds=square.holds,
-            expected=expected,
-            note="fails as expected (negative control)"
-            if (not expected and not square.holds)
-            else square.reason,
-        )
 
-    # equal under the named vertex correspondence, hence isomorphic; a stored
-    # alpha_i below 2 (t_graph) or a stored beta the reading puts outside its
-    # arm (MissingConvention) fails it
-    try:
-        rule_gram = dynkin.diagram_for_row(row).gram
-        equal = dynkin.equal_under_correspondence(row, rule_gram, gram)
-        identity = rule_gram.entries == gram.entries
-    except (dynkin.MissingConvention, ValueError) as exc:
-        equal, identity = exc.args[0], None
-    checks["diagram_isomorphic"] = _check(
-        [("correspondence", True, equal)], identity_permutation=identity
-    )
+    def square_relation(phi, cox, gram):
+        holds, reason = series.verify_square_relation(phi, cox.factorization, gram.dim)
+        note = "fails as expected (negative control)" if not (expected or holds) else reason
+        return [("holds", expected, holds)], {"holds": holds, "expected": expected, "note": note}
 
+    # equal under the named vertex correspondence, hence isomorphic
+    def diagram_isomorphic(rule, gram):
+        equal = dynkin.equal_under_correspondence(row, rule, gram)
+        return [("correspondence", True, equal)], {"identity_permutation": rule.entries == gram.entries}
+
+    checks: dict[str, dict] = {}
+    for check, reads, judge in (
+        ("weights_table", ("canonical", "reduced", "a", "ambient"), weights_table),
+        ("beta_congruence", ("beta",), beta_congruence),
+        ("action_invariance", ("action",), action_invariance),
+        ("poincare_series", ("canonical",), poincare_series),
+        ("rank_mu", ("gram", "oracle"), rank_mu),
+        ("gram_form", ("gram",), gram_form),
+        ("coxeter_monodromy", ("gram", "oracle", "coxeter"), coxeter_monodromy),
+        ("phi_identity", ("phi", "reduced_T", "oracle"), phi_identity),
+        # off the six I0* rows the square relation reads nothing and does not apply
+        ("square_relation", ("phi", "coxeter", "gram"), square_relation)
+        if expected is not None
+        else ("square_relation", (), lambda: (None, {})),
+        ("diagram_isomorphic", ("rule", "gram"), diagram_isomorphic),
+    ):
+        if broken.keys().isdisjoint(reads):
+            conditions, fields = judge(*map(value.get, reads))
+        else:
+            failures = dict.fromkeys(broken[r] for r in reads if r in broken)
+            conditions, fields = [(f"stage {stage}", None, text) for stage, text in failures], {}
+        checks[check] = _check(conditions, **fields)
     return {"name": row.name, "checks": checks}
 
 

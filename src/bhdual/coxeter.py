@@ -105,20 +105,14 @@ def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
     return upper.times_packed(tau.packed(bound)) == [-row for row in upper.transpose().packed(bound)]
 
 
-@dataclass(frozen=True)
-class LatticeInvariants:
-    rank: int
-    det: int
-    signature: tuple[int, int, int]  # (positive, zero, negative)
-
-
 def _sign_changes(coefficients) -> int:
     signs = [c > 0 for c in coefficients if c]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
-    """Exact rank, determinant, and inertia from p = char_poly(G).
+def lattice_invariants(gram: IntMatrix) -> tuple[int, tuple[int, int, int]]:
+    """Exact determinant and inertia (positive, zero, negative) from
+    p = char_poly(G).
 
     A symmetric G has a real-rooted p, so Descartes' rule of signs is exact:
     the sign changes of p / t^zero and of its value at -t count the positive
@@ -133,4 +127,4 @@ def lattice_invariants(gram: IntMatrix) -> LatticeInvariants:
     q = p[zero:]
     pos = _sign_changes(q)
     neg = _sign_changes(c if k % 2 == 0 else -c for k, c in enumerate(q))
-    return LatticeInvariants(n, (-1) ** n * p[0], (pos, zero, neg))
+    return (-1) ** n * p[0], (pos, zero, neg)

@@ -26,7 +26,7 @@ from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
 
 
-class MissingConvention(KeyError):
+class MissingConvention(ValueError):
     pass
 
 
@@ -215,7 +215,7 @@ def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list
             if beta == alpha - 1:
                 continue
             pos = read_position(reading, alpha, beta)
-            if not 1 <= pos <= alpha - 1:
+            if not 1 <= pos <= min(alpha, row.alpha[arm - 1]) - 1:  # on the arm t_graph builds
                 raise MissingConvention(f"reading {reading} puts arm {arm} attachment at {pos}")
             edges.append((f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign))
     edges += [(f"B{b}", f"E{arm}_{pos}", sign) for b, arm, pos, sign in case.fixed_slots]

@@ -35,7 +35,7 @@ class NotARoot(ValueError):
     pass
 
 
-class UnknownNode(KeyError):
+class UnknownNode(ValueError):
     pass
 
 

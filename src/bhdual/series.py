@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
 from .exactalg import (
     CyclotomicFactorization,
@@ -132,47 +131,36 @@ def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
 # identity checks and fixture-row oracles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiReport:
-    holds: bool
-    shift_exponent: int
-
-
-@dataclass(frozen=True)
-class SquareReport:
-    holds: bool
-    reason: str
-
-
 def transpose_reduced_weights(row: FixtureRow) -> ReducedWeights:
     return reduce(canonical_weights(parse_polynomial(row.f_T, VARIABLES)))
 
 
 def verify_phi_identity(
     phi: dict[int, int], transpose_weights: ReducedWeights, oracle: CyclotomicFactorization
-) -> PhiReport | None:
+) -> tuple[bool, int] | None:
     """Find the unique e >= 0 with phi_f * (t-1)^e equal, up to sign, to the
     monodromy characteristic polynomial ``oracle`` of the transpose, whose
     reduced weight system is ``transpose_weights``.
 
     ``phi`` holds the cyclotomic exponents of phi_f, so the identity holds iff
     the oracle's exponents minus phi's vanish away from n = 1; e is the
-    difference at n = 1.  None when the canonical system of the transpose is
-    not reduced (the identity is only asserted in the reduced case).
+    difference at n = 1.  Returns (holds, e), with e = -1 when the identity
+    fails; None when the canonical system of the transpose is not reduced
+    (the identity is only asserted in the reduced case).
     """
     if transpose_weights.c_f != 1:
         return None
     gap = {n: oracle.factors.get(n, 0) - phi.get(n, 0) for n in {*oracle.factors, *phi}}
     shift = gap.pop(1, 0)
     if oracle.is_cyclotomic and shift >= 0 and not any(gap.values()):
-        return PhiReport(True, shift)
-    return PhiReport(False, -1)
+        return True, shift
+    return False, -1
 
 
 def verify_square_relation(
     phi: dict[int, int], coxeter: CyclotomicFactorization, rank: int
-) -> SquareReport:
-    """Whether the squared spectrum of (t-1)^e * phi_f matches ``coxeter``,
+) -> tuple[bool, str]:
+    """(holds, reason): whether the squared spectrum of (t-1)^e * phi_f matches ``coxeter``,
     the Coxeter characteristic polynomial of a K-lattice of the given rank.
 
     ``phi`` holds the cyclotomic exponents of phi_f; e is fixed by degree
@@ -180,19 +168,19 @@ def verify_square_relation(
     other than (t-1) yields a negative verdict, not an error.
     """
     if any(e < 0 for n, e in phi.items() if n != 1):
-        return SquareReport(False, "denominator is not a power of (t-1)")
+        return False, "denominator is not a power of (t-1)"
     if not coxeter.is_cyclotomic:
-        return SquareReport(False, "Coxeter characteristic polynomial not cyclotomic")
+        return False, "Coxeter characteristic polynomial not cyclotomic"
     factors = {n: e for n, e in phi.items() if e > 0}
     pad = rank - sum(euler_totient(n) * e for n, e in factors.items())
     if pad < 0:
-        return SquareReport(False, "degree exceeds the lattice rank")
+        return False, "degree exceeds the lattice rank"
     if pad:
         factors[1] = factors.get(1, 0) + pad
     squared = square_root_spectrum(CyclotomicFactorization(factors, 1, IntPolynomial.one()))
     if squared.factors == coxeter.factors:
-        return SquareReport(True, "squared spectrum matches")
-    return SquareReport(False, "squared spectrum differs")
+        return True, "squared spectrum matches"
+    return False, "squared spectrum differs"
 
 
 def transpose_monodromy(row: FixtureRow) -> CyclotomicFactorization:

@@ -69,15 +69,6 @@ class AmbientWeights:
         return power if self.coord is None else f"{'xyz'[self.coord]}*{power}"
 
 
-@dataclass(frozen=True)
-class GroupActionData:
-    """Cyclic group order c and the exponent quadruple of the generator acting
-    on the homogeneous coordinates (w:x:y:z)."""
-
-    c: int
-    m: tuple[int, int, int, int]
-
-
 def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
     """Solve E*w = |det E| * (1,...,1) exactly.
 
@@ -157,19 +148,18 @@ def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):
     return tuple(rows)
 
 
-def validate_action(F_monomials, action: GroupActionData) -> bool:
-    """True iff all monomials of F share one character mod c.
+def validate_action(F_monomials, c: int, m) -> bool:
+    """True iff all monomials of F share one character mod c under the cyclic
+    group of order c whose generator acts on (w:x:y:z) with exponents m.
 
     ``F_monomials`` are exponent rows over (w,x,y,z); the character of a
     monomial is sum(m_j * exponent_j) mod c.
     """
-    if action.c < 1:
+    if c < 1:
         raise WeightsError("group order must be >= 1")
-    if action.c == 1:
+    if c == 1:
         return True
-    characters = {
-        sum(m * e for m, e in zip(action.m, row)) % action.c for row in F_monomials
-    }
+    characters = {sum(m_j * e for m_j, e in zip(m, row)) % c for row in F_monomials}
     return len(characters) == 1
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bhdual import cli, dynkin
 from bhdual.cli import build_report, main, verify_row
 from bhdual.exactalg import IntMatrix
-from bhdual.fixtures import all_names, load_rows, row_by_name
+from bhdual.fixtures import AttachmentTable, all_names, load_rows, row_by_name
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
@@ -207,6 +208,16 @@ class TestLemma:
         assert (code, out, err) == (0, expected + "\n", "")
 
 
+def _nudged(v):
+    """Values of v with one integer moved to v-1, v+1, 0, 1 or 2v+3: v itself,
+    or one entry, at any depth, of the tuple v."""
+    if isinstance(v, tuple):
+        return st.integers(0, len(v) - 1).flatmap(
+            lambda i: _nudged(v[i]).map(lambda entry: (*v[:i], entry, *v[i + 1 :]))
+        )
+    return st.sampled_from([v - 1, v + 1, 0, 1, 2 * v + 3])
+
+
 class TestVerify:
     def test_single_row(self, capsys):
         code, out, err = run(capsys, "verify", "--name", "E_20")
@@ -317,48 +328,52 @@ class TestVerify:
                 {"condition": "mu", "expected": row.mu + 1, "actual": row.mu}
             ]
 
-    @pytest.mark.parametrize("name", ["E_20", "Q_16"])
-    def test_compactifier_of_no_degree_fails_its_column(self, capsys, monkeypatch, name):
-        # no power of w alone has degree d on these rows: a failing record and
-        # exit 1, not an exception; with no F = f + compactifier, the action
-        # check does not apply
-        wrong = dataclasses.replace(row_by_name(name), compactifier="w^99")
+    @pytest.mark.parametrize(
+        "name, exponent", [pytest.param("E_20", "66/5", id="E_20"), pytest.param("Q_16", "21/2", id="Q_16")]
+    )
+    def test_compactifier_of_no_degree_fails_its_column(self, capsys, monkeypatch, name, exponent):
+        # no power of w alone has degree d on these rows: the ambient stage
+        # fails, so do the two checks that read it (weights_table, and the
+        # action check, which needs F = f + compactifier), and bh verify
+        # exits 1, not an exception
+        row = row_by_name(name)
+        clean = verify_row(row)["checks"]
+        wrong = dataclasses.replace(row, compactifier="w^99")
         checks = verify_row(wrong)["checks"]
-        failed = checks["weights_table"]["failed"]
-        assert [entry["condition"] for entry in failed] == ["compactifier"]
-        assert "is not an integer" in failed[0]["actual"]
-        assert checks["action_invariance"] == {"status": "inapplicable"}
-        assert [n for n, check in checks.items() if check["status"] == "fail"] == ["weights_table"]
+        failed = [{"condition": "stage ambient", "expected": None,
+                   "actual": f"compactifier exponent {exponent} is not an integer"}]
+        for check in ("weights_table", "action_invariance"):
+            assert checks.pop(check) == {"status": "fail", "failed": failed}
+            clean.pop(check)
+        assert checks == clean
         monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
         code, out, _ = run(capsys, "verify", "--name", name)
         assert code == 1
-        assert json.loads(out)["summary"]["fail"] == 1
+        assert json.loads(out)["summary"]["fail"] == 2
 
     @pytest.mark.parametrize(
         "name, column, value, failed",
         [
-            # group order 0: validate_action raises WeightsError
-            ("J_3,0", "action_c", 0, {"action_invariance": ("one character mod c", "group order must be >= 1")}),
-            # beta = 0: beta_congruence_check raises WeightsError; the a5
-            # convention does not read beta, so the diagram is unchanged
+            # group order 0: validate_action raises WeightsError in the action stage
+            ("J_3,0", "action_c", 0, {"action_invariance": ("stage action", "group order must be >= 1")}),
+            # beta = 0: beta_congruence_check raises WeightsError in the beta
+            # stage; the a5 convention does not read beta, so the diagram is
+            # unchanged
             (
                 "E_20",
                 "alpha_beta",
                 ((2, 1), (3, 2), (11, 0)),
-                {"beta_congruence": ("a*beta_i = 1 mod alpha_i", "invalid pair (alpha, beta) = (11, 0)")},
+                {"beta_congruence": ("stage beta", "invalid pair (alpha, beta) = (11, 0)")},
             ),
             # beta = alpha on an a2 row: the reading also puts the arm
-            # attachment outside the arm, so extension_edges raises too
+            # attachment outside the arm, so the rule stage fails too
             (
                 "E_18",
                 "alpha_beta",
                 ((2, 1), (3, 2), (12, 12)),
                 {
-                    "beta_congruence": ("a*beta_i = 1 mod alpha_i", "invalid pair (alpha, beta) = (12, 12)"),
-                    "diagram_isomorphic": (
-                        "correspondence",
-                        "reading outside-minus puts arm 3 attachment at -1",
-                    ),
+                    "beta_congruence": ("stage beta", "invalid pair (alpha, beta) = (12, 12)"),
+                    "diagram_isomorphic": ("stage rule", "reading outside-minus puts arm 3 attachment at -1"),
                 },
             ),
             # a = 6: the diagram takes a from the case tag, so only the
@@ -373,8 +388,9 @@ class TestVerify:
                 ((2, 1), (3, 2), (13, 8)),
                 {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
             ),
-            # alpha_1 = 1 in the Dolgachev triple: phi_f and t_graph reject it,
-            # the configuration loses arm 1, so rank and char fail too
+            # alpha_1 = 1 in the Dolgachev triple: the phi and rule stages
+            # (phi_f, t_graph) reject it, the configuration loses arm 1, so
+            # rank and char fail too
             (
                 "E_18",
                 "dolgachev",
@@ -383,8 +399,8 @@ class TestVerify:
                     "weights_table": ("alpha_beta", (2, 3, 12)),
                     "rank_mu": ("rank", 17),
                     "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
-                    "phi_identity": ("holds", "alpha components must be >= 2"),
-                    "diagram_isomorphic": ("correspondence", "arm parameters must be >= 2"),
+                    "phi_identity": ("stage phi", "alpha components must be >= 2"),
+                    "diagram_isomorphic": ("stage rule", "arm parameters must be >= 2"),
                 },
             ),
             # the same on an I0* row, where phi_f also feeds the square relation
@@ -396,9 +412,9 @@ class TestVerify:
                     "weights_table": ("alpha_beta", (2, 4, 8)),
                     "rank_mu": ("rank", 14),
                     "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
-                    "phi_identity": ("holds", "alpha components must be >= 2"),
-                    "square_relation": ("holds", "alpha components must be >= 2"),
-                    "diagram_isomorphic": ("correspondence", "arm parameters must be >= 2"),
+                    "phi_identity": ("stage phi", "alpha components must be >= 2"),
+                    "square_relation": ("stage phi", "alpha components must be >= 2"),
+                    "diagram_isomorphic": ("stage rule", "arm parameters must be >= 2"),
                 },
             ),
         ],
@@ -406,22 +422,99 @@ class TestVerify:
     def test_out_of_range_column_fails_its_check(self, capsys, monkeypatch, name, column, value, failed):
         # a stored value outside the range a stage accepts, or at odds with
         # the column it repeats, is a failing check naming its conditions
-        # (one pair, or a list of them), and bh verify exits 1: no traceback
+        # (one pair, or a list of them), and bh verify exits 1: no traceback.
+        # A check that reads a failed stage carries nothing but the stage's
+        # condition, with a null expected value and the error text
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
         wrong = dataclasses.replace(row, **{column: value})
         checks = verify_row(wrong)["checks"]
         for check, conditions in failed.items():
             record = checks.pop(check)
-            assert record["status"] == "fail"
             expected = conditions if isinstance(conditions, list) else [conditions]
-            assert [(e["condition"], e["actual"]) for e in record["failed"]] == expected
+            if all(condition.startswith("stage ") for condition, _ in expected):
+                assert record == {
+                    "status": "fail",
+                    "failed": [{"condition": c, "expected": None, "actual": a} for c, a in expected],
+                }
+            else:
+                assert record["status"] == "fail"
+                assert [(e["condition"], e["actual"]) for e in record["failed"]] == expected
             clean.pop(check)
         assert checks == clean
         monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
         code, out, _ = run(capsys, "verify", "--name", name)
         assert code == 1
         assert json.loads(out)["summary"]["fail"] == len(failed)
+
+    @pytest.mark.parametrize(
+        "name, column, value, check, condition, text",
+        [
+            pytest.param(
+                "E_18", "attachment_table", AttachmentTable({1: 9}, None), "rank_mu", "stage gram",
+                "row E_18: position 9 outside arm 1", id="MissingAttachment-table",
+            ),
+            pytest.param(
+                "E_18", "dolgachev", (2, 3, 0), "gram_form", "stage gram",
+                "row E_18: position 3 outside arm 3", id="MissingAttachment-dolgachev",
+            ),
+            # an alpha in alpha_beta longer than the arm the Dolgachev triple builds
+            pytest.param(
+                "E_18", "alpha_beta", ((2, 1), (3, 2), (19, 1)), "diagram_isomorphic", "stage rule",
+                "reading outside-minus puts arm 3 attachment at 17", id="MissingConvention",
+            ),
+            pytest.param(
+                "E_18", "f", "x^2+", "poincare_series", "stage f",
+                "trailing '+' (at position 3)", id="ParseError",
+            ),
+            pytest.param(
+                "E_18", "f", "x^5 + y^3 + q*z^2", "weights_table", "stage f",
+                "unknown variable 'q' (at position 12)", id="UnknownVariable",
+            ),
+            pytest.param(
+                "E_18", "f_T", "x^2*y", "rank_mu", "stage f_T",
+                "1 monomials for 3 variables", id="MonomialCountMismatch",
+            ),
+            pytest.param(
+                "J_3,0", "dolgachev", (2, 3, 1), "coxeter_monodromy", "stage gram", "E3_1", id="UnknownNode",
+            ),
+        ],
+    )
+    def test_stage_error_fails_a_check(self, capsys, monkeypatch, name, column, value, check, condition, text):
+        # a stored value a stage's builder rejects fails each check that reads
+        # the stage, with the builder's error text; bh verify exits 1
+        wrong = dataclasses.replace(row_by_name(name), **{column: value})
+        record = verify_row(wrong)["checks"][check]
+        assert record["status"] == "fail"
+        assert {"condition": condition, "expected": None, "actual": text} in record["failed"]
+        monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
+        code, out, err = run(capsys, "verify", "--name", name)
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["rows"][0]["checks"][check] == record
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_one_bad_column_never_raises(self, data):
+        # one column of one row replaced by another row's value, by a
+        # malformed polynomial, or with one integer (the column, or an entry
+        # of a tuple column) moved: every check ends in a status and bh
+        # verify exits 0 or 1
+        rows = load_rows()
+        row = data.draw(st.sampled_from(rows))
+        column = data.draw(st.sampled_from([field.name for field in dataclasses.fields(row)]))
+        old = getattr(row, column)
+        moves = [st.sampled_from([getattr(other, column) for other in rows])]
+        if column in ("f", "f_T"):
+            moves.append(st.sampled_from(["x^2+", "x^5 + y^3 + q*z^2", "x^2*y", "", "x^2 + x^2 + z^3"]))
+        if isinstance(old, (int, tuple)):
+            moves.append(_nudged(old))
+        wrong = dataclasses.replace(row, **{column: data.draw(st.one_of(moves))})
+        statuses = {check["status"] for check in verify_row(wrong)["checks"].values()}
+        assert statuses <= {"pass", "fail", "inapplicable"}
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "row_by_name", lambda _: wrong):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["verify", "--name", row.name]) in (0, 1)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all")

@@ -100,6 +100,15 @@ class TestExtend:
         diagram = diagram_for_row(row_by_name("W_18"))
         assert diagram.vertices[-3:] == ("B1", "B2", "B3")
 
+    def test_attachment_beyond_the_built_arm(self):
+        # alpha_3 = 19 in alpha_beta puts the attachment at E3_17, but the
+        # Dolgachev triple (2, 3, 12) builds arm 3 up to E3_11: a named error
+        # (a ValueError, as every stage error is), not a bare KeyError
+        row = dataclasses.replace(row_by_name("E_18"), alpha_beta=((2, 1), (3, 2), (19, 1)))
+        with pytest.raises(MissingConvention, match="arm 3 attachment at 17") as raised:
+            diagram_for_row(row)
+        assert isinstance(raised.value, ValueError) and not isinstance(raised.value, KeyError)
+
 
 class TestReadings:
     def test_position_values(self):

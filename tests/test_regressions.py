@@ -39,11 +39,11 @@ def test_k_lattice_regression_table():
         factors, order, det_gram, signature = EXPECTED[row.name]
         gram, _, _ = row_gram(row)
         cox = coxeter_element(gram)
-        inv = lattice_invariants(gram)
+        det, inertia = lattice_invariants(gram)
         assert cox.factorization.factors == factors, row.name
         assert cox.order == order, row.name
-        assert inv.det == det_gram, row.name
-        assert inv.signature == signature, row.name
+        assert det == det_gram, row.name
+        assert inertia == signature, row.name
 
 
 def test_coxeter_order_equals_reduced_transpose_degree():

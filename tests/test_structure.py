@@ -314,7 +314,9 @@ def test_every_dataclass_field_is_read():
 def test_one_status_rule():
     # bh verify decides pass, fail or inapplicable in one place: verify_row
     # puts into its checks dict only what cli._check returns, and names no
-    # status itself
+    # status itself. It catches in one place too: the verify path holds one
+    # try, in the stage loop, whose one handler takes ValueError, so no check
+    # catches an exception itself
     cli = _tree("cli.py")
     defined = {node.name for node in ast.walk(cli) if isinstance(node, ast.FunctionDef)}
     assert "_check" in defined and "_status" not in defined
@@ -333,6 +335,13 @@ def test_one_status_rule():
         for node in ast.walk(verify_row)
         if isinstance(node, ast.Constant) and node.value in ("status", "pass", "fail", "inapplicable")
     ]
+    path = [_function("cli.py", name) for name in ("_check", "_stages", "verify_row", "build_report")]
+    tries = [node for func in path for node in ast.walk(func) if isinstance(node, ast.Try)]
+    assert len(tries) == 1
+    assert [ast.unparse(handler.type) for handler in tries[0].handlers] == ["ValueError"]
+    assert not tries[0].orelse and not tries[0].finalbody
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check"
+               for node in ast.walk(verify_row)) == 1
 
 
 def test_cli_loads_quotres_for_lemma_only():

@@ -6,7 +6,6 @@ from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.polyparse import parse_polynomial
 from bhdual.weights import (
     CanonicalWeights,
-    GroupActionData,
     NonIntegralExponent,
     NonPositiveQ0,
     ReducedWeights,
@@ -113,22 +112,21 @@ class TestAmbientWeights:
 class TestValidateAction:
     def test_invariant_quadruple(self):
         monomials = ((0, 6, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2), (18, 0, 0, 0))
-        assert validate_action(monomials, GroupActionData(2, (0, 1, -1, 0)))
+        assert validate_action(monomials, 2, (0, 1, -1, 0))
 
     def test_trivial_group(self):
         monomials = ((0, 6, 0, 0), (18, 0, 0, 0))
-        assert validate_action(monomials, GroupActionData(1, (7, 7, 7, 7)))
+        assert validate_action(monomials, 1, (7, 7, 7, 7))
 
     def test_broken_quadruple(self):
         monomials = ((0, 6, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2), (18, 0, 0, 0))
-        assert not validate_action(monomials, GroupActionData(2, (0, 1, 0, 0)))
+        assert not validate_action(monomials, 2, (0, 1, 0, 0))
 
     def test_every_fixture_action(self):
         for row in load_rows():
             amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier_shape)
             monomials = compactified_monomials(poly(row.f), amb)
-            action = GroupActionData(row.action_c, row.action_m or (0, 0, 0, 0))
-            assert validate_action(monomials, action), row.name
+            assert validate_action(monomials, row.action_c, row.action_m or (0, 0, 0, 0)), row.name
 
 
 class TestBetaCongruence:
