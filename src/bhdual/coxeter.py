@@ -17,8 +17,7 @@ correspondence; no isomorphism search is needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .exactalg import (
     CyclotomicFactorization,
@@ -38,15 +37,14 @@ class NotSymmetric(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoxeterResult:
+class CoxeterResult(NamedTuple):
     matrix: IntMatrix
     char: IntPolynomial
     factorization: CyclotomicFactorization
 
-    @cached_property
+    @property
     def order(self) -> int | None:
-        """The order of tau, None when it is infinite; computed on first read.
+        """The order of tau, None when it is infinite; computed on each read.
 
         Let N be the lcm of the indices n of char = prod Phi_n^(e_n) and r =
         prod Phi_n over them.  The minimal polynomial has the roots of char, so

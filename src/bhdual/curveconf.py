@@ -5,7 +5,7 @@ exceptional cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
@@ -15,8 +15,11 @@ class MissingAttachment(ValueError):
     """The row's attachment table does not cover a required attachment."""
 
 
-@dataclass(frozen=True)
-class CurveConfiguration:
+class ShortArm(ValueError):
+    """A stored alpha_i below 2: arm i would hold no curve."""
+
+
+class CurveConfiguration(NamedTuple):
     """Labeled undirected multigraph of -2-curves.
 
     ``edges`` maps a sorted label pair to its intersection multiplicity (all
@@ -58,6 +61,8 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     a = CASE_TAGS[case]
     labels: list[str] = []
     for i, a_i in enumerate(alpha, start=1):
+        if a_i < 2:
+            raise ShortArm(f"row {row.name}: arm {i} has alpha {a_i}, below 2")
         labels.extend(arm_label(i, j) for j in range(1, a_i))
     labels.append(CENTER)
     if case == "Quadrilateral_r1":

@@ -15,10 +15,10 @@ two diagrams are compared entry by entry under that correspondence.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import klattice
 from .coxeter import coxeter_element
@@ -36,8 +36,7 @@ class CalibrationFailed(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Ordered vertex labels plus the Gram matrix of the basis they encode.
 
     Edge weights are the off-diagonal Gram entries: |w| parallel edges,
@@ -92,8 +91,7 @@ def read_position(reading: str, alpha: int, beta: int) -> int:
     raise MissingConvention(reading)
 
 
-@dataclass(frozen=True)
-class CaseConvention:
+class CaseConvention(NamedTuple):
     """Extension wiring for one case.
 
     ``bullet_edges`` are (i, j, sign) pairs among the extra vertices;
@@ -111,8 +109,7 @@ class CaseConvention:
     fixed_slots: tuple[tuple[int, int, int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class ConventionTable:
+class ConventionTable(NamedTuple):
     """Committed conventions for the whole fixture set: one reading plus one
     CaseConvention per extension case."""
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 
 class InexactDivision(ArithmeticError):
@@ -24,6 +24,18 @@ class InexactDivision(ArithmeticError):
 
 class NotCyclotomic(ValueError):
     """Raised when an operation requires a fully cyclotomic factorization."""
+
+
+class Frozen:
+    """Base of the value types: __init__ sets their ``__slots__``, read-only after."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 # ---------------------------------------------------------------------------
@@ -37,18 +49,21 @@ def _trim(coeffs):
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Frozen):
     """Dense integer polynomial; ``coefficients[k]`` is the coefficient of t^k.
 
     The zero polynomial has an empty coefficient tuple; otherwise the leading
     (highest-index) coefficient is nonzero.
     """
 
+    __slots__ = ("coefficients",)
     coefficients: tuple[int, ...]
 
     def __init__(self, coefficients=()):
         object.__setattr__(self, "coefficients", _trim(coefficients))
+
+    def __eq__(self, other):
+        return type(other) is IntPolynomial and other.coefficients == self.coefficients
 
     @staticmethod
     def zero() -> "IntPolynomial":
@@ -115,8 +130,7 @@ class IntPolynomial:
 # RationalFunction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Quotient of integer polynomials, kept exactly as given."""
 
     numerator: IntPolynomial
@@ -170,8 +184,7 @@ def euler_totient(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
+class CyclotomicFactorization(NamedTuple):
     """unit * prod(Phi_n^multiplicity) * remainder."""
 
     factors: dict[int, int]
@@ -334,10 +347,10 @@ def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:
 # IntMatrix
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Square matrix of ``int`` entries, stored as given (TypeError otherwise)."""
 
+    __slots__ = ("entries", "_nonzero_rows")
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
@@ -347,6 +360,9 @@ class IntMatrix:
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             raise TypeError("matrix entries must be of type int")
         object.__setattr__(self, "entries", rows)
+
+    def __eq__(self, other):
+        return type(other) is IntMatrix and other.entries == self.entries
 
     @property
     def dim(self) -> int:
@@ -368,13 +384,12 @@ class IntMatrix:
         bits = _slot_bits(bound)
         return [sum(e << bits * j for j, e in enumerate(row) if e) for row in self.entries]
 
-    @cached_property
-    def _nonzero_rows(self) -> list[list[tuple[int, int]]]:
-        return [[(k, a) for k, a in enumerate(row) if a] for row in self.entries]
-
     def times_packed(self, packed: list[int]) -> list[int]:
         """Packed rows of M * B from packed rows of B: one small-int times big-int
-        multiply-add per nonzero entry of M; bignum code runs the column loop."""
+        multiply-add per nonzero entry of M, listed on first use; bignum code runs
+        the column loop."""
+        if not hasattr(self, "_nonzero_rows"):
+            object.__setattr__(self, "_nonzero_rows", [[(k, a) for k, a in enumerate(row) if a] for row in self.entries])
         return [sum(a * packed[k] for k, a in row) for row in self._nonzero_rows]
 
     def transpose(self) -> "IntMatrix":

@@ -8,8 +8,8 @@ stored values as a failure, so transcription errors surface immediately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 #: each case tag and the size a of its extension: B1..Ba, and F1..F(a-1) if exceptional
 CASE_TAGS = {
@@ -27,8 +27,7 @@ class UnknownFixture(KeyError):
     pass
 
 
-@dataclass(frozen=True)
-class AttachmentTable:
+class AttachmentTable(NamedTuple):
     """Where the curve E0 meets the arms (positions count from the outer end)
     and, for exceptional cases, which F-chain component it meets."""
 
@@ -36,8 +35,7 @@ class AttachmentTable:
     f_chain: int | None
 
 
-@dataclass(frozen=True)
-class FixtureRow:
+class FixtureRow(NamedTuple):
     name: str
     dual_name: str
     f_T: str

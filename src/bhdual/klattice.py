@@ -19,10 +19,10 @@ reads the configuration.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
-from .exactalg import IntMatrix
+from .exactalg import Frozen, IntMatrix
 from .fixtures import FixtureRow
 
 
@@ -39,8 +39,7 @@ class UnknownNode(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MukaiClass:
+class MukaiClass(NamedTuple):
     """(rank, D, degree) with D the sum of m * C over the (label C,
     multiplicity m) pairs of ``divisor``, sorted by label, every m nonzero."""
 
@@ -53,8 +52,7 @@ class MukaiClass:
 _FORMS = {"OC-1": "O_{0}(-1)", "OC": "O_{0}", "OX": "O_X", "OX[1]": "O_X[1]", "TW": "T_{0}({1})"}
 
 
-@dataclass(frozen=True)
-class Sheaf:
+class Sheaf(NamedTuple):
     """Descriptor of a generator: kind is one of 'OC-1', 'OC', 'OX', 'OX[1]',
     'TW'; nodes names the supporting curve(s)."""
 
@@ -66,9 +64,12 @@ class Sheaf:
         return self.kind if form is None else form.format(*self.nodes)
 
 
-@dataclass(frozen=True)
-class GeneratorList:
+class GeneratorList(Frozen):
+    __slots__ = ("items",)
     items: tuple[tuple[Sheaf, MukaiClass], ...]
+
+    def __init__(self, items):
+        object.__setattr__(self, "items", items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -133,10 +134,10 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
         near[c][d] = near[d][c] = m
     for label in conf.labels:
         near[label][label] = -2
-    for j, w in enumerate(classes):
+    for j, (sheaf, w) in enumerate(gens.items):
         for d, b in w.divisor:
             if d not in conf.labels:
-                raise UnknownNode(d)
+                raise UnknownNode(f"generator {sheaf} names {d}, a curve the configuration lacks")
             holders[d].append((j, b))
     n = len(classes)
     rows = [[0] * n for _ in range(n)]

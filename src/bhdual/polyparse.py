@@ -14,9 +14,7 @@ rejected, and so is a '*' with no factor after it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactalg import IntMatrix, det_bareiss
+from .exactalg import Frozen, IntMatrix, det_bareiss
 
 
 class ParseError(ValueError):
@@ -43,8 +41,7 @@ class ZeroDeterminant(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InvertiblePolynomial:
+class InvertiblePolynomial(Frozen):
     """Exponent matrix plus an ordered tuple of variable names.
 
     Row i of the matrix is the i-th monomial; column j carries the exponents
@@ -53,6 +50,7 @@ class InvertiblePolynomial:
     det != 0.
     """
 
+    __slots__ = ("matrix", "variables")
     matrix: IntMatrix
     variables: tuple[str, ...]
 
@@ -70,6 +68,9 @@ class InvertiblePolynomial:
             raise ZeroDeterminant("exponent matrix is singular")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "variables", variables)
+
+    def __eq__(self, other):
+        return type(other) is InvertiblePolynomial and (other.matrix, other.variables) == (self.matrix, self.variables)
 
     @property
     def n(self) -> int:

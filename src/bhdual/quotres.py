@@ -12,9 +12,7 @@ u^p v^q with the same coefficient), so all the algebra stays over Z.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactalg import IntPolynomial, gcd_degree
+from .exactalg import Frozen, IntPolynomial, gcd_degree
 
 
 class InvalidRange(ValueError):
@@ -25,12 +23,12 @@ class NotFactorable(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LaurentPoly2:
+class LaurentPoly2(Frozen):
     """Laurent polynomial in two chart coordinates u, v with integer
     coefficients; terms maps (exp_u, exp_v) to a nonzero coefficient.  The
     constructor sums the coefficients of equal exponents and drops zeros."""
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[tuple[int, int], int], ...]
 
     def __init__(self, terms):
@@ -40,6 +38,9 @@ class LaurentPoly2:
             key = tuple(key)
             cleaned[key] = cleaned.get(key, 0) + coeff
         object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
+
+    def __eq__(self, other):
+        return type(other) is LaurentPoly2 and other.terms == self.terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -74,16 +75,18 @@ class LaurentPoly2:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
-class ResolutionChart:
+class ResolutionChart(Frozen):
     """Chart i of the resolution of the type (k, k-1) singularity."""
 
+    __slots__ = ("i", "k")
     i: int
     k: int
 
-    def __post_init__(self):
-        if not 1 <= self.i <= self.k:
-            raise InvalidRange(f"chart index {self.i} outside 1..{self.k}")
+    def __init__(self, i: int, k: int):
+        if not 1 <= i <= k:
+            raise InvalidRange(f"chart index {i} outside 1..{k}")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "k", k)
 
     def substitution(self) -> dict[str, tuple[int, int]]:
         """The exponent pair (exp_u, exp_v) of the monomial each of X, Y, Z
@@ -96,13 +99,13 @@ class ResolutionChart:
 # curves in the quotient and their proper transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class XYZPoly:
+class XYZPoly(Frozen):
     """Polynomial in the invariant coordinates X, Y, Z with integer
     coefficients; terms maps (exp_X, exp_Y, exp_Z) to a nonzero coefficient.
     The constructor sums the coefficients of equal exponents, drops zeros and
     raises TypeError for a coefficient that is not an int."""
 
+    __slots__ = ("terms",)
     terms: tuple[tuple[tuple[int, int, int], int], ...]
 
     def __init__(self, terms):
@@ -114,6 +117,9 @@ class XYZPoly:
             key = tuple(key)
             cleaned[key] = cleaned.get(key, 0) + coeff
         object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
+
+    def __eq__(self, other):
+        return type(other) is XYZPoly and other.terms == self.terms
 
     def substitute(self, chart: ResolutionChart) -> LaurentPoly2:
         """Chart image: each term goes to one monomial by the exponent map."""

@@ -9,7 +9,7 @@ is negative).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactalg import IntMatrix, det_bareiss
 from .polyparse import InvertiblePolynomial
@@ -31,16 +31,14 @@ class NonIntegralExponent(WeightsError):
     pass
 
 
-@dataclass(frozen=True)
-class CanonicalWeights:
+class CanonicalWeights(NamedTuple):
     """Weights (w_1..w_n) and degree d' with E*w = d'*(1,..,1)."""
 
     w: tuple[int, ...]
     d_prime: int
 
 
-@dataclass(frozen=True)
-class ReducedWeights:
+class ReducedWeights(NamedTuple):
     """Canonical system divided by c_f = gcd(w_1,...,w_n,d')."""
 
     q: tuple[int, ...]
@@ -48,8 +46,7 @@ class ReducedWeights:
     c_f: int
 
 
-@dataclass(frozen=True)
-class AmbientWeights:
+class AmbientWeights(NamedTuple):
     """Weights of the ambient weighted projective space and the compactifying
     monomial (over homogeneous coordinates w,x,y,z): w^exponent times the
     coordinate x, y or z at index ``coord`` (None: the plain power of w)."""

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -19,6 +18,8 @@ from bhdual.fixtures import AttachmentTable, all_names, load_rows, row_by_name
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
+#: what the gram stage says of E_18 with the Dolgachev triple (1, 3, 12)
+SHORT_ARM = "row E_18: arm 1 has alpha 1, below 2"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -314,7 +315,7 @@ class TestVerify:
         # condition, and every other check of the row keeps its clean record
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
-        checks = verify_row(dataclasses.replace(row, **{column: value}))["checks"]
+        checks = verify_row(row._replace(**{column: value}))["checks"]
         failed = checks.pop(check)["failed"]
         assert [entry["condition"] for entry in failed] == [condition]
         clean.pop(check)
@@ -322,7 +323,7 @@ class TestVerify:
 
     def test_wrong_mu_fails_only_rank_mu(self):
         for row in load_rows():
-            checks = verify_row(dataclasses.replace(row, mu=row.mu + 1))["checks"]
+            checks = verify_row(row._replace(mu=row.mu + 1))["checks"]
             assert [name for name, check in checks.items() if check["status"] == "fail"] == ["rank_mu"]
             assert checks["rank_mu"]["failed"] == [
                 {"condition": "mu", "expected": row.mu + 1, "actual": row.mu}
@@ -338,7 +339,7 @@ class TestVerify:
         # exits 1, not an exception
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
-        wrong = dataclasses.replace(row, compactifier="w^99")
+        wrong = row._replace(compactifier="w^99")
         checks = verify_row(wrong)["checks"]
         failed = [{"condition": "stage ambient", "expected": None,
                    "actual": f"compactifier exponent {exponent} is not an integer"}]
@@ -388,19 +389,21 @@ class TestVerify:
                 ((2, 1), (3, 2), (13, 8)),
                 {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
             ),
-            # alpha_1 = 1 in the Dolgachev triple: the phi and rule stages
-            # (phi_f, t_graph) reject it, the configuration loses arm 1, so
-            # rank and char fail too
+            # alpha_1 = 1 in the Dolgachev triple: the phi, rule and gram stages
+            # (phi_f, t_graph, the configuration) reject it
             (
                 "E_18",
                 "dolgachev",
                 (1, 3, 12),
                 {
                     "weights_table": ("alpha_beta", (2, 3, 12)),
-                    "rank_mu": ("rank", 17),
-                    "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
+                    "rank_mu": ("stage gram", SHORT_ARM),
+                    "gram_form": ("stage gram", SHORT_ARM),
+                    "coxeter_monodromy": ("stage gram", SHORT_ARM),
                     "phi_identity": ("stage phi", "alpha components must be >= 2"),
-                    "diagram_isomorphic": ("stage rule", "arm parameters must be >= 2"),
+                    "diagram_isomorphic": [
+                        ("stage rule", "arm parameters must be >= 2"), ("stage gram", SHORT_ARM)
+                    ],
                 },
             ),
             # the same on an I0* row, where phi_f also feeds the square relation
@@ -410,11 +413,16 @@ class TestVerify:
                 (1, 4, 8),
                 {
                     "weights_table": ("alpha_beta", (2, 4, 8)),
-                    "rank_mu": ("rank", 14),
-                    "coxeter_monodromy": [("cyclotomic", False), ("char", {})],
+                    "rank_mu": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
+                    "gram_form": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
+                    "coxeter_monodromy": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
                     "phi_identity": ("stage phi", "alpha components must be >= 2"),
-                    "square_relation": ("stage phi", "alpha components must be >= 2"),
-                    "diagram_isomorphic": ("stage rule", "arm parameters must be >= 2"),
+                    "square_relation": [
+                        ("stage phi", "alpha components must be >= 2"), ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2")
+                    ],
+                    "diagram_isomorphic": [
+                        ("stage rule", "arm parameters must be >= 2"), ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2")
+                    ],
                 },
             ),
         ],
@@ -427,7 +435,7 @@ class TestVerify:
         # condition, with a null expected value and the error text
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
-        wrong = dataclasses.replace(row, **{column: value})
+        wrong = row._replace(**{column: value})
         checks = verify_row(wrong)["checks"]
         for check, conditions in failed.items():
             record = checks.pop(check)
@@ -455,7 +463,7 @@ class TestVerify:
                 "row E_18: position 9 outside arm 1", id="MissingAttachment-table",
             ),
             pytest.param(
-                "E_18", "dolgachev", (2, 3, 0), "gram_form", "stage gram",
+                "E_18", "dolgachev", (2, 3, 3), "gram_form", "stage gram",
                 "row E_18: position 3 outside arm 3", id="MissingAttachment-dolgachev",
             ),
             # an alpha in alpha_beta longer than the arm the Dolgachev triple builds
@@ -475,15 +483,22 @@ class TestVerify:
                 "E_18", "f_T", "x^2*y", "rank_mu", "stage f_T",
                 "1 monomials for 3 variables", id="MonomialCountMismatch",
             ),
+            # alpha_3 = 2 leaves arm 3 one curve, but the twist class of E_20 names E3_2
             pytest.param(
-                "J_3,0", "dolgachev", (2, 3, 1), "coxeter_monodromy", "stage gram", "E3_1", id="UnknownNode",
+                "E_20", "dolgachev", (2, 3, 2), "coxeter_monodromy", "stage gram",
+                "generator T_E3_1(E3_2) names E3_2, a curve the configuration lacks", id="UnknownNode",
+            ),
+            pytest.param("E_18", "dolgachev", (1, 3, 12), "rank_mu", "stage gram", SHORT_ARM, id="ShortArm"),
+            pytest.param(
+                "J_3,0", "dolgachev", (2, 3, 1), "gram_form", "stage gram",
+                "row J_3,0: arm 3 has alpha 1, below 2", id="ShortArm-twisted",
             ),
         ],
     )
     def test_stage_error_fails_a_check(self, capsys, monkeypatch, name, column, value, check, condition, text):
         # a stored value a stage's builder rejects fails each check that reads
         # the stage, with the builder's error text; bh verify exits 1
-        wrong = dataclasses.replace(row_by_name(name), **{column: value})
+        wrong = row_by_name(name)._replace(**{column: value})
         record = verify_row(wrong)["checks"][check]
         assert record["status"] == "fail"
         assert {"condition": condition, "expected": None, "actual": text} in record["failed"]
@@ -501,14 +516,14 @@ class TestVerify:
         # verify exits 0 or 1
         rows = load_rows()
         row = data.draw(st.sampled_from(rows))
-        column = data.draw(st.sampled_from([field.name for field in dataclasses.fields(row)]))
+        column = data.draw(st.sampled_from(list(row._fields)))
         old = getattr(row, column)
         moves = [st.sampled_from([getattr(other, column) for other in rows])]
         if column in ("f", "f_T"):
             moves.append(st.sampled_from(["x^2+", "x^5 + y^3 + q*z^2", "x^2*y", "", "x^2 + x^2 + z^3"]))
-        if isinstance(old, (int, tuple)):
+        if type(old) in (int, tuple):  # an AttachmentTable is a tuple too, of no integers
             moves.append(_nudged(old))
-        wrong = dataclasses.replace(row, **{column: data.draw(st.one_of(moves))})
+        wrong = row._replace(**{column: data.draw(st.one_of(moves))})
         statuses = {check["status"] for check in verify_row(wrong)["checks"].values()}
         assert statuses <= {"pass", "fail", "inapplicable"}
         out, err = io.StringIO(), io.StringIO()

@@ -1,11 +1,10 @@
-import dataclasses
-
 import pytest
 
 from bhdual.curveconf import (
     CENTER,
     CurveConfiguration,
     MissingAttachment,
+    ShortArm,
     build_configuration,
 )
 from bhdual.dynkin import DynkinDiagram
@@ -111,18 +110,21 @@ class TestBuildConfiguration:
 
     def test_missing_attachment(self):
         row = row_by_name("S_16")
-        broken = dataclasses.replace(row, attachment_table=AttachmentTable(arms={}, f_chain=1))
+        broken = row._replace(attachment_table=AttachmentTable(arms={}, f_chain=1))
         with pytest.raises(MissingAttachment):
             build_configuration(broken)
 
     def test_position_out_of_range(self):
         row = row_by_name("S_16")
-        broken = dataclasses.replace(
-            row,
-            attachment_table=AttachmentTable(arms={2: 1, 3: 9}, f_chain=1),
-        )
+        broken = row._replace(attachment_table=AttachmentTable(arms={2: 1, 3: 9}, f_chain=1))
         with pytest.raises(MissingAttachment):
             build_configuration(broken)
+
+    @pytest.mark.parametrize("alpha, arm", [((1, 3, 12), 1), ((2, 0, 12), 2), ((2, 3, 1), 3)])
+    def test_short_arm(self, alpha, arm):
+        # an arm with no curves would join E0 or Einf to a curve not among the labels
+        with pytest.raises(ShortArm, match=f"row E_18: arm {arm} has alpha {alpha[arm - 1]}, below 2"):
+            build_configuration(row_by_name("E_18")._replace(dolgachev=alpha))
 
 
 class TestIndex:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from bhdual import coxeter, dynkin
@@ -86,7 +84,7 @@ class TestExtend:
 
     def test_escape_clause_all_beta_maximal(self):
         conv = committed_convention()
-        row = dataclasses.replace(row_by_name("S_16"), dolgachev=(2, 2, 2), alpha_beta=((2, 1),) * 3)
+        row = row_by_name("S_16")._replace(dolgachev=(2, 2, 2), alpha_beta=((2, 1),) * 3)
         assert case_key(row) == "a2"
         diagram = extend(t_graph((2, 2, 2)), 2, extension_edges(row, conv.reading, conv.cases["a2"]))
         assert diagram_for_row(row) == diagram
@@ -104,7 +102,7 @@ class TestExtend:
         # alpha_3 = 19 in alpha_beta puts the attachment at E3_17, but the
         # Dolgachev triple (2, 3, 12) builds arm 3 up to E3_11: a named error
         # (a ValueError, as every stage error is), not a bare KeyError
-        row = dataclasses.replace(row_by_name("E_18"), alpha_beta=((2, 1), (3, 2), (19, 1)))
+        row = row_by_name("E_18")._replace(alpha_beta=((2, 1), (3, 2), (19, 1)))
         with pytest.raises(MissingConvention, match="arm 3 attachment at 17") as raised:
             diagram_for_row(row)
         assert isinstance(raised.value, ValueError) and not isinstance(raised.value, KeyError)

@@ -23,7 +23,9 @@ from bhdual.exactalg import (
 )
 from conftest import cyclotomic, long_division
 from bhdual.fixtures import VARIABLES, load_rows
-from bhdual.polyparse import parse_polynomial, transpose
+from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of
+from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
+from bhdual.quotres import LaurentPoly2, ResolutionChart, XYZPoly
 from bhdual.series import milnor_orlik
 from bhdual.weights import canonical_weights, reduce
 
@@ -422,3 +424,63 @@ class TestMatrices:
         p = char_poly(m)
         constant = p.coefficients[0] if p.coefficients else 0
         assert det_bareiss(m) == (-1) ** m.dim * constant
+
+
+# each value type: a value, built afresh on every call, an equal value built
+# another way (None: equality is identity), and the tuple of its entries
+VALUE_TYPES = {
+    "IntPolynomial": (lambda: P((1, 2, 0)), lambda: P([1, 2]), (1, 2)),
+    "IntMatrix": (lambda: IntMatrix([[1, 2], [3, 4]]), lambda: IntMatrix(((1, 2), (3, 4))), ((1, 2), (3, 4))),
+    "InvertiblePolynomial": (
+        lambda: parse_polynomial("x^2 + y^3", "xy"),
+        lambda: InvertiblePolynomial(IntMatrix([[2, 0], [0, 3]]), ["x", "y"]),
+        (IntMatrix([[2, 0], [0, 3]]), ("x", "y")),
+    ),
+    "LaurentPoly2": (
+        lambda: LaurentPoly2({(0, 0): 1, (0, 1): 1}),
+        lambda: LaurentPoly2([((0, 1), 1), ((0, 0), 1), ((2, 2), 0)]),
+        (((0, 0), 1), ((0, 1), 1)),
+    ),
+    "XYZPoly": (
+        lambda: XYZPoly({(0, 0, 2): 1, (0, 2, 0): 1}),
+        lambda: XYZPoly([((0, 2, 0), 1), ((0, 0, 2), 2), ((0, 0, 2), -1)]),
+        (((0, 0, 2), 1), ((0, 2, 0), 1)),
+    ),
+    "GeneratorList": (
+        lambda: GeneratorList(((Sheaf("OX"), class_of(Sheaf("OX"))),)),
+        None,
+        ((Sheaf("OX"), MukaiClass(1, (), 1)),),
+    ),
+    "ResolutionChart": (lambda: ResolutionChart(1, 2), None, (1, 2)),
+}
+
+
+@pytest.mark.parametrize("make, make_equal, entries", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_type_semantics(make, make_equal, entries):
+    # equal by value where the type defines it (by identity otherwise), never
+    # equal to a tuple of the same entries, hashing agrees with equality, and
+    # every field is read-only
+    a = make()
+    b = a if make_equal is None else make_equal()
+    assert a == b and not a != b
+    if make_equal is None:
+        assert make() != a
+    assert a != entries and entries != a and a != tuple(entries)
+    if type(a).__hash__ is not None:
+        assert hash(a) == hash(b)
+    for field in type(a).__annotations__:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+        assert getattr(a, field) == getattr(b, field)
+    assert not hasattr(a, "__dict__")
+
+
+def test_matrix_lists_its_nonzero_entries_once():
+    m = IntMatrix([[0, 2], [3, 0]])
+    assert not hasattr(m, "_nonzero_rows")
+    assert m.times_packed([1, 10]) == [20, 3]
+    rows = m._nonzero_rows
+    assert rows == [[(1, 2)], [(0, 3)]]
+    assert m.times_packed([5, 7]) == [14, 15] and m._nonzero_rows is rows

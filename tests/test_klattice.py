@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -279,7 +278,7 @@ class TestReflect:
         def apart(row):
             conf = build_configuration(row)
             edges = {pair: m for pair, m in conf.edges.items() if pair != ("E3_1", "E3_2")}
-            return dataclasses.replace(conf, edges=edges)
+            return conf._replace(edges=edges)
 
         monkeypatch.setattr(klattice, "build_configuration", apart)
         with pytest.raises(NotARoot, match=re.escape("T_E3_1(E3_2)")):

@@ -58,8 +58,8 @@ def test_series_uses_no_factorization_or_gcd():
     assert not names & {"factor_cyclotomic", "polynomial_gcd"}
 
 
-def test_no_fractions_import():
-    # integer kernels throughout: no module of the package uses Fraction
+def _importers(top):
+    """file:line of every import of the module ``top`` in the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(_tree(path.name)):
@@ -69,9 +69,21 @@ def test_no_fractions_import():
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] == top for name in names):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_no_fractions_import():
+    # integer kernels throughout: no module of the package uses Fraction
+    assert _importers("fractions") == []
+
+
+def test_no_dataclasses_import():
+    # records are NamedTuples and value types plain classes with __slots__:
+    # building dataclasses (and importing dataclasses, which loads inspect)
+    # cost a cold bh verify about 17 ms
+    assert _importers("dataclasses") == []
 
 
 def _function(module, name):
@@ -262,23 +274,24 @@ def _scopes(tree):
         yield nodes
 
 
-def test_every_dataclass_field_is_read():
+def test_every_record_field_is_read():
     # a field that only tests read is data nothing uses: each field of a
-    # dataclass of the package must be read as an attribute by the package, a
-    # script or the benchmark. A read counts for one class when the receiver
-    # was bound, in the same function, to a call of that class or of a package
-    # function annotated to return it; otherwise for every class with a field
-    # of that name
+    # record of the package (a class whose body annotates its fields, a
+    # NamedTuple or a plain class with __slots__) must be read as an attribute
+    # by the package, a script or the benchmark. A read counts for one class
+    # when the receiver was bound, in the same function, to a call of that
+    # class or of a package function annotated to return it; otherwise for
+    # every class with a field of that name
     modules = sorted(PACKAGE.glob("*.py"))
     fields = [
         (node.name, stmt.target.id)
         for path in modules
         for node in _tree(path.name).body
         if isinstance(node, ast.ClassDef)
-        and any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list)
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
+    assert len(fields) >= 60  # the 60 fields of the 21 records: the finder still sees them
     classes = {cls for cls, _ in fields}
     returns = {
         node.name: ast.unparse(node.returns).strip("'\"")
@@ -342,6 +355,17 @@ def test_one_status_rule():
     assert not tries[0].orelse and not tries[0].finalbody
     assert sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check"
                for node in ast.walk(verify_row)) == 1
+
+
+def test_cli_loads_no_dataclasses_or_inspect():
+    # importing the CLI adds neither module to those a bare interpreter holds
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = (
+        "import sys; bare = set(sys.modules); import bhdual.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_cli_loads_quotres_for_lemma_only():
