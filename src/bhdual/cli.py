@@ -1,8 +1,8 @@
 """Command-line interface: polynomial utilities, diagram emission, the local
 resolution lemmas, and the full verification runner.
 
-Exit codes: 0 success, 1 verification failures, 2 parse/usage error,
-3 unknown fixture name.
+Exit codes: 0 success, 1 verification failures, 2 parse/usage error or a
+stored value a builder rejects, 3 unknown fixture name.
 """
 from __future__ import annotations
 
@@ -40,23 +40,15 @@ def _parse_cli_polynomial(text: str, vars_option: str | None) -> InvertiblePolyn
 
 
 def cmd_transpose(args) -> int:
-    try:
-        f = _parse_cli_polynomial(args.polynomial, args.vars)
-        print(render(transpose(f)))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = _parse_cli_polynomial(args.polynomial, args.vars)
+    print(render(transpose(f)))
     return 0
 
 
 def cmd_weights(args) -> int:
-    try:
-        f = _parse_cli_polynomial(args.polynomial, args.vars)
-        canonical = canonical_weights(f)
-        reduced = reduce(canonical)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    f = _parse_cli_polynomial(args.polynomial, args.vars)
+    canonical = canonical_weights(f)
+    reduced = reduce(canonical)
     out = {
         "canonical": [*canonical.w, canonical.d_prime],
         "reduced": [*reduced.q, reduced.d],
@@ -117,38 +109,34 @@ def cmd_coxeter(args) -> int:
 def cmd_lemma(args) -> int:
     from . import quotres  # only this command needs it: bh verify does not load it
 
-    try:
-        if args.which == "c2":
-            if args.m is None:
-                raise ValueError("lemma c2 requires --m")
-            curve = quotres.invariant_image(args.m, args.k)
-            index = quotres.attachment_index(args.m, args.k)
-            out = {
-                "curve": f"x^{args.m} + y^{args.k - args.m}",
-                "image": str(curve),
-                "attachment_component": index,
-                "branches": 1,
-            }
-        else:
-            if args.m is not None:
-                raise ValueError("lemma c2double takes no --m")
-            curve = quotres.invariant_image_double(args.k)
-            index, branches = quotres.attachment_double(args.k)
-            out = {
-                "curve": f"x^2 + y^{2 * args.k - 2}",
-                "image": str(curve),
-                "attachment_component": index,
-                "branches": branches,
-            }
-        if args.symbolic:
-            charts = {}
-            for i in range(1, args.k + 1):
-                (p, q), unit = quotres.proper_transform(curve, quotres.ResolutionChart(i, args.k))
-                charts[str(i)] = {"monomial": f"u^{p}*v^{q}", "unit": str(unit)}
-            out["charts"] = charts
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.which == "c2":
+        if args.m is None:
+            raise ValueError("lemma c2 requires --m")
+        curve = quotres.invariant_image(args.m, args.k)
+        index = quotres.attachment_index(args.m, args.k)
+        out = {
+            "curve": f"x^{args.m} + y^{args.k - args.m}",
+            "image": str(curve),
+            "attachment_component": index,
+            "branches": 1,
+        }
+    else:
+        if args.m is not None:
+            raise ValueError("lemma c2double takes no --m")
+        curve = quotres.invariant_image_double(args.k)
+        index, branches = quotres.attachment_double(args.k)
+        out = {
+            "curve": f"x^2 + y^{2 * args.k - 2}",
+            "image": str(curve),
+            "attachment_component": index,
+            "branches": branches,
+        }
+    if args.symbolic:
+        charts = {}
+        for i in range(1, args.k + 1):
+            (p, q), unit = quotres.proper_transform(curve, quotres.ResolutionChart(i, args.k))
+            charts[str(i)] = {"monomial": f"u^{p}*v^{q}", "unit": str(unit)}
+        out["charts"] = charts
     print(json.dumps(out))
     return 0
 
@@ -399,6 +387,9 @@ def main(argv=None) -> int:
         print(f"unknown fixture {args.name!r}; valid names:", file=sys.stderr)
         print("  " + " ".join(all_names()), file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,6 +2,10 @@
 three arm chains meeting a central curve, the extra curve E0 (one or two
 components), and the chain of curves F_l over the extra quotient point in the
 exceptional cases.
+
+A stored value that names a curve the configuration lacks raises
+UnknownCurve where the edge is joined, as it does where klattice and dynkin
+look a curve up.
 """
 from __future__ import annotations
 
@@ -15,8 +19,8 @@ class MissingAttachment(ValueError):
     """The row's attachment table does not cover a required attachment."""
 
 
-class ShortArm(ValueError):
-    """A stored alpha_i below 2: arm i would hold no curve."""
+class UnknownCurve(ValueError):
+    """A graph builder was asked for a curve its graph lacks."""
 
 
 class CurveConfiguration(NamedTuple):
@@ -55,14 +59,15 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     innermost curve of each arm meets the central curve.  E0 attaches at the
     positions stored in the row's attachment table; in the Quadrilateral_r1
     case it has two components, both meeting the outermost curve of the third
-    arm and nothing else.
+    arm and nothing else.  An edge that names a curve the labels lack (an
+    attachment beyond its arm or the F-chain, or the innermost curve of an
+    arm with alpha_i below 2) raises UnknownCurve; an attachment the table
+    does not record raises MissingAttachment.
     """
     alpha, case = row.alpha, row.case_tag
     a = CASE_TAGS[case]
     labels: list[str] = []
     for i, a_i in enumerate(alpha, start=1):
-        if a_i < 2:
-            raise ShortArm(f"row {row.name}: arm {i} has alpha {a_i}, below 2")
         labels.extend(arm_label(i, j) for j in range(1, a_i))
     labels.append(CENTER)
     if case == "Quadrilateral_r1":
@@ -76,6 +81,11 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     edges: dict[tuple[str, str], int] = {}
 
     def join(u: str, v: str):
+        for w in (u, v):
+            if w not in labels:
+                raise UnknownCurve(
+                    f"row {row.name}: the edge {u} -- {v} names {w}, a curve the configuration lacks"
+                )
         key = (min(u, v), max(u, v))
         edges[key] = edges.get(key, 0) + 1
 
@@ -96,13 +106,9 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
         if not table.arms:
             raise MissingAttachment(f"row {row.name}: no arm attachments recorded")
         for i, pos in sorted(table.arms.items()):
-            if not 1 <= pos <= alpha[i - 1] - 1:
-                raise MissingAttachment(
-                    f"row {row.name}: position {pos} outside arm {i}"
-                )
             join(E0, arm_label(i, pos))
         if exceptional:
-            if table.f_chain is None or not 1 <= table.f_chain <= a - 1:
+            if table.f_chain is None:
                 raise MissingAttachment(
                     f"row {row.name}: missing F-chain attachment for case {case}"
                 )

@@ -11,7 +11,10 @@ wire to the core and to the arms is case data kept in a ConventionTable,
 seeded from the literal attachment rule and calibrated once against the
 monodromy oracle and the K-lattice diagrams.  Each rule vertex
 stands for one named K-lattice generator (:func:`correspondence`), and the
-two diagrams are compared entry by entry under that correspondence.
+two diagrams are compared entry by entry under that correspondence.  An edge
+that names a vertex the diagram lacks (an arm of alpha_i below 2, or an
+attachment beyond the arm the Dolgachev triple builds) raises
+curveconf.UnknownCurve where the diagram is assembled.
 """
 from __future__ import annotations
 
@@ -22,12 +25,9 @@ from typing import NamedTuple
 
 from . import klattice
 from .coxeter import coxeter_element
+from .curveconf import UnknownCurve, arm_label
 from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
-
-
-class MissingConvention(ValueError):
-    pass
 
 
 class CalibrationFailed(RuntimeError):
@@ -76,19 +76,17 @@ class DynkinDiagram(NamedTuple):
 
 #: position readings: how (alpha, beta) turns into an arm position counted
 #: from the outer end of the arm
-READINGS = ("outside-minus", "outside-plus", "inside-minus", "inside-plus")
+_POSITIONS = {
+    "outside-minus": lambda alpha, beta: alpha - beta - 1,
+    "outside-plus": lambda alpha, beta: alpha - beta + 1,
+    "inside-minus": lambda alpha, beta: beta + 1,  # alpha - beta - 1 counted from the inner end
+    "inside-plus": lambda alpha, beta: beta - 1,
+}
+READINGS = tuple(_POSITIONS)
 
 
 def read_position(reading: str, alpha: int, beta: int) -> int:
-    if reading == "outside-minus":
-        return alpha - beta - 1
-    if reading == "outside-plus":
-        return alpha - beta + 1
-    if reading == "inside-minus":  # alpha - beta - 1 counted from the inner end
-        return beta + 1
-    if reading == "inside-plus":
-        return beta - 1
-    raise MissingConvention(reading)
+    return _POSITIONS[reading](alpha, beta)
 
 
 class CaseConvention(NamedTuple):
@@ -170,7 +168,8 @@ LOWER, UPPER = "EinfL", "EinfU"
 def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
     """The diagram on ``labels``: -2 on the diagonal, the Gram rows of
     ``core`` (a diagram on the leading labels) in the top-left block, and
-    each (s, t, w) in ``edges`` set symmetrically, later ones winning."""
+    each (s, t, w) in ``edges`` set symmetrically, later ones winning;
+    UnknownCurve when an edge names a label not in ``labels``."""
     n = len(labels)
     gram = [[*row, *[0] * (n - len(row))] for row in core]
     for k in range(len(gram), n):
@@ -178,7 +177,12 @@ def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
         gram[k][k] = -2
     index = {s: k for k, s in enumerate(labels)}
     for s, t, w in edges:
-        i, j = index[s], index[t]
+        try:
+            i, j = index[s], index[t]
+        except KeyError as missing:
+            raise UnknownCurve(
+                f"the edge {s} -- {t} names {missing.args[0]}, a curve the diagram lacks"
+            ) from None
         gram[i][j] = gram[j][i] = w
     return DynkinDiagram(tuple(labels), IntMatrix(gram))
 
@@ -190,14 +194,13 @@ def t_graph(alpha) -> DynkinDiagram:
     Vertex numbering: arm 1 outside-in, arm 2, arm 3, lower central vertex,
     upper central vertex.
     """
-    if any(a < 2 for a in alpha):
-        raise ValueError("arm parameters must be >= 2")
     labels: list[str] = []
     edges = []
     for i, a_i in enumerate(alpha, start=1):
-        labels.extend(f"E{i}_{j}" for j in range(1, a_i))
-        edges += [(f"E{i}_{j}", f"E{i}_{j+1}", 1) for j in range(1, a_i - 1)]
-        edges += [(f"E{i}_{a_i-1}", LOWER, 1), (f"E{i}_{a_i-1}", UPPER, 1)]
+        labels.extend(arm_label(i, j) for j in range(1, a_i))
+        edges += [(arm_label(i, j), arm_label(i, j + 1), 1) for j in range(1, a_i - 1)]
+        inner = arm_label(i, a_i - 1)
+        edges += [(inner, LOWER, 1), (inner, UPPER, 1)]
     edges.append((LOWER, UPPER, -2))
     return _minus_two_graph(labels + [LOWER, UPPER], edges)
 
@@ -212,10 +215,8 @@ def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list
             if beta == alpha - 1:
                 continue
             pos = read_position(reading, alpha, beta)
-            if not 1 <= pos <= min(alpha, row.alpha[arm - 1]) - 1:  # on the arm t_graph builds
-                raise MissingConvention(f"reading {reading} puts arm {arm} attachment at {pos}")
-            edges.append((f"B{case.arm_bullet}", f"E{arm}_{pos}", case.arm_sign))
-    edges += [(f"B{b}", f"E{arm}_{pos}", sign) for b, arm, pos, sign in case.fixed_slots]
+            edges.append((f"B{case.arm_bullet}", arm_label(arm, pos), case.arm_sign))
+    edges += [(f"B{b}", arm_label(arm, pos), sign) for b, arm, pos, sign in case.fixed_slots]
     return edges
 
 
@@ -309,8 +310,6 @@ def _case_candidates(key: str):
         for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
             edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
             yield CaseConvention(up, edges, 3, arm)
-    else:
-        raise MissingConvention(key)
 
 
 def calibrate(rows, oracle_fac) -> ConventionTable:
@@ -363,7 +362,7 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
                     if all(passes(row, reading, candidate) for row in by_case[key]):
                         winner = candidate
                         break
-                except MissingConvention:
+                except UnknownCurve:
                     continue
             if winner is None:
                 failure_report[key] = [row.name for row in by_case[key]]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
+from .curveconf import CurveConfiguration, UnknownCurve, arm_label, build_configuration, CENTER, E0, E0P, E0PP
 from .exactalg import Frozen, IntMatrix
 from .fixtures import FixtureRow
 
@@ -32,10 +32,6 @@ TWISTED = ("Quadrilateral_r1", "Exceptional_a5")
 
 
 class NotARoot(ValueError):
-    pass
-
-
-class UnknownNode(ValueError):
     pass
 
 
@@ -123,7 +119,7 @@ def generator_list(row: FixtureRow) -> GeneratorList:
 
 def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     """Gram matrix of the negative Euler pairing in listing order, read from
-    the adjacency; UnknownNode when a class names a curve the configuration
+    the adjacency; UnknownCurve when a class names a curve the configuration
     lacks.  Row i adds a * m * b at j for each curve C of class i
     (multiplicity a), curve C' with C.C' = m (-2 when C' = C) and class j
     holding C' b times; the rank terms touch only the row and column of a
@@ -137,7 +133,7 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     for j, (sheaf, w) in enumerate(gens.items):
         for d, b in w.divisor:
             if d not in conf.labels:
-                raise UnknownNode(f"generator {sheaf} names {d}, a curve the configuration lacks")
+                raise UnknownCurve(f"generator {sheaf} names {d}, a curve the configuration lacks")
             holders[d].append((j, b))
     n = len(classes)
     rows = [[0] * n for _ in range(n)]

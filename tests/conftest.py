@@ -4,10 +4,11 @@ from functools import cache
 
 import pytest
 
+from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import extend, extension_edges, t_graph
 from bhdual.exactalg import InexactDivision, IntPolynomial
 from bhdual.fixtures import CASE_TAGS
-from bhdual.klattice import MukaiClass, UnknownNode
+from bhdual.klattice import MukaiClass
 from bhdual.series import milnor_orlik, spectrum
 
 
@@ -90,12 +91,12 @@ def reachable():
 def mukai_pairing(v, w, conf):
     """The negative Euler pairing D.D' - r*s' - r'*s of two classes over one
     configuration, curve pair by curve pair from ``conf.intersection``;
-    raises UnknownNode when either names a curve the configuration lacks.
+    raises UnknownCurve when either names a curve the configuration lacks.
     The tests' reference for klattice.gram_matrix, which the package uses
     instead."""
     for label, _ in (*v.divisor, *w.divisor):
         if label not in conf.labels:
-            raise UnknownNode(label)
+            raise UnknownCurve(label)
     dd = sum(a * b * conf.intersection(c, d) for c, a in v.divisor for d, b in w.divisor)
     return dd - v.rank * w.degree - w.rank * v.degree
 

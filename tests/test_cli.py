@@ -18,8 +18,11 @@ from bhdual.fixtures import AttachmentTable, all_names, load_rows, row_by_name
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
-#: what the gram stage says of E_18 with the Dolgachev triple (1, 3, 12)
-SHORT_ARM = "row E_18: arm 1 has alpha 1, below 2"
+#: what the gram and rule stages say of E_18 with the Dolgachev triple
+#: (1, 3, 12): arm 1 holds no curve, so its edge to the centre names E1_0
+SHORT_ARM = "row E_18: the edge E1_0 -- Einf names E1_0, a curve the configuration lacks"
+SHORT_ARM_RULE = "the edge E1_0 -- EinfL names E1_0, a curve the diagram lacks"
+SHORT_ARM_Z = SHORT_ARM.replace("E_18", "Z_1,0")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -138,6 +141,24 @@ class TestDiagram:
         nodes = [l for l in out.splitlines() if l.endswith(";") and "--" not in l]
         assert len(nodes) == 16
 
+    @pytest.mark.parametrize(
+        "source, text",
+        [
+            pytest.param("rules", "the edge B2 -- E3_2 names E3_2, a curve the diagram lacks", id="rules"),
+            pytest.param(
+                "ktheory", "generator T_E3_1(E3_2) names E3_2, a curve the configuration lacks", id="ktheory"
+            ),
+        ],
+    )
+    def test_missing_curve_exits_2(self, capsys, monkeypatch, source, text):
+        # alpha_3 = 2 leaves arm 3 one curve, but the a2_r1 fixed slot and the
+        # twist class both name E3_2: a stored value a builder rejects is an
+        # error line and exit 2
+        wrong = row_by_name("J_3,0")._replace(dolgachev=(2, 3, 2))
+        monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
+        code, out, err = run(capsys, "diagram", "--name", "J_3,0", "--source", source)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+
 
 @pytest.mark.parametrize("command", ["diagram", "coxeter", "verify"])
 def test_unknown_name_exits_3(capsys, command):
@@ -210,13 +231,13 @@ class TestLemma:
 
 
 def _nudged(v):
-    """Values of v with one integer moved to v-1, v+1, 0, 1 or 2v+3: v itself,
-    or one entry, at any depth, of the tuple v."""
+    """Values of v with one integer moved to v-1, v+1, 0, 1, 2 or 2v+3: v
+    itself, or one entry, at any depth, of the tuple v."""
     if isinstance(v, tuple):
         return st.integers(0, len(v) - 1).flatmap(
             lambda i: _nudged(v[i]).map(lambda entry: (*v[:i], entry, *v[i + 1 :]))
         )
-    return st.sampled_from([v - 1, v + 1, 0, 1, 2 * v + 3])
+    return st.sampled_from([v - 1, v + 1, 0, 1, 2, 2 * v + 3])
 
 
 class TestVerify:
@@ -367,14 +388,15 @@ class TestVerify:
                 {"beta_congruence": ("stage beta", "invalid pair (alpha, beta) = (11, 0)")},
             ),
             # beta = alpha on an a2 row: the reading also puts the arm
-            # attachment outside the arm, so the rule stage fails too
+            # attachment at E3_-1, a vertex the diagram lacks, so the rule
+            # stage fails too
             (
                 "E_18",
                 "alpha_beta",
                 ((2, 1), (3, 2), (12, 12)),
                 {
                     "beta_congruence": ("stage beta", "invalid pair (alpha, beta) = (12, 12)"),
-                    "diagram_isomorphic": ("stage rule", "reading outside-minus puts arm 3 attachment at -1"),
+                    "diagram_isomorphic": ("stage rule", "the edge B2 -- E3_-1 names E3_-1, a curve the diagram lacks"),
                 },
             ),
             # a = 6: the diagram takes a from the case tag, so only the
@@ -389,8 +411,9 @@ class TestVerify:
                 ((2, 1), (3, 2), (13, 8)),
                 {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
             ),
-            # alpha_1 = 1 in the Dolgachev triple: the phi, rule and gram stages
-            # (phi_f, t_graph, the configuration) reject it
+            # alpha_1 = 1 in the Dolgachev triple: phi_f rejects it, and the
+            # rule diagram and the configuration lack the curve E1_0 that
+            # arm 1's edge to the centre names
             (
                 "E_18",
                 "dolgachev",
@@ -402,7 +425,7 @@ class TestVerify:
                     "coxeter_monodromy": ("stage gram", SHORT_ARM),
                     "phi_identity": ("stage phi", "alpha components must be >= 2"),
                     "diagram_isomorphic": [
-                        ("stage rule", "arm parameters must be >= 2"), ("stage gram", SHORT_ARM)
+                        ("stage rule", SHORT_ARM_RULE), ("stage gram", SHORT_ARM)
                     ],
                 },
             ),
@@ -413,15 +436,15 @@ class TestVerify:
                 (1, 4, 8),
                 {
                     "weights_table": ("alpha_beta", (2, 4, 8)),
-                    "rank_mu": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
-                    "gram_form": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
-                    "coxeter_monodromy": ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2"),
+                    "rank_mu": ("stage gram", SHORT_ARM_Z),
+                    "gram_form": ("stage gram", SHORT_ARM_Z),
+                    "coxeter_monodromy": ("stage gram", SHORT_ARM_Z),
                     "phi_identity": ("stage phi", "alpha components must be >= 2"),
                     "square_relation": [
-                        ("stage phi", "alpha components must be >= 2"), ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2")
+                        ("stage phi", "alpha components must be >= 2"), ("stage gram", SHORT_ARM_Z)
                     ],
                     "diagram_isomorphic": [
-                        ("stage rule", "arm parameters must be >= 2"), ("stage gram", "row Z_1,0: arm 1 has alpha 1, below 2")
+                        ("stage rule", SHORT_ARM_RULE), ("stage gram", SHORT_ARM_Z)
                     ],
                 },
             ),
@@ -460,16 +483,18 @@ class TestVerify:
         [
             pytest.param(
                 "E_18", "attachment_table", AttachmentTable({1: 9}, None), "rank_mu", "stage gram",
-                "row E_18: position 9 outside arm 1", id="MissingAttachment-table",
+                "row E_18: the edge E0 -- E1_9 names E1_9, a curve the configuration lacks",
+                id="MissingAttachment-table",
             ),
             pytest.param(
                 "E_18", "dolgachev", (2, 3, 3), "gram_form", "stage gram",
-                "row E_18: position 3 outside arm 3", id="MissingAttachment-dolgachev",
+                "row E_18: the edge E0 -- E3_3 names E3_3, a curve the configuration lacks",
+                id="MissingAttachment-dolgachev",
             ),
             # an alpha in alpha_beta longer than the arm the Dolgachev triple builds
             pytest.param(
                 "E_18", "alpha_beta", ((2, 1), (3, 2), (19, 1)), "diagram_isomorphic", "stage rule",
-                "reading outside-minus puts arm 3 attachment at 17", id="MissingConvention",
+                "the edge B2 -- E3_17 names E3_17, a curve the diagram lacks", id="MissingConvention",
             ),
             pytest.param(
                 "E_18", "f", "x^2+", "poincare_series", "stage f",
@@ -491,7 +516,14 @@ class TestVerify:
             pytest.param("E_18", "dolgachev", (1, 3, 12), "rank_mu", "stage gram", SHORT_ARM, id="ShortArm"),
             pytest.param(
                 "J_3,0", "dolgachev", (2, 3, 1), "gram_form", "stage gram",
-                "row J_3,0: arm 3 has alpha 1, below 2", id="ShortArm-twisted",
+                "row J_3,0: the edge E3_0 -- Einf names E3_0, a curve the configuration lacks",
+                id="ShortArm-twisted",
+            ),
+            # the a2_r1 convention's fixed slot wires B2 to E3_2, which a
+            # Dolgachev alpha_3 = 2 leaves out of the rule diagram
+            pytest.param(
+                "J_3,0", "dolgachev", (2, 3, 2), "diagram_isomorphic", "stage rule",
+                "the edge B2 -- E3_2 names E3_2, a curve the diagram lacks", id="fixed-slot",
             ),
         ],
     )

@@ -4,12 +4,12 @@ from bhdual.curveconf import (
     CENTER,
     CurveConfiguration,
     MissingAttachment,
-    ShortArm,
+    UnknownCurve,
     build_configuration,
 )
 from bhdual.dynkin import DynkinDiagram
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, UnknownNode, class_of, generator_list, gram_matrix
+from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of, generator_list, gram_matrix
 
 
 def expected_node_count(row):
@@ -115,26 +115,35 @@ class TestBuildConfiguration:
             build_configuration(broken)
 
     def test_position_out_of_range(self):
+        # arm 3 of S_16 holds E3_1..E3_6 and its F-chain F1 alone: an
+        # attachment beyond them names a curve the configuration lacks
         row = row_by_name("S_16")
-        broken = row._replace(attachment_table=AttachmentTable(arms={2: 1, 3: 9}, f_chain=1))
-        with pytest.raises(MissingAttachment):
-            build_configuration(broken)
+        for table, curve in (
+            (AttachmentTable(arms={2: 1, 3: 9}, f_chain=1), "E3_9"),
+            (AttachmentTable(arms={2: 1, 3: 2}, f_chain=2), "F2"),
+        ):
+            with pytest.raises(UnknownCurve) as raised:
+                build_configuration(row._replace(attachment_table=table))
+            assert str(raised.value) == f"row S_16: the edge E0 -- {curve} names {curve}, a curve the configuration lacks"
 
     @pytest.mark.parametrize("alpha, arm", [((1, 3, 12), 1), ((2, 0, 12), 2), ((2, 3, 1), 3)])
     def test_short_arm(self, alpha, arm):
-        # an arm with no curves would join E0 or Einf to a curve not among the labels
-        with pytest.raises(ShortArm, match=f"row E_18: arm {arm} has alpha {alpha[arm - 1]}, below 2"):
+        # an arm with no curves leaves out the innermost curve E{arm}_{alpha - 1}
+        # that its edge to the central curve names
+        curve = f"E{arm}_{alpha[arm - 1] - 1}"
+        with pytest.raises(UnknownCurve) as raised:
             build_configuration(row_by_name("E_18")._replace(dolgachev=alpha))
+        assert str(raised.value) == f"row E_18: the edge {curve} -- Einf names {curve}, a curve the configuration lacks"
 
 
 class TestIndex:
     def test_unknown_label_is_an_unknown_node(self):
         conf = build_configuration(row_by_name("S_16"))
         stray = (Sheaf("dense"), MukaiClass(0, (("E9_9", 1),), 0))
-        with pytest.raises(UnknownNode, match="E9_9"):
+        with pytest.raises(UnknownCurve, match="E9_9"):
             gram_matrix(GeneratorList((stray,)), conf)
         sheaf = Sheaf("OC-1", ("F99",))
-        with pytest.raises(UnknownNode, match="F99"):
+        with pytest.raises(UnknownCurve, match="F99"):
             gram_matrix(GeneratorList(((sheaf, class_of(sheaf)),)), conf)
 
 

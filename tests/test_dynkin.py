@@ -2,9 +2,9 @@ import pytest
 
 from bhdual import coxeter, dynkin
 from bhdual.coxeter import coxeter_element
+from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import (
     CalibrationFailed,
-    MissingConvention,
     calibrate,
     case_key,
     committed_convention,
@@ -100,12 +100,17 @@ class TestExtend:
 
     def test_attachment_beyond_the_built_arm(self):
         # alpha_3 = 19 in alpha_beta puts the attachment at E3_17, but the
-        # Dolgachev triple (2, 3, 12) builds arm 3 up to E3_11: a named error
-        # (a ValueError, as every stage error is), not a bare KeyError
-        row = row_by_name("E_18")._replace(alpha_beta=((2, 1), (3, 2), (19, 1)))
-        with pytest.raises(MissingConvention, match="arm 3 attachment at 17") as raised:
-            diagram_for_row(row)
-        assert isinstance(raised.value, ValueError) and not isinstance(raised.value, KeyError)
+        # Dolgachev triple (2, 3, 12) builds arm 3 up to E3_11: an error
+        # naming the curve (a ValueError, as every stage error is), not a bare
+        # KeyError; so does the J_3,0 fixed slot at E3_2 when alpha_3 = 2
+        for row, edge, curve in (
+            (row_by_name("E_18")._replace(alpha_beta=((2, 1), (3, 2), (19, 1))), "B2 -- E3_17", "E3_17"),
+            (row_by_name("J_3,0")._replace(dolgachev=(2, 3, 2)), "B2 -- E3_2", "E3_2"),
+        ):
+            with pytest.raises(UnknownCurve) as raised:
+                diagram_for_row(row)
+            assert str(raised.value) == f"the edge {edge} names {curve}, a curve the diagram lacks"
+            assert isinstance(raised.value, ValueError) and not isinstance(raised.value, KeyError)
 
 
 class TestReadings:
@@ -217,7 +222,7 @@ class TestCalibrationJudgesEachDiagramOnce:
                 for candidate in dynkin._case_candidates(key):
                     try:
                         gram = rule_diagram(row, reading, candidate).gram.entries
-                    except MissingConvention:
+                    except UnknownCurve:
                         continue
                     assert len(gram) == k + row.a, row.name
                     assert tuple(r[:k] for r in gram[:k]) == core, (row.name, reading)

@@ -11,9 +11,9 @@ import pytest
 
 nx = pytest.importorskip("networkx")
 
+from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import (
     READINGS,
-    MissingConvention,
     _case_candidates,
     case_key,
     committed_convention,
@@ -59,7 +59,7 @@ def calibration_candidates():
             for candidate in _case_candidates(key):
                 try:
                     diagram = rule_diagram(row, reading, candidate)
-                except MissingConvention:
+                except UnknownCurve:
                     continue
                 yield row, diagram.gram, k_gram
 

@@ -432,3 +432,29 @@ def test_verify_builders_take_the_row_alone():
         if isinstance(node, ast.Attribute) and node.attr == "divisor"
     }
     assert readers == {"klattice.gram_matrix"}
+
+
+def test_one_unknown_curve_rule():
+    # a stored value that names a curve a graph lacks is caught where the
+    # graph looks the label up, by the configuration's join, the Gram's
+    # label check and the diagram's index, and by no guard that predicts it;
+    # one function spells an arm curve's label
+    modules = sorted(PACKAGE.glob("*.py"))
+    defined = {name for path in modules for name, _ in _definitions(path)}
+    assert not defined & {"ShortArm", "UnknownNode", "MissingConvention"}
+    raisers = set()
+    for path in modules:
+        for owner, node in _owned_nodes(path):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "UnknownCurve":
+                    raisers.add(f"{path.stem}.{owner}")
+    assert raisers == {"curveconf.build_configuration", "klattice.gram_matrix", "dynkin._minus_two_graph"}
+    spellers = {
+        f"{path.stem}.{owner}"
+        for path in modules
+        for owner, node in _owned_nodes(path)
+        if isinstance(node, ast.JoinedStr)
+        and "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values) == "E{}_{}"
+    }
+    assert spellers == {"curveconf.arm_label"}
