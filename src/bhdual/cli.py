@@ -35,7 +35,7 @@ REPORT_SCHEMA = "bh-report/1"
 
 
 def _parse_cli_polynomial(text: str, vars_option: str | None) -> InvertiblePolynomial:
-    variables = tuple(vars_option.split(",")) if vars_option else infer_variables(text)
+    variables = tuple(vars_option.split(",")) if vars_option is not None else infer_variables(text)
     return parse_polynomial(text, variables)
 
 

@@ -29,14 +29,6 @@ from .exactalg import (
 )
 
 
-class NotARootBasis(ValueError):
-    pass
-
-
-class NotSymmetric(ValueError):
-    pass
-
-
 class CoxeterResult(NamedTuple):
     matrix: IntMatrix
     char: IntPolynomial
@@ -69,10 +61,10 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     polynomial and cyclotomic factorization; the order is read on demand."""
     n = gram.dim
     if not gram.is_symmetric():
-        raise NotSymmetric("Gram matrix must be symmetric")
+        raise ValueError("Gram matrix must be symmetric")
     g = gram.entries
     if any(row[i] != -2 for i, row in enumerate(g)):
-        raise NotARootBasis("all diagonal entries must be -2")
+        raise ValueError("all diagonal entries must be -2")
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         gi = g[i]
@@ -118,7 +110,7 @@ def lattice_invariants(gram: IntMatrix) -> tuple[int, tuple[int, int, int]]:
     det G = (-1)^n p(0).
     """
     if not gram.is_symmetric():
-        raise NotSymmetric("Gram matrix must be symmetric")
+        raise ValueError("Gram matrix must be symmetric")
     n = gram.dim
     p = char_poly(gram).coefficients
     zero = next(k for k, c in enumerate(p) if c)

@@ -15,10 +15,6 @@ from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
 
 
-class MissingAttachment(ValueError):
-    """The row's attachment table does not cover a required attachment."""
-
-
 class UnknownCurve(ValueError):
     """A graph builder was asked for a curve its graph lacks."""
 
@@ -62,7 +58,7 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     arm and nothing else.  An edge that names a curve the labels lack (an
     attachment beyond its arm or the F-chain, or the innermost curve of an
     arm with alpha_i below 2) raises UnknownCurve; an attachment the table
-    does not record raises MissingAttachment.
+    does not record raises ValueError.
     """
     alpha, case = row.alpha, row.case_tag
     a = CASE_TAGS[case]
@@ -97,19 +93,19 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     table = row.attachment_table
     if case == "Quadrilateral_r1":
         if table.arms.get(3) != 1:
-            raise MissingAttachment(
+            raise ValueError(
                 f"row {row.name}: both E0 components attach the outermost curve of arm 3"
             )
         join(E0P, arm_label(3, 1))
         join(E0PP, arm_label(3, 1))
     else:
         if not table.arms:
-            raise MissingAttachment(f"row {row.name}: no arm attachments recorded")
+            raise ValueError(f"row {row.name}: no arm attachments recorded")
         for i, pos in sorted(table.arms.items()):
             join(E0, arm_label(i, pos))
         if exceptional:
             if table.f_chain is None:
-                raise MissingAttachment(
+                raise ValueError(
                     f"row {row.name}: missing F-chain attachment for case {case}"
                 )
             join(E0, f"F{table.f_chain}")

@@ -18,14 +18,6 @@ from itertools import chain
 from typing import NamedTuple
 
 
-class InexactDivision(ArithmeticError):
-    """Raised when a division that must be exact leaves a remainder."""
-
-
-class NotCyclotomic(ValueError):
-    """Raised when an operation requires a fully cyclotomic factorization."""
-
-
 class Frozen:
     """Base of the value types: __init__ sets their ``__slots__``, read-only after."""
 
@@ -145,7 +137,7 @@ class RationalFunction(NamedTuple):
         den = self.denominator.coefficients
         num = self.numerator.coefficients
         if not den or den[0] not in (1, -1):
-            raise InexactDivision("denominator constant term must be a unit")
+            raise ArithmeticError("denominator constant term must be a unit")
         d0 = den[0]
         terms = [(j, c) for j, c in enumerate(den) if j and c]
         out = []
@@ -330,7 +322,7 @@ def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:
     root, which gives the multiplicity bookkeeping below.
     """
     if not c.is_cyclotomic:
-        raise NotCyclotomic("input factorization has a non-cyclotomic remainder")
+        raise ValueError("input factorization has a non-cyclotomic remainder")
     out: dict[int, int] = {}
     for n, m in c.factors.items():
         if n % 2 == 1:
@@ -474,7 +466,7 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
         digits = (((row + offset) >> bits * i) & (2 * half - 1) for i, row in enumerate(work))
         trace = sum(digits) - n * half
         if trace % k:
-            raise InexactDivision(f"trace {trace} not divisible by {k} in Faddeev-LeVerrier")
+            raise ArithmeticError(f"trace {trace} not divisible by {k} in Faddeev-LeVerrier")
         coeffs.append(-trace // k)
         work = [row + (coeffs[k] << bits * i) for i, row in enumerate(work)]
     return IntPolynomial(reversed(coeffs))

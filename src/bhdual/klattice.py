@@ -31,10 +31,6 @@ from .fixtures import FixtureRow
 TWISTED = ("Quadrilateral_r1", "Exceptional_a5")
 
 
-class NotARoot(ValueError):
-    pass
-
-
 class MukaiClass(NamedTuple):
     """(rank, D, degree) with D the sum of m * C over the (label C,
     multiplicity m) pairs of ``divisor``, sorted by label, every m nonzero."""
@@ -151,11 +147,11 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
 
 def row_gram(row: FixtureRow) -> tuple[IntMatrix, GeneratorList, CurveConfiguration]:
     """Gram matrix, generator list and configuration for a fixture row;
-    NotARoot, naming the generator, when a diagonal entry is not -2."""
+    ValueError, naming the generator, when a diagonal entry is not -2."""
     conf = build_configuration(row)
     gens = generator_list(row)
     gram = gram_matrix(gens, conf)
     for i, (sheaf, _) in enumerate(gens.items):
         if gram[i, i] != -2:
-            raise NotARoot(f"generator {sheaf} is not a root")
+            raise ValueError(f"generator {sheaf} is not a root")
     return gram, gens, conf

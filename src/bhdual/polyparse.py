@@ -25,22 +25,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class UnknownVariable(ParseError):
-    pass
-
-
-class DuplicateMonomial(ValueError):
-    pass
-
-
-class MonomialCountMismatch(ValueError):
-    pass
-
-
-class ZeroDeterminant(ValueError):
-    pass
-
-
 class InvertiblePolynomial(Frozen):
     """Exponent matrix plus an ordered tuple of variable names.
 
@@ -57,15 +41,15 @@ class InvertiblePolynomial(Frozen):
     def __init__(self, matrix: IntMatrix, variables):
         variables = tuple(variables)
         if len(variables) != matrix.dim:
-            raise MonomialCountMismatch(
+            raise ValueError(
                 f"{matrix.dim} monomials for {len(variables)} variables"
             )
         if len(set(matrix.entries)) != matrix.dim:
-            raise DuplicateMonomial("two monomials have identical exponents")
+            raise ValueError("two monomials have identical exponents")
         if any(x < 0 for row in matrix.entries for x in row):
             raise ValueError("exponents must be non-negative")
         if det_bareiss(matrix) == 0:
-            raise ZeroDeterminant("exponent matrix is singular")
+            raise ValueError("exponent matrix is singular")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "variables", variables)
 
@@ -108,9 +92,9 @@ def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
     ``"+"`` (a monomial may start), ``"*"``, ``"^"``, ``"var"``, ``"exp"``
     (the integer after '^') or ``"one"`` (a leading 1).  Raises ValueError
     naming an empty or repeated name in ``variables`` before reading the
-    text; UnknownVariable, DuplicateMonomial, MonomialCountMismatch or
-    ZeroDeterminant on semantically invalid input; ParseError on malformed
-    text.
+    text; ParseError, with its position, on malformed text or an unknown
+    variable; ValueError when the monomials do not form an invertible
+    polynomial.
     """
     variables = tuple(variables)
     index = {v: k for k, v in enumerate(variables)}
@@ -128,7 +112,7 @@ def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
             raise ParseError("'^' must be followed by an integer", prev_position)
         if kind == "var":
             if tok[2] not in index:
-                raise UnknownVariable(f"unknown variable {tok[2]!r}", position)
+                raise ParseError(f"unknown variable {tok[2]!r}", position)
             column = index[tok[2]]
             row[column] += 1
         elif kind == "int":
@@ -160,7 +144,7 @@ def parse_polynomial(text: str, variables) -> InvertiblePolynomial:
 
     if len(monomials) != len(variables):
         # a non-square list is no matrix: count before building one
-        raise MonomialCountMismatch(
+        raise ValueError(
             f"{len(monomials)} monomials for {len(variables)} variables"
         )
     return InvertiblePolynomial(IntMatrix(monomials), variables)

@@ -15,14 +15,6 @@ from __future__ import annotations
 from .exactalg import Frozen, IntPolynomial, gcd_degree
 
 
-class InvalidRange(ValueError):
-    pass
-
-
-class NotFactorable(ValueError):
-    pass
-
-
 class LaurentPoly2(Frozen):
     """Laurent polynomial in two chart coordinates u, v with integer
     coefficients; terms maps (exp_u, exp_v) to a nonzero coefficient.  The
@@ -84,7 +76,7 @@ class ResolutionChart(Frozen):
 
     def __init__(self, i: int, k: int):
         if not 1 <= i <= k:
-            raise InvalidRange(f"chart index {i} outside 1..{k}")
+            raise ValueError(f"chart index {i} outside 1..{k}")
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "k", k)
 
@@ -142,14 +134,14 @@ class XYZPoly(Frozen):
 def invariant_image(m: int, k: int) -> XYZPoly:
     """Image of the curve x^m + y^(k-m) = 0 in invariant coordinates: Z^m + Y."""
     if not 0 < m < k:
-        raise InvalidRange(f"need 0 < m < k, got m={m}, k={k}")
+        raise ValueError(f"need 0 < m < k, got m={m}, k={k}")
     return XYZPoly({(0, 0, m): 1, (0, 1, 0): 1})
 
 
 def invariant_image_double(k: int) -> XYZPoly:
     """Image of the doubled curve x^2 + y^(2k-2) = 0: Z^2 + Y^2."""
     if k < 2:
-        raise InvalidRange(f"need k >= 2, got k={k}")
+        raise ValueError(f"need k >= 2, got k={k}")
     return XYZPoly({(0, 0, 2): 1, (0, 2, 0): 1})
 
 
@@ -157,32 +149,32 @@ def proper_transform(curve: XYZPoly, chart: ResolutionChart):
     """Factor the chart image of the curve as monomial * unit.
 
     Returns ((p, q), unit) with the curve image equal to u^p v^q * unit and
-    unit not vanishing at the chart origin.  Raises NotFactorable when the
+    unit not vanishing at the chart origin.  Raises ValueError when the
     image is zero or when every candidate unit vanishes at the origin (the
     curve is then not one of the supported shapes).
     """
     image = curve.substitute(chart)
     if image.is_zero():
-        raise NotFactorable("curve image is zero in this chart")
+        raise ValueError("curve image is zero in this chart")
     p = min(eu for (eu, ev), _ in image.terms)
     q = min(ev for (eu, ev), _ in image.terms)
     unit = LaurentPoly2(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
     if unit.constant_term() == 0:
-        raise NotFactorable("unit factor vanishes at the chart origin")
+        raise ValueError("unit factor vanishes at the chart origin")
     return (p, q), unit
 
 
 def attachment_index(m: int, k: int) -> int:
     """Exceptional component met by the transform of x^m + y^(k-m): E_(k-m)."""
     if not 0 < m < k:
-        raise InvalidRange(f"need 0 < m < k, got m={m}, k={k}")
+        raise ValueError(f"need 0 < m < k, got m={m}, k={k}")
     return k - m
 
 
 def attachment_double(k: int):
     """The doubled curve meets E_(k-1) in two transversal branches."""
     if k < 2:
-        raise InvalidRange(f"need k >= 2, got k={k}")
+        raise ValueError(f"need k >= 2, got k={k}")
     return k - 1, 2
 
 

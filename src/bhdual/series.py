@@ -35,10 +35,6 @@ from .polyparse import parse_polynomial
 from .weights import CanonicalWeights, ReducedWeights, canonical_weights, reduce
 
 
-class NonIntegralMilnorNumber(ValueError):
-    """The Milnor-algebra dimension count is not integral: bad weight input."""
-
-
 def poincare_series(wsys: CanonicalWeights) -> RationalFunction:
     """p_f(t) = (1 - t^d') / prod(1 - t^(w_i)) for a three-variable system."""
     if len(wsys.w) != 3:
@@ -88,16 +84,16 @@ def spectrum(rw: ReducedWeights) -> dict[int, int]:
     numerator, so S is a polynomial iff it vanishes above sum(d - 2 q_i)."""
     q, d = rw.q, rw.d
     if any(d - qi <= 0 for qi in q):
-        raise NonIntegralMilnorNumber(f"degenerate weights {rw}")
+        raise ValueError(f"degenerate weights {rw}")
     s = [1] + [0] * sum(d - qi for qi in q)
     for qi in q:
         divide_by_binomial(s, d - qi, -1)
         divide_by_binomial(s, qi, 1)
     top = sum(d - 2 * qi for qi in q)
     if top < 0 or any(s[top + 1:]):
-        raise NonIntegralMilnorNumber(f"Milnor algebra series not polynomial for {rw}")
+        raise ValueError(f"Milnor algebra series not polynomial for {rw}")
     if min(s) < 0:
-        raise NonIntegralMilnorNumber(f"negative graded dimension for {rw}")
+        raise ValueError(f"negative graded dimension for {rw}")
     return {k + sum(q): m for k, m in enumerate(s) if m}
 
 
@@ -123,7 +119,7 @@ def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
     for n, residues in sorted(orders.items()):
         factors[n], *others = set(residues.values())
         if others or len(residues) != euler_totient(n):
-            raise NonIntegralMilnorNumber(f"eigenvalue multiplicities not Galois-stable for {rw}")
+            raise ValueError(f"eigenvalue multiplicities not Galois-stable for {rw}")
     return CyclotomicFactorization(factors, 1, IntPolynomial.one())
 
 

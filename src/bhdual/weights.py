@@ -15,22 +15,6 @@ from .exactalg import IntMatrix, det_bareiss
 from .polyparse import InvertiblePolynomial
 
 
-class WeightsError(ValueError):
-    pass
-
-
-class NonPositiveWeights(WeightsError):
-    pass
-
-
-class NonPositiveQ0(WeightsError):
-    pass
-
-
-class NonIntegralExponent(WeightsError):
-    pass
-
-
 class CanonicalWeights(NamedTuple):
     """Weights (w_1..w_n) and degree d' with E*w = d'*(1,..,1)."""
 
@@ -70,7 +54,7 @@ def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
     """Solve E*w = |det E| * (1,...,1) exactly.
 
     By Cramer's rule w_j = sign(det E) * det(E with column j set to 1), so the
-    solution is always integral.  Raises NonPositiveWeights when it is not a
+    solution is always integral.  Raises ValueError when it is not a
     system of positive integers (which signals a non-invertible input).
     """
     entries = f.matrix.entries
@@ -82,12 +66,12 @@ def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
         for j in range(n)
     )
     if any(x <= 0 for x in w):
-        raise NonPositiveWeights(f"weights {w} are not all positive")
+        raise ValueError(f"weights {w} are not all positive")
     d_prime = abs(det)
     # re-multiply to confirm the exact solve
     for row in entries:
         if sum(e * x for e, x in zip(row, w)) != d_prime:
-            raise WeightsError(f"weights {w} do not solve E*w = {d_prime}*(1,...,1)")
+            raise ValueError(f"weights {w} do not solve E*w = {d_prime}*(1,...,1)")
     return CanonicalWeights(w, d_prime)
 
 
@@ -100,7 +84,7 @@ def reduce(wsys: CanonicalWeights) -> ReducedWeights:
 def gorenstein_parameter(wsys: CanonicalWeights) -> int:
     """d' - w_1 - w_2 - w_3 of a three-variable canonical system."""
     if len(wsys.w) != 3:
-        raise WeightsError("Gorenstein parameter is defined here for n = 3 only")
+        raise ValueError("Gorenstein parameter is defined here for n = 3 only")
     return wsys.d_prime - sum(wsys.w)
 
 
@@ -120,16 +104,16 @@ def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeig
     construction, so no separate degree check is made.
     """
     if len(rw.q) != 3:
-        raise WeightsError("ambient weights require a three-variable system")
+        raise ValueError("ambient weights require a three-variable system")
     if compactifier_choice not in _COMPACTIFIER_COORD:
-        raise WeightsError(f"unknown compactifier shape {compactifier_choice!r}")
+        raise ValueError(f"unknown compactifier shape {compactifier_choice!r}")
     q0 = rw.d - sum(rw.q)
     if q0 <= 0:
-        raise NonPositiveQ0(f"q0 = {q0} is not positive")
+        raise ValueError(f"q0 = {q0} is not positive")
     coord = _COMPACTIFIER_COORD[compactifier_choice]
     numerator = rw.d if coord is None else rw.d - rw.q[coord]
     if numerator % q0 != 0:
-        raise NonIntegralExponent(
+        raise ValueError(
             f"compactifier exponent {numerator}/{q0} is not an integer"
         )
     return AmbientWeights(q0, tuple(rw.q), coord, numerator // q0)
@@ -153,7 +137,7 @@ def validate_action(F_monomials, c: int, m) -> bool:
     monomial is sum(m_j * exponent_j) mod c.
     """
     if c < 1:
-        raise WeightsError("group order must be >= 1")
+        raise ValueError("group order must be >= 1")
     if c == 1:
         return True
     characters = {sum(m_j * e for m_j, e in zip(m, row)) % c for row in F_monomials}
@@ -168,7 +152,7 @@ def beta_congruence_check(alpha_beta, a: int, c_f: int):
     """
     for alpha, beta in alpha_beta:
         if alpha < 2 or not (1 <= beta < alpha):
-            raise WeightsError(f"invalid pair (alpha, beta) = ({alpha}, {beta})")
+            raise ValueError(f"invalid pair (alpha, beta) = ({alpha}, {beta})")
     if c_f != 1:
         return None
     return all((a * beta) % alpha == 1 % alpha for alpha, beta in alpha_beta)

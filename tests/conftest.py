@@ -6,7 +6,7 @@ import pytest
 
 from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import extend, extension_edges, t_graph
-from bhdual.exactalg import InexactDivision, IntPolynomial
+from bhdual.exactalg import IntPolynomial
 from bhdual.fixtures import CASE_TAGS
 from bhdual.klattice import MukaiClass
 from bhdual.series import milnor_orlik, spectrum
@@ -24,18 +24,18 @@ def _phi_at_one(n):
 
 def long_division(p, d):
     """The exact quotient p / d in Z[t] by schoolbook long division; raises
-    InexactDivision when d does not divide p over the integers."""
+    ArithmeticError when d does not divide p over the integers."""
     rem, divisor = list(p.coefficients), d.coefficients
     quotient = [0] * max(len(rem) - len(divisor) + 1, 0)
     for i in reversed(range(len(quotient))):
         c, r = divmod(rem[i + len(divisor) - 1], divisor[-1])
         if r:
-            raise InexactDivision(f"{p} not divisible by {d}")
+            raise ArithmeticError(f"{p} not divisible by {d}")
         quotient[i] = c
         for j, y in enumerate(divisor):
             rem[i + j] -= c * y
     if any(rem):
-        raise InexactDivision(f"{p} not divisible by {d}")
+        raise ArithmeticError(f"{p} not divisible by {d}")
     return IntPolynomial(quotient)
 
 

@@ -104,6 +104,7 @@ class TestWeights:
         [
             ("x,x", "repeated variable name 'x'"),
             ("x,y,y", "repeated variable name 'y'"),
+            ("", "empty variable name"),
             (",,", "empty variable name"),
             ("x,,y", "empty variable name"),
         ],
@@ -376,9 +377,9 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name, column, value, failed",
         [
-            # group order 0: validate_action raises WeightsError in the action stage
+            # group order 0: validate_action raises ValueError in the action stage
             ("J_3,0", "action_c", 0, {"action_invariance": ("stage action", "group order must be >= 1")}),
-            # beta = 0: beta_congruence_check raises WeightsError in the beta
+            # beta = 0: beta_congruence_check raises ValueError in the beta
             # stage; the a5 convention does not read beta, so the diagram is
             # unchanged
             (
@@ -538,6 +539,25 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--name", name)
         assert code == 1 and "Traceback" not in err
         assert json.loads(out)["rows"][0]["checks"][check] == record
+
+    def test_arithmetic_error_is_a_fault_not_a_failed_stage(self, monkeypatch):
+        # a ValueError from a builder fails the stage; an ArithmeticError (an
+        # inexact division that must be exact) is a program fault and escapes
+        row = row_by_name("E_20")
+
+        def raising(error):
+            def build(gram):
+                raise error("builder fault")
+            return build
+
+        monkeypatch.setattr(cli, "coxeter_element", raising(ValueError))
+        record = verify_row(row)["checks"]["coxeter_monodromy"]
+        assert {"condition": "stage coxeter", "expected": None, "actual": "builder fault"} in record["failed"]
+        monkeypatch.setattr(cli, "coxeter_element", raising(ArithmeticError))
+        with pytest.raises(ArithmeticError, match="^builder fault$"):
+            verify_row(row)
+        with pytest.raises(ArithmeticError, match="^builder fault$"):
+            main(["verify", "--name", "E_20"])
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)

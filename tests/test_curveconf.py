@@ -3,7 +3,6 @@ import pytest
 from bhdual.curveconf import (
     CENTER,
     CurveConfiguration,
-    MissingAttachment,
     UnknownCurve,
     build_configuration,
 )
@@ -111,7 +110,7 @@ class TestBuildConfiguration:
     def test_missing_attachment(self):
         row = row_by_name("S_16")
         broken = row._replace(attachment_table=AttachmentTable(arms={}, f_chain=1))
-        with pytest.raises(MissingAttachment):
+        with pytest.raises(ValueError, match="^row S_16: no arm attachments recorded$"):
             build_configuration(broken)
 
     def test_position_out_of_range(self):

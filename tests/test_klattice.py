@@ -9,7 +9,6 @@ from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     GeneratorList,
     MukaiClass,
-    NotARoot,
     Sheaf,
     class_of,
     generator_list,
@@ -280,7 +279,7 @@ class TestReflect:
             return conf._replace(edges=edges)
 
         monkeypatch.setattr(klattice, "build_configuration", apart)
-        with pytest.raises(NotARoot, match=re.escape("T_E3_1(E3_2)")):
+        with pytest.raises(ValueError, match=re.escape("generator T_E3_1(E3_2) is not a root")):
             row_gram(row_by_name("E_20"))
 
 

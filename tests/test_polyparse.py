@@ -6,12 +6,8 @@ from hypothesis import given, settings, strategies as st
 from bhdual.exactalg import IntMatrix, det_bareiss
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.polyparse import (
-    DuplicateMonomial,
     InvertiblePolynomial,
-    MonomialCountMismatch,
     ParseError,
-    UnknownVariable,
-    ZeroDeterminant,
     infer_variables,
     parse_polynomial,
     render,
@@ -36,7 +32,7 @@ class TestParse:
         assert f.matrix.entries == ((2,),)
 
     def test_monomial_count_mismatch(self):
-        with pytest.raises(MonomialCountMismatch):
+        with pytest.raises(ValueError, match="^3 monomials for 2 variables$"):
             parse_polynomial("x^2 + x*y + y^2", ("x", "y"))
 
     def test_star_optional(self):
@@ -57,15 +53,16 @@ class TestParse:
             parse_polynomial("2*x^2", ("x",))
 
     def test_unknown_variable(self):
-        with pytest.raises(UnknownVariable):
+        with pytest.raises(ParseError, match=r"^unknown variable 'w' \(at position 6\)$") as info:
             parse_polynomial("x^2 + w^3", ("x", "y"))
+        assert info.value.position == 6
 
     def test_duplicate_monomial(self):
-        with pytest.raises(DuplicateMonomial):
+        with pytest.raises(ValueError, match="^two monomials have identical exponents$"):
             parse_polynomial("x*y + y*x", ("x", "y"))
 
     def test_zero_determinant(self):
-        with pytest.raises(ZeroDeterminant):
+        with pytest.raises(ValueError, match="^exponent matrix is singular$"):
             parse_polynomial("x^2*y^2 + x*y", ("x", "y"))
 
     def test_malformed(self):
@@ -86,7 +83,7 @@ class TestParse:
 
     def test_exponent_zero_drops_the_variable(self):
         assert parse_polynomial("x^2*y^0 + y^3", ("x", "y")).matrix.entries == ((2, 0), (0, 3))
-        with pytest.raises(ZeroDeterminant):
+        with pytest.raises(ValueError, match="^exponent matrix is singular$"):
             parse_polynomial("x^0", ("x",))
 
     @pytest.mark.parametrize(
@@ -124,7 +121,7 @@ class TestInvertiblePolynomial:
             InvertiblePolynomial(IntMatrix([[2, -1], [0, 3]]), ("x", "y"))
 
     def test_one_row_per_variable(self):
-        with pytest.raises(MonomialCountMismatch):
+        with pytest.raises(ValueError, match="^2 monomials for 3 variables$"):
             InvertiblePolynomial(IntMatrix([[2, 0], [0, 3]]), XYZ)
 
 

@@ -1,5 +1,6 @@
 """Source-level guards on the package layout."""
 import ast
+import builtins
 import inspect
 import os
 import subprocess
@@ -19,7 +20,7 @@ def _tree(name):
 
 
 def test_no_assert_statements():
-    # python -O strips asserts, so runtime invariants must raise typed errors
+    # python -O strips asserts, so a runtime invariant must raise its error
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -458,3 +459,50 @@ def test_one_unknown_curve_rule():
         and "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values) == "E{}_{}"
     }
     assert spellers == {"curveconf.arm_label"}
+
+
+def _base_name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _builtin_error(name):
+    base = getattr(builtins, name or "", None)
+    return isinstance(base, type) and issubclass(base, BaseException)
+
+
+def test_every_error_class_is_caught_or_carries_data():
+    # an error class earns its name when some handler in the package, a
+    # script or the benchmark catches it by that name, or when it carries
+    # data beyond its message (it defines __init__); any other raise site
+    # raises ValueError, or ArithmeticError for a program fault
+    classes = {
+        node.name: node
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _tree(path.name).body
+        if isinstance(node, ast.ClassDef)
+    }
+    errors: set[str] = set()
+    while True:  # a subclass of a package error class is one too
+        found = {
+            name
+            for name, node in classes.items()
+            if any(base in errors or _builtin_error(base) for base in map(_base_name, node.bases))
+        }
+        if found <= errors:
+            break
+        errors |= found
+    sources = sorted(PACKAGE.glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    caught = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(map(_base_name, types))
+    carrying = {
+        name
+        for name in errors
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body)
+    }
+    assert errors - caught - carrying == set()
+    assert errors == {"ParseError", "UnknownCurve", "UnknownFixture", "CalibrationFailed"}
