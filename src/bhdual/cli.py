@@ -109,32 +109,26 @@ def cmd_coxeter(args) -> int:
 def cmd_lemma(args) -> int:
     from . import quotres  # only this command needs it: bh verify does not load it
 
+    k = args.k
     if args.which == "c2":
         if args.m is None:
             raise ValueError("lemma c2 requires --m")
-        curve = quotres.invariant_image(args.m, args.k)
-        index = quotres.attachment_index(args.m, args.k)
-        out = {
-            "curve": f"x^{args.m} + y^{args.k - args.m}",
-            "image": str(curve),
-            "attachment_component": index,
-            "branches": 1,
-        }
+        curve, text = quotres.invariant_image(args.m, k), f"x^{args.m} + y^{k - args.m}"
     else:
         if args.m is not None:
             raise ValueError("lemma c2double takes no --m")
-        curve = quotres.invariant_image_double(args.k)
-        index, branches = quotres.attachment_double(args.k)
-        out = {
-            "curve": f"x^2 + y^{2 * args.k - 2}",
-            "image": str(curve),
-            "attachment_component": index,
-            "branches": branches,
-        }
+        curve, text = quotres.invariant_image_double(k), f"x^2 + y^{2 * k - 2}"
+    [component] = quotres.exceptional_components_met(curve, k)
+    out = {
+        "curve": text,
+        "image": str(curve),
+        "attachment_component": component,
+        "branches": quotres.branch_count_at_attachment(curve, k, component),
+    }
     if args.symbolic:
         charts = {}
-        for i in range(1, args.k + 1):
-            (p, q), unit = quotres.proper_transform(curve, quotres.ResolutionChart(i, args.k))
+        for i in range(1, k + 1):
+            (p, q), unit = quotres.proper_transform(curve, i, k)
             charts[str(i)] = {"monomial": f"u^{p}*v^{q}", "unit": str(unit)}
         out["charts"] = charts
     print(json.dumps(out))

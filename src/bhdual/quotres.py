@@ -7,103 +7,30 @@ covered by k charts with coordinates (u_i, v_i); chart i maps to (X, Y, Z) =
 (u^i v^(i-1), u^(k-i) v^(k+1-i), u*v), and the exceptional components are
 E_i = {u_i = 0} = {v_(i+1) = 0}, forming an A_(k-1) chain.
 
-A chart is a linear map on exponent vectors (X^a Y^b Z^c goes to one monomial
-u^p v^q with the same coefficient), so all the algebra stays over Z.
+Curves in X, Y, Z and their chart images in u, v are one type, SparsePoly.
+A chart is only its exponent map, chart(i, k): each term X^a Y^b Z^c goes to
+one monomial u^p v^q with the same coefficient, so all the algebra stays
+over Z.  bh lemma prints the component and branch count derived here.
 """
 from __future__ import annotations
 
 from .exactalg import Frozen, IntPolynomial, gcd_degree
 
 
-class LaurentPoly2(Frozen):
-    """Laurent polynomial in two chart coordinates u, v with integer
-    coefficients; terms maps (exp_u, exp_v) to a nonzero coefficient.  The
-    constructor sums the coefficients of equal exponents and drops zeros."""
+class SparsePoly(Frozen):
+    """Sparse polynomial with integer coefficients: ``terms`` is the sorted
+    tuple of (exponent tuple, nonzero coefficient) pairs.  Two exponents are
+    the chart coordinates u, v (negative ones allowed), three the invariant
+    coordinates X, Y, Z.  The constructor takes (exponents, coefficient)
+    pairs, sums the coefficients of equal exponents, drops zeros and raises
+    TypeError for a coefficient that is not an int."""
 
     __slots__ = ("terms",)
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    terms: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, terms):
-        items = terms.items() if isinstance(terms, dict) else terms
-        cleaned: dict[tuple[int, int], int] = {}
-        for key, coeff in items:
-            key = tuple(key)
-            cleaned[key] = cleaned.get(key, 0) + coeff
-        object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
-
-    def __eq__(self, other):
-        return type(other) is LaurentPoly2 and other.terms == self.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def constant_term(self) -> int:
-        return dict(self.terms).get((0, 0), 0)
-
-    def restrict_u0(self) -> dict[int, int]:
-        """Coefficients of the restriction to {u = 0} as a map ev -> coeff."""
-        return {ev: c for (eu, ev), c in self.terms if eu == 0}
-
-    def restrict_v0(self) -> dict[int, int]:
-        return {eu: c for (eu, ev), c in self.terms if ev == 0}
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (eu, ev), coeff in self.terms:
-            factors = []
-            if eu:
-                factors.append("u" if eu == 1 else f"u^{eu}")
-            if ev:
-                factors.append("v" if ev == 1 else f"v^{ev}")
-            body = "*".join(factors) if factors else "1"
-            if coeff == 1 and factors:
-                parts.append(body)
-            elif coeff == -1 and factors:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}" if factors else f"{coeff}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-class ResolutionChart(Frozen):
-    """Chart i of the resolution of the type (k, k-1) singularity."""
-
-    __slots__ = ("i", "k")
-    i: int
-    k: int
-
-    def __init__(self, i: int, k: int):
-        if not 1 <= i <= k:
-            raise ValueError(f"chart index {i} outside 1..{k}")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "k", k)
-
-    def substitution(self) -> dict[str, tuple[int, int]]:
-        """The exponent pair (exp_u, exp_v) of the monomial each of X, Y, Z
-        becomes in this chart."""
-        i, k = self.i, self.k
-        return {"X": (i, i - 1), "Y": (k - i, k + 1 - i), "Z": (1, 1)}
-
-
-# ---------------------------------------------------------------------------
-# curves in the quotient and their proper transforms
-# ---------------------------------------------------------------------------
-
-class XYZPoly(Frozen):
-    """Polynomial in the invariant coordinates X, Y, Z with integer
-    coefficients; terms maps (exp_X, exp_Y, exp_Z) to a nonzero coefficient.
-    The constructor sums the coefficients of equal exponents, drops zeros and
-    raises TypeError for a coefficient that is not an int."""
-
-    __slots__ = ("terms",)
-    terms: tuple[tuple[tuple[int, int, int], int], ...]
-
-    def __init__(self, terms):
-        items = terms.items() if isinstance(terms, dict) else terms
-        cleaned: dict[tuple[int, int, int], int] = {}
-        for key, coeff in items:
+        cleaned: dict[tuple[int, ...], int] = {}
+        for key, coeff in terms:
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient {coeff!r} of {key} is not an int")
             key = tuple(key)
@@ -111,64 +38,85 @@ class XYZPoly(Frozen):
         object.__setattr__(self, "terms", tuple(sorted((k, c) for k, c in cleaned.items() if c)))
 
     def __eq__(self, other):
-        return type(other) is XYZPoly and other.terms == self.terms
+        return type(other) is SparsePoly and other.terms == self.terms
 
-    def substitute(self, chart: ResolutionChart) -> LaurentPoly2:
-        """Chart image: each term goes to one monomial by the exponent map."""
-        sub = chart.substitution()
-        (xu, xv), (yu, yv), (zu, zv) = sub["X"], sub["Y"], sub["Z"]
-        return LaurentPoly2(
-            ((ex * xu + ey * yu + ez * zu, ex * xv + ey * yv + ez * zv), coeff)
-            for (ex, ey, ez), coeff in self.terms
-        )
+    def on_line(self, axis: int) -> dict[int, int]:
+        """Restriction of a u, v polynomial to {u = 0} (axis 0) or {v = 0}
+        (axis 1), as a map from the other exponent to its coefficient."""
+        return {key[1 - axis]: c for key, c in self.terms if key[axis] == 0}
 
     def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        names = "uv" if len(self.terms[0][0]) == 2 else "XYZ"
         parts = []
-        for (ex, ey, ez), coeff in sorted(self.terms, key=lambda t: (t[0][2], t[0][0], t[0][1]), reverse=True):
-            factors = [f"{n}^{e}" if e > 1 else n for n, e in (("X", ex), ("Y", ey), ("Z", ez)) if e]
-            body = "*".join(factors) if factors else "1"
-            parts.append(body if coeff == 1 else f"{coeff}*{body}")
-        return " + ".join(parts) if parts else "0"
+        for exps, coeff in self.terms:
+            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+            if not body:
+                parts.append(f"{coeff}")
+            elif coeff == 1:
+                parts.append(body)
+            elif coeff == -1:
+                parts.append(f"-{body}")
+            else:
+                parts.append(f"{coeff}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")
 
 
-def invariant_image(m: int, k: int) -> XYZPoly:
+def chart(i: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Chart i of the resolution as its exponent map: the exponent pairs
+    (exp_u, exp_v) of the monomials that X, Y and Z become."""
+    if not 1 <= i <= k:
+        raise ValueError(f"chart index {i} outside 1..{k}")
+    return (i, i - 1), (k - i, k + 1 - i), (1, 1)
+
+
+def chart_image(curve: SparsePoly, i: int, k: int) -> SparsePoly:
+    """Image of the curve in chart i: each term goes to one monomial by the
+    exponent map."""
+    (xu, xv), (yu, yv), (zu, zv) = chart(i, k)
+    return SparsePoly(
+        ((ex * xu + ey * yu + ez * zu, ex * xv + ey * yv + ez * zv), coeff)
+        for (ex, ey, ez), coeff in curve.terms
+    )
+
+
+# ---------------------------------------------------------------------------
+# curves in the quotient and their proper transforms
+# ---------------------------------------------------------------------------
+
+def invariant_image(m: int, k: int) -> SparsePoly:
     """Image of the curve x^m + y^(k-m) = 0 in invariant coordinates: Z^m + Y."""
     if not 0 < m < k:
         raise ValueError(f"need 0 < m < k, got m={m}, k={k}")
-    return XYZPoly({(0, 0, m): 1, (0, 1, 0): 1})
+    return SparsePoly([((0, 0, m), 1), ((0, 1, 0), 1)])
 
 
-def invariant_image_double(k: int) -> XYZPoly:
+def invariant_image_double(k: int) -> SparsePoly:
     """Image of the doubled curve x^2 + y^(2k-2) = 0: Z^2 + Y^2."""
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
-    return XYZPoly({(0, 0, 2): 1, (0, 2, 0): 1})
+    return SparsePoly([((0, 0, 2), 1), ((0, 2, 0), 1)])
 
 
-def proper_transform(curve: XYZPoly, chart: ResolutionChart):
-    """Factor the chart image of the curve as monomial * unit.
+def proper_transform(curve: SparsePoly, i: int, k: int):
+    """Factor the image of the curve in chart i as monomial * unit.
 
     Returns ((p, q), unit) with the curve image equal to u^p v^q * unit and
     unit not vanishing at the chart origin.  Raises ValueError when the
     image is zero or when every candidate unit vanishes at the origin (the
     curve is then not one of the supported shapes).
     """
-    image = curve.substitute(chart)
-    if image.is_zero():
+    image = chart_image(curve, i, k)
+    if not image.terms:
         raise ValueError("curve image is zero in this chart")
     p = min(eu for (eu, ev), _ in image.terms)
     q = min(ev for (eu, ev), _ in image.terms)
-    unit = LaurentPoly2(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
-    if unit.constant_term() == 0:
+    unit = SparsePoly(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
+    # every exponent is now >= 0, so a constant term sorts first
+    if unit.terms[0][0] != (0, 0):
         raise ValueError("unit factor vanishes at the chart origin")
     return (p, q), unit
-
-
-def attachment_index(m: int, k: int) -> int:
-    """Exceptional component met by the transform of x^m + y^(k-m): E_(k-m)."""
-    if not 0 < m < k:
-        raise ValueError(f"need 0 < m < k, got m={m}, k={k}")
-    return k - m
 
 
 def attachment_double(k: int):
@@ -178,7 +126,7 @@ def attachment_double(k: int):
     return k - 1, 2
 
 
-def exceptional_components_met(curve: XYZPoly, k: int) -> list[int]:
+def exceptional_components_met(curve: SparsePoly, k: int) -> list[int]:
     """Indices i of the exceptional components E_i whose generic point lies on
     the proper transform of the curve.
 
@@ -190,20 +138,20 @@ def exceptional_components_met(curve: XYZPoly, k: int) -> list[int]:
         return []
     met = set()
     for i in range(1, k + 1):
-        _, unit = proper_transform(curve, ResolutionChart(i, k))
-        if i < k and set(unit.restrict_u0()) - {0}:
+        _, unit = proper_transform(curve, i, k)
+        if i < k and set(unit.on_line(0)) - {0}:
             met.add(i)
-        if i > 1 and set(unit.restrict_v0()) - {0}:
+        if i > 1 and set(unit.on_line(1)) - {0}:
             met.add(i - 1)
     return sorted(met)
 
 
-def branch_count_at_attachment(curve: XYZPoly, k: int, component: int) -> int:
+def branch_count_at_attachment(curve: SparsePoly, k: int, component: int) -> int:
     """Number of distinct transversal branch points on E_(component): the
     count of distinct roots of the unit factor p restricted to that line,
     deg p - deg gcd(p, p')."""
-    _, unit = proper_transform(curve, ResolutionChart(component, k))
-    on_line = unit.restrict_u0()
+    _, unit = proper_transform(curve, component, k)
+    on_line = unit.on_line(0)
     p = IntPolynomial(on_line.get(e, 0) for e in range(max(on_line, default=-1) + 1))
     if p.degree <= 0:
         return 0

@@ -22,7 +22,6 @@ from bhdual.fixtures import VARIABLES, load_rows, row_by_name
 from bhdual.polyparse import parse_polynomial
 from bhdual.quotres import (
     attachment_double,
-    attachment_index,
     branch_count_at_attachment,
     exceptional_components_met,
     invariant_image,
@@ -169,14 +168,13 @@ def test_c8_local_lemmas():
     for k in range(2, 13):
         for m in range(1, k):
             ok &= exceptional_components_met(invariant_image(m, k), k) == [k - m]
-            ok &= attachment_index(m, k) == k - m
         double = invariant_image_double(k)
         component, branches = attachment_double(k)
         ok &= exceptional_components_met(double, k) == [component] == [k - 1]
         ok &= branch_count_at_attachment(double, k, component) == branches == 2
     # worked-example attachments
-    ok &= attachment_index(3, 5) == 2
-    ok &= attachment_index(2, 7) == 5
+    ok &= exceptional_components_met(invariant_image(3, 5), 5) == [2]
+    ok &= exceptional_components_met(invariant_image(2, 7), 7) == [5]
     ok &= attachment_double(8) == (7, 2)
     report("C8", "local resolution lemmas for 1<=m<k<=12", ok)
 

@@ -208,6 +208,18 @@ class TestLemma:
         code, _, err = run(capsys, "lemma", "c2", "--m", "5", "--k", "5")
         assert code == 2
 
+    def test_component_is_derived(self, capsys, monkeypatch):
+        # the printed component is the one exceptional_components_met finds,
+        # and the branches are counted on it: on E_4 of k = 5 the transform
+        # of Z^3 + Y has the unit 1 + u^2*v, constant on u = 0
+        from bhdual import quotres
+
+        monkeypatch.setattr(quotres, "exceptional_components_met", lambda curve, k: [4])
+        code, out, err = run(capsys, "lemma", "c2", "--m", "3", "--k", "5")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["attachment_component"], data["branches"]) == (4, 0)
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

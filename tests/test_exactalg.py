@@ -23,7 +23,7 @@ from conftest import cyclotomic, long_division
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of
 from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
-from bhdual.quotres import LaurentPoly2, ResolutionChart, XYZPoly
+from bhdual.quotres import SparsePoly
 from bhdual.series import milnor_orlik
 from bhdual.weights import canonical_weights, reduce
 
@@ -443,14 +443,14 @@ VALUE_TYPES = {
         lambda: InvertiblePolynomial(IntMatrix([[2, 0], [0, 3]]), ["x", "y"]),
         (IntMatrix([[2, 0], [0, 3]]), ("x", "y")),
     ),
-    "LaurentPoly2": (
-        lambda: LaurentPoly2({(0, 0): 1, (0, 1): 1}),
-        lambda: LaurentPoly2([((0, 1), 1), ((0, 0), 1), ((2, 2), 0)]),
+    "SparsePoly-uv": (
+        lambda: SparsePoly([((0, 0), 1), ((0, 1), 1)]),
+        lambda: SparsePoly([((0, 1), 1), ((0, 0), 1), ((2, 2), 0)]),
         (((0, 0), 1), ((0, 1), 1)),
     ),
-    "XYZPoly": (
-        lambda: XYZPoly({(0, 0, 2): 1, (0, 2, 0): 1}),
-        lambda: XYZPoly([((0, 2, 0), 1), ((0, 0, 2), 2), ((0, 0, 2), -1)]),
+    "SparsePoly-XYZ": (
+        lambda: SparsePoly([((0, 0, 2), 1), ((0, 2, 0), 1)]),
+        lambda: SparsePoly([((0, 2, 0), 1), ((0, 0, 2), 2), ((0, 0, 2), -1)]),
         (((0, 0, 2), 1), ((0, 2, 0), 1)),
     ),
     "GeneratorList": (
@@ -458,7 +458,6 @@ VALUE_TYPES = {
         None,
         ((Sheaf("OX"), MukaiClass(1, (), 1)),),
     ),
-    "ResolutionChart": (lambda: ResolutionChart(1, 2), None, (1, 2)),
 }
 
 

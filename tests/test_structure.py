@@ -227,6 +227,18 @@ def test_one_elimination_kernel():
     assert "gcd_degree" in _called(_function("quotres.py", "branch_count_at_attachment"))
 
 
+def test_one_polynomial_type_in_quotres():
+    # curves in X, Y, Z and their chart images in u, v are one value type,
+    # a chart is a function, and bh lemma prints what quotres derives
+    frozen = [
+        node.name
+        for node in ast.walk(_tree("quotres.py"))
+        if isinstance(node, ast.ClassDef) and any(getattr(base, "id", None) == "Frozen" for base in node.bases)
+    ]
+    assert frozen == ["SparsePoly"]
+    assert {"exceptional_components_met", "branch_count_at_attachment"} <= _called(_function("cli.py", "cmd_lemma"))
+
+
 def test_parser_keeps_no_state_flags():
     # parse_polynomial checks each token against the kind of the one before
     # it; the three flags of the nested-loop parser stay out
@@ -292,7 +304,7 @@ def test_every_record_field_is_read():
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
-    assert len(fields) >= 60  # the 60 fields of the 21 records: the finder still sees them
+    assert len(fields) >= 57  # the 57 fields of the 19 records: the finder still sees them
     classes = {cls for cls, _ in fields}
     returns = {
         node.name: ast.unparse(node.returns).strip("'\"")
