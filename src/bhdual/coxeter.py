@@ -4,19 +4,23 @@ edge-weighted graphs arising as Coxeter-Dynkin diagrams.
 A root basis is encoded by its Gram matrix G (symmetric, all diagonal entries
 -2).  The reflection in basis vector e_i acts by x -> x + <x, e_i> e_i; in the
 basis itself its matrix is s_i = I + e_i G[i, :].  The Coxeter element is the
-product s_0 s_1 ... s_{n-1} of all basis reflections in basis order.  It is
-built by applying the reflections in place: right multiplication by s_i adds
-c * G[i, :] to every row whose entry c in column i is nonzero, a rank-one
-update, so no reflection matrix is ever formed.  The product is checked by one
-identity with the Seifert matrix U, the upper triangle of G with -1 on the
-diagonal: U tau = -U^T, which implies both tau^T G tau = G and det tau =
-(-1)^mu (see ``seifert_identity``).
+product tau = s_0 s_1 ... s_{n-1} of all basis reflections in basis order, and
+it is applied as those reflections (``Reflections``): left multiplication by
+s_i changes only row i, to -X_i + sum_{k != i} G[i][k] X_k, so tau X on packed
+rows costs one multiply-add per off-diagonal nonzero of G, which is nearly a
+tree, where the dense tau would cost one per nonzero of tau.  tau's matrix is
+read once, from tau applied to the packed identity; char_poly and the order's
+radical test run on the reflections.  The product is checked by one identity
+with the Seifert matrix U, the upper triangle of G with -1 on the diagonal:
+U tau = -U^T, which implies both tau^T G tau = G and det tau = (-1)^mu (see
+``seifert_identity``).
 
 Diagrams are compared in ``dynkin``, entry by entry under the named vertex
 correspondence; no isomorphism search is needed.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .exactalg import (
@@ -26,13 +30,41 @@ from .exactalg import (
     annihilates,
     char_poly,
     factor_cyclotomic,
+    matrix_of,
+    slot_bits,
 )
+
+
+class Reflections(NamedTuple):
+    """tau = s_0 s_1 ... s_(n-1) kept as its reflections, with the ``dim``,
+    ``row_sum_bound`` and ``times_packed`` of IntMatrix, so that ``char_poly``
+    and ``annihilates`` run on it.  Packing is Z-linear, so times_packed is
+    exact even where a row between two reflections leaves its slots."""
+
+    neighbours: tuple[tuple[tuple[int, int], ...], ...]  # row i: (k, G[i][k]) over k != i, G[i][k] != 0
+    row_sum_bound: int  # at least rho(tau)
+
+    @property
+    def dim(self) -> int:
+        return len(self.neighbours)
+
+    def times_packed(self, packed: list[int]) -> list[int]:
+        """Packed rows of tau B = s_0 (s_1 (... (s_(n-1) B))); s_i replaces row i."""
+        rows = list(packed)
+        neighbours = self.neighbours
+        for i in range(len(rows) - 1, -1, -1):
+            row = -rows[i]
+            for k, a in neighbours[i]:
+                row += a * rows[k]
+            rows[i] = row
+        return rows
 
 
 class CoxeterResult(NamedTuple):
     matrix: IntMatrix
     char: IntPolynomial
     factorization: CyclotomicFactorization
+    reflections: Reflections
 
     @property
     def order(self) -> int | None:
@@ -51,37 +83,40 @@ class CoxeterResult(NamedTuple):
         factors = self.factorization.factors
         if any(e > 1 for e in factors.values()):
             radical = CyclotomicFactorization(dict.fromkeys(factors, 1), 1, IntPolynomial.one())
-            if not annihilates(radical.reconstruct(), self.matrix):
+            if not annihilates(radical.reconstruct(), self.reflections):
                 return None
         return self.factorization.lcm_of_orders()
 
 
 def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     """Ordered product of the basis reflections, with characteristic
-    polynomial and cyclotomic factorization; the order is read on demand."""
-    n = gram.dim
+    polynomial and cyclotomic factorization; the order is read on demand.
+
+    rho(s_i) = 1 + sum_{k != i} |G[i][k]| and rho is submultiplicative, so
+    the entries of tau are at most prod rho(s_i), the slot width tau's matrix
+    is read at; char_poly then reads at the width of rho(tau) itself."""
     if not gram.is_symmetric():
         raise ValueError("Gram matrix must be symmetric")
     g = gram.entries
     if any(row[i] != -2 for i, row in enumerate(g)):
         raise ValueError("all diagonal entries must be -2")
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        gi = g[i]
-        for row in rows:
-            c = row[i]
-            if c:
-                for j in range(n):
-                    row[j] += c * gi[j]
-    tau = IntMatrix(rows)
-    char = char_poly(tau)
-    return CoxeterResult(tau, char, factor_cyclotomic(char))
+    neighbours = tuple(tuple((k, a) for k, a in enumerate(row) if a and k != i) for i, row in enumerate(g))
+    bound = math.prod(1 + sum(abs(a) for _, a in row) for row in neighbours)
+    tau = matrix_of(Reflections(neighbours, bound), bound)
+    reflections = Reflections(neighbours, tau.row_sum_bound)
+    char = char_poly(reflections)
+    return CoxeterResult(tau, char, factor_cyclotomic(char), reflections)
 
 
 def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
     """U tau == -U^T on packed rows, for the Seifert matrix U: the upper
     triangle of G with -1 on the diagonal, so G = U + U^T and tau is the
     Picard-Lefschetz monodromy -U^-1 U^T.  Entries are at most rho(U) rho(tau).
+    A tau of another dimension than G fails.
+
+    Row i of U tau is -tau_i + sum_{j > i} G[i][j] tau_j, read from tau's
+    packed rows and the sparse upper triangle of G; row j of -U^T is e_j -
+    sum_{i < j} G[i][j] e_i.
 
     U is triangular with diagonal -1, hence invertible over the integers, and
     the identity pins tau exactly.  It implies tau^T G tau = U U^-T (U + U^T)
@@ -89,10 +124,17 @@ def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
     det U = (-1)^mu.
     """
     n = gram.dim
-    g = gram.entries
-    upper = IntMatrix([[g[i][j] if j > i else -(i == j) for j in range(n)] for i in range(n)])
-    bound = upper.row_sum_bound * tau.row_sum_bound
-    return upper.times_packed(tau.packed(bound)) == [-row for row in upper.transpose().packed(bound)]
+    if tau.dim != n:
+        return False
+    upper = [[(j, a) for j, a in enumerate(row) if j > i and a] for i, row in enumerate(gram.entries)]
+    bound = max((1 + sum(abs(a) for _, a in row) for row in upper), default=1) * tau.row_sum_bound
+    bits = slot_bits(bound)
+    minus_upper_t = [1 << bits * j for j in range(n)]
+    for i, row in enumerate(upper):
+        for j, a in row:
+            minus_upper_t[j] -= a << bits * i
+    packed = tau.packed(bound)
+    return [sum(a * packed[j] for j, a in row) - packed[i] for i, row in enumerate(upper)] == minus_upper_t
 
 
 def _sign_changes(coefficients) -> int:

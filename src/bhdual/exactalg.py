@@ -371,9 +371,9 @@ class IntMatrix(Frozen):
         return max([1, *(sum(map(abs, row)) for row in self.entries)])
 
     def packed(self, bound: int) -> list[int]:
-        """Row i as the integer sum_j M[i][j] * 2^(b*j), b = _slot_bits(bound): for
+        """Row i as the integer sum_j M[i][j] * 2^(b*j), b = slot_bits(bound): for
         entries at most ``bound``, packed rows are equal iff the rows are."""
-        bits = _slot_bits(bound)
+        bits = slot_bits(bound)
         return [sum(e << bits * j for j, e in enumerate(row) if e) for row in self.entries]
 
     def times_packed(self, packed: list[int]) -> list[int]:
@@ -438,25 +438,44 @@ def gcd_degree(p: IntPolynomial, q: IntPolynomial) -> int:
             return k
 
 
-def _slot_bits(bound: int) -> int:
+def slot_bits(bound: int) -> int:
     """Slot width for packed rows of entries at most ``bound`` in absolute
     value: every such entry satisfies |e| < 2^(bits-1)."""
     return bound.bit_length() + 1
 
 
-def char_poly(matrix: IntMatrix) -> IntPolynomial:
+def matrix_of(operator, bound: int) -> IntMatrix:
+    """The matrix of ``operator`` (``dim`` and ``times_packed``, as IntMatrix
+    has them) whose entries are at most ``bound``: the operator applied to the
+    packed identity, each slot read back as a signed entry.  Adding ``half``
+    to every slot makes each one a plain base-2^bits digit."""
+    n = operator.dim
+    bits = slot_bits(bound)
+    half = 1 << (bits - 1)
+    offset = sum(half << bits * j for j in range(n))
+    rows = [row + offset for row in operator.times_packed([1 << bits * i for i in range(n)])]
+    return IntMatrix([[(row >> bits * j & 2 * half - 1) - half for j in range(n)] for row in rows])
+
+
+def char_poly(matrix) -> IntPolynomial:
     """det(t*I - M) by the Faddeev-LeVerrier recursion on packed rows.
 
+    M is anything with ``dim``, ``row_sum_bound`` (rho, at least M's largest
+    absolute row sum) and ``times_packed`` (the packed rows of M B from those
+    of B), as IntMatrix and ``coxeter.Reflections`` have them.
     W_0 = I, c_k = -tr(M W_(k-1)) / k and W_k = M W_(k-1) + c_k I; the trace
     divisions are exact over the integers, so the computation stays
     fraction-free and the result is monic of degree ``matrix.dim``.  Every
     W_k is a polynomial in M with |c_k| <= C(n, k) rho^k, so its entries and
-    those of M W_(k-1) stay below 2^n rho^n, which sets the slot width.  Adding
-    ``half`` to every slot makes each one a plain base-2^bits digit, so the
-    diagonal entry of row i is read off by one shift and mask.
+    those of M W_(k-1) stay below 2^n rho^n, which sets the slot width.
+    Packing is Z-linear, so ``times_packed`` may pass through rows whose
+    entries leave their slots (the reflections of tau do): only the rows it
+    returns are read.  Adding ``half`` to every slot makes each one a plain
+    base-2^bits digit, so the diagonal entry of row i is read off by one
+    shift and mask.
     """
     n = matrix.dim
-    bits = _slot_bits((2 * matrix.row_sum_bound) ** n)
+    bits = slot_bits((2 * matrix.row_sum_bound) ** n)
     half = 1 << (bits - 1)
     offset = sum(half << bits * i for i in range(n))
     coeffs = [1]  # c_0, c_1, ..., the coefficients from t^n down
@@ -472,12 +491,13 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
     return IntPolynomial(reversed(coeffs))
 
 
-def annihilates(p: IntPolynomial, matrix: IntMatrix) -> bool:
+def annihilates(p: IntPolynomial, matrix) -> bool:
     """Whether p(M) = 0, by Horner's rule on packed rows: R <- M R + c I from
-    the leading coefficient down.  Every R is a polynomial in M with entries
-    at most sum |c| * rho^deg p, which sets the slot width, so p(M) = 0 iff
-    every packed row is 0."""
-    bits = _slot_bits(sum(map(abs, p.coefficients)) * matrix.row_sum_bound ** max(p.degree, 0))
+    the leading coefficient down, for M as in ``char_poly``.  Every R is a
+    polynomial in M with entries at most sum |c| * rho^deg p, which sets the
+    slot width, so p(M) = 0 iff every packed row is 0; rows inside
+    ``times_packed`` may leave their slots, as in ``char_poly``."""
+    bits = slot_bits(sum(map(abs, p.coefficients)) * matrix.row_sum_bound ** max(p.degree, 0))
     work = [0] * matrix.dim
     for c in reversed(p.coefficients):
         work = [row + (c << bits * i) for i, row in enumerate(matrix.times_packed(work))]

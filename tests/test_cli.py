@@ -15,6 +15,7 @@ from bhdual import cli, dynkin
 from bhdual.cli import build_report, main, verify_row
 from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import AttachmentTable, all_names, load_rows, row_by_name
+from bhdual.series import transpose_monodromy
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
@@ -285,6 +286,17 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["summary"] == {"pass": 170, "fail": 0, "inapplicable": 30}
         assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256
+
+    def test_verify_and_calibrate_skip_the_dense_product(self, monkeypatch):
+        # the Coxeter layer applies tau as its reflections: the bh verify
+        # report and the calibration search multiply by no IntMatrix
+        def dense(matrix, packed):
+            raise LookupError("IntMatrix.times_packed")
+
+        monkeypatch.setattr(IntMatrix, "times_packed", dense)
+        out = json.dumps(build_report(load_rows()), indent=2) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256
+        assert dynkin.calibrate(load_rows(), transpose_monodromy) == dynkin.committed_convention()
 
     def test_cold_cli_without_asserts(self):
         # a fresh `python -O` interpreter: no shared caches, asserts stripped

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhdual import coxeter
 from bhdual.coxeter import (
@@ -7,7 +9,14 @@ from bhdual.coxeter import (
     lattice_invariants,
     seifert_identity,
 )
-from bhdual.exactalg import IntMatrix, IntPolynomial, det_bareiss
+from bhdual.exactalg import (
+    CyclotomicFactorization,
+    IntMatrix,
+    IntPolynomial,
+    char_poly,
+    det_bareiss,
+    matrix_of,
+)
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import row_gram
 from bhdual.series import transpose_monodromy, transpose_reduced_weights
@@ -118,6 +127,66 @@ class TestReflection:
             assert matmul(s, s) == identity(n)
             assert reference_preserves_form(s, g)
         assert coxeter_element(g).matrix == reflection_product(g)
+
+
+def symmetric_root_gram(n, upper):
+    """The n x n Gram with -2 on the diagonal and ``upper`` above it, row by row."""
+    rows = [[-2] * n for _ in range(n)]
+    values = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = next(values)
+    return IntMatrix(rows)
+
+
+# dimension 1-12, off-diagonal -3..3; zeros are drawn often, so some
+# diagrams fall apart into several components
+root_grams = st.integers(1, 12).flatmap(
+    lambda n: st.lists(
+        st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, -3)),
+        min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2,
+    ).map(lambda upper: symmetric_root_gram(n, upper))
+)
+
+#: tau = [[8, -3], [3, -1]]: each reflection has rho 4, whose slot holds
+#: entries below 8 only, so reading tau needs the whole product 16
+WIDE_TAU_GRAM = IntMatrix([[-2, 3], [3, -2]])
+
+
+def dense_radical_order(tau, factorization):
+    """The lcm of the cyclotomic indices when the radical prod Phi_n vanishes
+    at tau, by Horner's rule on dense products; None otherwise."""
+    if not factorization.is_cyclotomic:
+        return None
+    radical = CyclotomicFactorization(dict.fromkeys(factorization.factors, 1), 1, IntPolynomial.one())
+    n = tau.dim
+    value = IntMatrix([[0] * n] * n)
+    for c in reversed(radical.reconstruct().coefficients):
+        product = matmul(tau, value).entries
+        value = IntMatrix([[e + c * (i == j) for j, e in enumerate(row)] for i, row in enumerate(product)])
+    return factorization.lcm_of_orders() if value == IntMatrix([[0] * n] * n) else None
+
+
+class TestReflectionsAgainstDenseProduct:
+    @given(root_grams)
+    @example(WIDE_TAU_GRAM)
+    @settings(max_examples=60, deadline=None)
+    def test_coxeter_layer_matches_dense_tau(self, g):
+        cox = coxeter_element(g)
+        tau = reflection_product(g)
+        assert cox.matrix == tau
+        assert cox.char == char_poly(tau)
+        assert char_values(cox.char, g.dim) == seifert_char_values(g)
+        assert cox.order == dense_radical_order(tau, cox.factorization)
+        assert seifert_identity(cox.matrix, g)
+
+    def test_tau_read_needs_the_whole_product_bound(self):
+        cox = coxeter_element(WIDE_TAU_GRAM)
+        rho = [1 + sum(abs(a) for _, a in row) for row in cox.reflections.neighbours]
+        assert rho == [4, 4] and cox.matrix == IntMatrix([[8, -3], [3, -1]])
+        assert matrix_of(cox.reflections, math.prod(rho)) == cox.matrix
+        assert matrix_of(cox.reflections, max(rho)) != cox.matrix
 
 
 class TestCoxeterElement:
@@ -293,6 +362,13 @@ class TestOrderAndFormControls:
             assert difference == [[2, -1] + [0] * (n - 2)] + [[0] * n] * (n - 1), row.name
             assert bad.row_sum_bound > u.row_sum_bound, row.name
             assert not seifert_identity(bad, gram), row.name
+
+    def test_seifert_rejects_another_dimension(self):
+        # a tau smaller or larger than G fails; neither raises
+        gram = a_sum(3)
+        for tau in (coxeter_element(a_sum(2)).matrix, coxeter_element(a_sum(4)).matrix):
+            assert not seifert_identity(tau, gram), tau.dim
+        assert seifert_identity(coxeter_element(gram).matrix, gram)
 
     def test_seifert_rejects_other_isometries(self):
         # I and tau^2 preserve the form, so only the Seifert identity tells
