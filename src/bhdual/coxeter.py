@@ -31,15 +31,15 @@ from .exactalg import (
     char_poly,
     factor_cyclotomic,
     matrix_of,
-    slot_bits,
 )
 
 
 class Reflections(NamedTuple):
     """tau = s_0 s_1 ... s_(n-1) kept as its reflections, with the ``dim``,
-    ``row_sum_bound`` and ``times_packed`` of IntMatrix, so that ``char_poly``
-    and ``annihilates`` run on it.  Packing is Z-linear, so times_packed is
-    exact even where a row between two reflections leaves its slots."""
+    ``row_sum_bound`` and ``times_packed`` of IntMatrix, so that ``matrix_of``,
+    ``char_poly`` and ``annihilates`` run on it.  Packing is Z-linear, so
+    times_packed is exact even where a row between two reflections leaves its
+    slots."""
 
     neighbours: tuple[tuple[tuple[int, int], ...], ...]  # row i: (k, G[i][k]) over k != i, G[i][k] != 0
     row_sum_bound: int  # at least rho(tau)
@@ -93,30 +93,29 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     polynomial and cyclotomic factorization; the order is read on demand.
 
     rho(s_i) = 1 + sum_{k != i} |G[i][k]| and rho is submultiplicative, so
-    the entries of tau are at most prod rho(s_i), the slot width tau's matrix
-    is read at; char_poly then reads at the width of rho(tau) itself."""
+    the entries of tau are at most prod rho(s_i), the bound tau's matrix is
+    read at; char_poly and the order test then run at rho(tau) itself."""
     if not gram.is_symmetric():
         raise ValueError("Gram matrix must be symmetric")
     g = gram.entries
     if any(row[i] != -2 for i, row in enumerate(g)):
         raise ValueError("all diagonal entries must be -2")
     neighbours = tuple(tuple((k, a) for k, a in enumerate(row) if a and k != i) for i, row in enumerate(g))
-    bound = math.prod(1 + sum(abs(a) for _, a in row) for row in neighbours)
-    tau = matrix_of(Reflections(neighbours, bound), bound)
-    reflections = Reflections(neighbours, tau.row_sum_bound)
+    reflections = Reflections(neighbours, math.prod(1 + sum(abs(a) for _, a in row) for row in neighbours))
+    tau = matrix_of(reflections)
+    reflections = reflections._replace(row_sum_bound=tau.row_sum_bound)
     char = char_poly(reflections)
     return CoxeterResult(tau, char, factor_cyclotomic(char), reflections)
 
 
 def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
-    """U tau == -U^T on packed rows, for the Seifert matrix U: the upper
-    triangle of G with -1 on the diagonal, so G = U + U^T and tau is the
-    Picard-Lefschetz monodromy -U^-1 U^T.  Entries are at most rho(U) rho(tau).
-    A tau of another dimension than G fails.
+    """U tau == -U^T on tau's integer rows, for the Seifert matrix U: the
+    upper triangle of G with -1 on the diagonal, so G = U + U^T and tau is the
+    Picard-Lefschetz monodromy -U^-1 U^T.  A tau of another dimension than G
+    fails.
 
-    Row i of U tau is -tau_i + sum_{j > i} G[i][j] tau_j, read from tau's
-    packed rows and the sparse upper triangle of G; row j of -U^T is e_j -
-    sum_{i < j} G[i][j] e_i.
+    Row i of U tau is -tau_i + sum_{j > i} G[i][j] tau_j, and row i of -U^T
+    is e_i - sum_{j < i} G[j][i] e_j; the rows are compared one at a time.
 
     U is triangular with diagonal -1, hence invertible over the integers, and
     the identity pins tau exactly.  It implies tau^T G tau = U U^-T (U + U^T)
@@ -126,15 +125,15 @@ def seifert_identity(tau: IntMatrix, gram: IntMatrix) -> bool:
     n = gram.dim
     if tau.dim != n:
         return False
-    upper = [[(j, a) for j, a in enumerate(row) if j > i and a] for i, row in enumerate(gram.entries)]
-    bound = max((1 + sum(abs(a) for _, a in row) for row in upper), default=1) * tau.row_sum_bound
-    bits = slot_bits(bound)
-    minus_upper_t = [1 << bits * j for j in range(n)]
-    for i, row in enumerate(upper):
-        for j, a in row:
-            minus_upper_t[j] -= a << bits * i
-    packed = tau.packed(bound)
-    return [sum(a * packed[j] for j, a in row) - packed[i] for i, row in enumerate(upper)] == minus_upper_t
+    g, t = gram.entries, tau.entries
+    for i in range(n):
+        row = [-e for e in t[i]]
+        for a, t_j in zip(g[i][i + 1:], t[i + 1:]):
+            if a:
+                row = [x + a * y for x, y in zip(row, t_j)]
+        if row != [-g[j][i] for j in range(i)] + [1] + [0] * (n - 1 - i):
+            return False
+    return True
 
 
 def _sign_changes(coefficients) -> int:

@@ -370,12 +370,6 @@ class IntMatrix(Frozen):
         submultiplicative, so entries of a product are at most the product of rho."""
         return max([1, *(sum(map(abs, row)) for row in self.entries)])
 
-    def packed(self, bound: int) -> list[int]:
-        """Row i as the integer sum_j M[i][j] * 2^(b*j), b = slot_bits(bound): for
-        entries at most ``bound``, packed rows are equal iff the rows are."""
-        bits = slot_bits(bound)
-        return [sum(e << bits * j for j, e in enumerate(row) if e) for row in self.entries]
-
     def times_packed(self, packed: list[int]) -> list[int]:
         """Packed rows of M * B from packed rows of B: one small-int times big-int
         multiply-add per nonzero entry of M, listed on first use; bignum code runs
@@ -438,19 +432,20 @@ def gcd_degree(p: IntPolynomial, q: IntPolynomial) -> int:
             return k
 
 
-def slot_bits(bound: int) -> int:
+def _slot_bits(bound: int) -> int:
     """Slot width for packed rows of entries at most ``bound`` in absolute
     value: every such entry satisfies |e| < 2^(bits-1)."""
     return bound.bit_length() + 1
 
 
-def matrix_of(operator, bound: int) -> IntMatrix:
-    """The matrix of ``operator`` (``dim`` and ``times_packed``, as IntMatrix
-    has them) whose entries are at most ``bound``: the operator applied to the
-    packed identity, each slot read back as a signed entry.  Adding ``half``
-    to every slot makes each one a plain base-2^bits digit."""
+def matrix_of(operator) -> IntMatrix:
+    """The matrix of ``operator`` (``dim``, ``row_sum_bound`` and
+    ``times_packed``, as IntMatrix has them), whose ``row_sum_bound`` bounds
+    every entry: the operator applied to the packed identity, each slot read
+    back as a signed entry.  Adding ``half`` to every slot makes each one a
+    plain base-2^bits digit."""
     n = operator.dim
-    bits = slot_bits(bound)
+    bits = _slot_bits(operator.row_sum_bound)
     half = 1 << (bits - 1)
     offset = sum(half << bits * j for j in range(n))
     rows = [row + offset for row in operator.times_packed([1 << bits * i for i in range(n)])]
@@ -475,7 +470,7 @@ def char_poly(matrix) -> IntPolynomial:
     shift and mask.
     """
     n = matrix.dim
-    bits = slot_bits((2 * matrix.row_sum_bound) ** n)
+    bits = _slot_bits((2 * matrix.row_sum_bound) ** n)
     half = 1 << (bits - 1)
     offset = sum(half << bits * i for i in range(n))
     coeffs = [1]  # c_0, c_1, ..., the coefficients from t^n down
@@ -497,7 +492,7 @@ def annihilates(p: IntPolynomial, matrix) -> bool:
     polynomial in M with entries at most sum |c| * rho^deg p, which sets the
     slot width, so p(M) = 0 iff every packed row is 0; rows inside
     ``times_packed`` may leave their slots, as in ``char_poly``."""
-    bits = slot_bits(sum(map(abs, p.coefficients)) * matrix.row_sum_bound ** max(p.degree, 0))
+    bits = _slot_bits(sum(map(abs, p.coefficients)) * matrix.row_sum_bound ** max(p.degree, 0))
     work = [0] * matrix.dim
     for c in reversed(p.coefficients):
         work = [row + (c << bits * i) for i, row in enumerate(matrix.times_packed(work))]

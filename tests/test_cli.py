@@ -19,6 +19,8 @@ from bhdual.series import transpose_monodromy
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
+#: sha256 over the 120 bh diagram / bh coxeter runs, each with its exit code
+COMMAND_OUTPUTS_SHA256 = "055d37067d7eb53dc336e197876795ac01537cf26bf623778d85fdf5ce56c518"
 #: what the gram and rule stages say of E_18 with the Dolgachev triple
 #: (1, 3, 12): arm 1 holds no curve, so its edge to the centre names E1_0
 SHORT_ARM = "row E_18: the edge E1_0 -- Einf names E1_0, a curve the configuration lacks"
@@ -176,6 +178,21 @@ class TestCoxeterCommand:
         assert data["char_cyclotomic"] == "Φ66"
         assert data["order"] == 66
         assert data["signature"] == [2, 0, 18]
+
+
+def test_command_outputs_pinned(capsys):
+    # bh diagram in both sources and both formats, and bh coxeter in both
+    # sources, for every row: any refactor must keep all 120 outputs
+    digest = hashlib.sha256()
+    for name in all_names():
+        for source in ("rules", "ktheory"):
+            for argv in (
+                ("diagram", "--name", name, "--source", source, "--format", "dot"),
+                ("diagram", "--name", name, "--source", source, "--format", "json"),
+                ("coxeter", "--name", name, "--source", source),
+            ):
+                digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == COMMAND_OUTPUTS_SHA256
 
 
 class TestLemma:

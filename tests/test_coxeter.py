@@ -154,6 +154,41 @@ root_grams = st.integers(1, 12).flatmap(
 WIDE_TAU_GRAM = IntMatrix([[-2, 3], [3, -2]])
 
 
+def dense_seifert(tau, gram):
+    """U tau == -U^T by dense products on nested lists, for U the upper
+    triangle of G with -1 on the diagonal; independent of seifert_identity."""
+    n = len(gram)
+    u = [[gram[i][j] if j > i else -(i == j) for j in range(n)] for i in range(n)]
+    product = [[sum(u[i][k] * tau[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return product == [[-u[j][i] for j in range(n)] for i in range(n)]
+
+
+#: entries of at least 2^70 in absolute value, wider than any slot a bound
+#: from small Grams would size
+huge = st.integers(2**70, 2**80) | st.integers(-(2**80), -(2**70))
+
+
+@st.composite
+def seifert_cases(draw):
+    """(kind, G, tau) for a root Gram G of dimension 1-10 with off-diagonal
+    entries -3..3: tau is G's true Coxeter element, that tau with one to three
+    distinct entries changed, or an arbitrary integer matrix."""
+    n = draw(st.integers(1, 10))
+    size = n * (n - 1) // 2
+    gram = symmetric_root_gram(n, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+    kind = draw(st.sampled_from(("true", "perturbed", "arbitrary")))
+    if kind == "arbitrary":
+        entries = st.integers(-5, 5) | huge
+        rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        rows = [list(r) for r in coxeter_element(gram).matrix.entries]
+        if kind == "perturbed":
+            change = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3).filter(bool) | huge)
+            for i, j, delta in draw(st.lists(change, min_size=1, max_size=3, unique_by=lambda c: c[:2])):
+                rows[i][j] += delta
+    return kind, gram, IntMatrix(rows)
+
+
 def dense_radical_order(tau, factorization):
     """The lcm of the cyclotomic indices when the radical prod Phi_n vanishes
     at tau, by Horner's rule on dense products; None otherwise."""
@@ -185,8 +220,8 @@ class TestReflectionsAgainstDenseProduct:
         cox = coxeter_element(WIDE_TAU_GRAM)
         rho = [1 + sum(abs(a) for _, a in row) for row in cox.reflections.neighbours]
         assert rho == [4, 4] and cox.matrix == IntMatrix([[8, -3], [3, -1]])
-        assert matrix_of(cox.reflections, math.prod(rho)) == cox.matrix
-        assert matrix_of(cox.reflections, max(rho)) != cox.matrix
+        assert matrix_of(cox.reflections._replace(row_sum_bound=math.prod(rho))) == cox.matrix
+        assert matrix_of(cox.reflections._replace(row_sum_bound=max(rho))) != cox.matrix
 
 
 class TestCoxeterElement:
@@ -393,6 +428,20 @@ class TestOrderAndFormControls:
         assert matmul(u, tau) == IntMatrix([[-u[j, i] for j in range(n)] for i in range(n)])
         assert seifert_identity(tau, g)
         assert char_values(coxeter_element(g).char, n) == seifert_char_values(g)
+
+    @given(seifert_cases())
+    @example(("true", A2, coxeter_element(A2).matrix))
+    @example(("arbitrary", A2, IntMatrix([[2**70, 1], [-1, 0]])))
+    @settings(max_examples=100, deadline=None)
+    def test_seifert_matches_a_dense_oracle(self, case):
+        # U is invertible, so the identity holds for the true tau alone: every
+        # change fails it, small or too wide for any slot; the examples make
+        # both verdicts occur
+        kind, gram, tau = case
+        holds = dense_seifert(tau.entries, gram.entries)
+        assert seifert_identity(tau, gram) == holds
+        if kind != "arbitrary":
+            assert holds == (kind == "true")
 
 
 class TestLatticeInvariants:

@@ -270,6 +270,30 @@ def test_one_correspondence_check():
     assert not defined & {"graph_isomorphic", "refine", "Reference", "_adjacency", "_signatures"}
 
 
+def test_packed_layout_stays_in_exactalg():
+    # coxeter supplies a linear operator and shifts no bits; the slot width,
+    # the packing and the readout belong to exactalg's iterating kernels
+    assert not [
+        node.lineno
+        for node in ast.walk(_tree("coxeter.py"))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, (ast.LShift, ast.RShift))
+    ]
+    sources = sorted(PACKAGE.glob("*.py"))
+    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    mentioning = {
+        path.name
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _mentioned_name(node) in ("_slot_bits", "slot_bits")
+    }
+    assert mentioning == {"exactalg.py"}
+    defined = {name for name, _ in _definitions(PACKAGE / "exactalg.py")}
+    assert not defined & {"slot_bits", "IntMatrix.packed"}
+    args = _function("exactalg.py", "matrix_of").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["operator"]
+    assert args.vararg is None and args.kwarg is None
+
+
 def _scopes(tree):
     """The nodes of each function of ``tree`` and of its top level, each node
     with the innermost function that holds it."""
