@@ -4,7 +4,7 @@ components), and the chain of curves F_l over the extra quotient point in the
 exceptional cases.
 
 A stored value that names a curve the configuration lacks raises
-UnknownCurve where the edge is joined, as it does where klattice and dynkin
+ValueError where the edge is joined, as it does where klattice and dynkin
 look a curve up.
 """
 from __future__ import annotations
@@ -13,10 +13,6 @@ from typing import NamedTuple
 
 from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
-
-
-class UnknownCurve(ValueError):
-    """A graph builder was asked for a curve its graph lacks."""
 
 
 class CurveConfiguration(NamedTuple):
@@ -57,8 +53,8 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     case it has two components, both meeting the outermost curve of the third
     arm and nothing else.  An edge that names a curve the labels lack (an
     attachment beyond its arm or the F-chain, or the innermost curve of an
-    arm with alpha_i below 2) raises UnknownCurve; an attachment the table
-    does not record raises ValueError.
+    arm with alpha_i below 2) or an attachment the table does not record
+    raises ValueError.
     """
     alpha, case = row.alpha, row.case_tag
     a = CASE_TAGS[case]
@@ -79,7 +75,7 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     def join(u: str, v: str):
         for w in (u, v):
             if w not in labels:
-                raise UnknownCurve(
+                raise ValueError(
                     f"row {row.name}: the edge {u} -- {v} names {w}, a curve the configuration lacks"
                 )
         key = (min(u, v), max(u, v))

@@ -13,8 +13,8 @@ monodromy oracle and the K-lattice diagrams.  Each rule vertex
 stands for one named K-lattice generator (:func:`correspondence`), and the
 two diagrams are compared entry by entry under that correspondence.  An edge
 that names a vertex the diagram lacks (an arm of alpha_i below 2, or an
-attachment beyond the arm the Dolgachev triple builds) raises
-curveconf.UnknownCurve where the diagram is assembled.
+attachment beyond the arm the Dolgachev triple builds) raises ValueError
+where the diagram is assembled.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import klattice
 from .coxeter import coxeter_element
-from .curveconf import UnknownCurve, arm_label
+from .curveconf import arm_label
 from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
 
@@ -169,7 +169,7 @@ def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
     """The diagram on ``labels``: -2 on the diagonal, the Gram rows of
     ``core`` (a diagram on the leading labels) in the top-left block, and
     each (s, t, w) in ``edges`` set symmetrically, later ones winning;
-    UnknownCurve when an edge names a label not in ``labels``."""
+    ValueError when an edge names a label not in ``labels``."""
     n = len(labels)
     gram = [[*row, *[0] * (n - len(row))] for row in core]
     for k in range(len(gram), n):
@@ -177,13 +177,10 @@ def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
         gram[k][k] = -2
     index = {s: k for k, s in enumerate(labels)}
     for s, t, w in edges:
-        try:
-            i, j = index[s], index[t]
-        except KeyError as missing:
-            raise UnknownCurve(
-                f"the edge {s} -- {t} names {missing.args[0]}, a curve the diagram lacks"
-            ) from None
-        gram[i][j] = gram[j][i] = w
+        for v in (s, t):
+            if v not in index:
+                raise ValueError(f"the edge {s} -- {t} names {v}, a curve the diagram lacks")
+        gram[index[s]][index[t]] = gram[index[t]][index[s]] = w
     return DynkinDiagram(tuple(labels), IntMatrix(gram))
 
 
@@ -312,62 +309,66 @@ def _case_candidates(key: str):
             yield CaseConvention(up, edges, 3, arm)
 
 
+def _edge_map(row: FixtureRow, reading: str, case: CaseConvention) -> dict:
+    """The candidate's :func:`extension_edges` as {frozenset({s, t}): w},
+    later edges winning."""
+    return {frozenset((s, t)): w for s, t, w in extension_edges(row, reading, case)}
+
+
+def _implied_edges(row: FixtureRow, oracle) -> dict | None:
+    """The B rows' edge map that the K-lattice Gram K implies: {label_i,
+    label_j} -> K'[i][j] over their nonzero off-diagonal entries, with K' =
+    K[sigma][sigma]; None when the diagram it builds is not K' or does not
+    have the ``oracle`` Coxeter factorization, so no candidate passes."""
+    k_gram = klattice.row_gram(row)[0]
+    sigma = correspondence(row)
+    t, a = t_graph(row.alpha), CASE_TAGS[row.case_tag]
+    labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
+    implied = {
+        frozenset((labels[i], labels[j])): k_gram[sigma[i], q]
+        for i in range(t.rank, len(sigma))
+        for j, q in enumerate(sigma)
+        if j != i and k_gram[sigma[i], q]
+    }
+    diagram = extend(t, a, [(*pair, w) for pair, w in implied.items()])
+    if not equal_under_correspondence(row, diagram.gram, k_gram):
+        return None
+    fac = coxeter_element(diagram.gram).factorization
+    return implied if fac.is_cyclotomic and fac.factors == oracle.factors else None
+
+
 def calibrate(rows, oracle_fac) -> ConventionTable:
     """Search the bounded variant space for the assignment under which, for
     every row, the rule-built diagram has the oracle characteristic
-    polynomial and equals the K-lattice diagram under :func:`correspondence`.
+    polynomial (``oracle_fac(row)``, a cyclotomic factorization) and equals
+    the K-lattice diagram under :func:`correspondence`.  Deterministic: the
+    first full pass over READINGS x :func:`_case_candidates` wins;
+    CalibrationFailed reports the rows of the case that exhausts them.
 
-    ``oracle_fac`` maps a row to the cyclotomic factorization of its
-    monodromy characteristic polynomial.  Deterministic: readings and
-    candidates are tried in a fixed order and the first full pass wins.
-    Raises CalibrationFailed with a per-row report when a case exhausts its
-    candidates.
+    Each row is judged once (:func:`_implied_edges`) and each candidate by
+    its edge map (:func:`_edge_map`) alone.  That is exact: an extension edge
+    has a B endpoint, two distinct endpoints and a sign of +-1, so a
+    candidate's Gram R is the ``t_graph`` block, -2 on each B diagonal, its
+    edge map in the B rows and 0 elsewhere.  So R equals K', the K-lattice
+    Gram in rule order, exactly when K' has that block and those diagonals,
+    which the implied diagram checks once, and the two edge maps are equal;
+    an edge naming a curve the diagram lacks is in no implied map.  Then R
+    is K', so the Coxeter verdict is the row's too.
     """
-    rows = list(rows)
-    by_case: dict[str, list[FixtureRow]] = {}
+    cases: dict[str, list] = {}
     for row in rows:
-        by_case.setdefault(case_key(row), []).append(row)
-    oracle = {row.name: oracle_fac(row) for row in rows}
-    k_grams = {row.name: klattice.row_gram(row)[0] for row in rows}
-    verdicts: dict = {}
-    interned: dict = {}
-
-    def passes(row: FixtureRow, reading: str, candidate: CaseConvention) -> bool:
-        """Equality with the K-lattice diagram under the correspondence first
-        (cheap), then the Coxeter factorization against the oracle.
-
-        Each distinct diagram is judged once.  The diagram is the fixed
-        ``t_graph(row.alpha)`` plus the row's :func:`extension_edges`, so the
-        row name and that edge list key ``verdicts`` before any Gram is
-        built; the edge tuples are interned, so the keys hold little memory.
-        """
-        edges = extension_edges(row, reading, candidate)
-        key = (row.name, tuple([interned.setdefault(e, e) for e in edges]))
-        if key not in verdicts:
-            gram = extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], edges).gram
-            verdict = equal_under_correspondence(row, gram, k_grams[row.name])
-            if verdict:
-                fac = coxeter_element(gram).factorization
-                verdict = fac.is_cyclotomic and fac.factors == oracle[row.name].factors
-            verdicts[key] = verdict
-        return verdicts[key]
-
+        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
     for reading in READINGS:
         table_cases: dict[str, CaseConvention] = {}
         failure_report: dict[str, list[str]] = {}
-        for key in sorted(by_case):
-            winner = None
+        for key in sorted(cases):
             for candidate in _case_candidates(key):
-                try:
-                    if all(passes(row, reading, candidate) for row in by_case[key]):
-                        winner = candidate
-                        break
-                except UnknownCurve:
-                    continue
-            if winner is None:
-                failure_report[key] = [row.name for row in by_case[key]]
+                if all(_edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
+                    table_cases[key] = candidate
+                    break
+            else:
+                failure_report[key] = [row.name for row, _ in cases[key]]
                 break
-            table_cases[key] = winner
         else:
             return ConventionTable(reading, table_cases)
     raise CalibrationFailed("no convention assignment passes all rows", failure_report)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .curveconf import CurveConfiguration, UnknownCurve, arm_label, build_configuration, CENTER, E0, E0P, E0PP
+from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
 from .exactalg import Frozen, IntMatrix
 from .fixtures import FixtureRow
 
@@ -115,7 +115,7 @@ def generator_list(row: FixtureRow) -> GeneratorList:
 
 def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     """Gram matrix of the negative Euler pairing in listing order, read from
-    the adjacency; UnknownCurve when a class names a curve the configuration
+    the adjacency; ValueError when a class names a curve the configuration
     lacks.  Row i adds a * m * b at j for each curve C of class i
     (multiplicity a), curve C' with C.C' = m (-2 when C' = C) and class j
     holding C' b times; the rank terms touch only the row and column of a
@@ -129,7 +129,7 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     for j, (sheaf, w) in enumerate(gens.items):
         for d, b in w.divisor:
             if d not in conf.labels:
-                raise UnknownCurve(f"generator {sheaf} names {d}, a curve the configuration lacks")
+                raise ValueError(f"generator {sheaf} names {d}, a curve the configuration lacks")
             holders[d].append((j, b))
     n = len(classes)
     rows = [[0] * n for _ in range(n)]

@@ -4,7 +4,6 @@ from functools import cache
 
 import pytest
 
-from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import extend, extension_edges, t_graph
 from bhdual.exactalg import IntPolynomial
 from bhdual.fixtures import CASE_TAGS
@@ -91,19 +90,20 @@ def reachable():
 def mukai_pairing(v, w, conf):
     """The negative Euler pairing D.D' - r*s' - r'*s of two classes over one
     configuration, curve pair by curve pair from ``conf.intersection``;
-    raises UnknownCurve when either names a curve the configuration lacks.
+    raises ValueError when either names a curve the configuration lacks.
     The tests' reference for klattice.gram_matrix, which the package uses
     instead."""
     for label, _ in (*v.divisor, *w.divisor):
         if label not in conf.labels:
-            raise UnknownCurve(label)
+            raise ValueError(label)
     dd = sum(a * b * conf.intersection(c, d) for c, a in v.divisor for d, b in w.divisor)
     return dd - v.rank * w.degree - w.rank * v.degree
 
 
 def rule_diagram(row, reading, case):
     """The row's rule diagram under one position reading and one case
-    convention, built as dynkin.calibrate builds its candidates."""
+    convention: the diagram a calibration candidate stands for, which
+    dynkin.calibrate judges by its edge map without building it."""
     return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], extension_edges(row, reading, case))
 
 

@@ -1,10 +1,10 @@
 import pytest
 
-from bhdual import coxeter, dynkin
+from bhdual import coxeter, dynkin, klattice
 from bhdual.coxeter import coxeter_element
-from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import (
     CalibrationFailed,
+    _implied_edges,
     calibrate,
     case_key,
     committed_convention,
@@ -107,7 +107,7 @@ class TestExtend:
             (row_by_name("E_18")._replace(alpha_beta=((2, 1), (3, 2), (19, 1))), "B2 -- E3_17", "E3_17"),
             (row_by_name("J_3,0")._replace(dolgachev=(2, 3, 2)), "B2 -- E3_2", "E3_2"),
         ):
-            with pytest.raises(UnknownCurve) as raised:
+            with pytest.raises(ValueError) as raised:
                 diagram_for_row(row)
             assert str(raised.value) == f"the edge {edge} names {curve}, a curve the diagram lacks"
             assert isinstance(raised.value, ValueError) and not isinstance(raised.value, KeyError)
@@ -137,42 +137,57 @@ class TestCalibration:
             calibrate(rows, wrong_oracle)
         assert info.value.report == {"a5": ["E_20"]}
 
+    @pytest.mark.parametrize("u, v", [("EinfL", "EinfU"), ("B1", "B1")])
+    def test_k_lattice_outside_the_edge_maps_fails_the_row(self, monkeypatch, u, v):
+        # an edge map fixes only the off-diagonal entries of the B rows: a
+        # K-lattice whose core block or B diagonal differs from the rule's
+        # fails the row under every candidate
+        row = row_by_name("E_20")
+        vertices, sigma = diagram_for_row(row).vertices, correspondence(row)
+        p, q = sigma[vertices.index(u)], sigma[vertices.index(v)]
+        gram = [list(r) for r in row_gram(row)[0].entries]
+        gram[p][q] = gram[q][p] = -gram[p][q]
+        monkeypatch.setattr(klattice, "row_gram", lambda r: (IntMatrix(gram), None, None))
+        with pytest.raises(CalibrationFailed) as info:
+            calibrate([row], transpose_monodromy)
+        assert info.value.report == {"a5": ["E_20"]}
+
 
 class TestCalibrationRejectsCheaplyFirst:
     @pytest.mark.parametrize("path", ["success", "failure"])
     def test_coxeter_element_only_for_isomorphic_candidates(self, monkeypatch, path):
-        # a candidate reaches the Coxeter element only once its diagram
-        # equals the row's K-lattice diagram under the correspondence
+        # a row reaches the Coxeter element at most once, on the diagram its
+        # K-lattice implies, and only once that diagram equals the K-lattice
+        # diagram under the correspondence
         calls = []
         current = {}
 
-        def traced_edges(row, reading, case):
+        def traced_implied(row, oracle):
             current["row"] = row
-            return extension_edges(row, reading, case)
+            return _implied_edges(row, oracle)
 
         def traced_coxeter(gram):
             calls.append((current["row"], gram))
             return coxeter_element(gram)
 
-        monkeypatch.setattr(dynkin, "extension_edges", traced_edges)
+        monkeypatch.setattr(dynkin, "_implied_edges", traced_implied)
         monkeypatch.setattr(dynkin, "coxeter_element", traced_coxeter)
         if path == "success":
-            calibrate(load_rows(), transpose_monodromy)
+            rows = load_rows()
+            calibrate(rows, transpose_monodromy)
         else:
+            rows = [row_by_name("E_20")]
             with pytest.raises(CalibrationFailed):
-                calibrate([row_by_name("E_20")], wrong_oracle)
-        assert calls
-        grams = {}
+                calibrate(rows, wrong_oracle)
+        assert sorted(row.name for row, _ in calls) == sorted(row.name for row in rows)
         for row, gram in calls:
-            if row.name not in grams:
-                grams[row.name] = row_gram(row)[0]
-            assert gram.entries == k_lattice_in_rule_order(row, grams[row.name]), row.name
+            assert gram.entries == k_lattice_in_rule_order(row, row_gram(row)[0]), row.name
 
 
 class TestCalibrationJudgesEachDiagramOnce:
     def count_work(self, monkeypatch):
-        """Record the candidate Grams built and the comparisons under the
-        correspondence, as (row name, candidate entries)."""
+        """Record the Grams built and the comparisons under the
+        correspondence, as (row name, entries)."""
         work = {"built": [], "compared": []}
 
         def counted_extend(t, a, edges):
@@ -189,29 +204,54 @@ class TestCalibrationJudgesEachDiagramOnce:
         return work
 
     def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
-        # E_20 under four readings meets 512 candidate wirings; the a5
-        # candidates without rule-read attachments ignore the reading, and
-        # under outside-minus the rule-read ones repeat them, so 256 differ.
-        # Only those 256 are built, and each is compared once.
+        # E_20 under four readings meets 512 candidate wirings, each judged by
+        # its edge map; the one diagram built and compared is the one its
+        # K-lattice implies, which equals the K-lattice diagram, and the
+        # wrong oracle rejects its Coxeter element
         work = self.count_work(monkeypatch)
+        row = row_by_name("E_20")
         with pytest.raises(CalibrationFailed):
-            calibrate([row_by_name("E_20")], wrong_oracle)
-        assert len(work["built"]) == len(set(work["built"])) == 256
-        compared = [entries for _, entries in work["compared"]]
-        assert len(compared) == len(set(compared)) == 256
-        assert set(compared) == set(work["built"])
-        assert {name for name, _ in work["compared"]} == {"E_20"}
+            calibrate([row], wrong_oracle)
+        implied = k_lattice_in_rule_order(row, row_gram(row)[0])
+        assert work["built"] == [implied]
+        assert work["compared"] == [("E_20", implied)]
 
     def test_success_path_keeps_no_reference(self, monkeypatch):
-        # every row meets one candidate, the committed one, and compares it
-        # once against its K-lattice Gram
+        # every row builds one diagram, the one its K-lattice implies, and
+        # compares it once against its K-lattice Gram
         work = self.count_work(monkeypatch)
-        assert calibrate(load_rows(), transpose_monodromy) == committed_convention()
+        rows = load_rows()
+        assert calibrate(rows, transpose_monodromy) == committed_convention()
         assert len(work["compared"]) == len(work["built"]) == 20
-        assert sorted(name for name, _ in work["compared"]) == sorted(r.name for r in load_rows())
+        assert work["compared"] == [(row.name, k_lattice_in_rule_order(row, row_gram(row)[0])) for row in rows]
+        assert work["built"] == [entries for _, entries in work["compared"]]
+
+    def test_edge_map_verdict_is_the_gram_verdict(self):
+        # calibrate judges a candidate by its edge map alone; that verdict is
+        # the one of building the candidate's Gram and comparing it with the
+        # K-lattice Gram under the correspondence, where a candidate whose
+        # edge names a curve the diagram lacks fails
+        checked, passed = 0, set()
+        for row in load_rows():
+            k_gram = row_gram(row)[0]
+            implied = _implied_edges(row, transpose_monodromy(row))
+            assert implied is not None, row.name
+            for reading in dynkin.READINGS:
+                for candidate in dynkin._case_candidates(case_key(row)):
+                    verdict = dynkin._edge_map(row, reading, candidate) == implied
+                    try:
+                        expected = equal_under_correspondence(row, rule_diagram(row, reading, candidate).gram, k_gram)
+                    except ValueError:
+                        expected = False
+                    assert verdict is expected, (row.name, reading, candidate)
+                    checked += 1
+                    if verdict:
+                        passed.add(row.name)
+        assert checked == 3264
+        assert passed == {row.name for row in load_rows()}
 
     def test_extension_keeps_the_core_block(self):
-        # the verdict key is the row and its extension edges: every candidate
+        # a candidate is judged by its extension edges: every candidate
         # diagram carries t_graph(alpha) unchanged in its top-left block, so
         # the edges determine the rest of the diagram
         for row in load_rows():
@@ -222,7 +262,7 @@ class TestCalibrationJudgesEachDiagramOnce:
                 for candidate in dynkin._case_candidates(key):
                     try:
                         gram = rule_diagram(row, reading, candidate).gram.entries
-                    except UnknownCurve:
+                    except ValueError:
                         continue
                     assert len(gram) == k + row.a, row.name
                     assert tuple(r[:k] for r in gram[:k]) == core, (row.name, reading)

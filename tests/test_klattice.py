@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhdual import klattice
-from bhdual.curveconf import UnknownCurve, build_configuration
+from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import (
     GeneratorList,
@@ -111,9 +111,9 @@ class TestPairingReference:
         native = class_of(Sheaf("OC", ("Einf",)))
         ox = class_of(Sheaf("OX"))
         for v, w in ((foreign, native), (native, foreign), (foreign, foreign), (ox, foreign)):
-            with pytest.raises(UnknownCurve, match="F4"):
+            with pytest.raises(ValueError, match="F4"):
                 mukai_pairing(v, w, s16)
-        with pytest.raises(UnknownCurve, match="F4"):
+        with pytest.raises(ValueError, match="F4"):
             gram_matrix(GeneratorList(((Sheaf("OC-1", ("F4",)), foreign),)), s16)
         # a class with no curves pairs on any configuration
         assert mukai_pairing(ox, ox, s16) == -2
@@ -137,7 +137,7 @@ class TestClassOf:
         # a class reads the descriptor alone; the Gram is where a curve the
         # configuration lacks shows
         sheaf = Sheaf("OC", ("E9_9",))
-        with pytest.raises(UnknownCurve, match="E9_9"):
+        with pytest.raises(ValueError, match="E9_9"):
             gram_matrix(GeneratorList(((sheaf, class_of(sheaf)),)), conf_for("S_16"))
 
 
@@ -227,13 +227,13 @@ class TestGramMatrix:
         conf = conf_for("S_16")
         gens = generator_list(row_by_name("S_16"))
         stray = (Sheaf("OC-1", ("E9_1",)), MukaiClass(0, (("E9_1", 1),), 0))
-        with pytest.raises(UnknownCurve, match="E9_1"):
+        with pytest.raises(ValueError, match="E9_1"):
             gram_matrix(GeneratorList((*gens.items, stray)), conf)
 
     def test_foreign_generators_raise(self):
         # E_20's generators name E3_7..E3_10 and F2..F4, which S_16's
         # configuration lacks
-        with pytest.raises(UnknownCurve, match="E3_7"):
+        with pytest.raises(ValueError, match="E3_7"):
             gram_matrix(generator_list(row_by_name("E_20")), conf_for("S_16"))
 
 

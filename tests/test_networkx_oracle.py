@@ -4,14 +4,13 @@
 searches all vertex maps with its own feasibility rules and compares edge
 weights through ``edge_match``.  Equality under the correspondence must
 therefore imply VF2 isomorphism, and the correspondence must be one of the
-maps VF2 finds.  The inputs are every diagram calibration can build for the
-20 rows, against the row's K-lattice diagram.
+maps VF2 finds.  The inputs are the diagrams of every calibration candidate
+for the 20 rows, against the row's K-lattice diagram.
 """
 import pytest
 
 nx = pytest.importorskip("networkx")
 
-from bhdual.curveconf import UnknownCurve
 from bhdual.dynkin import (
     READINGS,
     _case_candidates,
@@ -50,8 +49,8 @@ def vf2_isomorphic(g1: IntMatrix, g2: IntMatrix) -> bool:
 
 
 def calibration_candidates():
-    """(row, diagram Gram, K-lattice Gram) for every candidate diagram that
-    calibration can build, over every reading."""
+    """(row, diagram Gram, K-lattice Gram) for every calibration candidate
+    whose diagram can be built, over every reading."""
     for row in load_rows():
         k_gram = row_gram(row)[0]
         key = case_key(row)
@@ -59,7 +58,7 @@ def calibration_candidates():
             for candidate in _case_candidates(key):
                 try:
                     diagram = rule_diagram(row, reading, candidate)
-                except UnknownCurve:
+                except ValueError:
                     continue
                 yield row, diagram.gram, k_gram
 

@@ -36,7 +36,18 @@ def test_render_diagrams(tmp_path):
         assert {frozenset(edge) for edge in edges} == set(map(frozenset, conf.edges)), row.name
 
 
+CALIBRATE_CONVENTIONS_STDOUT = """\
+reading: outside-minus (committed: outside-minus)
+a2     B1-upper: -1, B1-B2: -1, arms on B2 (+1)  [matches committed]
+a2_r1  B1-upper: -1, B1-B2: -1, B2-arm3@2 (+1)  [matches committed]
+a3     B1-upper: -1, B1-B3: -1, B2-B3: +1, arms on B3 (+1)  [matches committed]
+a5     B1-upper: +1, B1-B2: +1, B2-B3: +1, B3-B4: +1, B4-B5: +1, B3-arm3@1 (+1)  [matches committed]
+calibration reproduces the committed table
+"""
+
+
 def test_calibrate_conventions():
+    # the whole stdout: the reading and one line per case, then the verdict
     done = run_script("calibrate_conventions.py")
     assert done.returncode == 0, done.stderr
-    assert "calibration reproduces the committed table" in done.stdout
+    assert done.stdout == CALIBRATE_CONVENTIONS_STDOUT

@@ -3,6 +3,7 @@ import ast
 import builtins
 import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -252,11 +253,13 @@ def test_parser_keeps_no_state_flags():
 
 
 def test_one_correspondence_check():
-    # bh verify and calibration compare the rule diagram with the K-lattice
-    # Gram through the same dynkin function, and only dynkin reads the vertex
-    # correspondence; no module keeps an isomorphism search
+    # bh verify and calibration (in the per-row step it calls) compare the
+    # rule diagram with the K-lattice Gram through the same dynkin function,
+    # and only dynkin reads the vertex correspondence; no module keeps an
+    # isomorphism search
     assert "equal_under_correspondence" in _called(_function("cli.py", "verify_row"))
-    assert "equal_under_correspondence" in _called(_function("dynkin.py", "calibrate"))
+    assert "_implied_edges" in _called(_function("dynkin.py", "calibrate"))
+    assert "equal_under_correspondence" in _called(_function("dynkin.py", "_implied_edges"))
     readers = {
         path.name for path in PACKAGE.glob("*.py") if "correspondence" in _called(_tree(path.name))
     }
@@ -475,18 +478,22 @@ def test_one_unknown_curve_rule():
     # a stored value that names a curve a graph lacks is caught where the
     # graph looks the label up, by the configuration's join, the Gram's
     # label check and the diagram's index, and by no guard that predicts it;
-    # one function spells an arm curve's label
+    # each raises a ValueError saying "a curve the <graph> lacks"; one
+    # function spells an arm curve's label
     modules = sorted(PACKAGE.glob("*.py"))
     defined = {name for path in modules for name, _ in _definitions(path)}
-    assert not defined & {"ShortArm", "UnknownNode", "MissingConvention"}
-    raisers = set()
+    assert not defined & {"ShortArm", "UnknownNode", "MissingConvention", "UnknownCurve"}
+    raisers = {}
     for path in modules:
         for owner, node in _owned_nodes(path):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if (getattr(exc, "id", None) or getattr(exc, "attr", None)) == "UnknownCurve":
-                    raisers.add(f"{path.stem}.{owner}")
-    assert raisers == {"curveconf.build_configuration", "klattice.gram_matrix", "dynkin._minus_two_graph"}
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                if re.search(r"a curve the \w+ lacks", ast.unparse(node.exc)):
+                    raisers[f"{path.stem}.{owner}"] = _base_name(node.exc.func)
+    assert raisers == {
+        "curveconf.build_configuration": "ValueError",
+        "klattice.gram_matrix": "ValueError",
+        "dynkin._minus_two_graph": "ValueError",
+    }
     spellers = {
         f"{path.stem}.{owner}"
         for path in modules
@@ -541,4 +548,4 @@ def test_every_error_class_is_caught_or_carries_data():
         if any(isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body)
     }
     assert errors - caught - carrying == set()
-    assert errors == {"ParseError", "UnknownCurve", "UnknownFixture", "CalibrationFailed"}
+    assert errors == {"ParseError", "UnknownFixture", "CalibrationFailed"}
