@@ -319,7 +319,7 @@ def _human_table(report: dict) -> str:
 
 
 def cmd_verify(args) -> int:
-    rows = [row_by_name(args.name)] if args.name else list(load_rows())
+    rows = [row_by_name(args.name)] if args.name is not None else list(load_rows())
     started = time.monotonic()
     report = build_report(rows)
     elapsed = time.monotonic() - started

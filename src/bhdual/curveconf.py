@@ -56,7 +56,7 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     arm with alpha_i below 2) or an attachment the table does not record
     raises ValueError.
     """
-    alpha, case = row.alpha, row.case_tag
+    alpha, case = row.dolgachev, row.case_tag
     a = CASE_TAGS[case]
     labels: list[str] = []
     for i, a_i in enumerate(alpha, start=1):

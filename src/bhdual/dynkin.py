@@ -228,7 +228,7 @@ def diagram_for_row(row: FixtureRow) -> DynkinDiagram:
     """The row's rule diagram under the committed conventions."""
     conv = committed_convention()
     edges = extension_edges(row, conv.reading, conv.cases[case_key(row)])
-    return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], edges)
+    return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], edges)
 
 
 def correspondence(row: FixtureRow) -> list[int]:
@@ -243,10 +243,10 @@ def correspondence(row: FixtureRow) -> list[int]:
     end of arm 3: sigma = [0, ..., s-1, n-1, s, ..., n-2] with s the number
     of vertices on arms 1 and 2.
     """
-    n = sum(a - 1 for a in row.alpha) + 2 + CASE_TAGS[row.case_tag]
+    n = sum(a - 1 for a in row.dolgachev) + 2 + CASE_TAGS[row.case_tag]
     if row.case_tag not in klattice.TWISTED:
         return list(range(n))
-    s = row.alpha[0] - 1 + row.alpha[1] - 1
+    s = row.dolgachev[0] - 1 + row.dolgachev[1] - 1
     return [*range(s), n - 1, *range(s, n - 1)]
 
 
@@ -322,7 +322,7 @@ def _implied_edges(row: FixtureRow, oracle) -> dict | None:
     have the ``oracle`` Coxeter factorization, so no candidate passes."""
     k_gram = klattice.row_gram(row)[0]
     sigma = correspondence(row)
-    t, a = t_graph(row.alpha), CASE_TAGS[row.case_tag]
+    t, a = t_graph(row.dolgachev), CASE_TAGS[row.case_tag]
     labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
     implied = {
         frozenset((labels[i], labels[j])): k_gram[sigma[i], q]

@@ -342,7 +342,7 @@ def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:
 class IntMatrix(Frozen):
     """Square matrix of ``int`` entries, stored as given (TypeError otherwise)."""
 
-    __slots__ = ("entries", "_nonzero_rows")
+    __slots__ = ("entries",)
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
@@ -372,11 +372,8 @@ class IntMatrix(Frozen):
 
     def times_packed(self, packed: list[int]) -> list[int]:
         """Packed rows of M * B from packed rows of B: one small-int times big-int
-        multiply-add per nonzero entry of M, listed on first use; bignum code runs
-        the column loop."""
-        if not hasattr(self, "_nonzero_rows"):
-            object.__setattr__(self, "_nonzero_rows", [[(k, a) for k, a in enumerate(row) if a] for row in self.entries])
-        return [sum(a * packed[k] for k, a in row) for row in self._nonzero_rows]
+        multiply-add per nonzero entry of M; bignum code runs the column loop."""
+        return [sum(a * packed[k] for k, a in enumerate(row) if a) for row in self.entries]
 
     def transpose(self) -> "IntMatrix":
         n = self.dim

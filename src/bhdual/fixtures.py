@@ -54,42 +54,27 @@ class FixtureRow(NamedTuple):
     mu: int
 
     @property
-    def alpha(self) -> tuple[int, int, int]:
-        return self.dolgachev
-
-    @property
     def compactifier_shape(self) -> str:
         """One of 'w', 'x', 'y', 'z': which coordinate accompanies the power of w."""
         head = self.compactifier.split("*")[0]
         return head if head in ("x", "y", "z") else "w"
 
 
+def _tuple(value):
+    """A JSON list, and every list inside it, as a tuple; any other value as is."""
+    return tuple(map(_tuple, value)) if isinstance(value, list) else value
+
+
 def _row_from_dict(d: dict) -> FixtureRow:
     if d["case_tag"] not in CASE_TAGS:
         raise ValueError(f"unknown case tag {d['case_tag']!r}")
-    action = d["action"]
-    table = d["attachment_table"]
-    return FixtureRow(
-        name=d["name"],
-        dual_name=d["dual_name"],
-        f_T=d["f_T"],
-        f=d["f"],
-        gabrielov=tuple(d["gabrielov"]),
-        dolgachev=tuple(d["dolgachev"]),
-        alpha_beta=tuple(tuple(p) for p in d["alpha_beta"]),
-        a=d["a"],
-        c_f=d["c_f"],
-        ambient=tuple(d["ambient"]),
-        compactifier=d["compactifier"],
-        action_c=action["c"],
-        action_m=tuple(action["m"]) if action["m"] is not None else None,
-        case_tag=d["case_tag"],
-        attachment_table=AttachmentTable(
-            arms={int(k): v for k, v in table["arms"].items()},
-            f_chain=table["f_chain"],
-        ),
-        mu=d["mu"],
-    )
+    action, table = d["action"], d["attachment_table"]
+    built = {
+        "action_c": action["c"],
+        "action_m": _tuple(action["m"]),
+        "attachment_table": AttachmentTable({int(k): v for k, v in table["arms"].items()}, table["f_chain"]),
+    }
+    return FixtureRow(**{field: _tuple(d[field]) for field in FixtureRow._fields if field not in built}, **built)
 
 
 def _read_document() -> dict:

@@ -95,10 +95,10 @@ def generator_list(row: FixtureRow) -> GeneratorList:
     other (the committed resolution of the single-symbol listing).
     """
     case = row.case_tag
-    arms = [arm_label(i, j) for i, a_i in enumerate(row.alpha, start=1) for j in range(1, a_i)]
+    arms = [arm_label(i, j) for i, a_i in enumerate(row.dolgachev, start=1) for j in range(1, a_i)]
     sheaves = [Sheaf("OC-1", (label,)) for label in arms]
     if case in TWISTED:  # after the a1 - 1 + a2 - 1 curves of arms 1 and 2
-        k = row.alpha[0] + row.alpha[1] - 2
+        k = row.dolgachev[0] + row.dolgachev[1] - 2
         sheaves[k : k + 2] = [Sheaf("TW", (arm_label(3, 1), arm_label(3, 2)))]
     sheaves += [Sheaf("OC-1", (CENTER,)), Sheaf("OC", (CENTER,))]
     if case == "Exceptional_a5":

@@ -104,7 +104,7 @@ def rule_diagram(row, reading, case):
     """The row's rule diagram under one position reading and one case
     convention: the diagram a calibration candidate stands for, which
     dynkin.calibrate judges by its edge map without building it."""
-    return extend(t_graph(row.alpha), CASE_TAGS[row.case_tag], extension_edges(row, reading, case))
+    return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], extension_edges(row, reading, case))
 
 
 def _reflect(x, root, conf):

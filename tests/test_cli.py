@@ -21,6 +21,8 @@ from bhdual.series import transpose_monodromy
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
 #: sha256 over the 120 bh diagram / bh coxeter runs, each with its exit code
 COMMAND_OUTPUTS_SHA256 = "055d37067d7eb53dc336e197876795ac01537cf26bf623778d85fdf5ce56c518"
+#: sha256 of the bh tables stdout
+TABLES_SHA256 = "5240dd9d45660b528d13077dd45126f599dffca3f7a3314d8a2e2fb3cde0e7ff"
 #: what the gram and rule stages say of E_18 with the Dolgachev triple
 #: (1, 3, 12): arm 1 holds no curve, so its edge to the centre names E1_0
 SHORT_ARM = "row E_18: the edge E1_0 -- Einf names E1_0, a curve the configuration lacks"
@@ -166,9 +168,10 @@ class TestDiagram:
 
 @pytest.mark.parametrize("command", ["diagram", "coxeter", "verify"])
 def test_unknown_name_exits_3(capsys, command):
-    code, out, err = run(capsys, command, "--name", "E_99")
-    assert code == 3 and out == ""
-    assert err.splitlines() == ["unknown fixture 'E_99'; valid names:", "  " + " ".join(all_names())]
+    for name in ("E_99", ""):
+        code, out, err = run(capsys, command, "--name", name)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"unknown fixture {name!r}; valid names:", "  " + " ".join(all_names())]
 
 
 class TestCoxeterCommand:
@@ -636,3 +639,8 @@ class TestTables:
         assert code == 0
         for row in load_rows():
             assert row.name in out
+
+    def test_output_pinned(self, capsys):
+        code, out, err = run(capsys, "tables")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLES_SHA256

@@ -11,7 +11,7 @@ from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of, generato
 
 
 def expected_node_count(row):
-    arms = sum(a - 1 for a in row.alpha)
+    arms = sum(a - 1 for a in row.dolgachev)
     e0 = 2 if row.case_tag == "Quadrilateral_r1" else 1
     f_chain = row.a - 1 if row.case_tag.startswith("Exceptional") else 0
     return arms + 1 + e0 + f_chain

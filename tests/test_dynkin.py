@@ -255,7 +255,7 @@ class TestCalibrationJudgesEachDiagramOnce:
         # diagram carries t_graph(alpha) unchanged in its top-left block, so
         # the edges determine the rest of the diagram
         for row in load_rows():
-            core = t_graph(row.alpha).gram.entries
+            core = t_graph(row.dolgachev).gram.entries
             k = len(core)
             key = case_key(row)
             for reading in dynkin.READINGS:
@@ -314,7 +314,7 @@ class TestDiagramAgainstKLattice:
 
     def test_vertex_count_formula(self):
         for row in load_rows():
-            assert diagram_for_row(row).rank == sum(a - 1 for a in row.alpha) + 2 + row.a
+            assert diagram_for_row(row).rank == sum(a - 1 for a in row.dolgachev) + 2 + row.a
 
     def test_connected(self, reachable):
         for row in load_rows():
@@ -334,7 +334,7 @@ class TestCorrespondence:
             n = row.mu
             assert sorted(sigma) == list(range(n)), row.name
             if row.case_tag in ("Quadrilateral_r1", "Exceptional_a5"):
-                s = row.alpha[0] - 1 + row.alpha[1] - 1
+                s = row.dolgachev[0] - 1 + row.dolgachev[1] - 1
                 assert sigma == [*range(s), n - 1, *range(s, n - 1)], row.name
                 assert diagram_for_row(row).vertices[s] == "E3_1"
                 assert row_gram(row)[1].descriptors[-1] in ("O_E0(-1)", "O_E0pp(-1)")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bhdual.fixtures import (
@@ -10,6 +12,9 @@ from bhdual.fixtures import (
     normalize_name,
     row_by_name,
 )
+
+#: sha256 of repr(load_rows()): every field of every row, tuples kept apart from lists
+ROWS_REPR_SHA256 = "fef809cc5163519331bf126600a085d9229308093d05b6e3815169ce4443ef79"
 
 
 class TestStore:
@@ -52,6 +57,9 @@ class TestStore:
         assert [d["name"] for d in doc["rows"]] == list(all_names())
         for d, row in zip(doc["rows"], load_rows()):
             assert _row_from_dict(d) == row
+
+    def test_rows_pinned(self):
+        assert hashlib.sha256(repr(load_rows()).encode()).hexdigest() == ROWS_REPR_SHA256
 
 
 class TestCrossChecks:

@@ -216,6 +216,14 @@ def test_every_name_has_a_caller():
     assert uncalled == []
 
 
+def test_package_init_binds_nothing():
+    # functions are imported from their modules; a re-export layer in
+    # __init__.py is a second list of names that nothing outside it reads
+    body = _tree("__init__.py").body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)
+
+
 def test_one_elimination_kernel():
     # exactalg eliminates only by Bareiss: the long-division gcd stack and the
     # dense Phi_n are gone, and branch counts take deg gcd from Sylvester minors
