@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from . import dynkin, klattice, series
+from . import curveconf, dynkin, klattice, series
 from .coxeter import coxeter_element, lattice_invariants, seifert_identity
 from .fixtures import FixtureRow, UnknownFixture, VARIABLES, all_names, load_rows, row_by_name
 from .polyparse import (
@@ -176,17 +176,19 @@ def _stages(row: FixtureRow):
         ("reduced_T", ("canonical_T",), reduce),
         ("a", ("canonical_T",), gorenstein_parameter),
         ("ambient", ("reduced",), lambda reduced: ambient_weights(reduced, row.compactifier_shape)),
-        # the recomputed a and c_f: their stored values are compared in weights_table only
-        ("beta", ("a", "reduced"), lambda a, reduced: beta_congruence_check(row.alpha_beta, a, reduced.c_f)),
+        # the one check of the Dolgachev triple; its readers build from the row
+        ("dolgachev", (), lambda: curveconf.arms(row.dolgachev)),
+        # the recomputed a and c_f and the Dolgachev alphas: weights_table compares the stored ones
+        ("beta", ("a", "reduced", "dolgachev"), lambda a, reduced, _: beta_congruence_check(
+            [*zip(row.dolgachev, (beta for _, beta in row.alpha_beta))], a, reduced.c_f)),
         # the group acts on F = f + compactifier
         ("action", ("f", "ambient"), lambda f, ambient: validate_action(
-            compactified_monomials(f, ambient), row.action_c, row.action_m or (0, 0, 0, 0))),
-        ("gram", (), lambda: klattice.row_gram(row)[0]),
+            compactified_monomials(f, ambient), row.action_c, row.action_m)),
+        ("gram", ("dolgachev",), lambda _: klattice.row_gram(row)[0]),
         ("oracle", ("reduced_T",), series.milnor_orlik),
         ("coxeter", ("gram",), coxeter_element),
-        # phi_f reads the stored Dolgachev triple
-        ("phi", ("canonical",), lambda canonical: series.characteristic_function(canonical, row.dolgachev)),
-        ("rule", (), lambda: dynkin.diagram_for_row(row).gram),
+        ("phi", ("canonical", "dolgachev"), lambda canonical, _: series.characteristic_function(canonical, row.dolgachev)),
+        ("rule", ("dolgachev",), lambda _: dynkin.diagram_for_row(row).gram),
     )
 
 

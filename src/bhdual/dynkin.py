@@ -11,10 +11,11 @@ wire to the core and to the arms is case data kept in a ConventionTable,
 seeded from the literal attachment rule and calibrated once against the
 monodromy oracle and the K-lattice diagrams.  Each rule vertex
 stands for one named K-lattice generator (:func:`correspondence`), and the
-two diagrams are compared entry by entry under that correspondence.  An edge
-that names a vertex the diagram lacks (an arm of alpha_i below 2, or an
-attachment beyond the arm the Dolgachev triple builds) raises ValueError
-where the diagram is assembled.
+two diagrams are compared entry by entry under that correspondence.  The arms
+are ``curveconf.arms`` of the Dolgachev triple, and the (alpha, beta) reading
+takes alpha_i from it too.  An edge that names a vertex the diagram lacks (an
+attachment beyond the arm the triple builds) raises ValueError where the
+diagram is assembled.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from . import klattice
 from .coxeter import coxeter_element
-from .curveconf import arm_label
+from .curveconf import arm_label, arms
 from .exactalg import IntMatrix
 from .fixtures import CASE_TAGS, FixtureRow
 
@@ -188,18 +189,15 @@ def _minus_two_graph(labels, edges, core=()) -> DynkinDiagram:
 def t_graph(alpha) -> DynkinDiagram:
     """The T-shaped core diagram for a triple alpha, built once per tuple.
 
-    Vertex numbering: arm 1 outside-in, arm 2, arm 3, lower central vertex,
-    upper central vertex.
+    Vertex numbering: the ``curveconf.arms`` of alpha (arm 1 outside-in,
+    arm 2, arm 3), lower central vertex, upper central vertex.
     """
-    labels: list[str] = []
-    edges = []
-    for i, a_i in enumerate(alpha, start=1):
-        labels.extend(arm_label(i, j) for j in range(1, a_i))
-        edges += [(arm_label(i, j), arm_label(i, j + 1), 1) for j in range(1, a_i - 1)]
-        inner = arm_label(i, a_i - 1)
-        edges += [(inner, LOWER, 1), (inner, UPPER, 1)]
-    edges.append((LOWER, UPPER, -2))
-    return _minus_two_graph(labels + [LOWER, UPPER], edges)
+    arm_curves = arms(alpha)
+    edges = [(LOWER, UPPER, -2)]
+    for arm in arm_curves:
+        edges += [(u, v, 1) for u, v in zip(arm, arm[1:])]
+        edges += [(arm[-1], LOWER, 1), (arm[-1], UPPER, 1)]
+    return _minus_two_graph([label for arm in arm_curves for label in arm] + [LOWER, UPPER], edges)
 
 
 def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list[tuple[str, str, int]]:
@@ -208,7 +206,7 @@ def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list
     edges = [("B1", UPPER, case.upper_sign)]
     edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
     if case.arm_bullet is not None:
-        for arm, (alpha, beta) in enumerate(row.alpha_beta, start=1):
+        for arm, (alpha, (_, beta)) in enumerate(zip(row.dolgachev, row.alpha_beta), start=1):
             if beta == alpha - 1:
                 continue
             pos = read_position(reading, alpha, beta)
@@ -240,13 +238,14 @@ def correspondence(row: FixtureRow) -> list[int]:
     is the identity outside the twisted cases.  There the list replaces the
     two outermost arm-3 classes by the twist class and lists the E0 class
     (O_E0(-1), or O_E0pp(-1)) last, and that class stands at E3_1, the outer
-    end of arm 3: sigma = [0, ..., s-1, n-1, s, ..., n-2] with s the number
-    of vertices on arms 1 and 2.
+    end of arm 3: sigma = [0, ..., s-1, n-1, s, ..., n-2] with s the index of
+    E3_1 in the T-core.
     """
-    n = sum(a - 1 for a in row.dolgachev) + 2 + CASE_TAGS[row.case_tag]
+    t = t_graph(row.dolgachev)
+    n = t.rank + CASE_TAGS[row.case_tag]
     if row.case_tag not in klattice.TWISTED:
         return list(range(n))
-    s = row.dolgachev[0] - 1 + row.dolgachev[1] - 1
+    s = t.vertices.index(arm_label(3, 1))
     return [*range(s), n - 1, *range(s, n - 1)]
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .curveconf import CurveConfiguration, arm_label, build_configuration, CENTER, E0, E0P, E0PP
+from .curveconf import CurveConfiguration, arm_label, arms, build_configuration, CENTER, E0, E0P, E0PP
 from .exactalg import Frozen, IntMatrix
 from .fixtures import FixtureRow
 
@@ -95,10 +95,10 @@ def generator_list(row: FixtureRow) -> GeneratorList:
     other (the committed resolution of the single-symbol listing).
     """
     case = row.case_tag
-    arms = [arm_label(i, j) for i, a_i in enumerate(row.dolgachev, start=1) for j in range(1, a_i)]
-    sheaves = [Sheaf("OC-1", (label,)) for label in arms]
-    if case in TWISTED:  # after the a1 - 1 + a2 - 1 curves of arms 1 and 2
-        k = row.dolgachev[0] + row.dolgachev[1] - 2
+    arm_curves = arms(row.dolgachev)
+    sheaves = [Sheaf("OC-1", (label,)) for arm in arm_curves for label in arm]
+    if case in TWISTED:  # after the curves of arms 1 and 2
+        k = len(arm_curves[0]) + len(arm_curves[1])
         sheaves[k : k + 2] = [Sheaf("TW", (arm_label(3, 1), arm_label(3, 2)))]
     sheaves += [Sheaf("OC-1", (CENTER,)), Sheaf("OC", (CENTER,))]
     if case == "Exceptional_a5":

@@ -69,10 +69,8 @@ def poincare_bruteforce(wsys: CanonicalWeights, k_max: int) -> list[int]:
 def characteristic_function(wsys: CanonicalWeights, alpha) -> dict[int, int]:
     """phi_f = p_f * Delta_0 with Delta_0 = (1-t)^(-2) prod(1 - t^(alpha_i)),
     from f's canonical weights, as cyclotomic exponents: phi_f equals
-    +-prod Phi_n^(e_n) for the returned map n -> e_n (nonzero e_n only)."""
-    alpha = tuple(alpha)
-    if any(a < 2 for a in alpha):
-        raise ValueError("alpha components must be >= 2")
+    +-prod Phi_n^(e_n) for the returned map n -> e_n (nonzero e_n only).
+    The Dolgachev triple alpha is checked once, by ``curveconf.arms``."""
     binomials = [(wsys.d_prime, 1), *((a, 1) for a in alpha)]
     binomials += [(w, -1) for w in wsys.w] + [(1, -2)]
     return cyclotomic_exponents(binomials)

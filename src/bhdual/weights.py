@@ -131,7 +131,8 @@ def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):
 
 def validate_action(F_monomials, c: int, m) -> bool:
     """True iff all monomials of F share one character mod c under the cyclic
-    group of order c whose generator acts on (w:x:y:z) with exponents m.
+    group of order c whose generator acts on (w:x:y:z) with exponents m
+    (None only when c = 1).
 
     ``F_monomials`` are exponent rows over (w,x,y,z); the character of a
     monomial is sum(m_j * exponent_j) mod c.
@@ -140,6 +141,8 @@ def validate_action(F_monomials, c: int, m) -> bool:
         raise ValueError("group order must be >= 1")
     if c == 1:
         return True
+    if m is None:
+        raise ValueError(f"a group of order {c} needs the exponents of its generator")
     characters = {sum(m_j * e for m_j, e in zip(m, row)) % c for row in F_monomials}
     return len(characters) == 1
 
@@ -151,7 +154,7 @@ def beta_congruence_check(alpha_beta, a: int, c_f: int):
     canonical system is non-reduced, where the pairs are not orbit invariants.
     """
     for alpha, beta in alpha_beta:
-        if alpha < 2 or not (1 <= beta < alpha):
+        if not 1 <= beta < alpha:
             raise ValueError(f"invalid pair (alpha, beta) = ({alpha}, {beta})")
     if c_f != 1:
         return None

@@ -23,11 +23,9 @@ REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65
 COMMAND_OUTPUTS_SHA256 = "055d37067d7eb53dc336e197876795ac01537cf26bf623778d85fdf5ce56c518"
 #: sha256 of the bh tables stdout
 TABLES_SHA256 = "5240dd9d45660b528d13077dd45126f599dffca3f7a3314d8a2e2fb3cde0e7ff"
-#: what the gram and rule stages say of E_18 with the Dolgachev triple
-#: (1, 3, 12): arm 1 holds no curve, so its edge to the centre names E1_0
-SHORT_ARM = "row E_18: the edge E1_0 -- Einf names E1_0, a curve the configuration lacks"
-SHORT_ARM_RULE = "the edge E1_0 -- EinfL names E1_0, a curve the diagram lacks"
-SHORT_ARM_Z = SHORT_ARM.replace("E_18", "Z_1,0")
+#: what the dolgachev stage (curveconf.arms) says of a Dolgachev triple
+#: whose alpha_1 is 1: arm 1 holds no curve
+SHORT_ARM = "Dolgachev number alpha_1 = 1 is below 2: arm 1 has no curve"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -448,30 +446,28 @@ class TestVerify:
             # comparison with the recomputed Gorenstein parameter fails
             ("E_20", "a", 6, {"weights_table": ("a", 5)}),
             # alpha_3 = 13 in alpha_beta against the Dolgachev triple (2, 3, 12):
-            # weights_table names the column; the reading moves the arm-3
-            # attachment, so the diagram differs too (beta does not apply: c_f = 2)
+            # weights_table names the column; the diagram and the beta stage
+            # take alpha_i from the triple, so nothing else fails
             (
                 "E_18",
                 "alpha_beta",
                 ((2, 1), (3, 2), (13, 8)),
-                {"weights_table": ("alpha_beta", (2, 3, 13)), "diagram_isomorphic": ("correspondence", False)},
+                {"weights_table": ("alpha_beta", (2, 3, 13))},
             ),
-            # alpha_1 = 1 in the Dolgachev triple: phi_f rejects it, and the
-            # rule diagram and the configuration lack the curve E1_0 that
-            # arm 1's edge to the centre names
+            # alpha_1 = 1 in the Dolgachev triple: the dolgachev stage rejects
+            # it once, and every check that reads the triple fails through it
             (
                 "E_18",
                 "dolgachev",
                 (1, 3, 12),
                 {
                     "weights_table": ("alpha_beta", (2, 3, 12)),
-                    "rank_mu": ("stage gram", SHORT_ARM),
-                    "gram_form": ("stage gram", SHORT_ARM),
-                    "coxeter_monodromy": ("stage gram", SHORT_ARM),
-                    "phi_identity": ("stage phi", "alpha components must be >= 2"),
-                    "diagram_isomorphic": [
-                        ("stage rule", SHORT_ARM_RULE), ("stage gram", SHORT_ARM)
-                    ],
+                    "beta_congruence": ("stage dolgachev", SHORT_ARM),
+                    "rank_mu": ("stage dolgachev", SHORT_ARM),
+                    "gram_form": ("stage dolgachev", SHORT_ARM),
+                    "coxeter_monodromy": ("stage dolgachev", SHORT_ARM),
+                    "phi_identity": ("stage dolgachev", SHORT_ARM),
+                    "diagram_isomorphic": ("stage dolgachev", SHORT_ARM),
                 },
             ),
             # the same on an I0* row, where phi_f also feeds the square relation
@@ -481,17 +477,32 @@ class TestVerify:
                 (1, 4, 8),
                 {
                     "weights_table": ("alpha_beta", (2, 4, 8)),
-                    "rank_mu": ("stage gram", SHORT_ARM_Z),
-                    "gram_form": ("stage gram", SHORT_ARM_Z),
-                    "coxeter_monodromy": ("stage gram", SHORT_ARM_Z),
-                    "phi_identity": ("stage phi", "alpha components must be >= 2"),
-                    "square_relation": [
-                        ("stage phi", "alpha components must be >= 2"), ("stage gram", SHORT_ARM_Z)
-                    ],
-                    "diagram_isomorphic": [
-                        ("stage rule", SHORT_ARM_RULE), ("stage gram", SHORT_ARM_Z)
-                    ],
+                    "beta_congruence": ("stage dolgachev", SHORT_ARM),
+                    "rank_mu": ("stage dolgachev", SHORT_ARM),
+                    "gram_form": ("stage dolgachev", SHORT_ARM),
+                    "coxeter_monodromy": ("stage dolgachev", SHORT_ARM),
+                    "phi_identity": ("stage dolgachev", SHORT_ARM),
+                    "square_relation": ("stage dolgachev", SHORT_ARM),
+                    "diagram_isomorphic": ("stage dolgachev", SHORT_ARM),
                 },
+            ),
+            # a null action_m on a group of order c > 1: no generator to test
+            # F's monomials against, so the action stage fails instead of
+            # passing vacuously (the columns of a tuple change together)
+            pytest.param(
+                "J_3,0", "action_m", None,
+                {"action_invariance": ("stage action", "a group of order 2 needs the exponents of its generator")},
+                id="J_3,0-null-action_m",
+            ),
+            pytest.param(
+                "J_3,0", ("action_c", "action_m"), (7, None),
+                {"action_invariance": ("stage action", "a group of order 7 needs the exponents of its generator")},
+                id="J_3,0-order-7-null-action_m",
+            ),
+            pytest.param(
+                "Q_2,0", "action_c", 5,
+                {"action_invariance": ("stage action", "a group of order 5 needs the exponents of its generator")},
+                id="Q_2,0-order-5-null-action_m",
             ),
         ],
     )
@@ -503,7 +514,8 @@ class TestVerify:
         # condition, with a null expected value and the error text
         row = row_by_name(name)
         clean = verify_row(row)["checks"]
-        wrong = row._replace(**{column: value})
+        columns = dict(zip(column, value)) if isinstance(column, tuple) else {column: value}
+        wrong = row._replace(**columns)
         checks = verify_row(wrong)["checks"]
         for check, conditions in failed.items():
             record = checks.pop(check)
@@ -536,11 +548,6 @@ class TestVerify:
                 "row E_18: the edge E0 -- E3_3 names E3_3, a curve the configuration lacks",
                 id="MissingAttachment-dolgachev",
             ),
-            # an alpha in alpha_beta longer than the arm the Dolgachev triple builds
-            pytest.param(
-                "E_18", "alpha_beta", ((2, 1), (3, 2), (19, 1)), "diagram_isomorphic", "stage rule",
-                "the edge B2 -- E3_17 names E3_17, a curve the diagram lacks", id="MissingConvention",
-            ),
             pytest.param(
                 "E_18", "f", "x^2+", "poincare_series", "stage f",
                 "trailing '+' (at position 3)", id="ParseError",
@@ -558,10 +565,10 @@ class TestVerify:
                 "E_20", "dolgachev", (2, 3, 2), "coxeter_monodromy", "stage gram",
                 "generator T_E3_1(E3_2) names E3_2, a curve the configuration lacks", id="UnknownNode",
             ),
-            pytest.param("E_18", "dolgachev", (1, 3, 12), "rank_mu", "stage gram", SHORT_ARM, id="ShortArm"),
+            pytest.param("E_18", "dolgachev", (1, 3, 12), "rank_mu", "stage dolgachev", SHORT_ARM, id="ShortArm"),
             pytest.param(
-                "J_3,0", "dolgachev", (2, 3, 1), "gram_form", "stage gram",
-                "row J_3,0: the edge E3_0 -- Einf names E3_0, a curve the configuration lacks",
+                "J_3,0", "dolgachev", (2, 3, 1), "gram_form", "stage dolgachev",
+                "Dolgachev number alpha_3 = 1 is below 2: arm 3 has no curve",
                 id="ShortArm-twisted",
             ),
             # the a2_r1 convention's fixed slot wires B2 to E3_2, which a

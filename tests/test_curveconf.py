@@ -1,13 +1,17 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhdual.curveconf import (
     CENTER,
     CurveConfiguration,
+    arms,
     build_configuration,
 )
-from bhdual.dynkin import DynkinDiagram
+from bhdual.dynkin import DynkinDiagram, correspondence, diagram_for_row, t_graph
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of, generator_list, gram_matrix
+from bhdual.klattice import TWISTED, GeneratorList, MukaiClass, Sheaf, class_of, generator_list, gram_matrix
 
 
 def expected_node_count(row):
@@ -126,12 +130,62 @@ class TestBuildConfiguration:
 
     @pytest.mark.parametrize("alpha, arm", [((1, 3, 12), 1), ((2, 0, 12), 2), ((2, 3, 1), 3)])
     def test_short_arm(self, alpha, arm):
-        # an arm with no curves leaves out the innermost curve E{arm}_{alpha - 1}
-        # that its edge to the central curve names
-        curve = f"E{arm}_{alpha[arm - 1] - 1}"
+        # an arm with no curves is rejected by the one arm rule, with its text
         with pytest.raises(ValueError) as raised:
             build_configuration(row_by_name("E_18")._replace(dolgachev=alpha))
-        assert str(raised.value) == f"row E_18: the edge {curve} -- Einf names {curve}, a curve the configuration lacks"
+        assert str(raised.value) == (
+            f"Dolgachev number alpha_{arm} = {alpha[arm - 1]} is below 2: arm {arm} has no curve"
+        )
+
+
+class TestArms:
+    """One arm rule past the 20 rows: every triple with alpha_i in 1..15."""
+
+    TRIPLES = st.tuples(*[st.integers(1, 15)] * 3)
+
+    @given(TRIPLES)
+    @settings(max_examples=300, deadline=None)
+    def test_one_rule_for_every_triple(self, alpha):
+        # arms raises iff some alpha_i < 2, and then the T-core, the
+        # configuration and the generator list raise its text; otherwise the
+        # T-core's arm vertices are arms(alpha), outside-in, its arm edges
+        # their consecutive pairs, and each innermost curve meets both
+        # central vertices
+        row = row_by_name("E_18")._replace(dolgachev=alpha)
+        if min(alpha) < 2:
+            with pytest.raises(ValueError) as raised:
+                arms(alpha)
+            for build in (lambda: t_graph(alpha), lambda: build_configuration(row), lambda: generator_list(row)):
+                with pytest.raises(ValueError) as again:
+                    build()
+                assert str(again.value) == str(raised.value)
+            return
+        chains = arms(alpha)
+        assert [len(arm) for arm in chains] == [a - 1 for a in alpha]
+        t = t_graph(alpha)
+        centres = ("EinfL", "EinfU")
+        assert t.vertices == (*(label for arm in chains for label in arm), *centres)
+        edges = {(u, v) for u, v, _ in t.edges()}
+        assert {e for e in edges if e[1] not in centres} == {pair for arm in chains for pair in zip(arm, arm[1:])}
+        assert {e for e in edges if e[1] in centres} == {centres} | {(arm[-1], c) for arm in chains for c in centres}
+
+    @given(st.sampled_from(load_rows()), TRIPLES)
+    @settings(max_examples=200, deadline=None)
+    def test_three_builders_share_the_arms(self, row, raise_to):
+        # each alpha_i raised to at least its stored value, so the stored
+        # attachments stay on the arms: the configuration lists arms(alpha),
+        # the generator list lists them outside-in (the twist class in place
+        # of arm 3's two outermost curves), and the correspondence, the rule
+        # diagram and the generator list have one size
+        alpha = tuple(map(max, row.dolgachev, raise_to))
+        row = row._replace(dolgachev=alpha)
+        flat = [label for arm in arms(alpha) for label in arm]
+        conf = build_configuration(row)
+        assert [label for label in conf.labels if re.fullmatch(r"E\d+_\d+", label)] == flat
+        gens = generator_list(row)
+        listed = len(flat) - (row.case_tag in TWISTED)
+        assert [node for sheaf, _ in gens.items[:listed] for node in sheaf.nodes] == flat
+        assert len(correspondence(row)) == diagram_for_row(row).rank == len(gens)
 
 
 class TestIndex:

@@ -1,8 +1,11 @@
 """The scripts run end to end in a fresh interpreter against the package."""
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from bhdual.cli import _sanitize
 from bhdual.curveconf import build_configuration
@@ -22,18 +25,39 @@ def run_script(name, *args):
     )
 
 
-def test_render_diagrams(tmp_path):
-    done = run_script("render_diagrams.py", str(tmp_path))
+#: sha256 over the 60 DOT files, each its name, a newline and its bytes, in
+#: sorted name order: the configuration, rule and K-lattice diagrams
+RENDER_DIAGRAMS_SHA256 = "07ae8f453913791e2b86db665df7453d06d894abb066abf4be607001394480c9"
+
+
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory):
+    out = tmp_path_factory.mktemp("diagrams")
+    done = run_script("render_diagrams.py", str(out))
     assert done.returncode == 0, done.stderr
-    assert len(list(tmp_path.glob("*.dot"))) == 3 * len(load_rows()) == 60
+    return out
+
+
+def test_render_diagrams(rendered):
+    assert len(list(rendered.glob("*.dot"))) == 3 * len(load_rows()) == 60
     for row in load_rows():
         conf = build_configuration(row)
-        lines = (tmp_path / f"{_sanitize(row.name)}_config.dot").read_text().splitlines()
+        lines = (rendered / f"{_sanitize(row.name)}_config.dot").read_text().splitlines()
         nodes = [line for line in lines if line.endswith(";") and " -- " not in line]
         edges = [line.strip(" ;").split(" -- ") for line in lines if " -- " in line]
         assert nodes == [f"  {label};" for label in conf.labels], row.name
         assert len(edges) == len(conf.edges), row.name
         assert {frozenset(edge) for edge in edges} == set(map(frozenset, conf.edges)), row.name
+
+
+def test_render_diagrams_pinned(rendered):
+    # the configuration DOT files are compared with build_configuration
+    # above, which agrees with whatever the builder does; the digest pins
+    # all 60 files, those included
+    digest = hashlib.sha256()
+    for path in sorted(rendered.glob("*.dot"), key=lambda path: path.name):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == RENDER_DIAGRAMS_SHA256
 
 
 CALIBRATE_CONVENTIONS_STDOUT = """\

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhdual.coxeter import coxeter_element
+from bhdual.curveconf import arms
 from bhdual.exactalg import (
     CyclotomicFactorization,
     IntMatrix,
@@ -131,8 +132,10 @@ class TestCharacteristicFunction:
         assert sum(euler_totient(n) * e for n, e in phi.items()) + 1 == row.mu == 16
 
     def test_alpha_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            characteristic_function(CanonicalWeights((6, 22, 33), 66), (1, 3, 11))
+        # phi_f takes the triple as given; curveconf.arms, the dolgachev
+        # stage of bh verify, is the one place that rejects an alpha_i below 2
+        with pytest.raises(ValueError, match="^Dolgachev number alpha_1 = 1 is below 2: arm 1 has no curve$"):
+            arms((1, 3, 11))
 
     @given(
         st.tuples(*[st.integers(1, 24)] * 3),

@@ -459,6 +459,95 @@ def test_case_tag_fixes_the_extension():
     assert spellers == {"dynkin.case_key"}
 
 
+def _function_nodes(path):
+    """(name, node) for every node of a package module, the name being that
+    of the innermost function that holds it (None at module level)."""
+    pending = [(None, _tree(path.name))]
+    while pending:
+        name, scope = pending.pop()
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.append((node.name, node))
+            else:
+                yield name, node
+                todo.extend(ast.iter_child_nodes(node))
+
+
+def _loop_iterables(node):
+    if isinstance(node, ast.For):
+        return [node.iter]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        return [g.iter for g in node.generators]
+    return []
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and _base_name(n.func) == name for n in ast.walk(node))
+
+
+def _pair_targets(target, iterable):
+    """(part of a loop target, node) for each ``.alpha_beta`` read that
+    ``iterable`` iterates, itself or as an argument of zip or enumerate,
+    with the part of the target that names one of its pairs."""
+    if isinstance(iterable, ast.Attribute) and iterable.attr == "alpha_beta":
+        yield target, iterable
+    elif isinstance(iterable, ast.Call) and _base_name(iterable.func) in ("zip", "enumerate"):
+        if isinstance(target, ast.Tuple):
+            parts = target.elts[_base_name(iterable.func) == "enumerate":]
+            for part, arg in zip(parts, iterable.args):
+                yield from _pair_targets(part, arg)
+
+
+def test_one_arm_rule():
+    # curveconf.arms is the one rule that turns the Dolgachev triple into arm
+    # curves and the one check of it: no other package function calls
+    # arm_label in a loop over a range or does arm arithmetic on entries of
+    # the triple, and only arms compares a number with 2 or says so in an
+    # error (quotres's k >= 2 bounds a resolution chain, not an arm)
+    modules = sorted(PACKAGE.glob("*.py"))
+    builders, entries, bounds = set(), set(), set()
+    for path in modules:
+        for owner, node in _function_nodes(path):
+            where = f"{path.stem}.{owner}"
+            if any(_calls(it, "range") for it in _loop_iterables(node)) and _calls(node, "arm_label"):
+                builders.add(where)
+            if isinstance(node, ast.Subscript) and _base_name(node.value) == "dolgachev":
+                entries.add(where)
+            if isinstance(node, ast.Compare) and path.stem != "quotres":
+                operands = [node.left, *node.comparators]
+                if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops) and any(
+                    isinstance(v, ast.Constant) and v.value == 2 for v in operands
+                ):
+                    bounds.add(where)
+            if isinstance(node, ast.Raise) and path.stem != "quotres":
+                if re.search(r"below 2|>= ?2", ast.unparse(node)):
+                    bounds.add(where)
+    assert builders == {"curveconf.arms"}
+    assert entries == set()
+    assert bounds == {"curveconf.arms"}
+
+
+def test_alpha_beta_gives_only_its_betas():
+    # the Dolgachev triple is the one source of the alpha_i: a loop over the
+    # pairs of alpha_beta anywhere else unpacks each as (_, beta), and no
+    # other code reads the column. weights_table compares the stored alphas
+    # with the triple, and bh tables prints them
+    readers, iterated, reads = set(), set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _function_nodes(path):
+            if isinstance(node, (ast.For, ast.comprehension)):
+                for part, read in _pair_targets(node.target, node.iter):
+                    iterated.add(read)
+                    if not (isinstance(part, ast.Tuple) and _base_name(part.elts[0]) == "_"):
+                        readers.add(owner)
+            elif isinstance(node, ast.Attribute) and node.attr == "alpha_beta":
+                reads.append((owner, node))
+    readers |= {owner for owner, node in reads if node not in iterated}
+    assert readers == {"weights_table", "cmd_tables"}
+
+
 def test_verify_builders_take_the_row_alone():
     # the generator list, its classes and the rule diagram depend on the row
     # alone; gram_matrix is the one reader of the configuration's curves and

@@ -113,6 +113,13 @@ class TestValidateAction:
     def test_trivial_group(self):
         monomials = ((0, 6, 0, 0), (18, 0, 0, 0))
         assert validate_action(monomials, 1, (7, 7, 7, 7))
+        assert validate_action(monomials, 1, None)
+
+    def test_no_generator_for_a_nontrivial_group(self):
+        # without m every character would be 0 and any F would pass
+        monomials = ((0, 6, 0, 0), (18, 0, 0, 0))
+        with pytest.raises(ValueError, match="^a group of order 2 needs the exponents of its generator$"):
+            validate_action(monomials, 2, None)
 
     def test_broken_quadruple(self):
         monomials = ((0, 6, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2), (18, 0, 0, 0))
@@ -122,7 +129,9 @@ class TestValidateAction:
         for row in load_rows():
             amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier_shape)
             monomials = compactified_monomials(poly(row.f), amb)
-            assert validate_action(monomials, row.action_c, row.action_m or (0, 0, 0, 0)), row.name
+            # m is stored exactly when the group is nontrivial
+            assert (row.action_m is None) == (row.action_c == 1), row.name
+            assert validate_action(monomials, row.action_c, row.action_m), row.name
 
 
 class TestBetaCongruence:
