@@ -352,16 +352,19 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     Gram in rule order, exactly when K' has that block and those diagonals,
     which the implied diagram checks once, and the two edge maps are equal;
     an edge naming a curve the diagram lacks is in no implied map.  Then R
-    is K', so the Coxeter verdict is the row's too.
+    is K', so the Coxeter verdict is the row's too.  A case with a row that
+    implies no map (None) fails at once: no edge map equals None and
+    ``extension_edges`` raises nothing, so every candidate would fail it.
     """
     cases: dict[str, list] = {}
     for row in rows:
         cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
+    dead = {key for key, judged in cases.items() if any(edges is None for _, edges in judged)}
     for reading in READINGS:
         table_cases: dict[str, CaseConvention] = {}
         failure_report: dict[str, list[str]] = {}
         for key in sorted(cases):
-            for candidate in _case_candidates(key):
+            for candidate in () if key in dead else _case_candidates(key):
                 if all(_edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
                     table_cases[key] = candidate
                     break

@@ -210,7 +210,7 @@ class CyclotomicFactorization(NamedTuple):
         s[0] = -self.unit if self.factors.get(1, 0) % 2 else self.unit
         for m, a in binomials.items():
             divide_by_binomial(s, m, -a)
-        return IntPolynomial(s) * self.remainder
+        return IntPolynomial(s) if self.is_cyclotomic else IntPolynomial(s) * self.remainder
 
     def lcm_of_orders(self) -> int:
         return math.lcm(*self.factors) if self.factors else 1
@@ -450,36 +450,35 @@ def matrix_of(operator) -> IntMatrix:
 
 
 def char_poly(matrix) -> IntPolynomial:
-    """det(t*I - M) by the Faddeev-LeVerrier recursion on packed rows.
+    """det(t*I - M) from the power sums p_k = tr(M^k), on packed rows.
 
     M is anything with ``dim``, ``row_sum_bound`` (rho, at least M's largest
     absolute row sum) and ``times_packed`` (the packed rows of M B from those
-    of B), as IntMatrix and ``coxeter.Reflections`` have them.
-    W_0 = I, c_k = -tr(M W_(k-1)) / k and W_k = M W_(k-1) + c_k I; the trace
-    divisions are exact over the integers, so the computation stays
-    fraction-free and the result is monic of degree ``matrix.dim``.  Every
-    W_k is a polynomial in M with |c_k| <= C(n, k) rho^k, so its entries and
-    those of M W_(k-1) stay below 2^n rho^n, which sets the slot width.
-    Packing is Z-linear, so ``times_packed`` may pass through rows whose
-    entries leave their slots (the reflections of tau do): only the rows it
-    returns are read.  Adding ``half`` to every slot makes each one a plain
-    base-2^bits digit, so the diagonal entry of row i is read off by one
-    shift and mask.
+    of B), as IntMatrix and ``coxeter.Reflections`` have them.  Newton's
+    identities give the coefficient c_k of t^(n-k) from c_0 = 1: k c_k =
+    -sum_(j<k) c_j p_(k-j), an exact division over the integers, so the
+    result is monic of degree ``matrix.dim``.  Only the powers M^k are
+    packed, and their entries are at most rho^k <= rho^n, which sets the slot
+    width.  Packing is Z-linear, so ``times_packed`` may pass through rows
+    whose entries leave their slots (the reflections of tau do): only the
+    rows it returns are read.  Adding ``half`` to every slot makes each one a
+    plain base-2^bits digit, so the diagonal entry of row i is read off by
+    one shift and mask.
     """
     n = matrix.dim
-    bits = _slot_bits((2 * matrix.row_sum_bound) ** n)
+    bits = _slot_bits(matrix.row_sum_bound ** n)
     half = 1 << (bits - 1)
     offset = sum(half << bits * i for i in range(n))
-    coeffs = [1]  # c_0, c_1, ..., the coefficients from t^n down
+    coeffs, sums = [1], []  # c_0, c_1, ... (from t^n down) and p_1, p_2, ...
     work = [1 << bits * i for i in range(n)]
     for k in range(1, n + 1):
         work = matrix.times_packed(work)
         digits = (((row + offset) >> bits * i) & (2 * half - 1) for i, row in enumerate(work))
-        trace = sum(digits) - n * half
-        if trace % k:
-            raise ArithmeticError(f"trace {trace} not divisible by {k} in Faddeev-LeVerrier")
-        coeffs.append(-trace // k)
-        work = [row + (coeffs[k] << bits * i) for i, row in enumerate(work)]
+        sums.append(sum(digits) - n * half)
+        total = sum(map(int.__mul__, coeffs, reversed(sums)))
+        if total % k:
+            raise ArithmeticError(f"Newton sum {total} not divisible by {k}")
+        coeffs.append(-total // k)
     return IntPolynomial(reversed(coeffs))
 
 

@@ -272,7 +272,7 @@ class TestCoxeterElement:
                 assert c == c[::-1] or c == tuple(-x for x in c[::-1]), row.name
 
     def test_det_matches_char_constant(self):
-        # Bareiss and Faddeev-LeVerrier are independent kernels: det(tau) =
+        # Bareiss and the power-sum char_poly are independent kernels: det(tau) =
         # (-1)^mu char(0) on every row
         for row in load_rows():
             gram, _, _ = row_gram(row)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhdual import coxeter, dynkin, klattice
 from bhdual.coxeter import coxeter_element
@@ -199,10 +200,10 @@ class TestCalibrationJudgesEachDiagramOnce:
         return work
 
     def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
-        # E_20 under four readings meets 512 candidate wirings, each judged by
-        # its edge map; the one diagram built and compared is the one its
-        # K-lattice implies, which equals the K-lattice diagram, and the
-        # wrong oracle rejects its Coxeter element
+        # E_20's case draws no candidate wiring, since the wrong oracle leaves
+        # the row no implied edge map; the one diagram built and compared is
+        # the one its K-lattice implies, which equals the K-lattice diagram,
+        # and the wrong oracle rejects its Coxeter element
         work = self.count_work(monkeypatch)
         row = row_by_name("E_20")
         with pytest.raises(CalibrationFailed):
@@ -277,6 +278,101 @@ class TestCalibrationJudgesEachDiagramOnce:
         with pytest.raises(CalibrationFailed) as info:
             calibrate([row_by_name("E_20")], wrong_oracle)
         assert info.value.report == {"a5": ["E_20"]}
+
+
+def loop_without_dead_cases(rows, oracle_fac):
+    """calibrate's search with every case walking its candidates under every
+    reading, even one with a row that implies no edge map."""
+    cases = {}
+    for row in rows:
+        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
+    for reading in dynkin.READINGS:
+        table_cases, failure_report = {}, {}
+        for key in sorted(cases):
+            for candidate in dynkin._case_candidates(key):
+                if all(dynkin._edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
+                    table_cases[key] = candidate
+                    break
+            else:
+                failure_report[key] = [row.name for row, _ in cases[key]]
+                break
+        else:
+            return dynkin.ConventionTable(reading, table_cases)
+    raise CalibrationFailed("no convention assignment passes all rows", failure_report)
+
+
+def search_outcome(search, rows, wrong):
+    """The table ``search`` returns, or its CalibrationFailed report, with
+    the oracle wrong for the rows named in ``wrong``."""
+    def oracle(row):
+        return wrong_oracle(row) if row.name in wrong else transpose_monodromy(row)
+
+    try:
+        return search(rows, oracle)
+    except CalibrationFailed as failed:
+        return failed.report
+
+
+ROW_NAMES = [row.name for row in load_rows()]
+
+
+class TestCalibrationSkipsDeadCases:
+    def spy(self, monkeypatch):
+        """Record each _case_candidates call by its key and each
+        extension_edges call by its row name."""
+        seen = {"drawn": [], "edges": []}
+        candidates = dynkin._case_candidates
+
+        def spied_candidates(key):
+            seen["drawn"].append(key)
+            return candidates(key)
+
+        def spied_edges(row, reading, case):
+            seen["edges"].append(row.name)
+            return extension_edges(row, reading, case)
+
+        monkeypatch.setattr(dynkin, "_case_candidates", spied_candidates)
+        monkeypatch.setattr(dynkin, "extension_edges", spied_edges)
+        return seen
+
+    @pytest.mark.parametrize("names, wrong", [(["E_20"], {"E_20"}), (["E_20", "Z_19", "Q_18"], {"Q_18"})])
+    def test_dead_case_draws_no_candidate(self, monkeypatch, names, wrong):
+        seen = self.spy(monkeypatch)
+        rows = [row_by_name(name) for name in names]
+        assert search_outcome(calibrate, rows, wrong) == {"a5": names}
+        assert seen == {"drawn": [], "edges": []}
+        # the spies see a live case's search
+        assert calibrate(rows, transpose_monodromy).cases == {"a5": committed_convention().cases["a5"]}
+        assert seen["drawn"] == ["a5"] and seen["edges"] == names
+
+    @pytest.mark.parametrize(
+        "keys, wrong, failing",
+        [
+            # a2 passes only under the first reading, so the last reading's
+            # report names a2 before the dead case is reached
+            (("a2", "a2_r1", "a3", "a5"), {"Q_18"}, "a2"),
+            (("a2", "a2_r1", "a3", "a5"), {"Z_18"}, "a2"),
+            # a2_r1 passes under every reading, so the dead case is reported
+            (("a2_r1", "a5"), {"Q_18"}, "a5"),
+            (("a2_r1", "a3"), {"Z_18"}, "a3"),
+        ],
+    )
+    def test_report_after_a_passing_case(self, keys, wrong, failing):
+        # the oracle is wrong for one row of a multi-row case that sorts
+        # after a case that passes
+        rows = [row for row in load_rows() if case_key(row) in keys]
+        report = {failing: [row.name for row in rows if case_key(row) == failing]}
+        assert search_outcome(calibrate, rows, wrong) == report
+        assert search_outcome(loop_without_dead_cases, rows, wrong) == report
+
+    @given(
+        st.lists(st.sampled_from(ROW_NAMES), min_size=1, unique=True),
+        st.sets(st.sampled_from(ROW_NAMES), max_size=2),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_same_outcome_as_walking_every_candidate(self, names, wrong):
+        rows = [row_by_name(name) for name in names]
+        assert search_outcome(calibrate, rows, wrong) == search_outcome(loop_without_dead_cases, rows, wrong)
 
 
 class TestDiagramAgainstKLattice:

@@ -52,6 +52,21 @@ def matmul(a, b):
     return IntMatrix([[sum(map(int.__mul__, row, col)) for col in columns] for row in a.entries])
 
 
+def dense_char_poly(m):
+    """det(t I - M) by the Leibniz expansion over permutations, each term a
+    product of the polynomial entries t [i == j] - M[i][j]."""
+    n = m.dim
+    total = [0] * (n + 1)
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = poly(sign)
+        for i, j in enumerate(perm):
+            term = term * poly(-m[i, j], int(i == j))
+        for k, c in enumerate(term.coefficients):
+            total[k] += c
+    return P(total)
+
+
 small_polys = st.builds(P, st.lists(st.integers(-9, 9), max_size=6))
 
 
@@ -423,6 +438,22 @@ class TestMatrices:
             m = IntMatrix([[0, 1], [4**b, 0]])
             assert not annihilates(poly(-(2**b), 1), m)
             assert annihilates(poly(-(4**b), 0, 1), m)
+
+    def test_charpoly_reads_entries_at_the_slot_edge(self):
+        # rho^n bounds every entry of the powers M^k that char_poly packs, and
+        # these powers reach it: diag(-rho, rho)^2 has rho^2 twice, [[-rho]]
+        # is -rho, and [[0, rho], [rho, 0]] and diag(-rho, -rho, rho) reach
+        # +-rho^n on their last power; a slot one bit narrower, or sized for
+        # rho^(n-1), misreads them
+        for rho in range(1, 65):
+            for rows in (
+                [[-rho, 0], [0, rho]],
+                [[-rho]],
+                [[0, rho], [rho, 0]],
+                [[-rho, 0, 0], [0, -rho, 0], [0, 0, rho]],
+            ):
+                m = IntMatrix(rows)
+                assert char_poly(m) == dense_char_poly(m), rows
 
     @given(matrices)
     @settings(max_examples=40, deadline=None)

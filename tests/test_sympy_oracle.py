@@ -3,7 +3,7 @@ on random inputs.
 
 sympy computes characteristic polynomials by Berkowitz' algorithm, builds
 cyclotomic polynomials and factors over Z with its own machinery, so
-agreement here is independent of the Faddeev-LeVerrier, Bareiss and
+agreement here is independent of the power-sum (Newton), Bareiss and
 binomial-peeling code in ``exactalg``; its polynomial gcd checks the degrees
 ``gcd_degree`` reads off Sylvester minors.
 """
@@ -156,7 +156,7 @@ def test_random_matrix_char_poly_and_det(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_wide_entries_char_poly_and_cayley_hamilton(seed):
     # entries up to 10^6 and n up to 9 reach the widest slots the packed
-    # Faddeev-LeVerrier and Horner kernels size from the matrix; some rows
+    # power-sum char_poly and Horner kernels size from the matrix; some rows
     # are zero
     rng = random.Random(seed)
     n = rng.randint(1, 9)
