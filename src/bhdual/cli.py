@@ -60,7 +60,7 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _sanitize(label: str) -> str:
+def dot_id(label: str) -> str:
     return (
         label.replace("(-1)", "_m1")
         .replace("[1]", "_s1")
@@ -70,18 +70,18 @@ def _sanitize(label: str) -> str:
     )
 
 
-def _diagram_of(row: FixtureRow, source: str) -> dynkin.DynkinDiagram:
+def diagram_of(row: FixtureRow, source: str) -> dynkin.DynkinDiagram:
     if source == "rules":
         return dynkin.diagram_for_row(row)
-    gram, gens, _ = klattice.row_gram(row)
-    return dynkin.DynkinDiagram(tuple(_sanitize(d) for d in gens.descriptors), gram)
+    labels = tuple(dot_id(d) for d in klattice.generator_list(row).descriptors)
+    return dynkin.DynkinDiagram(labels, klattice.row_gram(row))
 
 
 def cmd_diagram(args) -> int:
     row = row_by_name(args.name)
-    diagram = _diagram_of(row, args.source)
+    diagram = diagram_of(row, args.source)
     if args.format == "dot":
-        print(diagram.dot(name=f"{args.source}_{_sanitize(row.name)}"), end="")
+        print(diagram.dot(name=f"{args.source}_{dot_id(row.name)}"), end="")
     else:
         print(json.dumps([list(r) for r in diagram.gram.entries]))
     return 0
@@ -89,7 +89,7 @@ def cmd_diagram(args) -> int:
 
 def cmd_coxeter(args) -> int:
     row = row_by_name(args.name)
-    diagram = _diagram_of(row, args.source)
+    diagram = diagram_of(row, args.source)
     cox = coxeter_element(diagram.gram)
     det, signature = lattice_invariants(diagram.gram)
     out = {
@@ -184,7 +184,7 @@ def _stages(row: FixtureRow):
         # the group acts on F = f + compactifier
         ("action", ("f", "ambient"), lambda f, ambient: validate_action(
             compactified_monomials(f, ambient), row.action_c, row.action_m)),
-        ("gram", ("dolgachev",), lambda _: klattice.row_gram(row)[0]),
+        ("gram", ("dolgachev",), lambda _: klattice.row_gram(row)),
         ("oracle", ("reduced_T",), series.milnor_orlik),
         ("coxeter", ("gram",), coxeter_element),
         ("phi", ("canonical", "dolgachev"), lambda canonical, _: series.characteristic_function(canonical, row.dolgachev)),
@@ -195,20 +195,11 @@ def _stages(row: FixtureRow):
 def verify_row(row: FixtureRow) -> dict:
     """Run every check for one fixture row; returns the JSON-ready record.
 
-    A stage whose builder raises holds its (name, error text), and so does
-    every stage that reads it.  A check that reads such a stage fails with
-    the condition ``stage <name>`` and the error text as the actual value, so
-    a bad stored column fails a check and never raises."""
-    value, broken = {}, {}
-    for name, reads, build in _stages(row):
-        if not broken.keys().isdisjoint(reads):
-            broken[name] = next(broken[r] for r in reads if r in broken)
-        else:
-            try:
-                value[name] = build(*map(value.get, reads))
-            except ValueError as exc:
-                broken[name] = (name, str(exc))
-
+    Stages and checks are one table, run by one loop under one ``try``.  An
+    entry whose builder or judge raises a ValueError holds that root (its
+    name, the error text); one that reads such entries holds every distinct
+    root behind them, in read order, and a check fails with ``stage <name>``
+    and the error text for each root, so a bad stored column never raises."""
     # each judge takes the values of the stages its check reads and returns
     # the check's conditions (None: it does not apply) and its fields
     def weights_table(canonical, reduced, a, ambient):
@@ -269,8 +260,7 @@ def verify_row(row: FixtureRow) -> dict:
         equal = dynkin.equal_under_correspondence(row, rule, gram)
         return [("correspondence", True, equal)], {"identity_permutation": rule.entries == gram.entries}
 
-    checks: dict[str, dict] = {}
-    for check, reads, judge in (
+    judges = (
         ("weights_table", ("canonical", "reduced", "a", "ambient"), weights_table),
         ("beta_congruence", ("beta",), beta_congruence),
         ("action_invariance", ("action",), action_invariance),
@@ -284,13 +274,20 @@ def verify_row(row: FixtureRow) -> dict:
         if expected is not None
         else ("square_relation", (), lambda: (None, {})),
         ("diagram_isomorphic", ("rule", "gram"), diagram_isomorphic),
-    ):
-        if broken.keys().isdisjoint(reads):
-            conditions, fields = judge(*map(value.get, reads))
-        else:
-            failures = dict.fromkeys(broken[r] for r in reads if r in broken)
-            conditions, fields = [(f"stage {stage}", None, text) for stage, text in failures], {}
-        checks[check] = _check(conditions, **fields)
+    )
+    value, broken = {}, {}
+    checks: dict[str, dict] = dict.fromkeys(check for check, _, _ in judges)
+    for name, reads, build in (*_stages(row), *judges):
+        roots = tuple(dict.fromkeys(root for r in reads for root in broken[r]))
+        if not roots:
+            try:
+                value[name] = build(*map(value.get, reads))
+            except ValueError as exc:
+                roots = ((name, str(exc)),)
+        broken[name] = roots
+        if name in checks:
+            conditions, fields = ([(f"stage {s}", None, text) for s, text in roots], {}) if roots else value[name]
+            checks[name] = _check(conditions, **fields)
     return {"name": row.name, "checks": checks}
 
 

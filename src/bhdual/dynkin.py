@@ -319,7 +319,7 @@ def _implied_edges(row: FixtureRow, oracle) -> dict | None:
     label_j} -> K'[i][j] over their nonzero off-diagonal entries, with K' =
     K[sigma][sigma]; None when the diagram it builds is not K' or does not
     have the ``oracle`` Coxeter factorization, so no candidate passes."""
-    k_gram = klattice.row_gram(row)[0]
+    k_gram = klattice.row_gram(row)
     sigma = correspondence(row)
     t, a = t_graph(row.dolgachev), CASE_TAGS[row.case_tag]
     labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
@@ -342,7 +342,8 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     polynomial (``oracle_fac(row)``, a cyclotomic factorization) and equals
     the K-lattice diagram under :func:`correspondence`.  Deterministic: the
     first full pass over READINGS x :func:`_case_candidates` wins;
-    CalibrationFailed reports the rows of the case that exhausts them.
+    CalibrationFailed reports the rows of every dead case (below), or else
+    of the first case that the last reading exhausts.
 
     Each row is judged once (:func:`_implied_edges`) and each candidate by
     its edge map (:func:`_edge_map`) alone.  That is exact: an extension edge
@@ -353,23 +354,25 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     which the implied diagram checks once, and the two edge maps are equal;
     an edge naming a curve the diagram lacks is in no implied map.  Then R
     is K', so the Coxeter verdict is the row's too.  A case with a row that
-    implies no map (None) fails at once: no edge map equals None and
-    ``extension_edges`` raises nothing, so every candidate would fail it.
+    implies no map (None) is dead, decided before any candidate is drawn: no
+    edge map equals None and ``extension_edges`` raises nothing.
     """
     cases: dict[str, list] = {}
     for row in rows:
         cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
-    dead = {key for key, judged in cases.items() if any(edges is None for _, edges in judged)}
+    names = {key: [row.name for row, _ in judged] for key, judged in sorted(cases.items())}
+    dead = {key: named for key, named in names.items() if any(edges is None for _, edges in cases[key])}
+    if dead:
+        raise CalibrationFailed("no convention assignment passes all rows", dead)
     for reading in READINGS:
         table_cases: dict[str, CaseConvention] = {}
-        failure_report: dict[str, list[str]] = {}
-        for key in sorted(cases):
-            for candidate in () if key in dead else _case_candidates(key):
+        for key in names:
+            for candidate in _case_candidates(key):
                 if all(_edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
                     table_cases[key] = candidate
                     break
             else:
-                failure_report[key] = [row.name for row, _ in cases[key]]
+                failure_report = {key: names[key]}
                 break
         else:
             return ConventionTable(reading, table_cases)

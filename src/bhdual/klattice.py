@@ -145,13 +145,12 @@ def gram_matrix(gens: GeneratorList, conf: CurveConfiguration) -> IntMatrix:
     return IntMatrix(rows)
 
 
-def row_gram(row: FixtureRow) -> tuple[IntMatrix, GeneratorList, CurveConfiguration]:
-    """Gram matrix, generator list and configuration for a fixture row;
-    ValueError, naming the generator, when a diagonal entry is not -2."""
-    conf = build_configuration(row)
+def row_gram(row: FixtureRow) -> IntMatrix:
+    """The Gram matrix of a fixture row's generator list; ValueError, naming
+    the generator, when a diagonal entry is not -2."""
     gens = generator_list(row)
-    gram = gram_matrix(gens, conf)
+    gram = gram_matrix(gens, build_configuration(row))
     for i, (sheaf, _) in enumerate(gens.items):
         if gram[i, i] != -2:
             raise ValueError(f"generator {sheaf} is not a root")
-    return gram, gens, conf
+    return gram

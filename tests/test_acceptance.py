@@ -47,8 +47,9 @@ def poly(text):
 def lattice(name):
     """The row's K-lattice Gram matrix, generators and Coxeter element, built
     once per module: C5 builds them first and its time bound includes that."""
-    gram, gens, _ = klattice.row_gram(row_by_name(name))
-    return gram, gens, coxeter_element(gram)
+    row = row_by_name(name)
+    gram = klattice.row_gram(row)
+    return gram, klattice.generator_list(row), coxeter_element(gram)
 
 
 def reference_preserves_form(tau, gram):

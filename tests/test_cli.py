@@ -610,6 +610,41 @@ class TestVerify:
         with pytest.raises(ArithmeticError, match="^builder fault$"):
             main(["verify", "--name", "E_20"])
 
+    @pytest.mark.parametrize(
+        "columns, check, failed",
+        [
+            pytest.param(
+                {"f_T": "x^2 + + y", "dolgachev": (1, 3, 12)}, "beta_congruence",
+                [("stage f_T", "empty monomial (at position 6)"), ("stage dolgachev", SHORT_ARM)],
+                id="f_T-and-dolgachev",
+            ),
+            pytest.param(
+                {"f": "x^2 + + y", "dolgachev": (1, 3, 12)}, "phi_identity",
+                [("stage f", "empty monomial (at position 6)"), ("stage dolgachev", SHORT_ARM)],
+                id="f-and-dolgachev",
+            ),
+            # beta reads a (from f_T) before reduced (from f)
+            pytest.param(
+                {"f": "x^2+", "f_T": "x^2*y"}, "beta_congruence",
+                [("stage f_T", "1 monomials for 3 variables"), ("stage f", "trailing '+' (at position 3)")],
+                id="f_T-and-f",
+            ),
+        ],
+    )
+    def test_every_root_behind_a_stage_is_named(self, capsys, monkeypatch, columns, check, failed):
+        # a stage that reads two broken stages holds both their roots, in read
+        # order, and the check that reads it names each
+        wrong = row_by_name("E_18")._replace(**columns)
+        record = verify_row(wrong)["checks"][check]
+        assert record == {
+            "status": "fail",
+            "failed": [{"condition": c, "expected": None, "actual": a} for c, a in failed],
+        }
+        monkeypatch.setattr(cli, "row_by_name", lambda _: wrong)
+        code, out, err = run(capsys, "verify", "--name", "E_18")
+        assert code == 1 and "Traceback" not in err
+        assert json.loads(out)["rows"][0]["checks"][check] == record
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_one_bad_column_never_raises(self, data):

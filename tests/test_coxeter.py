@@ -236,7 +236,7 @@ class TestCoxeterElement:
         assert cox.order == 2
 
     def test_fermat_k_lattice(self):
-        gram, _, _ = row_gram(row_by_name("E_20"))
+        gram = row_gram(row_by_name("E_20"))
         cox = coxeter_element(gram)
         assert cox.factorization.factors == {66: 1}
         assert cox.order == 66
@@ -260,7 +260,7 @@ class TestCoxeterElement:
 
     def test_all_rows_invariants(self):
         for row in load_rows():
-            gram, gens, _ = row_gram(row)
+            gram = row_gram(row)
             cox = coxeter_element(gram)
             assert seifert_identity(cox.matrix, gram), row.name
             assert reference_preserves_form(cox.matrix, gram), row.name
@@ -275,21 +275,21 @@ class TestCoxeterElement:
         # Bareiss and the power-sum char_poly are independent kernels: det(tau) =
         # (-1)^mu char(0) on every row
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             cox = coxeter_element(gram)
             assert det_bareiss(cox.matrix) == (-1) ** row.mu * cox.char.coefficients[0], row.name
 
     def test_char_poly_from_seifert_pencil(self):
         # agreement at mu + 1 points pins the degree-mu polynomial
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             assert gram.dim == row.mu, row.name
             char = coxeter_element(gram).char
             assert char_values(char, row.mu) == seifert_char_values(gram), row.name
 
     def test_char_matches_monodromy_oracle_everywhere(self):
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             cox = coxeter_element(gram)
             assert cox.factorization.factors == transpose_monodromy(row).factors, row.name
 
@@ -321,7 +321,7 @@ def reference_preserves_form(tau, gram):
 class TestOrderAndFormControls:
     def test_order_matches_power_on_rows(self):
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             cox = coxeter_element(gram)
             assert cox.order == reference_order(cox) == cox.factorization.lcm_of_orders(), row.name
 
@@ -334,7 +334,7 @@ class TestOrderAndFormControls:
         monkeypatch.setattr(coxeter, "annihilates", no_test)
         squarefree = set()
         for row in load_rows():
-            cox = coxeter_element(row_gram(row)[0])
+            cox = coxeter_element(row_gram(row))
             if set(cox.factorization.factors.values()) == {1}:
                 squarefree.add(row.name)
                 assert cox.order == cox.factorization.lcm_of_orders(), row.name
@@ -356,7 +356,7 @@ class TestOrderAndFormControls:
 
     def test_form_rejects_one_entry_changed(self):
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             tau = coxeter_element(gram).matrix
             n = tau.dim
             for i in range(n):
@@ -371,7 +371,7 @@ class TestOrderAndFormControls:
     def test_seifert_rejects_every_one_entry_change(self):
         # U is invertible over the integers, so U tau = -U^T pins every entry
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             tau = coxeter_element(gram).matrix
             for i in range(tau.dim):
                 for j in range(tau.dim):
@@ -385,7 +385,7 @@ class TestOrderAndFormControls:
         # triangular with U[0][0] = -1: in slots of one bit that packs to 2 -
         # 2 = 0, so only slots as wide as the bound rho(U) rho(tau) see it
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             tau = coxeter_element(gram).matrix
             rows = [list(r) for r in tau.entries]
             rows[0][0] -= 2
@@ -409,7 +409,7 @@ class TestOrderAndFormControls:
         # I and tau^2 preserve the form, so only the Seifert identity tells
         # them from tau
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             tau = coxeter_element(gram).matrix
             for other in (identity(tau.dim), matmul(tau, tau)):
                 assert reference_preserves_form(other, gram), row.name
@@ -458,14 +458,14 @@ class TestLatticeInvariants:
         assert signature == (0, 1, 1)
 
     def test_fermat_k_lattice_regression(self):
-        gram, _, _ = row_gram(row_by_name("E_20"))
+        gram = row_gram(row_by_name("E_20"))
         det, signature = lattice_invariants(gram)
         assert signature == (2, 0, 18)
         assert det == 1
 
     def test_two_positive_eigenvalues_everywhere(self):
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             _, signature = lattice_invariants(gram)
             assert signature == (2, 0, row.mu - 2), row.name
 
@@ -475,7 +475,7 @@ class TestLatticeInvariants:
 
     def test_spectrum_gives_signature_and_discriminant(self, spectral_invariants):
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             det, signature = lattice_invariants(gram)
             expected = spectral_invariants(transpose_reduced_weights(row))
             assert (signature, det) == expected, row.name
@@ -486,7 +486,7 @@ class TestLatticeInvariants:
         # lattice, and on every row some such flip moves the signature or
         # the determinant away from the spectrum's
         for row in load_rows():
-            gram, _, _ = row_gram(row)
+            gram = row_gram(row)
             expected = spectral_invariants(transpose_reduced_weights(row))
             caught = False
             for i, j, bridge in _edges(gram):

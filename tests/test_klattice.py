@@ -202,7 +202,7 @@ class TestGramMatrix:
 
     def test_symmetric_diagonal_and_range(self):
         for row in load_rows():
-            gram, gens, conf = row_gram(row)
+            gram = row_gram(row)
             entries = gram.entries
             assert gram.is_symmetric()
             assert all(entries[i][i] == -2 for i in range(gram.dim))
@@ -217,7 +217,7 @@ class TestGramMatrix:
     def test_equals_mukai_pairing_on_every_pair(self):
         # the adjacency read is the pairing's definition, entry by entry
         for row in load_rows():
-            gram, gens, conf = row_gram(row)
+            gram, gens, conf = row_gram(row), generator_list(row), build_configuration(row)
             classes = gens.classes
             for i, v in enumerate(classes):
                 for j, w in enumerate(classes):

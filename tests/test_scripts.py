@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bhdual.cli import _sanitize
+from bhdual.cli import dot_id
 from bhdual.curveconf import build_configuration
 from bhdual.fixtures import load_rows
 
@@ -42,7 +42,7 @@ def test_render_diagrams(rendered):
     assert len(list(rendered.glob("*.dot"))) == 3 * len(load_rows()) == 60
     for row in load_rows():
         conf = build_configuration(row)
-        lines = (rendered / f"{_sanitize(row.name)}_config.dot").read_text().splitlines()
+        lines = (rendered / f"{dot_id(row.name)}_config.dot").read_text().splitlines()
         nodes = [line for line in lines if line.endswith(";") and " -- " not in line]
         edges = [line.strip(" ;").split(" -- ") for line in lines if " -- " in line]
         assert nodes == [f"  {label};" for label in conf.labels], row.name

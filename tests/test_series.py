@@ -55,7 +55,7 @@ def phi_report(row):
 
 
 def square_report(row):
-    gram, _, _ = row_gram(row)
+    gram = row_gram(row)
     return verify_square_relation(phi_of(row), coxeter_element(gram).factorization, gram.dim)
 
 

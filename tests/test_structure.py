@@ -403,6 +403,37 @@ def test_one_status_rule():
     assert not tries[0].orelse and not tries[0].finalbody
     assert sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check"
                for node in ast.walk(verify_row)) == 1
+    # stages and checks run in one loop, the only one in verify_row: it holds
+    # the try, and outside it broken is only made, so one failure rule writes
+    # it for stages and checks alike
+    [loop] = [node for node in ast.walk(verify_row) if isinstance(node, (ast.For, ast.While))]
+    in_loop = set(map(id, ast.walk(loop)))
+    assert sum(isinstance(node, ast.Try) for node in ast.walk(loop)) == 1
+    broken = [node for node in ast.walk(verify_row) if isinstance(node, ast.Name) and node.id == "broken"]
+    assert [type(node.ctx) for node in broken if id(node) not in in_loop] == [ast.Store]
+    assert any(isinstance(node.ctx, ast.Load) for node in broken)
+
+
+def test_scripts_import_no_private_name():
+    # a script uses the package's public names only: it imports no
+    # underscore name from bhdual and reads none off a name it imports
+    found = []
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=path.name)
+        imported = {
+            (alias.asname or alias.name, f"{node.module}.{alias.name}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bhdual"
+            for alias in node.names
+        }
+        found += [dotted for _, dotted in imported if "._" in f".{dotted}"]
+        found += [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and getattr(node.value, "id", None) in {name for name, _ in imported}
+        ]
+    assert found == []
 
 
 def test_cli_loads_no_dataclasses_or_inspect():

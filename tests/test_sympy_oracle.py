@@ -50,7 +50,7 @@ def cyclotomic_index(factor):
 
 @pytest.fixture(scope="module", params=ROWS, ids=lambda row: row.name)
 def matrices(request):
-    gram, _, _ = row_gram(request.param)
+    gram = row_gram(request.param)
     return gram, coxeter_element(gram)
 
 
