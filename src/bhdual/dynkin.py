@@ -343,7 +343,8 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     the K-lattice diagram under :func:`correspondence`.  Deterministic: the
     first full pass over READINGS x :func:`_case_candidates` wins;
     CalibrationFailed reports the rows of every dead case (below), or else
-    of the first case that the last reading exhausts.
+    of every case that no candidate fits under the reading with the fewest
+    such cases (the first of them in READINGS).
 
     Each row is judged once (:func:`_implied_edges`) and each candidate by
     its edge map (:func:`_edge_map`) alone.  That is exact: an extension edge
@@ -364,16 +365,18 @@ def calibrate(rows, oracle_fac) -> ConventionTable:
     dead = {key: named for key, named in names.items() if any(edges is None for _, edges in cases[key])}
     if dead:
         raise CalibrationFailed("no convention assignment passes all rows", dead)
+    reports = []
     for reading in READINGS:
         table_cases: dict[str, CaseConvention] = {}
+        failing: dict[str, list[str]] = {}
         for key in names:
             for candidate in _case_candidates(key):
                 if all(_edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
                     table_cases[key] = candidate
                     break
             else:
-                failure_report = {key: names[key]}
-                break
-        else:
+                failing[key] = names[key]
+        if not failing:
             return ConventionTable(reading, table_cases)
-    raise CalibrationFailed("no convention assignment passes all rows", failure_report)
+        reports.append(failing)
+    raise CalibrationFailed("no convention assignment passes all rows", min(reports, key=len))

@@ -169,6 +169,16 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
+def _divisors(m: int) -> list[int]:
+    """The divisors of m >= 1, by trial division up to sqrt(m): each n | m
+    with n * n <= m brings its cofactor m // n."""
+    divisors = []
+    for n in range(1, math.isqrt(m) + 1):
+        if m % n == 0:
+            divisors += (n, m // n) if n * n != m else (n,)
+    return divisors
+
+
 def euler_totient(n: int) -> int:
     result = n
     for p in _prime_divisors(n):
@@ -262,9 +272,8 @@ def cyclotomic_exponents(pairs) -> dict[int, int]:
     """
     exponents: dict[int, int] = defaultdict(int)
     for m, a in pairs:
-        for n in range(1, m + 1):
-            if m % n == 0:
-                exponents[n] += a
+        for n in _divisors(m):
+            exponents[n] += a
     return {n: e for n, e in sorted(exponents.items()) if e}
 
 

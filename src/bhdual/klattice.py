@@ -63,9 +63,6 @@ class GeneratorList(Frozen):
     def __init__(self, items):
         object.__setattr__(self, "items", items)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     @property
     def classes(self) -> tuple[MukaiClass, ...]:
         return tuple(cls for _, cls in self.items)

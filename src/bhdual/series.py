@@ -5,12 +5,13 @@ This module is pure series and monodromy arithmetic: the identity checks take
 the artifacts they compare (phi_f, the oracle, the Coxeter factorization) as
 arguments and build no lattice themselves.
 
-The monodromy oracle is standard for weighted homogeneous isolated
-singularities: the spectrum prod (T^q_i - T^d)/(1 - T^q_i), built with the
-stride step of ``exactalg``, holds the graded dimensions of the Milnor algebra
-shifted by q_1 + q_2 + q_3, and a spectral number k/d is the eigenvalue
-exp(2*pi*i*k/d).  Grouping eigenvalues by exact order yields the cyclotomic
-factorization of the characteristic polynomial.
+The monodromy oracle is Milnor and Orlik's divisor formula for weighted
+homogeneous isolated singularities: with u_i/v_i = d/q_i in lowest terms,
+the divisor of the characteristic polynomial is prod (L_(u_i)/v_i - L_1),
+where L_m is the divisor of t^m - 1 and L_a * L_b = gcd(a, b) L_lcm(a, b).
+That is a handful of gcd/lcm terms, read as cyclotomic exponents; the
+Milnor algebra series prod (1 - T^(d - q_i))/(1 - T^q_i) is only checked to
+be a polynomial, by its own cyclotomic exponents, and never expanded.
 
 phi_f is a quotient of binomials 1 - t^n = -prod_{k | n} Phi_k, so it is kept
 as its cyclotomic exponents n -> e_n, and the identity checks compare
@@ -19,7 +20,6 @@ exponents: no polynomial is multiplied, divided or factored.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
 
 from .exactalg import (
     CyclotomicFactorization,
@@ -76,48 +76,60 @@ def characteristic_function(wsys: CanonicalWeights, alpha) -> dict[int, int]:
     return cyclotomic_exponents(binomials)
 
 
-def spectrum(rw: ReducedWeights) -> dict[int, int]:
-    """k -> multiplicity of the spectral number k/d: the nonzero coefficients
-    of S(T) = prod (T^q_i - T^d)/(1 - T^q_i), by k.  The list holds the whole
-    numerator, so S is a polynomial iff it vanishes above sum(d - 2 q_i)."""
-    q, d = rw.q, rw.d
-    if any(d - qi <= 0 for qi in q):
-        raise ValueError(f"degenerate weights {rw}")
-    s = [1] + [0] * sum(d - qi for qi in q)
+def _scaled_divisor(q, d) -> tuple[dict[int, int], int]:
+    """(V * div, V): the monodromy divisor of Milnor and Orlik,
+    div = prod_i (L_(u_i) / v_i - L_1) with u_i / v_i = d / q_i in lowest
+    terms, scaled by V = prod v_i so that every coefficient is an integer.
+
+    L_m stands for the divisor of t^m - 1, and L_a * L_b = gcd(a, b) *
+    L_lcm(a, b); the result maps m to the coefficient of L_m."""
+    divisor, scale = {1: 1}, 1
     for qi in q:
-        divide_by_binomial(s, d - qi, -1)
-        divide_by_binomial(s, qi, 1)
-    top = sum(d - 2 * qi for qi in q)
-    if top < 0 or any(s[top + 1:]):
-        raise ValueError(f"Milnor algebra series not polynomial for {rw}")
-    if min(s) < 0:
-        raise ValueError(f"negative graded dimension for {rw}")
-    return {k + sum(q): m for k, m in enumerate(s) if m}
+        g = math.gcd(d, qi)
+        u, v = d // g, qi // g
+        scale *= v
+        product: dict[int, int] = {}
+        for a, c in divisor.items():  # c L_a (L_u - v L_1)
+            h = math.gcd(a, u)
+            product[a // h * u] = product.get(a // h * u, 0) + h * c
+            product[a] = product.get(a, 0) - v * c
+        divisor = product
+    return divisor, scale
 
 
 def milnor_orlik(rw: ReducedWeights) -> CyclotomicFactorization:
     """Cyclotomic factorization of the monic characteristic polynomial of the
-    monodromy of a weighted homogeneous polynomial with reduced weights rw.
+    monodromy of a weighted homogeneous polynomial with reduced weights rw,
+    from the divisor formula of Milnor and Orlik (Topology 9, 1970).
 
-    A spectral number k/d is an eigenvalue of order n = d/gcd(k, d); Phi_n's
-    exponent is the multiplicity shared by the phi(n) residues k mod d of
-    that order.
+    The divisor sum_m c_m L_m (``_scaled_divisor``) is the characteristic
+    polynomial prod (t^m - 1)^(c_m) = +-prod Phi_n^(e_n), with e_n the sum of
+    c_m over the m divisible by n (``cyclotomic_exponents``, which keeps n in
+    order, the order the report prints the factors in).  The product is
+    scaled by V = prod v_i and divided back exactly; every e_n must be an
+    integer >= 0, and a remainder raises instead of truncating.  Degree and
+    divisor multiply alike (L_a * L_b has degree gcd(a, b) lcm(a, b) = ab),
+    so the degree sum phi(n) e_n is the Milnor number prod (d - q_i)/q_i.
 
-    The degree is the Milnor number prod (d - q_i)/q_i without a check of its
-    own: once ``spectrum`` has found the coefficients above sum(d - 2 q_i)
-    zero, its truncated list u satisfies u * prod (1 - T^q_i) =
-    prod (1 - T^(d - q_i)) exactly, so the multiplicities sum to
-    u(1) = prod (d - q_i)/q_i, and the Galois check makes the degree
-    sum phi(n) * e_n equal that sum."""
-    d = rw.d
-    orders: dict[int, Counter] = defaultdict(Counter)
-    for k, m in spectrum(rw).items():
-        orders[d // math.gcd(k, d)][k % d] += m
+    The Milnor algebra series prod (1 - T^(d - q_i))/(1 - T^q_i) must be a
+    polynomial, and it is iff #{i : n | d - q_i} >= #{i : n | q_i} for every
+    n.  Proof: 1 - T^m = -prod_(n | m) Phi_n, so the series is
+    +-prod Phi_n^(a_n - b_n) with a_n, b_n those two counts.  The Phi_n are
+    distinct monic irreducibles of Q[T], which factors uniquely, so the
+    quotient is a polynomial iff no exponent a_n - b_n is negative; it is
+    then a product of monic integer polynomials, in Z[T]."""
+    q, d = rw.q, rw.d
+    if any(d - qi <= 0 for qi in q):
+        raise ValueError(f"degenerate weights {rw}")
+    algebra = cyclotomic_exponents([*((d - qi, 1) for qi in q), *((qi, -1) for qi in q)])
+    if any(e < 0 for e in algebra.values()):
+        raise ValueError(f"Milnor algebra series not polynomial for {rw}")
+    divisor, scale = _scaled_divisor(q, d)
     factors: dict[int, int] = {}
-    for n, residues in sorted(orders.items()):
-        factors[n], *others = set(residues.values())
-        if others or len(residues) != euler_totient(n):
-            raise ValueError(f"eigenvalue multiplicities not Galois-stable for {rw}")
+    for n, e in cyclotomic_exponents(divisor.items()).items():
+        factors[n], remainder = divmod(e, scale)
+        if remainder or e < 0:
+            raise ValueError(f"eigenvalue multiplicities not nonnegative integers for {rw}")
     return CyclotomicFactorization(factors, 1, IntPolynomial.one())
 
 

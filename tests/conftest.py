@@ -1,14 +1,14 @@
 import math
-from collections import deque
+from collections import Counter, defaultdict, deque
 from functools import cache
 
 import pytest
 
 from bhdual.dynkin import extend, extension_edges, t_graph
-from bhdual.exactalg import IntPolynomial
+from bhdual.exactalg import IntPolynomial, divide_by_binomial, euler_totient
 from bhdual.fixtures import CASE_TAGS
 from bhdual.klattice import MukaiClass
-from bhdual.series import milnor_orlik, spectrum
+from bhdual.series import milnor_orlik
 
 
 def _phi_at_one(n):
@@ -47,6 +47,43 @@ def cyclotomic(n):
         if n % d == 0:
             p = long_division(p, cyclotomic(d))
     return p
+
+
+def spectrum(rw):
+    """k -> multiplicity of the spectral number k/d: the nonzero coefficients
+    of S(T) = prod (T^q_i - T^d)/(1 - T^q_i), by k.  The tests' oracle for
+    the monodromy, independent of Milnor and Orlik's divisor formula: the
+    list holds the whole numerator, so S is a polynomial iff it vanishes
+    above sum(d - 2 q_i)."""
+    q, d = rw.q, rw.d
+    if any(d - qi <= 0 for qi in q):
+        raise ValueError(f"degenerate weights {rw}")
+    s = [1] + [0] * sum(d - qi for qi in q)
+    for qi in q:
+        divide_by_binomial(s, d - qi, -1)
+        divide_by_binomial(s, qi, 1)
+    top = sum(d - 2 * qi for qi in q)
+    if top < 0 or any(s[top + 1:]):
+        raise ValueError(f"Milnor algebra series not polynomial for {rw}")
+    if min(s) < 0:
+        raise ValueError(f"negative graded dimension for {rw}")
+    return {k + sum(q): m for k, m in enumerate(s) if m}
+
+
+def spectrum_factors(rw):
+    """Phi-exponents of the monodromy by grouping the spectrum: a spectral
+    number k/d is an eigenvalue of order n = d/gcd(k, d), and Phi_n's
+    exponent is the multiplicity shared by the phi(n) residues k mod d of
+    that order (ValueError when they do not share one)."""
+    orders = defaultdict(Counter)
+    for k, m in spectrum(rw).items():
+        orders[rw.d // math.gcd(k, rw.d)][k % rw.d] += m
+    factors = {}
+    for n, residues in sorted(orders.items()):
+        factors[n], *others = set(residues.values())
+        if others or len(residues) != euler_totient(n):
+            raise ValueError(f"eigenvalue multiplicities not Galois-stable for {rw}")
+    return factors
 
 
 def _spectral_invariants(rw):

@@ -128,7 +128,7 @@ def test_c5_coxeter_equals_monodromy():
         ok &= reference_preserves_form(cox.matrix, gram)
         ok &= det_bareiss(cox.matrix) == (-1) ** row.mu
         ok &= seifert_identity(cox.matrix, gram)
-        ok &= len(gens) == row.mu == oracle.degree
+        ok &= len(gens.items) == row.mu == oracle.degree
     elapsed = time.monotonic() - started
     ok &= elapsed < 10.0
     report("C5", f"Coxeter element vs monodromy oracle in {elapsed:.3f}s", ok)

@@ -185,7 +185,7 @@ class TestArms:
         gens = generator_list(row)
         listed = len(flat) - (row.case_tag in TWISTED)
         assert [node for sheaf, _ in gens.items[:listed] for node in sheaf.nodes] == flat
-        assert len(correspondence(row)) == diagram_for_row(row).rank == len(gens)
+        assert len(correspondence(row)) == diagram_for_row(row).rank == len(gens.items)
 
 
 class TestIndex:

@@ -365,6 +365,17 @@ class TestCalibrationSkipsDeadCases:
         report = {key: [row.name for row in rows if case_key(row) == key] for key in failing.split("+")}
         assert search_outcome(calibrate, rows, wrong) == report
 
+    def test_live_case_no_candidate_fits(self, monkeypatch):
+        # every row implies an edge map, but no candidate is drawn for a3:
+        # a3 fails under every reading and a2 under all but the first, so the
+        # first reading fails fewest cases and its report names a3 alone
+        candidates = dynkin._case_candidates
+        monkeypatch.setattr(dynkin, "_case_candidates", lambda key: [] if key == "a3" else candidates(key))
+        rows = load_rows()
+        a3 = [row.name for row in rows if case_key(row) == "a3"]
+        assert len(a3) == 5
+        assert search_outcome(calibrate, rows, set()) == {"a3": a3}
+
     @given(
         st.lists(st.sampled_from(ROW_NAMES), min_size=1, unique=True),
         st.sets(st.sampled_from(ROW_NAMES), max_size=2),

@@ -334,6 +334,15 @@ class TestCyclotomicExponents:
         assert cyclotomic_exponents([(6, 1)]) == {1: 1, 2: 1, 3: 1, 6: 1}
         assert cyclotomic_exponents([(2, 1), (1, -1)]) == {2: 1}
         assert cyclotomic_exponents([(3, 1), (3, -1)]) == {}
+        # a square's root is one divisor, counted once: 36 has nine divisors
+        assert cyclotomic_exponents([(36, 1), (4, -1)]) == {3: 1, 6: 1, 9: 1, 12: 1, 18: 1, 36: 1}
+
+    @given(st.lists(st.tuples(st.integers(1, 400), st.integers(-3, 3)), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_divisor_once(self, pairs):
+        # e_n is the sum of a over the m divisible by n, by n
+        expected = {n: sum(a for m, a in pairs if m % n == 0) for n in range(1, 401)}
+        assert cyclotomic_exponents(pairs) == {n: e for n, e in expected.items() if e}
 
 
 class TestDivideByBinomial:

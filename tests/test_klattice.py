@@ -145,12 +145,12 @@ class TestGeneratorList:
     def test_counts_match_milnor_number(self):
         for row in load_rows():
             gens = generator_list(row)
-            assert len(gens) == row.mu == transpose_monodromy(row).degree, row.name
+            assert len(gens.items) == row.mu == transpose_monodromy(row).degree, row.name
 
     def test_selected_counts(self):
-        assert len(generator_list(row_by_name("S_16"))) == 16
-        assert len(generator_list(row_by_name("E_20"))) == 20
-        assert len(generator_list(row_by_name("Z_1,0"))) == 15
+        assert len(generator_list(row_by_name("S_16")).items) == 16
+        assert len(generator_list(row_by_name("E_20")).items) == 20
+        assert len(generator_list(row_by_name("Z_1,0")).items) == 15
 
     def test_every_generator_is_a_root(self):
         for row in load_rows():

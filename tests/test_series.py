@@ -1,4 +1,5 @@
 import re
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
@@ -25,7 +26,6 @@ from bhdual.series import (
     milnor_orlik,
     poincare_bruteforce,
     poincare_series,
-    spectrum,
     transpose_monodromy,
     transpose_reduced_weights,
     verify_phi_identity,
@@ -38,7 +38,7 @@ from bhdual.weights import (
     gorenstein_parameter,
     reduce,
 )
-from conftest import cyclotomic
+from conftest import cyclotomic, spectrum, spectrum_factors
 
 
 def poly(text):
@@ -205,17 +205,36 @@ class TestMilnorOrlik:
         )):
             milnor_orlik(ReducedWeights((1, 1, 4), 7, 1))
 
-    @pytest.mark.parametrize("fake", [{1: 1}, {1: 1, 2: 2}])
-    def test_galois_stability_is_checked(self, monkeypatch, fake):
-        # a primitive cube root of unity without its conjugate, or with
-        # another multiplicity than its conjugate
+    @pytest.mark.parametrize("divisor", [({3: 1}, 2), ({3: 1, 1: -2}, 1)])
+    def test_exponent_guard(self, monkeypatch, divisor):
+        # Phi_1 Phi_3 halved, and Phi_3 / Phi_1: an exponent that is no
+        # integer, and one below zero, raise rather than truncate
         from bhdual import series
 
-        monkeypatch.setattr(series, "spectrum", lambda rw: fake)
+        monkeypatch.setattr(series, "_scaled_divisor", lambda q, d: divisor)
         with pytest.raises(ValueError, match=re.escape(
-            "eigenvalue multiplicities not Galois-stable for ReducedWeights(q=(1, 1, 1), d=3, c_f=1)"
+            "eigenvalue multiplicities not nonnegative integers for ReducedWeights(q=(1, 1, 1), d=3, c_f=1)"
         )):
             milnor_orlik(ReducedWeights((1, 1, 1), 3, 1))
+
+    def test_every_small_weight_system_matches_the_spectrum(self):
+        # every q_1 <= q_2 <= q_3 <= d + 1 with d <= 24 (both routes are
+        # symmetric in q): the divisor formula and the grouped spectrum give
+        # the same exponents, or raise the same text
+        def outcome(route, rw):
+            try:
+                return route(rw)
+            except ValueError as error:
+                return str(error)
+
+        seen = set()
+        for d in range(1, 25):
+            for q in combinations_with_replacement(range(1, d + 2), 3):
+                rw = ReducedWeights(q, d, 1)
+                expected = outcome(spectrum_factors, rw)
+                assert outcome(lambda w: milnor_orlik(w).factors, rw) == expected, rw
+                seen.add(type(expected))
+        assert seen == {dict, str}
 
     def test_degree_and_cyclotomic_on_all_rows(self):
         for row in load_rows():
@@ -346,7 +365,7 @@ class TestTransposeMonodromy:
 
 
 # ---------------------------------------------------------------------------
-# independent oracle: divisor calculus
+# the divisor calculus in Fractions, a cross-check of the integer scaling
 # ---------------------------------------------------------------------------
 
 def _divisors(n):
@@ -373,8 +392,8 @@ def _divisor_product(q, d):
     gcd(a,b) * L_lcm(a,b), where u_i/v_i = d/q_i in lowest terms.
 
     L_m stands for the root divisor of t^m - 1; the product is the divisor of
-    the monodromy characteristic polynomial, computed by pure gcd/lcm
-    combinatorics with no reference to the Milnor algebra.
+    the monodromy characteristic polynomial, computed in Fractions where
+    milnor_orlik scales by prod v_i and divides back.
     """
     from fractions import Fraction
     from math import gcd, lcm
@@ -408,11 +427,13 @@ def _divisor_of_factorization(fac):
 
 class TestMonodromyDivisorCalculus:
     def test_matches_enumeration_oracle_on_all_fixture_polynomials(self):
-        # both the transpose and the dual polynomial of every row
+        # both the transpose and the dual polynomial of every row; the
+        # Fraction product cross-checks the integer scaling of the divisor
         for row in load_rows():
             for text in (row.f_T, row.f):
                 rw = reduce(canonical_weights(poly(text)))
                 fac = milnor_orlik(rw)
+                assert fac.factors == spectrum_factors(rw), (row.name, text)
                 assert _divisor_of_factorization(fac) == _divisor_product(rw.q, rw.d), (
                     row.name,
                     text,
@@ -421,14 +442,14 @@ class TestMonodromyDivisorCalculus:
     @given(st.sampled_from(sorted(KREUZER_SKARKE)), st.tuples(*[st.integers(2, 8)] * 3))
     @settings(max_examples=40, deadline=None)
     def test_matches_divisor_formula_on_invertible_polynomials(self, kind, exponents):
-        # Milnor-Orlik's divisor against milnor_orlik, which groups the
-        # spectrum; the spectrum is symmetric under k <-> 3d - k and has
+        # the grouped spectrum against milnor_orlik, Milnor-Orlik's divisor;
+        # the spectrum is symmetric under k <-> 3d - k and has
         # mu = prod (d - q_i)/q_i numbers
         f = InvertiblePolynomial(IntMatrix(KREUZER_SKARKE[kind](*exponents)), VARIABLES)
         for g in (f, transpose(f)):
             rw = reduce(canonical_weights(g))
             fac = milnor_orlik(rw)
-            assert _divisor_of_factorization(fac) == _divisor_product(rw.q, rw.d)
+            assert fac.factors == spectrum_factors(rw)
             sp = spectrum(rw)
             assert sp == {3 * rw.d - k: m for k, m in sp.items()}
             q1, q2, q3 = rw.q

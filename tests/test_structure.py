@@ -130,13 +130,28 @@ def test_no_n_max_parameter():
 
 
 def test_series_names_no_polynomial_division():
-    # spectrum and Poincare series are built by the exactalg stride step
+    # the Poincare series is built by the exactalg stride step
     names = {
         node.attr if isinstance(node, ast.Attribute) else node.id
         for node in ast.walk(_tree("series.py"))
         if isinstance(node, (ast.Attribute, ast.Name))
     }
     assert not names & {"exact_div", "divmod_exact_leading", "t_n_minus_1", "eval_at_integer"}
+
+
+def test_milnor_orlik_is_the_divisor_formula():
+    # the monodromy oracle multiplies gcd/lcm divisors and expands no series:
+    # the spectrum is the tests' oracle, and no package module defines or
+    # names it
+    for name in ("milnor_orlik", "_scaled_divisor"):
+        assert "divide_by_binomial" not in _called(_function("series.py", name)), name
+    assert "_scaled_divisor" in _called(_function("series.py", "milnor_orlik"))
+    assert not [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if _mentioned_name(node) == "spectrum" or getattr(node, "name", None) == "spectrum"
+    ]
 
 
 def test_one_stride_step():
