@@ -9,11 +9,12 @@ it is applied as those reflections (``Reflections``): left multiplication by
 s_i changes only row i, to -X_i + sum_{k != i} G[i][k] X_k, so tau X on packed
 rows costs one multiply-add per off-diagonal nonzero of G, which is nearly a
 tree, where the dense tau would cost one per nonzero of tau.  tau's matrix is
-read once, from tau applied to the packed identity; char_poly and the order's
-radical test run on the reflections.  The product is checked by one identity
-with the Seifert matrix U, the upper triangle of G with -1 on the diagonal:
-U tau = -U^T, which implies both tau^T G tau = G and det tau = (-1)^mu (see
-``seifert_identity``).
+read once, from tau applied to the packed identity; the char, from the first
+mu//2 powers of tau, and the order's radical test run on the reflections.
+The product is checked by one identity with the Seifert matrix U, the upper
+triangle of G with -1 on the diagonal: U tau = -U^T, which implies tau^T G
+tau = G and det tau = (-1)^mu (see ``seifert_identity``), and with them that
+char tau is a palindrome, whose second half is mirrored, not computed.
 
 Diagrams are compared in ``dynkin``, entry by entry under the named vertex
 correspondence; no isomorphism search is needed.
@@ -31,6 +32,7 @@ from .exactalg import (
     char_poly,
     factor_cyclotomic,
     matrix_of,
+    palindromic_char_poly,
 )
 
 
@@ -94,7 +96,14 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
 
     rho(s_i) = 1 + sum_{k != i} |G[i][k]| and rho is submultiplicative, so
     the entries of tau are at most prod rho(s_i), the bound tau's matrix is
-    read at; char_poly and the order test then run at rho(tau) itself."""
+    read at; the char and the order test then run at rho(tau) itself.
+
+    char tau is a palindrome, so it needs only its first mu//2 power sums
+    (``palindromic_char_poly``).  tau = -U^-1 U^T for the Seifert matrix U
+    (``seifert_identity``), so tau^-1 = -U^-T U = U^-T tau^T U^T is similar
+    to tau^T and has the same char, and det tau = (-1)^mu: with char(t) =
+    prod (t - l) over the eigenvalues, t^mu char(1/t) = prod (1 - l t) =
+    (-1)^mu det tau char_(tau^-1)(t) = char(t), that is c_k = c_(mu-k)."""
     if not gram.is_symmetric():
         raise ValueError("Gram matrix must be symmetric")
     g = gram.entries
@@ -104,7 +113,7 @@ def coxeter_element(gram: IntMatrix) -> CoxeterResult:
     reflections = Reflections(neighbours, math.prod(1 + sum(abs(a) for _, a in row) for row in neighbours))
     tau = matrix_of(reflections)
     reflections = reflections._replace(row_sum_bound=tau.row_sum_bound)
-    char = char_poly(reflections)
+    char = palindromic_char_poly(reflections)
     return CoxeterResult(tau, char, factor_cyclotomic(char), reflections)
 
 

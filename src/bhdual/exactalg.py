@@ -458,6 +458,25 @@ def matrix_of(operator) -> IntMatrix:
     return IntMatrix([[(row >> bits * j & 2 * half - 1) - half for j in range(n)] for row in rows])
 
 
+def _newton(matrix, count: int) -> list[int]:
+    """c_0 ... c_count of ``char_poly``, from p_1 ... p_count at the width of rho^count."""
+    n = matrix.dim
+    bits = _slot_bits(matrix.row_sum_bound ** count)
+    half = 1 << (bits - 1)
+    offset = sum(half << bits * i for i in range(n))
+    coeffs, sums = [1], []  # c_0, c_1, ... (from t^n down) and p_1, p_2, ...
+    work = [1 << bits * i for i in range(n)]
+    for k in range(1, count + 1):
+        work = matrix.times_packed(work)
+        digits = (((row + offset) >> bits * i) & (2 * half - 1) for i, row in enumerate(work))
+        sums.append(sum(digits) - n * half)
+        total = sum(map(int.__mul__, coeffs, reversed(sums)))
+        if total % k:
+            raise ArithmeticError(f"Newton sum {total} not divisible by {k}")
+        coeffs.append(-total // k)
+    return coeffs
+
+
 def char_poly(matrix) -> IntPolynomial:
     """det(t*I - M) from the power sums p_k = tr(M^k), on packed rows.
 
@@ -466,29 +485,25 @@ def char_poly(matrix) -> IntPolynomial:
     of B), as IntMatrix and ``coxeter.Reflections`` have them.  Newton's
     identities give the coefficient c_k of t^(n-k) from c_0 = 1: k c_k =
     -sum_(j<k) c_j p_(k-j), an exact division over the integers, so the
-    result is monic of degree ``matrix.dim``.  Only the powers M^k are
-    packed, and their entries are at most rho^k <= rho^n, which sets the slot
-    width.  Packing is Z-linear, so ``times_packed`` may pass through rows
-    whose entries leave their slots (the reflections of tau do): only the
-    rows it returns are read.  Adding ``half`` to every slot makes each one a
-    plain base-2^bits digit, so the diagonal entry of row i is read off by
-    one shift and mask.
+    result is monic of degree n = ``matrix.dim``.  The n powers M^k are
+    packed, one ``times_packed`` each, and their entries are at most rho^k,
+    so rho^n sets the slot width.  Packing is Z-linear, so ``times_packed``
+    may pass through rows whose entries leave their slots (the reflections of
+    tau do): only the rows it returns are read.  Adding ``half`` to every
+    slot makes each one a plain base-2^bits digit, so the diagonal entry of
+    row i is read off by one shift and mask.
     """
-    n = matrix.dim
-    bits = _slot_bits(matrix.row_sum_bound ** n)
-    half = 1 << (bits - 1)
-    offset = sum(half << bits * i for i in range(n))
-    coeffs, sums = [1], []  # c_0, c_1, ... (from t^n down) and p_1, p_2, ...
-    work = [1 << bits * i for i in range(n)]
-    for k in range(1, n + 1):
-        work = matrix.times_packed(work)
-        digits = (((row + offset) >> bits * i) & (2 * half - 1) for i, row in enumerate(work))
-        sums.append(sum(digits) - n * half)
-        total = sum(map(int.__mul__, coeffs, reversed(sums)))
-        if total % k:
-            raise ArithmeticError(f"Newton sum {total} not divisible by {k}")
-        coeffs.append(-total // k)
-    return IntPolynomial(reversed(coeffs))
+    return IntPolynomial(reversed(_newton(matrix, matrix.dim)))
+
+
+def palindromic_char_poly(operator) -> IntPolynomial:
+    """``char_poly`` of an M whose characteristic polynomial is a palindrome,
+    c_k = c_(n-k), which is not checked (``coxeter.coxeter_element`` proves
+    it for tau): c_0 ... c_(n//2) from the first n//2 powers of M, at the
+    width of rho^(n//2), and the rest mirrored."""
+    n = operator.dim
+    head = _newton(operator, n // 2)
+    return IntPolynomial(head + head[: (n + 1) // 2][::-1])
 
 
 def annihilates(p: IntPolynomial, matrix) -> bool:

@@ -153,6 +153,10 @@ root_grams = st.integers(1, 12).flatmap(
 #: entries below 8 only, so reading tau needs the whole product 16
 WIDE_TAU_GRAM = IntMatrix([[-2, 3], [3, -2]])
 
+#: tau = [[35, -6], [6, -1]] under the product bound 49: 35 >= 2^5, so its
+#: slot needs a sign bit beyond the six bits of 49
+TOP_BIT_TAU_GRAM = IntMatrix([[-2, 6], [6, -2]])
+
 
 def dense_seifert(tau, gram):
     """U tau == -U^T by dense products on nested lists, for U the upper
@@ -206,6 +210,7 @@ def dense_radical_order(tau, factorization):
 class TestReflectionsAgainstDenseProduct:
     @given(root_grams)
     @example(WIDE_TAU_GRAM)
+    @example(TOP_BIT_TAU_GRAM)
     @settings(max_examples=60, deadline=None)
     def test_coxeter_layer_matches_dense_tau(self, g):
         cox = coxeter_element(g)
@@ -442,6 +447,73 @@ class TestOrderAndFormControls:
         assert seifert_identity(tau, gram) == holds
         if kind != "arbitrary":
             assert holds == (kind == "true")
+
+
+class TestHalfPowerSums:
+    @pytest.mark.parametrize(
+        "gram",
+        [symmetric_root_gram(n, [k % 5 - 2 for k in range(n * (n - 1) // 2)]) for n in range(13)]
+        + [IntMatrix(AFFINE_CONTROLS[name][0]) for name in sorted(AFFINE_CONTROLS)],
+        ids=[f"n={n}" for n in range(13)] + sorted(AFFINE_CONTROLS),
+    )
+    def test_tau_is_applied_once_and_for_half_the_power_sums(self, gram, monkeypatch):
+        # char tau is a palindrome, so after the one read of tau's matrix only
+        # the powers tau^1 ... tau^(n//2) are formed, not all n
+        applied = []
+        times_packed = coxeter.Reflections.times_packed
+
+        def counting(self, packed):
+            applied.append(len(packed))
+            return times_packed(self, packed)
+
+        monkeypatch.setattr(coxeter.Reflections, "times_packed", counting)
+        cox = coxeter_element(gram)
+        assert applied == [gram.dim] * (1 + gram.dim // 2)
+        assert cox.char == char_poly(cox.matrix)
+
+
+def hurwitz_move(rows, i):
+    """(e_i, e_(i+1)) -> (e_(i+1), e_i + <e_i, e_(i+1)> e_(i+1)) on the Gram
+    rows, in place: only rows and columns i and i + 1 change.  s_(s_b(a)) =
+    s_b s_a s_b, so the product s_a' s_b' = s_a s_b and tau is kept as an
+    operator."""
+    g = rows[i][i + 1]
+    for k, row in enumerate(rows):
+        if k not in (i, i + 1):
+            a, b = row[i], row[i + 1]
+            row[i] = rows[i][k] = b
+            row[i + 1] = rows[i + 1][k] = a + g * b
+    rows[i][i + 1] = rows[i + 1][i] = -g
+
+
+ROW_GRAMS = {row.name: row_gram(row) for row in load_rows()}
+
+
+class TestBraidOrbit:
+    @given(
+        st.sampled_from(sorted(ROW_GRAMS)),
+        st.integers(0, 2**16),
+        st.lists(st.integers(0, 1), min_size=1, max_size=25),
+    )
+    @example("S_1,0", 24670, [0, 1, 0, 1, 1, 0, 0, 0])
+    @example("W_17", 24868, [0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0])
+    @settings(max_examples=400, deadline=None)
+    def test_hurwitz_moves_keep_the_monodromy(self, name, start, moves):
+        # moves on three consecutive basis vectors, which need not be joined
+        # in the diagram; the examples reach entries of 55 and 2.5e17.
+        # Braided Grams are Milnor lattices too, with entries far outside
+        # -2..1, so they drive the slot widths of matrix_of, the char and the
+        # order's radical test past anything the 20 rows reach
+        gram = ROW_GRAMS[name]
+        rows = [list(r) for r in gram.entries]
+        for m in moves:
+            hurwitz_move(rows, start % (gram.dim - 2) + m)
+        braided = IntMatrix(rows)
+        cox, before = coxeter_element(braided), coxeter_element(gram)
+        assert cox.char == before.char
+        assert cox.char.coefficients == cox.char.coefficients[::-1]
+        assert cox.order == before.order
+        assert seifert_identity(cox.matrix, braided)
 
 
 class TestLatticeInvariants:
