@@ -1,26 +1,24 @@
 """Rule-based construction of the Coxeter-Dynkin diagrams: the T-shaped core
-graph, its extension by a chain of extra vertices, and the one-time
-calibration that fixes the figure-dependent details of that extension.
+graph, its extension by a chain of extra vertices, and the check that the
+K-lattice implies the committed wiring of that extension.
 
 The core T(alpha_1, alpha_2, alpha_3) has three arm chains of lengths
 alpha_i - 1 (plain edges), a lower and an upper central vertex each joined
 plainly to every arm's innermost vertex, and a doubled dashed edge between
 the two central vertices.  The extension appends the ``a`` extra vertices
 B1..Ba that the row's case tag fixes (``fixtures.CASE_TAGS``); how they
-wire to the core and to the arms is case data kept in a ConventionTable,
-seeded from the literal attachment rule and calibrated once against the
-monodromy oracle and the K-lattice diagrams.  Each rule vertex
-stands for one named K-lattice generator (:func:`correspondence`), and the
-two diagrams are compared entry by entry under that correspondence.  The arms
-are ``curveconf.arms`` of the Dolgachev triple, and the (alpha, beta) reading
-takes alpha_i from it too.  An edge that names a vertex the diagram lacks (an
-attachment beyond the arm the triple builds) raises ValueError where the
-diagram is assembled.
+wire to the core and to the arms is case data in a ConventionTable, which
+:func:`calibrate` checks against the monodromy oracle and the K-lattice
+diagrams.  Each rule vertex stands for one named K-lattice generator
+(:func:`correspondence`), and the two diagrams are compared entry by entry
+under that correspondence.  The arms are ``curveconf.arms`` of the Dolgachev
+triple, and the arm-position rule takes alpha_i from it too.  An edge that
+names a vertex the diagram lacks (an attachment beyond the arm the triple
+builds) raises ValueError where the diagram is assembled.
 """
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -75,21 +73,6 @@ class DynkinDiagram(NamedTuple):
 # conventions
 # ---------------------------------------------------------------------------
 
-#: position readings: how (alpha, beta) turns into an arm position counted
-#: from the outer end of the arm
-_POSITIONS = {
-    "outside-minus": lambda alpha, beta: alpha - beta - 1,
-    "outside-plus": lambda alpha, beta: alpha - beta + 1,
-    "inside-minus": lambda alpha, beta: beta + 1,  # alpha - beta - 1 counted from the inner end
-    "inside-plus": lambda alpha, beta: beta - 1,
-}
-READINGS = tuple(_POSITIONS)
-
-
-def read_position(reading: str, alpha: int, beta: int) -> int:
-    return _POSITIONS[reading](alpha, beta)
-
-
 class CaseConvention(NamedTuple):
     """Extension wiring for one case.
 
@@ -97,8 +80,9 @@ class CaseConvention(NamedTuple):
     ``upper_sign`` signs the B1 edge to the upper central vertex.  Rule-read
     arm attachments hang on ``arm_bullet`` (None: no rule-read attachments);
     ``fixed_slots`` lists (bullet, arm, position, sign) attachments that
-    bypass the (alpha, beta) reading in the two twisted cases, where the
-    outermost arm slots are occupied by the extra-curve classes themselves.
+    bypass the arm-position rule of :func:`extension_edges` in the two
+    twisted cases, where the outermost arm slots are occupied by the
+    extra-curve classes themselves.
     """
 
     upper_sign: int
@@ -109,11 +93,16 @@ class CaseConvention(NamedTuple):
 
 
 class ConventionTable(NamedTuple):
-    """Committed conventions for the whole fixture set: one reading plus one
-    CaseConvention per extension case."""
+    """Committed conventions for the whole fixture set: one CaseConvention
+    per extension case."""
 
-    reading: str
     cases: dict[str, CaseConvention]
+
+    #: the name of the one arm-position rule, alpha - beta - 1 counted from
+    #: the outer end (:func:`extension_edges`); not a field, since no table
+    #: holds another, but kept because ``bench/workloads.py::_wiring`` and
+    #: the pinned stdout of ``scripts/calibrate_conventions.py`` read it
+    reading = "outside-minus"
 
 
 def case_key(row: FixtureRow) -> str:
@@ -124,30 +113,15 @@ def case_key(row: FixtureRow) -> str:
 
 
 def committed_convention() -> ConventionTable:
-    """The calibrated table: first full-pass assignment of the deterministic
-    search in :func:`calibrate` (re-derivable at any time)."""
+    """The extension wiring of each case, read off the K-lattice Gram of its
+    rows; :func:`calibrate` checks that every row implies it."""
     return ConventionTable(
-        reading="outside-minus",
         cases={
-            "a2": CaseConvention(
-                upper_sign=-1,
-                bullet_edges=((1, 2, -1),),
-                arm_bullet=2,
-                arm_sign=1,
-            ),
+            "a2": CaseConvention(upper_sign=-1, bullet_edges=((1, 2, -1),), arm_bullet=2, arm_sign=1),
             "a2_r1": CaseConvention(
-                upper_sign=-1,
-                bullet_edges=((1, 2, -1),),
-                arm_bullet=None,
-                arm_sign=1,
-                fixed_slots=((2, 3, 2, 1),),
+                upper_sign=-1, bullet_edges=((1, 2, -1),), arm_bullet=None, arm_sign=1, fixed_slots=((2, 3, 2, 1),)
             ),
-            "a3": CaseConvention(
-                upper_sign=-1,
-                bullet_edges=((1, 3, -1), (2, 3, 1)),
-                arm_bullet=3,
-                arm_sign=1,
-            ),
+            "a3": CaseConvention(upper_sign=-1, bullet_edges=((1, 3, -1), (2, 3, 1)), arm_bullet=3, arm_sign=1),
             "a5": CaseConvention(
                 upper_sign=1,
                 bullet_edges=((1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1)),
@@ -200,17 +174,17 @@ def t_graph(alpha) -> DynkinDiagram:
     return _minus_two_graph([label for arm in arm_curves for label in arm] + [LOWER, UPPER], edges)
 
 
-def extension_edges(row: FixtureRow, reading: str, case: CaseConvention) -> list[tuple[str, str, int]]:
+def extension_edges(row: FixtureRow, case: CaseConvention) -> list[tuple[str, str, int]]:
     """The (B vertex, vertex, sign) edges that wire the row's extra vertices
-    B1..Ba to its T-core under one case convention and one position reading."""
+    B1..Ba to its T-core under one case convention.  A rule-read attachment
+    joins arm i at position alpha_i - beta_i - 1, counted from the outer
+    end; an arm with beta_i = alpha_i - 1 gets none."""
     edges = [("B1", UPPER, case.upper_sign)]
     edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
     if case.arm_bullet is not None:
         for arm, (alpha, (_, beta)) in enumerate(zip(row.dolgachev, row.alpha_beta), start=1):
-            if beta == alpha - 1:
-                continue
-            pos = read_position(reading, alpha, beta)
-            edges.append((f"B{case.arm_bullet}", arm_label(arm, pos), case.arm_sign))
+            if beta != alpha - 1:
+                edges.append((f"B{case.arm_bullet}", arm_label(arm, alpha - beta - 1), case.arm_sign))
     edges += [(f"B{b}", arm_label(arm, pos), sign) for b, arm, pos, sign in case.fixed_slots]
     return edges
 
@@ -224,8 +198,7 @@ def extend(t: DynkinDiagram, a: int, edges) -> DynkinDiagram:
 
 def diagram_for_row(row: FixtureRow) -> DynkinDiagram:
     """The row's rule diagram under the committed conventions."""
-    conv = committed_convention()
-    edges = extension_edges(row, conv.reading, conv.cases[case_key(row)])
+    edges = extension_edges(row, committed_convention().cases[case_key(row)])
     return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], edges)
 
 
@@ -265,60 +238,17 @@ def equal_under_correspondence(row: FixtureRow, rule_gram: IntMatrix, k_gram: In
 # calibration
 # ---------------------------------------------------------------------------
 
-def _sign_variants(committed: tuple[int, ...]):
-    """All sign vectors of the given length, committed one first."""
-    yield committed
-    for signs in product((-1, 1), repeat=len(committed)):
-        if signs != committed:
-            yield signs
-
-
-def _case_candidates(key: str):
-    """Deterministic candidate stream of CaseConventions for one case.
-
-    The first candidate is the K-lattice-derived wiring; later ones flip edge
-    signs, swap which vertex carries the arm attachments (a = 3), or fall
-    back to a literal chain wiring.  Adjacency beyond these named variants is
-    not searched.
-    """
-    if key == "a2":
-        for arm_bullet in (2, 1):
-            for up, chain, arm in _sign_variants((-1, -1, 1)):
-                yield CaseConvention(up, ((1, 2, chain),), arm_bullet, arm)
-    elif key == "a2_r1":
-        for up, chain, arm in _sign_variants((-1, -1, 1)):
-            yield CaseConvention(up, ((1, 2, chain),), None, 1, ((2, 3, 2, arm),))
-        for up, chain, arm in _sign_variants((-1, -1, 1)):
-            yield CaseConvention(up, ((1, 2, chain),), 2, arm)
-    elif key == "a3":
-        # K-derived edge set: B1-B3, B2-B3, arms on B3
-        for up, e13, e23, arm in _sign_variants((-1, -1, 1, 1)):
-            yield CaseConvention(up, ((1, 3, e13), (2, 3, e23)), 3, arm)
-        # literal chain: B1-B2-B3, arms on B3, then arms on B2
-        for arm_bullet in (3, 2):
-            for up, e12, e23, arm in _sign_variants((-1, -1, 1, 1)):
-                yield CaseConvention(up, ((1, 2, e12), (2, 3, e23)), arm_bullet, arm)
-    elif key == "a5":
-        chain_edges = ((1, 2), (2, 3), (3, 4), (4, 5))
-        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
-            edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
-            yield CaseConvention(up, edges, None, 1, ((3, 3, 1, arm),))
-        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
-            edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
-            yield CaseConvention(up, edges, 3, arm)
-
-
-def _edge_map(row: FixtureRow, reading: str, case: CaseConvention) -> dict:
-    """The candidate's :func:`extension_edges` as {frozenset({s, t}): w},
-    later edges winning."""
-    return {frozenset((s, t)): w for s, t, w in extension_edges(row, reading, case)}
+def _edge_map(row: FixtureRow, case: CaseConvention) -> dict:
+    """The wiring's :func:`extension_edges` as {frozenset({s, t}): w}, later
+    edges winning."""
+    return {frozenset((s, t)): w for s, t, w in extension_edges(row, case)}
 
 
 def _implied_edges(row: FixtureRow, oracle) -> dict | None:
     """The B rows' edge map that the K-lattice Gram K implies: {label_i,
     label_j} -> K'[i][j] over their nonzero off-diagonal entries, with K' =
     K[sigma][sigma]; None when the diagram it builds is not K' or does not
-    have the ``oracle`` Coxeter factorization, so no candidate passes."""
+    have the ``oracle`` Coxeter factorization, so no wiring passes."""
     k_gram = klattice.row_gram(row)
     sigma = correspondence(row)
     t, a = t_graph(row.dolgachev), CASE_TAGS[row.case_tag]
@@ -337,46 +267,34 @@ def _implied_edges(row: FixtureRow, oracle) -> dict | None:
 
 
 def calibrate(rows, oracle_fac) -> ConventionTable:
-    """Search the bounded variant space for the assignment under which, for
-    every row, the rule-built diagram has the oracle characteristic
-    polynomial (``oracle_fac(row)``, a cyclotomic factorization) and equals
-    the K-lattice diagram under :func:`correspondence`.  Deterministic: the
-    first full pass over READINGS x :func:`_case_candidates` wins;
-    CalibrationFailed reports the rows of every dead case (below), or else
-    of every case that no candidate fits under the reading with the fewest
-    such cases (the first of them in READINGS).
+    """Check that every row implies the committed wiring of its case: its
+    rule diagram has the oracle characteristic polynomial (``oracle_fac(row)``,
+    a cyclotomic factorization) and equals the K-lattice diagram under
+    :func:`correspondence`.  Returns the committed table restricted to the
+    cases the rows reach; CalibrationFailed maps every case with a failing
+    row to all its rows.
 
-    Each row is judged once (:func:`_implied_edges`) and each candidate by
-    its edge map (:func:`_edge_map`) alone.  That is exact: an extension edge
-    has a B endpoint, two distinct endpoints and a sign of +-1, so a
-    candidate's Gram R is the ``t_graph`` block, -2 on each B diagonal, its
-    edge map in the B rows and 0 elsewhere.  So R equals K', the K-lattice
-    Gram in rule order, exactly when K' has that block and those diagonals,
-    which the implied diagram checks once, and the two edge maps are equal;
-    an edge naming a curve the diagram lacks is in no implied map.  Then R
-    is K', so the Coxeter verdict is the row's too.  A case with a row that
-    implies no map (None) is dead, decided before any candidate is drawn: no
-    edge map equals None and ``extension_edges`` raises nothing.
+    Each row is judged once (:func:`_implied_edges`), and the committed
+    wiring by its edge map (:func:`_edge_map`) alone.  That is exact: an
+    extension edge has a B endpoint, two distinct endpoints and a sign of
+    +-1, so the rule Gram R is the ``t_graph`` block, -2 on each B diagonal,
+    the edge map in the B rows and 0 elsewhere.  So R equals K', the
+    K-lattice Gram in rule order, exactly when K' has that block and those
+    diagonals, which the implied diagram checks once, and the two edge maps
+    are equal; an edge naming a curve the diagram lacks is in no implied map.
+    Then R is K', so the Coxeter verdict is the row's too.  A case with a row
+    that implies no map (None) fails before any edge map is built.
     """
     cases: dict[str, list] = {}
     for row in rows:
         cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
-    names = {key: [row.name for row, _ in judged] for key, judged in sorted(cases.items())}
-    dead = {key: named for key, named in names.items() if any(edges is None for _, edges in cases[key])}
-    if dead:
-        raise CalibrationFailed("no convention assignment passes all rows", dead)
-    reports = []
-    for reading in READINGS:
-        table_cases: dict[str, CaseConvention] = {}
-        failing: dict[str, list[str]] = {}
-        for key in names:
-            for candidate in _case_candidates(key):
-                if all(_edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
-                    table_cases[key] = candidate
-                    break
-            else:
-                failing[key] = names[key]
-        if not failing:
-            return ConventionTable(reading, table_cases)
-        reports.append(failing)
-    raise CalibrationFailed("no convention assignment passes all rows", min(reports, key=len))
+    committed = committed_convention().cases
+    failing = {
+        key: [row.name for row, _ in judged]
+        for key, judged in sorted(cases.items())
+        if any(edges is None for _, edges in judged)
+        or any(_edge_map(row, committed[key]) != edges for row, edges in judged)
+    }
+    if failing:
+        raise CalibrationFailed("the K-lattice does not imply the committed wiring", failing)
+    return ConventionTable({key: committed[key] for key in sorted(cases)})

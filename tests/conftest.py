@@ -1,10 +1,12 @@
 import math
 from collections import Counter, defaultdict, deque
 from functools import cache
+from itertools import product
 
 import pytest
 
-from bhdual.dynkin import extend, extension_edges, t_graph
+from bhdual.curveconf import arm_label
+from bhdual.dynkin import UPPER, CaseConvention, extend, t_graph
 from bhdual.exactalg import IntPolynomial, divide_by_binomial, euler_totient
 from bhdual.fixtures import CASE_TAGS
 from bhdual.klattice import MukaiClass
@@ -137,11 +139,92 @@ def mukai_pairing(v, w, conf):
     return dd - v.rank * w.degree - w.rank * v.degree
 
 
+#: position readings: how (alpha, beta) could turn into an arm position
+#: counted from the outer end of the arm; dynkin.extension_edges uses
+#: outside-minus, the only one under which the K-lattice wiring of a2 and a3
+#: is among the variants below
+_POSITIONS = {
+    "outside-minus": lambda alpha, beta: alpha - beta - 1,
+    "outside-plus": lambda alpha, beta: alpha - beta + 1,
+    "inside-minus": lambda alpha, beta: beta + 1,  # alpha - beta - 1 counted from the inner end
+    "inside-plus": lambda alpha, beta: beta - 1,
+}
+READINGS = tuple(_POSITIONS)
+
+
+def read_position(reading, alpha, beta):
+    return _POSITIONS[reading](alpha, beta)
+
+
+def _sign_variants(committed):
+    """All sign vectors of the given length, committed one first."""
+    yield committed
+    for signs in product((-1, 1), repeat=len(committed)):
+        if signs != committed:
+            yield signs
+
+
+def case_candidates(key):
+    """Deterministic variant stream of CaseConventions for one case.
+
+    The first variant is the K-lattice-derived wiring; later ones flip edge
+    signs, swap which vertex carries the arm attachments (a = 3), or fall
+    back to a literal chain wiring.  Adjacency beyond these named variants is
+    not generated.
+    """
+    if key == "a2":
+        for arm_bullet in (2, 1):
+            for up, chain, arm in _sign_variants((-1, -1, 1)):
+                yield CaseConvention(up, ((1, 2, chain),), arm_bullet, arm)
+    elif key == "a2_r1":
+        for up, chain, arm in _sign_variants((-1, -1, 1)):
+            yield CaseConvention(up, ((1, 2, chain),), None, 1, ((2, 3, 2, arm),))
+        for up, chain, arm in _sign_variants((-1, -1, 1)):
+            yield CaseConvention(up, ((1, 2, chain),), 2, arm)
+    elif key == "a3":
+        # K-derived edge set: B1-B3, B2-B3, arms on B3
+        for up, e13, e23, arm in _sign_variants((-1, -1, 1, 1)):
+            yield CaseConvention(up, ((1, 3, e13), (2, 3, e23)), 3, arm)
+        # literal chain: B1-B2-B3, arms on B3, then arms on B2
+        for arm_bullet in (3, 2):
+            for up, e12, e23, arm in _sign_variants((-1, -1, 1, 1)):
+                yield CaseConvention(up, ((1, 2, e12), (2, 3, e23)), arm_bullet, arm)
+    elif key == "a5":
+        chain_edges = ((1, 2), (2, 3), (3, 4), (4, 5))
+        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
+            edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
+            yield CaseConvention(up, edges, None, 1, ((3, 3, 1, arm),))
+        for up, *chain, arm in _sign_variants((1, 1, 1, 1, 1, 1)):
+            edges = tuple((i, j, s) for (i, j), s in zip(chain_edges, chain))
+            yield CaseConvention(up, edges, 3, arm)
+
+
+def reading_edges(row, reading, case):
+    """dynkin.extension_edges with the arm position of a rule-read
+    attachment taken from one position reading."""
+    edges = [("B1", UPPER, case.upper_sign)]
+    edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
+    if case.arm_bullet is not None:
+        for arm, (alpha, (_, beta)) in enumerate(zip(row.dolgachev, row.alpha_beta), start=1):
+            if beta == alpha - 1:
+                continue
+            pos = read_position(reading, alpha, beta)
+            edges.append((f"B{case.arm_bullet}", arm_label(arm, pos), case.arm_sign))
+    edges += [(f"B{b}", arm_label(arm, pos), sign) for b, arm, pos, sign in case.fixed_slots]
+    return edges
+
+
+def reading_edge_map(row, reading, case):
+    """:func:`reading_edges` as {frozenset({s, t}): w}, later edges winning,
+    as dynkin._edge_map reads the committed wiring."""
+    return {frozenset((s, t)): w for s, t, w in reading_edges(row, reading, case)}
+
+
 def rule_diagram(row, reading, case):
     """The row's rule diagram under one position reading and one case
-    convention: the diagram a calibration candidate stands for, which
-    dynkin.calibrate judges by its edge map without building it."""
-    return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], extension_edges(row, reading, case))
+    convention: the diagram dynkin.calibrate judges by its edge map without
+    building it."""
+    return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], reading_edges(row, reading, case))
 
 
 def _reflect(x, root, conf):

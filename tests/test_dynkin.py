@@ -5,6 +5,7 @@ from bhdual import coxeter, dynkin, klattice
 from bhdual.coxeter import coxeter_element
 from bhdual.dynkin import (
     CalibrationFailed,
+    ConventionTable,
     _implied_edges,
     calibrate,
     case_key,
@@ -14,14 +15,13 @@ from bhdual.dynkin import (
     equal_under_correspondence,
     extend,
     extension_edges,
-    read_position,
     t_graph,
 )
 from bhdual.exactalg import CyclotomicFactorization, IntMatrix, IntPolynomial
 from bhdual.fixtures import load_rows, row_by_name
 from bhdual.klattice import generator_list, row_gram
 from bhdual.series import transpose_monodromy
-from conftest import rule_diagram
+from conftest import READINGS, case_candidates, reading_edge_map, reading_edges, rule_diagram
 
 
 def wrong_oracle(row):
@@ -87,7 +87,7 @@ class TestExtend:
         conv = committed_convention()
         row = row_by_name("S_16")._replace(dolgachev=(2, 2, 2), alpha_beta=((2, 1),) * 3)
         assert case_key(row) == "a2"
-        diagram = extend(t_graph((2, 2, 2)), 2, extension_edges(row, conv.reading, conv.cases["a2"]))
+        diagram = extend(t_graph((2, 2, 2)), 2, extension_edges(row, conv.cases["a2"]))
         assert diagram_for_row(row) == diagram
         b2 = diagram.vertices.index("B2")
         neighbors = [
@@ -109,12 +109,52 @@ class TestExtend:
         assert not isinstance(raised.value, KeyError)
 
 
-class TestReadings:
-    def test_position_values(self):
-        assert read_position("outside-minus", 11, 9) == 1
-        assert read_position("outside-plus", 11, 9) == 3
-        assert read_position("inside-minus", 11, 9) == 10
-        assert read_position("inside-plus", 11, 9) == 8
+def implied_by_case(rows, oracle_fac):
+    """case key -> [(row, its implied edge map)], keys sorted."""
+    cases = {}
+    for row in rows:
+        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
+    return dict(sorted(cases.items()))
+
+
+def fitting_variants(reading):
+    """case key -> the variants of tests/conftest.py whose edge map under
+    ``reading`` equals the implied map of every row of the case."""
+    return {
+        key: [
+            candidate
+            for candidate in case_candidates(key)
+            if all(reading_edge_map(row, reading, candidate) == edges for row, edges in judged)
+        ]
+        for key, judged in implied_by_case(load_rows(), transpose_monodromy).items()
+    }
+
+
+class TestVariantStream:
+    def test_committed_wiring_is_the_one_fit_under_the_arm_rule(self):
+        # under alpha - beta - 1 the committed wiring is the first variant
+        # drawn and the only one that fits a2, a3 and a5; a2_r1's second fit
+        # hangs the arms on B2, where the rule reads, on each a2_r1 row, the
+        # one attachment the committed fixed slot names (arm 3, position 2)
+        committed = committed_convention().cases
+        fits = fitting_variants(ConventionTable.reading)
+        for key in ("a2", "a3", "a5"):
+            assert fits[key] == [committed[key]], key
+        assert next(case_candidates("a2_r1")) == committed["a2_r1"] == fits["a2_r1"][0]
+        assert len(fits["a2_r1"]) == 2
+
+    @pytest.mark.parametrize("reading", READINGS[1:])
+    def test_other_readings_fit_no_a2_or_a3_variant(self, reading):
+        fits = fitting_variants(reading)
+        assert fits["a2"] == fits["a3"] == []
+
+    def test_moved_edges_are_the_package_edges_under_the_arm_rule(self):
+        # the tests' reading-aware copy of extension_edges agrees with the
+        # package's one rule on every row and every variant of its case
+        assert READINGS[0] == ConventionTable.reading
+        for row in load_rows():
+            for candidate in case_candidates(case_key(row)):
+                assert reading_edges(row, READINGS[0], candidate) == extension_edges(row, candidate), row.name
 
 
 class TestCalibration:
@@ -232,9 +272,9 @@ class TestCalibrationJudgesEachDiagramOnce:
             k_gram = row_gram(row)
             implied = _implied_edges(row, transpose_monodromy(row))
             assert implied is not None, row.name
-            for reading in dynkin.READINGS:
-                for candidate in dynkin._case_candidates(case_key(row)):
-                    verdict = dynkin._edge_map(row, reading, candidate) == implied
+            for reading in READINGS:
+                for candidate in case_candidates(case_key(row)):
+                    verdict = reading_edge_map(row, reading, candidate) == implied
                     try:
                         expected = equal_under_correspondence(row, rule_diagram(row, reading, candidate).gram, k_gram)
                     except ValueError:
@@ -254,8 +294,8 @@ class TestCalibrationJudgesEachDiagramOnce:
             core = t_graph(row.dolgachev).gram.entries
             k = len(core)
             key = case_key(row)
-            for reading in dynkin.READINGS:
-                for candidate in dynkin._case_candidates(key):
+            for reading in READINGS:
+                for candidate in case_candidates(key):
                     try:
                         gram = rule_diagram(row, reading, candidate).gram.entries
                     except ValueError:
@@ -280,25 +320,22 @@ class TestCalibrationJudgesEachDiagramOnce:
         assert info.value.report == {"a5": ["E_20"]}
 
 
-def loop_without_dead_cases(rows, oracle_fac):
-    """calibrate's search with every case walking its candidates under every
-    reading, even one with a row that implies no edge map."""
-    cases = {}
-    for row in rows:
-        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
-    for reading in dynkin.READINGS:
-        table_cases, failure_report = {}, {}
-        for key in sorted(cases):
-            for candidate in dynkin._case_candidates(key):
-                if all(dynkin._edge_map(row, reading, candidate) == edges for row, edges in cases[key]):
-                    table_cases[key] = candidate
-                    break
-            else:
-                failure_report[key] = [row.name for row, _ in cases[key]]
-                break
-        else:
-            return dynkin.ConventionTable(reading, table_cases)
-    raise CalibrationFailed("no convention assignment passes all rows", failure_report)
+def walk_every_variant(rows, oracle_fac):
+    """The search that calibrate replaced: the first reading under which
+    every case has a variant that fits all its rows, with the first such
+    variant of each case; None when no reading has one for every case."""
+    cases = implied_by_case(rows, oracle_fac)
+    for reading in READINGS:
+        table = {
+            key: next(
+                (c for c in case_candidates(key) if all(reading_edge_map(row, reading, c) == e for row, e in judged)),
+                None,
+            )
+            for key, judged in cases.items()
+        }
+        if None not in table.values():
+            return reading, ConventionTable(table)
+    return None
 
 
 def search_outcome(search, rows, wrong):
@@ -318,20 +355,13 @@ ROW_NAMES = [row.name for row in load_rows()]
 
 class TestCalibrationSkipsDeadCases:
     def spy(self, monkeypatch):
-        """Record each _case_candidates call by its key and each
-        extension_edges call by its row name."""
-        seen = {"drawn": [], "edges": []}
-        candidates = dynkin._case_candidates
+        """Record each extension_edges call by its row name."""
+        seen = []
 
-        def spied_candidates(key):
-            seen["drawn"].append(key)
-            return candidates(key)
+        def spied_edges(row, case):
+            seen.append(row.name)
+            return extension_edges(row, case)
 
-        def spied_edges(row, reading, case):
-            seen["edges"].append(row.name)
-            return extension_edges(row, reading, case)
-
-        monkeypatch.setattr(dynkin, "_case_candidates", spied_candidates)
         monkeypatch.setattr(dynkin, "extension_edges", spied_edges)
         return seen
 
@@ -339,17 +369,17 @@ class TestCalibrationSkipsDeadCases:
     def test_dead_case_draws_no_candidate(self, monkeypatch, names, wrong):
         seen = self.spy(monkeypatch)
         rows = [row_by_name(name) for name in names]
+        # a case with a row that implies no edge map builds none, not even
+        # for its rows that imply one
         assert search_outcome(calibrate, rows, wrong) == {"a5": names}
-        assert seen == {"drawn": [], "edges": []}
-        # the spies see a live case's search
+        assert seen == []
+        # the spy sees a live case's check
         assert calibrate(rows, transpose_monodromy).cases == {"a5": committed_convention().cases["a5"]}
-        assert seen["drawn"] == ["a5"] and seen["edges"] == names
+        assert seen == names
 
     @pytest.mark.parametrize(
         "keys, wrong, failing",
         [
-            # a2 passes only under the first reading, so a walk of every
-            # reading would end on a2; the dead case is reported instead
             (("a2", "a2_r1", "a3", "a5"), {"Q_18"}, "a5"),
             (("a2", "a2_r1", "a3", "a5"), {"Z_18"}, "a3"),
             (("a2_r1", "a5"), {"Q_18"}, "a5"),
@@ -365,16 +395,20 @@ class TestCalibrationSkipsDeadCases:
         report = {key: [row.name for row in rows if case_key(row) == key] for key in failing.split("+")}
         assert search_outcome(calibrate, rows, wrong) == report
 
-    def test_live_case_no_candidate_fits(self, monkeypatch):
-        # every row implies an edge map, but no candidate is drawn for a3:
-        # a3 fails under every reading and a2 under all but the first, so the
-        # first reading fails fewest cases and its report names a3 alone
-        candidates = dynkin._case_candidates
-        monkeypatch.setattr(dynkin, "_case_candidates", lambda key: [] if key == "a3" else candidates(key))
+    def test_live_case_with_another_wiring_is_reported_beside_a_dead_case(self, monkeypatch):
+        # every a3 row implies an edge map, but not the wiring committed
+        # here (one a3 sign flipped); a5 is dead under the wrong oracle for
+        # Q_18; one report names both cases with all their rows, and a2 and
+        # a2_r1, which pass, not at all
+        table = committed_convention()
+        flipped = table.cases["a3"]._replace(bullet_edges=((1, 3, 1), (2, 3, 1)))
+        monkeypatch.setattr(dynkin, "committed_convention", lambda: ConventionTable({**table.cases, "a3": flipped}))
         rows = load_rows()
-        a3 = [row.name for row in rows if case_key(row) == "a3"]
-        assert len(a3) == 5
-        assert search_outcome(calibrate, rows, set()) == {"a3": a3}
+        report = {key: [row.name for row in rows if case_key(row) == key] for key in ("a3", "a5")}
+        assert [len(names) for names in report.values()] == [5, 3]
+        assert all(_implied_edges(row, transpose_monodromy(row)) for row in rows)
+        assert search_outcome(calibrate, rows, {"Q_18"}) == report
+        assert search_outcome(calibrate, rows, set()) == {"a3": report["a3"]}
 
     @given(
         st.lists(st.sampled_from(ROW_NAMES), min_size=1, unique=True),
@@ -383,15 +417,15 @@ class TestCalibrationSkipsDeadCases:
     @settings(max_examples=15, deadline=None)
     def test_same_outcome_as_walking_every_candidate(self, names, wrong):
         # a wrong oracle leaves its row no edge map, so its case is dead and
-        # is reported with all its rows; with no dead case, calibrate is the
-        # walk of every candidate under every reading
+        # is reported with all its rows; with no dead case, calibrate returns
+        # what a walk of every variant under every reading finds first
         rows = [row_by_name(name) for name in names]
         dead = {case_key(row) for row in rows if row.name in wrong}
         outcome = search_outcome(calibrate, rows, wrong)
         if dead:
             assert outcome == {key: [row.name for row in rows if case_key(row) == key] for key in dead}
         else:
-            assert outcome == search_outcome(loop_without_dead_cases, rows, wrong)
+            assert walk_every_variant(rows, transpose_monodromy) == (ConventionTable.reading, outcome)
 
 
 class TestDiagramAgainstKLattice:
@@ -457,7 +491,7 @@ class TestCorrespondence:
         # networkx oracle): the committed one and the literal chain with its
         # arms on B2; only the committed one is the K-lattice basis
         committed = committed_convention()
-        chain_on_b2 = list(dynkin._case_candidates("a3"))[32]
+        chain_on_b2 = list(case_candidates("a3"))[32]
         assert chain_on_b2.bullet_edges == ((1, 2, -1), (2, 3, 1))
         assert chain_on_b2.arm_bullet == 2
         a3_rows = [row for row in load_rows() if case_key(row) == "a3"]

@@ -448,6 +448,15 @@ class TestMatrices:
             assert not annihilates(poly(-(2**b), 1), m)
             assert annihilates(poly(-(4**b), 0, 1), m)
 
+    def test_annihilates_sizes_slots_by_the_full_degree(self):
+        # p = t gives p(M) = M, whose entry -4 reaches rho^deg = 5 but not
+        # rho^(deg - 1) = 1: a slot sized for the latter packs the row
+        # [-4, 1] as -4 + (1 << 2) = 0 and calls M its own annihilator
+        m = IntMatrix([[-4, 1], [0, 0]])
+        assert m.row_sum_bound == 5
+        assert not annihilates(poly(0, 1), m)
+        assert annihilates(poly(0, 0, 1), IntMatrix([[0, 1], [0, 0]]))
+
     def test_charpoly_reads_entries_at_the_slot_edge(self):
         # rho^n bounds every entry of the powers M^k that char_poly packs, and
         # these powers reach it: diag(-rho, rho)^2 has rho^2 twice, [[-rho]]

@@ -4,16 +4,15 @@
 searches all vertex maps with its own feasibility rules and compares edge
 weights through ``edge_match``.  Equality under the correspondence must
 therefore imply VF2 isomorphism, and the correspondence must be one of the
-maps VF2 finds.  The inputs are the diagrams of every calibration candidate
-for the 20 rows, against the row's K-lattice diagram.
+maps VF2 finds.  The inputs are the diagrams of every wiring variant in
+``conftest.case_candidates``, under every position reading, for the 20 rows,
+against the row's K-lattice diagram.
 """
 import pytest
 
 nx = pytest.importorskip("networkx")
 
 from bhdual.dynkin import (
-    READINGS,
-    _case_candidates,
     case_key,
     committed_convention,
     correspondence,
@@ -23,7 +22,7 @@ from bhdual.dynkin import (
 from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
-from conftest import rule_diagram
+from conftest import READINGS, case_candidates, rule_diagram
 
 
 def to_networkx(g: IntMatrix):
@@ -49,13 +48,13 @@ def vf2_isomorphic(g1: IntMatrix, g2: IntMatrix) -> bool:
 
 
 def calibration_candidates():
-    """(row, diagram Gram, K-lattice Gram) for every calibration candidate
-    whose diagram can be built, over every reading."""
+    """(row, diagram Gram, K-lattice Gram) for every wiring variant whose
+    diagram can be built, over every reading."""
     for row in load_rows():
         k_gram = row_gram(row)
         key = case_key(row)
         for reading in READINGS:
-            for candidate in _case_candidates(key):
+            for candidate in case_candidates(key):
                 try:
                     diagram = rule_diagram(row, reading, candidate)
                 except ValueError:
@@ -97,7 +96,7 @@ def test_two_a3_wirings_are_isomorphic():
     # diagram on every a3 row, like the committed wiring, but it is not the
     # K-lattice basis under the correspondence
     committed = committed_convention()
-    chain_on_b2 = list(_case_candidates("a3"))[32]
+    chain_on_b2 = list(case_candidates("a3"))[32]
     for row in load_rows():
         if case_key(row) != "a3":
             continue

@@ -692,3 +692,19 @@ def test_every_error_class_is_caught_or_carries_data():
     }
     assert errors - caught - carrying == set()
     assert errors == {"ParseError", "UnknownFixture", "CalibrationFailed"}
+
+
+def test_calibration_checks_the_committed_wiring():
+    # calibrate compares each row's implied edges with the committed wiring:
+    # no variant stream, no position readings and no itertools.product for
+    # them; extension_edges reads arm positions by its one rule, so it takes
+    # the row and the case and nothing else
+    body = _tree("dynkin.py").body
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)}
+    assert "calibrate" in defined and "committed_convention" in defined
+    assert not defined & {"READINGS", "read_position", "_POSITIONS", "_case_candidates", "_sign_variants"}
+    assert not [where for where in _importers("itertools") if where.startswith("dynkin.py:")]
+    args = _function("dynkin.py", "extension_edges").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["row", "case"]
+    assert args.vararg is None and args.kwarg is None
