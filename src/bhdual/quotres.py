@@ -8,9 +8,10 @@ covered by k charts with coordinates (u_i, v_i); chart i maps to (X, Y, Z) =
 E_i = {u_i = 0} = {v_(i+1) = 0}, forming an A_(k-1) chain.
 
 Curves in X, Y, Z and their chart images in u, v are one type, SparsePoly.
-A chart is only its exponent map, chart(i, k): each term X^a Y^b Z^c goes to
-one monomial u^p v^q with the same coefficient, so all the algebra stays
-over Z.  bh lemma prints the component and branch count derived here.
+Chart i sends X^a Y^b Z^c to u^(i*d + c') v^((i-1)*d + c') with d = a - b,
+c' = k*b + c and the same integer coefficient, so every chart kills XY = Z^k
+and is read off the curve's lines (d, c').  bh lemma prints the component
+and branch count derived here.
 """
 from __future__ import annotations
 
@@ -63,22 +64,14 @@ class SparsePoly(Frozen):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def chart(i: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Chart i of the resolution as its exponent map: the exponent pairs
-    (exp_u, exp_v) of the monomials that X, Y and Z become."""
-    if not 1 <= i <= k:
-        raise ValueError(f"chart index {i} outside 1..{k}")
-    return (i, i - 1), (k - i, k + 1 - i), (1, 1)
-
-
-def chart_image(curve: SparsePoly, i: int, k: int) -> SparsePoly:
-    """Image of the curve in chart i: each term goes to one monomial by the
-    exponent map."""
-    (xu, xv), (yu, yv), (zu, zv) = chart(i, k)
-    return SparsePoly(
-        ((ex * xu + ey * yu + ez * zu, ex * xv + ey * yv + ez * zv), coeff)
-        for (ex, ey, ez), coeff in curve.terms
-    )
+def _lines(curve: SparsePoly, k: int) -> dict[tuple[int, int], int]:
+    """The curve's terms summed on their lines (d, c') = (a - b, k*b + c),
+    without the lines that cancel.  Chart i puts each line at its own point
+    (i*d + c', (i-1)*d + c'), so terms collide in a chart iff on one line."""
+    lines: dict[tuple[int, int], int] = {}
+    for (a, b, c), coeff in curve.terms:
+        lines[a - b, k * b + c] = lines.get((a - b, k * b + c), 0) + coeff
+    return {line: coeff for line, coeff in lines.items() if coeff}
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +100,14 @@ def proper_transform(curve: SparsePoly, i: int, k: int):
     image is zero or when every candidate unit vanishes at the origin (the
     curve is then not one of the supported shapes).
     """
-    image = chart_image(curve, i, k)
-    if not image.terms:
+    if not 1 <= i <= k:
+        raise ValueError(f"chart index {i} outside 1..{k}")
+    image = [((i * d + c, (i - 1) * d + c), coeff) for (d, c), coeff in _lines(curve, k).items()]
+    if not image:
         raise ValueError("curve image is zero in this chart")
-    p = min(eu for (eu, ev), _ in image.terms)
-    q = min(ev for (eu, ev), _ in image.terms)
-    unit = SparsePoly(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
+    p = min(eu for (eu, ev), _ in image)
+    q = min(ev for (eu, ev), _ in image)
+    unit = SparsePoly(((eu - p, ev - q), c) for (eu, ev), c in image)
     # every exponent is now >= 0, so a constant term sorts first
     if unit.terms[0][0] != (0, 0):
         raise ValueError("unit factor vanishes at the chart origin")
@@ -130,18 +125,32 @@ def exceptional_components_met(curve: SparsePoly, k: int) -> list[int]:
     """Indices i of the exceptional components E_i whose generic point lies on
     the proper transform of the curve.
 
-    E_i is {u_i = 0} in chart i and {v_(i+1) = 0} in chart i+1; the transform
-    meets it iff the unit factor restricted to that line is non-constant.
-    Each chart is transformed once and read on both of its lines.
+    E_i is {u_i = 0} in chart i and {v_(i+1) = 0} in chart i+1.  Chart i puts
+    the line (d, c') at (i*d + c', (i-1)*d + c'); with p, q the least
+    exponents, the unit is nonzero at the origin iff a line sits at (p, q),
+    and non-constant on {u = 0} ({v = 0}) iff another line has u-exponent p
+    (v-exponent q).  So the transform meets E_i iff two u-exponents, as lines
+    in i, tie at their minimum in chart i, or two v-exponents in chart i+1.
+    Z^m + Y has the lines (0, m) and (-1, k): u-exponents m and k - i tie at
+    i = k - m, v-exponents m and k - i + 1 at i = k - m + 1, and elsewhere
+    one term is below in both.  So it meets exactly E_(k-m), whatever
+    gcd(m, k).  Z^2 + Y^2 has (0, 2) and (-2, 2k): 2 = 2k - 2i at i = k - 1,
+    2 = 2k - 2i + 2 at i = k, so it meets E_(k-1).
     """
     if k < 2:
         return []
+    lines = _lines(curve, k)
+    if not lines:
+        raise ValueError("curve image is zero in this chart")
     met = set()
     for i in range(1, k + 1):
-        _, unit = proper_transform(curve, i, k)
-        if i < k and set(unit.on_line(0)) - {0}:
+        points = [(i * d + c, (i - 1) * d + c) for d, c in lines]
+        p, q = min(u for u, _ in points), min(v for _, v in points)
+        if (p, q) not in points:
+            raise ValueError("unit factor vanishes at the chart origin")
+        if i < k and any(u == p and v != q for u, v in points):
             met.add(i)
-        if i > 1 and set(unit.on_line(1)) - {0}:
+        if i > 1 and any(v == q and u != p for u, v in points):
             met.add(i - 1)
     return sorted(met)
 

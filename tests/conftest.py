@@ -10,6 +10,7 @@ from bhdual.dynkin import UPPER, CaseConvention, extend, t_graph
 from bhdual.exactalg import IntPolynomial, divide_by_binomial, euler_totient
 from bhdual.fixtures import CASE_TAGS
 from bhdual.klattice import MukaiClass
+from bhdual.quotres import SparsePoly
 from bhdual.series import milnor_orlik
 
 
@@ -225,6 +226,54 @@ def rule_diagram(row, reading, case):
     convention: the diagram dynkin.calibrate judges by its edge map without
     building it."""
     return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], reading_edges(row, reading, case))
+
+
+def chart(i: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Chart i of the resolution as its exponent map: the exponent pairs
+    (exp_u, exp_v) of the monomials that X, Y and Z become."""
+    if not 1 <= i <= k:
+        raise ValueError(f"chart index {i} outside 1..{k}")
+    return (i, i - 1), (k - i, k + 1 - i), (1, 1)
+
+
+def chart_image(curve: SparsePoly, i: int, k: int) -> SparsePoly:
+    """Image of the curve in chart i: each term goes to one monomial by the
+    exponent map."""
+    (xu, xv), (yu, yv), (zu, zv) = chart(i, k)
+    return SparsePoly(
+        ((ex * xu + ey * yu + ez * zu, ex * xv + ey * yv + ez * zv), coeff)
+        for (ex, ey, ez), coeff in curve.terms
+    )
+
+
+def proper_transform_by_chart(curve, i, k):
+    """quotres.proper_transform one chart at a time: the chart image as a
+    SparsePoly, divided by its smallest monomial.  The tests' reference for
+    the package, which reads each chart off the curve's lines."""
+    image = chart_image(curve, i, k)
+    if not image.terms:
+        raise ValueError("curve image is zero in this chart")
+    p = min(eu for (eu, ev), _ in image.terms)
+    q = min(ev for (eu, ev), _ in image.terms)
+    unit = SparsePoly(((eu - p, ev - q), c) for (eu, ev), c in image.terms)
+    if unit.terms[0][0] != (0, 0):
+        raise ValueError("unit factor vanishes at the chart origin")
+    return (p, q), unit
+
+
+def components_met_by_chart(curve, k):
+    """quotres.exceptional_components_met from every chart's unit: E_i is met
+    iff the unit is non-constant on {u_i = 0} or on {v_(i+1) = 0}."""
+    if k < 2:
+        return []
+    met = set()
+    for i in range(1, k + 1):
+        _, unit = proper_transform_by_chart(curve, i, k)
+        if i < k and set(unit.on_line(0)) - {0}:
+            met.add(i)
+        if i > 1 and set(unit.on_line(1)) - {0}:
+            met.add(i - 1)
+    return sorted(met)
 
 
 def _reflect(x, root, conf):

@@ -21,6 +21,10 @@ from bhdual.series import transpose_monodromy
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
 #: sha256 over the 120 bh diagram / bh coxeter runs, each with its exit code
 COMMAND_OUTPUTS_SHA256 = "055d37067d7eb53dc336e197876795ac01537cf26bf623778d85fdf5ce56c518"
+#: sha256 over the 418 bh lemma runs, each with its exit code and stderr:
+#: c2 for 1 <= m < k <= 20 and c2double for 2 <= k <= 20, each with and
+#: without --symbolic
+LEMMA_OUTPUTS_SHA256 = "7a6f01666c85b028b827f78729e7ed31ed261d1a4edfef5f6d890461c9be28ce"
 #: sha256 of the bh tables stdout
 TABLES_SHA256 = "5240dd9d45660b528d13077dd45126f599dffca3f7a3314d8a2e2fb3cde0e7ff"
 #: what the dolgachev stage (curveconf.arms) says of a Dolgachev triple
@@ -194,6 +198,21 @@ def test_command_outputs_pinned(capsys):
             ):
                 digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
     assert digest.hexdigest() == COMMAND_OUTPUTS_SHA256
+
+
+def test_lemma_outputs_pinned(capsys):
+    # every bh lemma output of the benchmark's sweep range: any refactor of
+    # quotres must keep all 418
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(2, 21):
+        for which in [*(("c2", "--m", str(m)) for m in range(1, k)), ("c2double",)]:
+            for symbolic in ((), ("--symbolic",)):
+                argv = ("lemma", *which, "--k", str(k), *symbolic)
+                digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+                count += 1
+    assert count == 418
+    assert digest.hexdigest() == LEMMA_OUTPUTS_SHA256
 
 
 class TestLemma:

@@ -1,17 +1,16 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhdual.quotres import (
     SparsePoly,
     attachment_double,
     branch_count_at_attachment,
-    chart,
-    chart_image,
     exceptional_components_met,
     invariant_image,
     invariant_image_double,
     proper_transform,
 )
+from conftest import chart, chart_image, components_met_by_chart, proper_transform_by_chart
 
 
 def transition_image(i, k):
@@ -104,6 +103,63 @@ class TestLemmaSweep:
             assert exceptional_components_met(curve, k) == [k - 1], k
             component, branches = attachment_double(k)
             assert branch_count_at_attachment(curve, k, component) == branches == 2
+
+
+class TestClosedForm:
+    # the lines of Z^m + Y cross in charts k - m and k - m + 1, those of
+    # Z^2 + Y^2 in charts k - 1 and k (exceptional_components_met's docstring)
+    def test_lemma_meets_e_k_minus_m(self):
+        for k in range(2, 61):
+            for m in range(1, k):
+                assert exceptional_components_met(invariant_image(m, k), k) == [k - m], (m, k)
+
+    def test_double_meets_e_k_minus_1(self):
+        for k in range(2, 61):
+            assert exceptional_components_met(invariant_image_double(k), k) == [k - 1], k
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the text of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def curves_on_lines(draw):
+    """(curve, k) with k in 0..30 and up to five terms, coefficients in
+    -3..3.  A term is fresh or a copy of an earlier one moved along
+    XY = Z^k, X^a Y^b Z^c -> X^(a+t) Y^(b+t) Z^(c-kt), so the two share a
+    line; the copy may carry the negated coefficient, cancelling the line."""
+    k = draw(st.integers(0, 30))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        if terms and draw(st.booleans()):
+            (a, b, c), coeff = draw(st.sampled_from(terms))
+            t = draw(st.integers(-min(a, b), c // k if k else 3))
+            exps = (a + t, b + t, c - k * t)
+            coeff = draw(st.sampled_from([-coeff, draw(st.integers(-3, 3))]))
+        else:
+            exps = draw(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2 * k + 2)))
+            coeff = draw(st.integers(-3, 3))
+        terms.append((exps, coeff))
+    return SparsePoly(terms), k
+
+
+class TestLinesMatchCharts:
+    @given(curves_on_lines())
+    @settings(max_examples=300)
+    @example((SparsePoly([((1, 1, 0), 1), ((0, 0, 5), -1)]), 5))  # XY - Z^k: zero
+    @example((SparsePoly([((2, 0, 0), 1), ((0, 0, 1), 1)]), 4))  # X^2 + Z: no unit
+    def test_same_outcome_as_the_chart_route(self, curve_k):
+        # the components met, every chart's factorization (out of range
+        # charts 0 and k + 1 included), and the ValueError texts; the two
+        # examples raise each text from exceptional_components_met
+        curve, k = curve_k
+        assert outcome(exceptional_components_met, curve, k) == outcome(components_met_by_chart, curve, k)
+        for i in range(k + 2):
+            assert outcome(proper_transform, curve, i, k) == outcome(proper_transform_by_chart, curve, i, k)
 
 
 class TestChartTransitions:

@@ -14,15 +14,19 @@ from bhdual.fixtures import load_rows
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 #: sha256 over the 60 DOT files, each its name, a newline and its bytes, in
@@ -75,3 +79,31 @@ def test_calibrate_conventions():
     done = run_script("calibrate_conventions.py")
     assert done.returncode == 0, done.stderr
     assert done.stdout == CALIBRATE_CONVENTIONS_STDOUT
+
+
+#: stderr of calibrate_conventions.py when every eigenvalue of the oracle is
+#: -1: every case fails, and the report names all its rows
+CALIBRATE_CONVENTIONS_WRONG_ORACLE_STDERR = """\
+calibration failed: the K-lattice does not imply the committed wiring
+a2     W_1,0 S_1,0 U_1,0 E_18 Z_17 Q_16 W_17 S_16 U_16
+a2_r1  J_3,0 Z_1,0 Q_2,0
+a3     E_19 Z_18 Q_17 W_18 S_17
+a5     E_20 Z_19 Q_18
+"""
+
+WRONG_ORACLE_RUN = """\
+import runpy, sys
+from bhdual import series
+from bhdual.exactalg import CyclotomicFactorization, IntPolynomial
+series.transpose_monodromy = lambda row: CyclotomicFactorization({2: row.mu}, 1, IntPolynomial.one())
+runpy.run_path(sys.argv[1], run_name="__main__")
+"""
+
+
+def test_calibrate_conventions_failure():
+    # with an oracle no diagram can match, the check's report goes to stderr
+    # and the script exits 1, without a traceback
+    done = run_python("-c", WRONG_ORACLE_RUN, str(ROOT / "scripts" / "calibrate_conventions.py"))
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    assert done.stderr == CALIBRATE_CONVENTIONS_WRONG_ORACLE_STDERR

@@ -253,7 +253,8 @@ def test_one_elimination_kernel():
 
 def test_one_polynomial_type_in_quotres():
     # curves in X, Y, Z and their chart images in u, v are one value type,
-    # a chart is a function, and bh lemma prints what quotres derives
+    # a chart is read off the curve's lines, and bh lemma prints what quotres
+    # derives
     frozen = [
         node.name
         for node in ast.walk(_tree("quotres.py"))
@@ -261,6 +262,15 @@ def test_one_polynomial_type_in_quotres():
     ]
     assert frozen == ["SparsePoly"]
     assert {"exceptional_components_met", "branch_count_at_attachment"} <= _called(_function("cli.py", "cmd_lemma"))
+
+
+def test_lemma_charts_call_no_public_name():
+    # bench/tracing.py wraps every public quotres function, and a traced
+    # run's post-processing grows with the spans it records: the charts are
+    # read off the curve's lines, with no public call and no SparsePoly
+    public = {name for name, _ in _definitions(PACKAGE / "quotres.py") if not name.startswith("_")}
+    assert "proper_transform" in public
+    assert not _called(_function("quotres.py", "exceptional_components_met")) & public
 
 
 def test_parser_keeps_no_state_flags():
