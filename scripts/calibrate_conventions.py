@@ -2,13 +2,13 @@
 """Check the committed diagram conventions against the 20 rows and print
 the table the check returns.
 
-``dynkin.calibrate`` checks that every row's K-lattice Gram implies the
-committed extension wiring of its case and that the resulting diagram has
-the monodromy oracle's characteristic polynomial; the table it returns is
-the committed one, restricted to the cases the rows reach.  The "reading"
-line names the one arm-position rule, alpha - beta - 1 counted from the
-outer end of the arm.  When the check fails, the script prints the failing
-cases with their rows to stderr and exits 1.
+``dynkin.calibrate`` checks that every row's rule diagram under the
+committed extension wiring of its case equals the row's K-lattice diagram
+and has the monodromy oracle's characteristic polynomial; the table it
+returns is the committed one, restricted to the cases the rows reach.  The
+"reading" line names the one arm-position rule, alpha - beta - 1 counted
+from the outer end of the arm.  When the check fails, the script prints the
+failing cases with their rows to stderr and exits 1.
 """
 import sys
 

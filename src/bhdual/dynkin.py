@@ -1,6 +1,6 @@
 """Rule-based construction of the Coxeter-Dynkin diagrams: the T-shaped core
-graph, its extension by a chain of extra vertices, and the check that the
-K-lattice implies the committed wiring of that extension.
+graph, its extension by a chain of extra vertices, and the check of the
+committed wiring of that extension against the K-lattice.
 
 The core T(alpha_1, alpha_2, alpha_3) has three arm chains of lengths
 alpha_i - 1 (plain edges), a lower and an upper central vertex each joined
@@ -114,7 +114,8 @@ def case_key(row: FixtureRow) -> str:
 
 def committed_convention() -> ConventionTable:
     """The extension wiring of each case, read off the K-lattice Gram of its
-    rows; :func:`calibrate` checks that every row implies it."""
+    rows; :func:`calibrate` checks that every row's rule diagram under it is
+    the row's K-lattice diagram."""
     return ConventionTable(
         cases={
             "a2": CaseConvention(upper_sign=-1, bullet_edges=((1, 2, -1),), arm_bullet=2, arm_sign=1),
@@ -178,7 +179,10 @@ def extension_edges(row: FixtureRow, case: CaseConvention) -> list[tuple[str, st
     """The (B vertex, vertex, sign) edges that wire the row's extra vertices
     B1..Ba to its T-core under one case convention.  A rule-read attachment
     joins arm i at position alpha_i - beta_i - 1, counted from the outer
-    end; an arm with beta_i = alpha_i - 1 gets none."""
+    end; an arm with beta_i = alpha_i - 1 gets none.  On the 14 untwisted
+    fixture rows that is the lemma's component less one, as their attachment
+    tables store it (x^beta + y^(alpha - beta) meets E_(alpha - beta),
+    ``quotres.exceptional_components_met``): an observation, not a proof."""
     edges = [("B1", UPPER, case.upper_sign)]
     edges += [(f"B{i}", f"B{j}", sign) for i, j, sign in case.bullet_edges]
     if case.arm_bullet is not None:
@@ -197,7 +201,8 @@ def extend(t: DynkinDiagram, a: int, edges) -> DynkinDiagram:
 
 
 def diagram_for_row(row: FixtureRow) -> DynkinDiagram:
-    """The row's rule diagram under the committed conventions."""
+    """The row's rule diagram under the committed conventions, as ``bh
+    verify`` and :func:`calibrate` build it."""
     edges = extension_edges(row, committed_convention().cases[case_key(row)])
     return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], edges)
 
@@ -238,63 +243,36 @@ def equal_under_correspondence(row: FixtureRow, rule_gram: IntMatrix, k_gram: In
 # calibration
 # ---------------------------------------------------------------------------
 
-def _edge_map(row: FixtureRow, case: CaseConvention) -> dict:
-    """The wiring's :func:`extension_edges` as {frozenset({s, t}): w}, later
-    edges winning."""
-    return {frozenset((s, t)): w for s, t, w in extension_edges(row, case)}
-
-
-def _implied_edges(row: FixtureRow, oracle) -> dict | None:
-    """The B rows' edge map that the K-lattice Gram K implies: {label_i,
-    label_j} -> K'[i][j] over their nonzero off-diagonal entries, with K' =
-    K[sigma][sigma]; None when the diagram it builds is not K' or does not
-    have the ``oracle`` Coxeter factorization, so no wiring passes."""
+def _passes(row: FixtureRow, oracle) -> bool:
+    """Whether the row's rule diagram is its K-lattice diagram with the
+    ``oracle`` Coxeter factorization; an unbuildable K-lattice Gram raises."""
     k_gram = klattice.row_gram(row)
-    sigma = correspondence(row)
-    t, a = t_graph(row.dolgachev), CASE_TAGS[row.case_tag]
-    labels = [*t.vertices, *(f"B{k}" for k in range(1, a + 1))]
-    implied = {
-        frozenset((labels[i], labels[j])): k_gram[sigma[i], q]
-        for i in range(t.rank, len(sigma))
-        for j, q in enumerate(sigma)
-        if j != i and k_gram[sigma[i], q]
-    }
-    diagram = extend(t, a, [(*pair, w) for pair, w in implied.items()])
-    if not equal_under_correspondence(row, diagram.gram, k_gram):
-        return None
-    fac = coxeter_element(diagram.gram).factorization
-    return implied if fac.is_cyclotomic and fac.factors == oracle.factors else None
+    try:
+        rule = diagram_for_row(row)
+    except ValueError:
+        return False
+    if not equal_under_correspondence(row, rule.gram, k_gram):
+        return False
+    fac = coxeter_element(rule.gram).factorization
+    return fac.is_cyclotomic and fac.factors == oracle.factors
 
 
 def calibrate(rows, oracle_fac) -> ConventionTable:
-    """Check that every row implies the committed wiring of its case: its
-    rule diagram has the oracle characteristic polynomial (``oracle_fac(row)``,
-    a cyclotomic factorization) and equals the K-lattice diagram under
-    :func:`correspondence`.  Returns the committed table restricted to the
-    cases the rows reach; CalibrationFailed maps every case with a failing
-    row to all its rows.
-
-    Each row is judged once (:func:`_implied_edges`), and the committed
-    wiring by its edge map (:func:`_edge_map`) alone.  That is exact: an
-    extension edge has a B endpoint, two distinct endpoints and a sign of
-    +-1, so the rule Gram R is the ``t_graph`` block, -2 on each B diagonal,
-    the edge map in the B rows and 0 elsewhere.  So R equals K', the
-    K-lattice Gram in rule order, exactly when K' has that block and those
-    diagonals, which the implied diagram checks once, and the two edge maps
-    are equal; an edge naming a curve the diagram lacks is in no implied map.
-    Then R is K', so the Coxeter verdict is the row's too.  A case with a row
-    that implies no map (None) fails before any edge map is built.
-    """
-    cases: dict[str, list] = {}
+    """Check that each row's rule diagram (:func:`diagram_for_row`) equals
+    its K-lattice diagram under :func:`correspondence` and has the oracle
+    characteristic polynomial (``oracle_fac(row)``, cyclotomic), judging
+    every row in order before any verdict.  Returns the committed table
+    restricted to the cases the rows reach; CalibrationFailed maps every
+    case with a failing row to all its rows."""
+    cases: dict[str, list[str]] = {}
+    failing = set()
     for row in rows:
-        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
-    committed = committed_convention().cases
-    failing = {
-        key: [row.name for row, _ in judged]
-        for key, judged in sorted(cases.items())
-        if any(edges is None for _, edges in judged)
-        or any(_edge_map(row, committed[key]) != edges for row, edges in judged)
-    }
+        key = case_key(row)
+        cases.setdefault(key, []).append(row.name)
+        if not _passes(row, oracle_fac(row)):
+            failing.add(key)
     if failing:
-        raise CalibrationFailed("the K-lattice does not imply the committed wiring", failing)
+        report = {key: cases[key] for key in sorted(failing)}
+        raise CalibrationFailed("the K-lattice does not imply the committed wiring", report)
+    committed = committed_convention().cases
     return ConventionTable({key: committed[key] for key in sorted(cases)})

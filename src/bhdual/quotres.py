@@ -128,31 +128,28 @@ def exceptional_components_met(curve: SparsePoly, k: int) -> list[int]:
     E_i is {u_i = 0} in chart i and {v_(i+1) = 0} in chart i+1.  Chart i puts
     the line (d, c') at (i*d + c', (i-1)*d + c'); with p, q the least
     exponents, the unit is nonzero at the origin iff a line sits at (p, q),
-    and non-constant on {u = 0} ({v = 0}) iff another line has u-exponent p
-    (v-exponent q).  So the transform meets E_i iff two u-exponents, as lines
-    in i, tie at their minimum in chart i, or two v-exponents in chart i+1.
-    Z^m + Y has the lines (0, m) and (-1, k): u-exponents m and k - i tie at
-    i = k - m, v-exponents m and k - i + 1 at i = k - m + 1, and elsewhere
-    one term is below in both.  So it meets exactly E_(k-m), whatever
-    gcd(m, k).  Z^2 + Y^2 has (0, 2) and (-2, 2k): 2 = 2k - 2i at i = k - 1,
-    2 = 2k - 2i + 2 at i = k, so it meets E_(k-1).
+    and non-constant on {u = 0} iff another line has u-exponent p.  Once
+    every chart passes that origin check, the transform misses the one point
+    of E_i outside chart i (chart i+1's origin), so E_i is read on chart i
+    alone: it is met iff two u-exponents, as lines in i, tie at their
+    minimum.  Z^m + Y has the lines (0, m) and (-1, k), whose u-exponents m
+    and k - i tie only at i = k - m: it meets exactly E_(k-m), whatever
+    gcd(m, k).  Z^2 + Y^2 has (0, 2) and (-2, 2k), tied at i = k - 1.
     """
     if k < 2:
         return []
     lines = _lines(curve, k)
     if not lines:
         raise ValueError("curve image is zero in this chart")
-    met = set()
+    met = []
     for i in range(1, k + 1):
         points = [(i * d + c, (i - 1) * d + c) for d, c in lines]
         p, q = min(u for u, _ in points), min(v for _, v in points)
         if (p, q) not in points:
             raise ValueError("unit factor vanishes at the chart origin")
         if i < k and any(u == p and v != q for u, v in points):
-            met.add(i)
-        if i > 1 and any(v == q and u != p for u, v in points):
-            met.add(i - 1)
-    return sorted(met)
+            met.append(i)
+    return met
 
 
 def branch_count_at_attachment(curve: SparsePoly, k: int, component: int) -> int:

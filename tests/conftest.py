@@ -215,16 +215,10 @@ def reading_edges(row, reading, case):
     return edges
 
 
-def reading_edge_map(row, reading, case):
-    """:func:`reading_edges` as {frozenset({s, t}): w}, later edges winning,
-    as dynkin._edge_map reads the committed wiring."""
-    return {frozenset((s, t)): w for s, t, w in reading_edges(row, reading, case)}
-
-
 def rule_diagram(row, reading, case):
     """The row's rule diagram under one position reading and one case
-    convention: the diagram dynkin.calibrate judges by its edge map without
-    building it."""
+    convention; under outside-minus and the committed case, the diagram
+    dynkin.diagram_for_row builds."""
     return extend(t_graph(row.dolgachev), CASE_TAGS[row.case_tag], reading_edges(row, reading, case))
 
 

@@ -326,7 +326,7 @@ class TestVerify:
 
     def test_verify_and_calibrate_skip_the_dense_product(self, monkeypatch):
         # the Coxeter layer applies tau as its reflections: the bh verify
-        # report and the calibration search multiply by no IntMatrix
+        # report and the calibration check multiply by no IntMatrix
         def dense(matrix, packed):
             raise LookupError("IntMatrix.times_packed")
 

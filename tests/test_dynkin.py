@@ -6,7 +6,6 @@ from bhdual.coxeter import coxeter_element
 from bhdual.dynkin import (
     CalibrationFailed,
     ConventionTable,
-    _implied_edges,
     calibrate,
     case_key,
     committed_convention,
@@ -19,9 +18,10 @@ from bhdual.dynkin import (
 )
 from bhdual.exactalg import CyclotomicFactorization, IntMatrix, IntPolynomial
 from bhdual.fixtures import load_rows, row_by_name
-from bhdual.klattice import generator_list, row_gram
+from bhdual.klattice import TWISTED, generator_list, row_gram
+from bhdual.quotres import exceptional_components_met, invariant_image
 from bhdual.series import transpose_monodromy
-from conftest import READINGS, case_candidates, reading_edge_map, reading_edges, rule_diagram
+from conftest import READINGS, case_candidates, reading_edges, rule_diagram
 
 
 def wrong_oracle(row):
@@ -108,25 +108,54 @@ class TestExtend:
         assert str(raised.value) == "the edge B2 -- E3_2 names E3_2, a curve the diagram lacks"
         assert not isinstance(raised.value, KeyError)
 
+    def test_arm_rule_is_the_lemma_component_less_one(self):
+        # on the untwisted rows the stored attachment table hangs arm i at the
+        # component the resolution lemma gives for (beta_i, alpha_i), less
+        # one: alpha - beta - 1, the position extension_edges reads
+        untwisted = [row for row in load_rows() if row.case_tag not in TWISTED]
+        assert len(untwisted) == 14
+        for row in untwisted:
+            lemma = {}
+            for arm, (alpha, (_, beta)) in enumerate(zip(row.dolgachev, row.alpha_beta), start=1):
+                [c] = exceptional_components_met(invariant_image(beta, alpha), alpha)
+                if c >= 2:
+                    lemma[arm] = c - 1
+            assert row.attachment_table.arms == lemma, row.name
 
-def implied_by_case(rows, oracle_fac):
-    """case key -> [(row, its implied edge map)], keys sorted."""
+
+def judged_by_case(rows, oracle_fac):
+    """case key -> [(row, its K-lattice Gram, its oracle verdict)], keys
+    sorted; the verdict is whether the K-lattice Gram in rule order has the
+    oracle Coxeter factorization, which a variant equal to it shares."""
     cases = {}
     for row in rows:
-        cases.setdefault(case_key(row), []).append((row, _implied_edges(row, oracle_fac(row))))
+        k_gram = row_gram(row)
+        fac = coxeter_element(IntMatrix(k_lattice_in_rule_order(row, k_gram))).factorization
+        verdict = fac.is_cyclotomic and fac.factors == oracle_fac(row).factors
+        cases.setdefault(case_key(row), []).append((row, k_gram, verdict))
     return dict(sorted(cases.items()))
 
 
+def variant_fits(judged, reading, candidate):
+    """Whether the variant's diagram under ``reading`` is the K-lattice
+    diagram of every judged row and each row's oracle verdict holds; a
+    diagram that cannot be built fits no row."""
+    for row, k_gram, verdict in judged:
+        try:
+            gram = rule_diagram(row, reading, candidate).gram
+        except ValueError:
+            return False
+        if not (verdict and equal_under_correspondence(row, gram, k_gram)):
+            return False
+    return True
+
+
 def fitting_variants(reading):
-    """case key -> the variants of tests/conftest.py whose edge map under
-    ``reading`` equals the implied map of every row of the case."""
+    """case key -> the variants of tests/conftest.py that fit every row of
+    the case under ``reading``."""
     return {
-        key: [
-            candidate
-            for candidate in case_candidates(key)
-            if all(reading_edge_map(row, reading, candidate) == edges for row, edges in judged)
-        ]
-        for key, judged in implied_by_case(load_rows(), transpose_monodromy).items()
+        key: [candidate for candidate in case_candidates(key) if variant_fits(judged, reading, candidate)]
+        for key, judged in judged_by_case(load_rows(), transpose_monodromy).items()
     }
 
 
@@ -174,10 +203,10 @@ class TestCalibration:
         assert info.value.report == {"a5": ["E_20"]}
 
     @pytest.mark.parametrize("u, v", [("EinfL", "EinfU"), ("B1", "B1")])
-    def test_k_lattice_outside_the_edge_maps_fails_the_row(self, monkeypatch, u, v):
-        # an edge map fixes only the off-diagonal entries of the B rows: a
-        # K-lattice whose core block or B diagonal differs from the rule's
-        # fails the row under every candidate
+    def test_k_lattice_unlike_the_rule_diagram_fails_the_row(self, monkeypatch, u, v):
+        # the extension edges fix only the off-diagonal entries of the B
+        # rows: a K-lattice whose core block or B diagonal differs from the
+        # rule diagram's fails the row too
         row = row_by_name("E_20")
         vertices, sigma = diagram_for_row(row).vertices, correspondence(row)
         p, q = sigma[vertices.index(u)], sigma[vertices.index(v)]
@@ -188,25 +217,43 @@ class TestCalibration:
             calibrate([row], transpose_monodromy)
         assert info.value.report == {"a5": ["E_20"]}
 
+    def test_unbuildable_rule_diagram_fails_the_row(self):
+        # beta_3 > alpha_3 puts S_16's arm-3 attachment before the arm's
+        # outer end, a curve the rule diagram lacks: the row fails
+        row = row_by_name("S_16")
+        row = row._replace(alpha_beta=(*row.alpha_beta[:2], (7, 9)))
+        with pytest.raises(CalibrationFailed) as info:
+            calibrate([row], transpose_monodromy)
+        assert info.value.report == {"a2": ["S_16"]}
+
+    def test_unbuildable_k_lattice_raises(self):
+        # J_3,0 with alpha_3 = 2 lacks E3_2, which both its twist class and
+        # its fixed slot name; the K-lattice Gram is built first, so its
+        # error propagates instead of failing the row
+        row = row_by_name("J_3,0")._replace(dolgachev=(2, 3, 2))
+        with pytest.raises(ValueError) as raised:
+            calibrate([row], transpose_monodromy)
+        assert str(raised.value) == "generator T_E3_1(E3_2) names E3_2, a curve the configuration lacks"
+
 
 class TestCalibrationRejectsCheaplyFirst:
     @pytest.mark.parametrize("path", ["success", "failure"])
     def test_coxeter_element_only_for_isomorphic_candidates(self, monkeypatch, path):
-        # a row reaches the Coxeter element at most once, on the diagram its
-        # K-lattice implies, and only once that diagram equals the K-lattice
-        # diagram under the correspondence
+        # a row reaches the Coxeter element at most once, on its rule
+        # diagram, and only once that diagram equals the K-lattice diagram
+        # under the correspondence
         calls = []
         current = {}
 
-        def traced_implied(row, oracle):
+        def traced_rule(row):
             current["row"] = row
-            return _implied_edges(row, oracle)
+            return diagram_for_row(row)
 
         def traced_coxeter(gram):
             calls.append((current["row"], gram))
             return coxeter_element(gram)
 
-        monkeypatch.setattr(dynkin, "_implied_edges", traced_implied)
+        monkeypatch.setattr(dynkin, "diagram_for_row", traced_rule)
         monkeypatch.setattr(dynkin, "coxeter_element", traced_coxeter)
         if path == "success":
             rows = load_rows()
@@ -240,21 +287,20 @@ class TestCalibrationJudgesEachDiagramOnce:
         return work
 
     def test_failure_path_one_isomorphism_test_per_distinct_diagram(self, monkeypatch):
-        # E_20's case draws no candidate wiring, since the wrong oracle leaves
-        # the row no implied edge map; the one diagram built and compared is
-        # the one its K-lattice implies, which equals the K-lattice diagram,
-        # and the wrong oracle rejects its Coxeter element
+        # the one diagram built and compared is E_20's rule diagram, which
+        # equals the K-lattice diagram, and the wrong oracle rejects its
+        # Coxeter element
         work = self.count_work(monkeypatch)
         row = row_by_name("E_20")
         with pytest.raises(CalibrationFailed):
             calibrate([row], wrong_oracle)
-        implied = k_lattice_in_rule_order(row, row_gram(row))
-        assert work["built"] == [implied]
-        assert work["compared"] == [("E_20", implied)]
+        k_prime = k_lattice_in_rule_order(row, row_gram(row))
+        assert work["built"] == [k_prime]
+        assert work["compared"] == [("E_20", k_prime)]
 
     def test_success_path_keeps_no_reference(self, monkeypatch):
-        # every row builds one diagram, the one its K-lattice implies, and
-        # compares it once against its K-lattice Gram
+        # every row builds one diagram, its rule diagram, and compares it
+        # once against its K-lattice Gram
         work = self.count_work(monkeypatch)
         rows = load_rows()
         assert calibrate(rows, transpose_monodromy) == committed_convention()
@@ -262,34 +308,9 @@ class TestCalibrationJudgesEachDiagramOnce:
         assert work["compared"] == [(row.name, k_lattice_in_rule_order(row, row_gram(row))) for row in rows]
         assert work["built"] == [entries for _, entries in work["compared"]]
 
-    def test_edge_map_verdict_is_the_gram_verdict(self):
-        # calibrate judges a candidate by its edge map alone; that verdict is
-        # the one of building the candidate's Gram and comparing it with the
-        # K-lattice Gram under the correspondence, where a candidate whose
-        # edge names a curve the diagram lacks fails
-        checked, passed = 0, set()
-        for row in load_rows():
-            k_gram = row_gram(row)
-            implied = _implied_edges(row, transpose_monodromy(row))
-            assert implied is not None, row.name
-            for reading in READINGS:
-                for candidate in case_candidates(case_key(row)):
-                    verdict = reading_edge_map(row, reading, candidate) == implied
-                    try:
-                        expected = equal_under_correspondence(row, rule_diagram(row, reading, candidate).gram, k_gram)
-                    except ValueError:
-                        expected = False
-                    assert verdict is expected, (row.name, reading, candidate)
-                    checked += 1
-                    if verdict:
-                        passed.add(row.name)
-        assert checked == 3264
-        assert passed == {row.name for row in load_rows()}
-
     def test_extension_keeps_the_core_block(self):
-        # a candidate is judged by its extension edges: every candidate
-        # diagram carries t_graph(alpha) unchanged in its top-left block, so
-        # the edges determine the rest of the diagram
+        # every variant diagram carries t_graph(alpha) unchanged in its
+        # top-left block, so its extension edges determine the rest
         for row in load_rows():
             core = t_graph(row.dolgachev).gram.entries
             k = len(core)
@@ -324,13 +345,10 @@ def walk_every_variant(rows, oracle_fac):
     """The search that calibrate replaced: the first reading under which
     every case has a variant that fits all its rows, with the first such
     variant of each case; None when no reading has one for every case."""
-    cases = implied_by_case(rows, oracle_fac)
+    cases = judged_by_case(rows, oracle_fac)
     for reading in READINGS:
         table = {
-            key: next(
-                (c for c in case_candidates(key) if all(reading_edge_map(row, reading, c) == e for row, e in judged)),
-                None,
-            )
+            key: next((c for c in case_candidates(key) if variant_fits(judged, reading, c)), None)
             for key, judged in cases.items()
         }
         if None not in table.values():
@@ -367,13 +385,14 @@ class TestCalibrationSkipsDeadCases:
 
     @pytest.mark.parametrize("names, wrong", [(["E_20"], {"E_20"}), (["E_20", "Z_19", "Q_18"], {"Q_18"})])
     def test_dead_case_draws_no_candidate(self, monkeypatch, names, wrong):
+        # no candidate wiring is drawn: each row builds its committed rule
+        # diagram once (one extension_edges call), whether its case is dead
+        # (the oracle is wrong for one of its rows) or live
         seen = self.spy(monkeypatch)
         rows = [row_by_name(name) for name in names]
-        # a case with a row that implies no edge map builds none, not even
-        # for its rows that imply one
         assert search_outcome(calibrate, rows, wrong) == {"a5": names}
-        assert seen == []
-        # the spy sees a live case's check
+        assert seen == names
+        seen.clear()
         assert calibrate(rows, transpose_monodromy).cases == {"a5": committed_convention().cases["a5"]}
         assert seen == names
 
@@ -396,17 +415,19 @@ class TestCalibrationSkipsDeadCases:
         assert search_outcome(calibrate, rows, wrong) == report
 
     def test_live_case_with_another_wiring_is_reported_beside_a_dead_case(self, monkeypatch):
-        # every a3 row implies an edge map, but not the wiring committed
-        # here (one a3 sign flipped); a5 is dead under the wrong oracle for
-        # Q_18; one report names both cases with all their rows, and a2 and
-        # a2_r1, which pass, not at all
+        # every a3 row's K-lattice has the oracle Coxeter factorization, but
+        # the wiring committed here (one a3 sign flipped) is not its
+        # K-lattice diagram; a5 is dead under the wrong oracle for Q_18; one
+        # report names both cases with all their rows, and a2 and a2_r1,
+        # which pass, not at all
         table = committed_convention()
         flipped = table.cases["a3"]._replace(bullet_edges=((1, 3, 1), (2, 3, 1)))
         monkeypatch.setattr(dynkin, "committed_convention", lambda: ConventionTable({**table.cases, "a3": flipped}))
         rows = load_rows()
         report = {key: [row.name for row in rows if case_key(row) == key] for key in ("a3", "a5")}
         assert [len(names) for names in report.values()] == [5, 3]
-        assert all(_implied_edges(row, transpose_monodromy(row)) for row in rows)
+        judged = judged_by_case(rows, transpose_monodromy)["a3"]
+        assert all(verdict for _, _, verdict in judged)
         assert search_outcome(calibrate, rows, {"Q_18"}) == report
         assert search_outcome(calibrate, rows, set()) == {"a3": report["a3"]}
 
@@ -416,9 +437,9 @@ class TestCalibrationSkipsDeadCases:
     )
     @settings(max_examples=15, deadline=None)
     def test_same_outcome_as_walking_every_candidate(self, names, wrong):
-        # a wrong oracle leaves its row no edge map, so its case is dead and
-        # is reported with all its rows; with no dead case, calibrate returns
-        # what a walk of every variant under every reading finds first
+        # a wrong oracle fails its row, so its case is dead and is reported
+        # with all its rows; with no dead case, calibrate returns what a walk
+        # of every variant under every reading finds first
         rows = [row_by_name(name) for name in names]
         dead = {case_key(row) for row in rows if row.name in wrong}
         outcome = search_outcome(calibrate, rows, wrong)

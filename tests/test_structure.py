@@ -289,10 +289,17 @@ def test_one_correspondence_check():
     # bh verify and calibration (in the per-row step it calls) compare the
     # rule diagram with the K-lattice Gram through the same dynkin function,
     # and only dynkin reads the vertex correspondence; no module keeps an
-    # isomorphism search
+    # isomorphism search, and the one rule-diagram builder is the only
+    # caller of extend
     assert "equal_under_correspondence" in _called(_function("cli.py", "verify_row"))
-    assert "_implied_edges" in _called(_function("dynkin.py", "calibrate"))
-    assert "equal_under_correspondence" in _called(_function("dynkin.py", "_implied_edges"))
+    assert "_passes" in _called(_function("dynkin.py", "calibrate"))
+    assert {"diagram_for_row", "equal_under_correspondence"} <= _called(_function("dynkin.py", "_passes"))
+    extenders = {
+        name
+        for name, node in _function_nodes(PACKAGE / "dynkin.py")
+        if isinstance(node, ast.Call) and "extend" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert extenders == {"diagram_for_row"}
     readers = {
         path.name for path in PACKAGE.glob("*.py") if "correspondence" in _called(_tree(path.name))
     }
@@ -705,7 +712,7 @@ def test_every_error_class_is_caught_or_carries_data():
 
 
 def test_calibration_checks_the_committed_wiring():
-    # calibrate compares each row's implied edges with the committed wiring:
+    # calibrate checks each row's rule diagram under the committed wiring:
     # no variant stream, no position readings and no itertools.product for
     # them; extension_edges reads arm positions by its one rule, so it takes
     # the row and the case and nothing else
