@@ -31,6 +31,29 @@ class Frozen:
 
 
 # ---------------------------------------------------------------------------
+# polynomial text: the one notation of every polynomial the package writes
+# ---------------------------------------------------------------------------
+
+def monomial(names, exponents) -> str:
+    """The monomial with these exponents on these names: x for x^1, no factor
+    for x^0, x^e otherwise (a negative e as u^-1), and "" for the monomial 1."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exponents) if e)
+
+
+def signed_sum(terms) -> str:
+    """(monomial, nonzero coefficient) terms, in order, as one signed sum:
+    c*m, with a coefficient of +-1 dropped unless m is 1, and a negative term
+    subtracted; "0" when there are no terms."""
+    text = ""
+    for mono, c in terms:
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        text += (" - " if c < 0 else " + ") + body
+    if not text:
+        return "0"
+    return ("-" if text.startswith(" - ") else "") + text[3:]
+
+
+# ---------------------------------------------------------------------------
 # IntPolynomial
 # ---------------------------------------------------------------------------
 
@@ -101,21 +124,7 @@ class IntPolynomial(Frozen):
         return IntPolynomial(out)
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficients[k]
-            if c == 0:
-                continue
-            term = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
-            mag = abs(c)
-            body = term if (mag == 1 and k > 0) else (str(mag) if k == 0 else f"{mag}*{term}")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((monomial("t", (k,)), c) for k, c in reversed(list(enumerate(self.coefficients))) if c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ rejected, and so is a '*' with no factor after it.
 """
 from __future__ import annotations
 
-from .exactalg import Frozen, IntMatrix, det_bareiss
+from .exactalg import Frozen, IntMatrix, det_bareiss, monomial, signed_sum
 
 
 class ParseError(ValueError):
@@ -157,16 +157,7 @@ def transpose(f: InvertiblePolynomial) -> InvertiblePolynomial:
 
 def render(f: InvertiblePolynomial) -> str:
     """Canonical text form; parse_polynomial(render(f)) reproduces f exactly."""
-    monomials = []
-    for row in f.matrix.entries:
-        factors = []
-        for name, e in zip(f.variables, row):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        monomials.append("*".join(factors) if factors else "1")
-    return " + ".join(monomials)
+    return signed_sum((monomial(f.variables, row), 1) for row in f.matrix.entries)
 
 
 def infer_variables(text: str) -> tuple[str, ...]:

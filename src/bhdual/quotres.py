@@ -15,7 +15,7 @@ and branch count derived here.
 """
 from __future__ import annotations
 
-from .exactalg import Frozen, IntPolynomial, gcd_degree
+from .exactalg import Frozen, IntPolynomial, gcd_degree, monomial, signed_sum
 
 
 class SparsePoly(Frozen):
@@ -47,21 +47,7 @@ class SparsePoly(Frozen):
         return {key[1 - axis]: c for key, c in self.terms if key[axis] == 0}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = "uv" if len(self.terms[0][0]) == 2 else "XYZ"
-        parts = []
-        for exps, coeff in self.terms:
-            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
-            if not body:
-                parts.append(f"{coeff}")
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return signed_sum((monomial("uv" if len(exps) == 2 else "XYZ", exps), c) for exps, c in self.terms)
 
 
 def _lines(curve: SparsePoly, k: int) -> dict[tuple[int, int], int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exactalg import IntMatrix, det_bareiss
+from .exactalg import IntMatrix, det_bareiss, monomial
 from .polyparse import InvertiblePolynomial
 
 
@@ -46,8 +46,8 @@ class AmbientWeights(NamedTuple):
 
     @property
     def compactifier(self) -> str:
-        power = f"w^{self.exponent}"
-        return power if self.coord is None else f"{'xyz'[self.coord]}*{power}"
+        x, y, z = (int(i == self.coord) for i in range(3))
+        return monomial("xyzw", (x, y, z, self.exponent))
 
 
 def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:

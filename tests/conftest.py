@@ -286,3 +286,59 @@ def _reflect(x, root, conf):
 @pytest.fixture
 def reflect():
     return _reflect
+
+
+# IntPolynomial.__str__, SparsePoly.__str__ and polyparse.render as they were
+# written before they shared exactalg.monomial and exactalg.signed_sum,
+# verbatim but for the receiver's name: the tests' reference for the two rules.
+
+def int_polynomial_text(p: IntPolynomial) -> str:
+    """IntPolynomial.__str__ as it was: terms from the highest degree down."""
+    if not p.coefficients:
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = p.coefficients[k]
+        if c == 0:
+            continue
+        term = "1" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        mag = abs(c)
+        body = term if (mag == 1 and k > 0) else (str(mag) if k == 0 else f"{mag}*{term}")
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
+
+
+def sparse_poly_text(poly: SparsePoly) -> str:
+    """SparsePoly.__str__ as it was: u, v or X, Y, Z by arity, in term order."""
+    if not poly.terms:
+        return "0"
+    names = "uv" if len(poly.terms[0][0]) == 2 else "XYZ"
+    parts = []
+    for exps, coeff in poly.terms:
+        body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+        if not body:
+            parts.append(f"{coeff}")
+        elif coeff == 1:
+            parts.append(body)
+        elif coeff == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{coeff}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def render_text(f) -> str:
+    """polyparse.render as it was, with its "1" for a monomial of no factor."""
+    monomials = []
+    for row in f.matrix.entries:
+        factors = []
+        for name, e in zip(f.variables, row):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        monomials.append("*".join(factors) if factors else "1")
+    return " + ".join(monomials)

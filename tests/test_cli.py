@@ -25,6 +25,9 @@ COMMAND_OUTPUTS_SHA256 = "055d37067d7eb53dc336e197876795ac01537cf26bf623778d85fd
 #: c2 for 1 <= m < k <= 20 and c2double for 2 <= k <= 20, each with and
 #: without --symbolic
 LEMMA_OUTPUTS_SHA256 = "7a6f01666c85b028b827f78729e7ed31ed261d1a4edfef5f6d890461c9be28ce"
+#: sha256 over the 80 bh transpose runs, each with its exit code and stderr:
+#: f and f_T of every row, with inferred variables and with --vars z,y,x
+TRANSPOSE_OUTPUTS_SHA256 = "2306e896d765a429da8ce760a1a5d85a9db3df0f83a021e75e8d0909a4c69337"
 #: sha256 of the bh tables stdout
 TABLES_SHA256 = "5240dd9d45660b528d13077dd45126f599dffca3f7a3314d8a2e2fb3cde0e7ff"
 #: what the dolgachev stage (curveconf.arms) says of a Dolgachev triple
@@ -133,6 +136,39 @@ class TestFuzz:
         for command in ("weights", "transpose"):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert main([command, text]) in (0, 2), (command, text)
+
+    @given(
+        st.sampled_from(["c2", "c2double"]),
+        st.one_of(st.none(), st.integers(-3, 45)),
+        st.integers(-3, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lemma_exits_cleanly(self, which, m, k, symbolic):
+        # any --m and --k around the swept range, with or without the
+        # charts, ends in a clean exit code, never an exception
+        argv = ["lemma", which, "--k", str(k)]
+        if m is not None:
+            argv += ["--m", str(m)]
+        if symbolic:
+            argv.append("--symbolic")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2), argv
+
+
+def test_transpose_outputs_pinned(capsys):
+    # render writes the transpose of every stored polynomial under two
+    # variable orders: any refactor of the printer must keep all 80 outputs
+    digest = hashlib.sha256()
+    count = 0
+    for row in load_rows():
+        for text in (row.f, row.f_T):
+            for order in ((), ("--vars", "z,y,x")):
+                argv = ("transpose", text, *order)
+                digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+                count += 1
+    assert count == 80
+    assert digest.hexdigest() == TRANSPOSE_OUTPUTS_SHA256
 
 
 class TestDiagram:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhdual.exactalg import (
     CyclotomicFactorization,
@@ -19,7 +19,7 @@ from bhdual.exactalg import (
     gcd_degree,
     square_root_spectrum,
 )
-from conftest import cyclotomic, long_division
+from conftest import cyclotomic, int_polynomial_text, long_division
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of
 from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
@@ -100,6 +100,16 @@ class TestPolyArith:
     def test_str(self):
         assert str(poly(-1, 0, 1)) == "t^2 - 1"
         assert str(P.zero()) == "0"
+
+    @given(st.lists(st.integers(-3, 3), max_size=10))
+    @example([])
+    @example([0, 0])
+    @example([1])
+    @example([-1, 0, 0])
+    def test_str_matches_the_reference(self, coefficients):
+        # the zero polynomial, trailing zeros and +-1 constants included
+        p = P(coefficients)
+        assert str(p) == int_polynomial_text(p)
 
 
 def root_product(exponents):

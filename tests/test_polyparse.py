@@ -13,6 +13,7 @@ from bhdual.polyparse import (
     render,
     transpose,
 )
+from conftest import render_text
 
 XYZ = ("x", "y", "z")
 
@@ -223,6 +224,24 @@ def test_render_parse_round_trip(entries):
     variables = XYZ[: len(entries)]
     f = InvertiblePolynomial(IntMatrix(entries), variables)
     assert parse_polynomial(render(f), variables) == f
+
+
+@st.composite
+def named_invertible_polynomials(draw):
+    """An invertible exponent matrix with n = 1..4 and entries 0..5, over the
+    first n names of a shuffled w, x, y, z."""
+    n = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=n, max_size=n).filter(
+            lambda rows: det_bareiss(IntMatrix(rows)) != 0
+        )
+    )
+    return InvertiblePolynomial(IntMatrix(rows), draw(st.permutations("wxyz"))[:n])
+
+
+@given(named_invertible_polynomials())
+def test_render_matches_the_reference(f):
+    assert render(f) == render_text(f)
 
 
 @st.composite

@@ -10,7 +10,7 @@ from bhdual.quotres import (
     invariant_image_double,
     proper_transform,
 )
-from conftest import chart, chart_image, components_met_by_chart, proper_transform_by_chart
+from conftest import chart, chart_image, components_met_by_chart, proper_transform_by_chart, sparse_poly_text
 
 
 def transition_image(i, k):
@@ -249,6 +249,26 @@ class TestLaurentPoly:
         assert str(laurent({(0, 0): 1, (0, 1): 1})) == "1 + v"
         assert str(laurent({(2, 3): 1})) == "u^2*v^3"
         assert str(laurent({(0, 0): -2, (1, 0): -1, (1, 1): 4})) == "-2 - u + 4*u*v"
+
+
+@st.composite
+def sparse_polys(draw):
+    """Up to six terms in u, v (exponents -3..5) or in X, Y, Z (exponents
+    0..5) with coefficients -3..3; on a drawn flag every term comes again
+    with the opposite sign, so that all of them cancel."""
+    arity = draw(st.sampled_from([2, 3]))
+    exponent = st.integers(-3, 5) if arity == 2 else st.integers(0, 5)
+    terms = draw(st.lists(st.tuples(st.tuples(*[exponent] * arity), st.integers(-3, 3)), max_size=6))
+    if draw(st.booleans()):
+        terms += [(exps, -c) for exps, c in terms]
+    return SparsePoly(terms)
+
+
+@given(sparse_polys())
+@example(SparsePoly([((0, 0), 2), ((1, -1), -1), ((0, 0), -2), ((1, -1), 1)]))
+@example(SparsePoly([((0, 0, 0), -1), ((0, 2, 1), -3), ((1, 0, 0), 1)]))
+def test_str_matches_the_reference(poly):
+    assert str(poly) == sparse_poly_text(poly)
 
 
 class TestXYZPoly:

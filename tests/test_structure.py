@@ -725,3 +725,53 @@ def test_calibration_checks_the_committed_wiring():
     args = _function("dynkin.py", "extension_edges").args
     assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["row", "case"]
     assert args.vararg is None and args.kwarg is None
+
+
+def _qualified_functions(path):
+    """(qualified name, node) for every top-level function and every method
+    of a package module."""
+    for top in _tree(path.name).body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+
+
+def _writes_exponent(node):
+    """An f-string with '^' right before a formatted value, or a '+' with a
+    string holding '^' on either side."""
+    if isinstance(node, ast.JoinedStr):
+        return any(
+            isinstance(part, ast.Constant) and part.value.endswith("^") and isinstance(after, ast.FormattedValue)
+            for part, after in zip(node.values, node.values[1:])
+        )
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Add)
+        and any(
+            isinstance(side, ast.Constant) and isinstance(side.value, str) and "^" in side.value
+            for side in (node.left, node.right)
+        )
+    )
+
+
+def test_one_polynomial_printer():
+    # every polynomial the package writes goes through exactalg's two rules:
+    # monomial writes the exponents, signed_sum the coefficients and signs,
+    # and each printer is one expression over them.  Two other functions
+    # write '^': bh lemma, whose curve and chart-monomial fields keep the
+    # explicit x^1 and u^0 that its pinned outputs fix, and the Phi notation
+    # of a cyclotomic factorization
+    functions = {
+        f"{path.stem}.{name}": node
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, node in _qualified_functions(path)
+    }
+    for printer in ("exactalg.IntPolynomial.__str__", "quotres.SparsePoly.__str__", "polyparse.render"):
+        body = [s for s in functions[printer].body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+        assert len(body) == 1 and isinstance(body[0], ast.Return), printer
+        assert {"monomial", "signed_sum"} <= _called(functions[printer]), printer
+    writers = {name for name, node in functions.items() if any(map(_writes_exponent, ast.walk(node)))}
+    assert writers == {"exactalg.monomial", "exactalg.CyclotomicFactorization.__str__", "cli.cmd_lemma"}
