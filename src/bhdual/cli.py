@@ -175,7 +175,7 @@ def _stages(row: FixtureRow):
         ("canonical_T", ("f_T",), canonical_weights),
         ("reduced_T", ("canonical_T",), reduce),
         ("a", ("canonical_T",), gorenstein_parameter),
-        ("ambient", ("reduced",), lambda reduced: ambient_weights(reduced, row.compactifier_shape)),
+        ("ambient", ("reduced",), lambda reduced: ambient_weights(reduced, row.compactifier)),
         # the one check of the Dolgachev triple; its readers build from the row
         ("dolgachev", (), lambda: curveconf.arms(row.dolgachev)),
         # the recomputed a and c_f and the Dolgachev alphas: weights_table compares the stored ones

@@ -53,12 +53,6 @@ class FixtureRow(NamedTuple):
     attachment_table: AttachmentTable
     mu: int
 
-    @property
-    def compactifier_shape(self) -> str:
-        """One of 'w', 'x', 'y', 'z': which coordinate accompanies the power of w."""
-        head = self.compactifier.split("*")[0]
-        return head if head in ("x", "y", "z") else "w"
-
 
 def _tuple(value):
     """A JSON list, and every list inside it, as a tuple; any other value as is."""

@@ -29,9 +29,9 @@ class InvertiblePolynomial(Frozen):
     """Exponent matrix plus an ordered tuple of variable names.
 
     Row i of the matrix is the i-th monomial; column j carries the exponents
-    of ``variables[j]``.  All coefficients are normalized to 1.  The matrix
-    has one row per variable, distinct rows, non-negative entries and
-    det != 0.
+    of ``variables[j]``.  All coefficients are normalized to 1.  There is at
+    least one variable, and the matrix has one row per variable, distinct
+    rows, non-negative entries and det != 0.
     """
 
     __slots__ = ("matrix", "variables")
@@ -40,6 +40,8 @@ class InvertiblePolynomial(Frozen):
 
     def __init__(self, matrix: IntMatrix, variables):
         variables = tuple(variables)
+        if not variables:
+            raise ValueError("a polynomial needs at least one variable")
         if len(variables) != matrix.dim:
             raise ValueError(
                 f"{matrix.dim} monomials for {len(variables)} variables"

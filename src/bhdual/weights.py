@@ -12,6 +12,7 @@ import math
 from typing import NamedTuple
 
 from .exactalg import IntMatrix, det_bareiss, monomial
+from .fixtures import VARIABLES
 from .polyparse import InvertiblePolynomial
 
 
@@ -31,23 +32,17 @@ class ReducedWeights(NamedTuple):
 
 
 class AmbientWeights(NamedTuple):
-    """Weights of the ambient weighted projective space and the compactifying
-    monomial (over homogeneous coordinates w,x,y,z): w^exponent times the
-    coordinate x, y or z at index ``coord`` (None: the plain power of w)."""
+    """Weights (q0, q1, q2, q3) of the ambient weighted projective space and
+    the exponent row of the compactifying monomial, both over the homogeneous
+    coordinates (w, x, y, z)."""
 
-    q0: int
-    q: tuple[int, int, int]
-    coord: int | None
-    exponent: int
-
-    @property
-    def weights(self) -> tuple[int, int, int, int]:
-        return (self.q0, *self.q)
+    weights: tuple[int, int, int, int]
+    monomial: tuple[int, int, int, int]
 
     @property
     def compactifier(self) -> str:
-        x, y, z = (int(i == self.coord) for i in range(3))
-        return monomial("xyzw", (x, y, z, self.exponent))
+        w, *xyz = self.monomial
+        return monomial((*VARIABLES, "w"), (*xyz, w))
 
 
 def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
@@ -88,45 +83,36 @@ def gorenstein_parameter(wsys: CanonicalWeights) -> int:
     return wsys.d_prime - sum(wsys.w)
 
 
-# compactifier shapes, keyed by the fixture tag: which coordinate multiplies
-# the power of w (the tag "w" is the plain w-power used for the quadrilateral
-# rows; "x", "y", "z" are the three exceptional shapes).
-_COMPACTIFIER_COORD = {"w": None, "x": 0, "y": 1, "z": 2}
-
-
-def ambient_weights(rw: ReducedWeights, compactifier_choice: str) -> AmbientWeights:
+def ambient_weights(rw: ReducedWeights, compactifier: str) -> AmbientWeights:
     """Ambient space P(q0,q1,q2,q3) with q0 = d - q1 - q2 - q3, plus the
-    compactifying monomial of the given shape, of weighted degree exactly d.
+    compactifying monomial of weighted degree exactly d whose shape the text
+    ``compactifier`` names: its head factor, when that is one of the
+    coordinates x, y, z, times a power of w; otherwise the plain power of w.
+    Only the head is read.
 
-    The exponent is numerator // q0 with numerator = d - q[coord] (d for the
-    plain w-power), once q0 divides it.  Its degree is therefore
-    q0 * (numerator // q0) + q[coord] = (d - q[coord]) + q[coord] = d by
-    construction, so no separate degree check is made.
+    The exponent of w is numerator // q0 with numerator = d - q_i for the
+    head's coordinate (d for the plain w-power), once q0 divides it.  Its
+    degree is therefore q0 * (numerator // q0) + q_i = d by construction, so
+    no separate degree check is made.
     """
     if len(rw.q) != 3:
         raise ValueError("ambient weights require a three-variable system")
-    if compactifier_choice not in _COMPACTIFIER_COORD:
-        raise ValueError(f"unknown compactifier shape {compactifier_choice!r}")
     q0 = rw.d - sum(rw.q)
     if q0 <= 0:
         raise ValueError(f"q0 = {q0} is not positive")
-    coord = _COMPACTIFIER_COORD[compactifier_choice]
-    numerator = rw.d if coord is None else rw.d - rw.q[coord]
+    head = compactifier.split("*")[0]
+    coord = tuple(int(v == head) for v in VARIABLES)
+    numerator = rw.d - sum(e * q for e, q in zip(coord, rw.q))
     if numerator % q0 != 0:
         raise ValueError(
             f"compactifier exponent {numerator}/{q0} is not an integer"
         )
-    return AmbientWeights(q0, tuple(rw.q), coord, numerator // q0)
+    return AmbientWeights((q0, *rw.q), (numerator // q0, *coord))
 
 
 def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):
     """Exponent rows of F = f + compactifier over the coordinates (w,x,y,z)."""
-    rows = [(0, *row) for row in f.matrix.entries]
-    extra = [ambient.exponent, 0, 0, 0]
-    if ambient.coord is not None:
-        extra[1 + ambient.coord] = 1
-    rows.append(tuple(extra))
-    return tuple(rows)
+    return (*((0, *row) for row in f.matrix.entries), ambient.monomial)
 
 
 def validate_action(F_monomials, c: int, m) -> bool:

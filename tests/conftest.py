@@ -342,3 +342,14 @@ def render_text(f) -> str:
                 factors.append(f"{name}^{e}")
         monomials.append("*".join(factors) if factors else "1")
     return " + ".join(monomials)
+
+
+#: Kreuzer-Skarke types of invertible polynomials in three variables, as
+#: exponent matrices in the exponents (a, b, c)
+KREUZER_SKARKE = {
+    "fermat": lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)),
+    "chain": lambda a, b, c: ((a, 1, 0), (0, b, 1), (0, 0, c)),
+    "loop": lambda a, b, c: ((a, 1, 0), (0, b, 1), (1, 0, c)),
+    "chain2+fermat": lambda a, b, c: ((a, 1, 0), (0, b, 0), (0, 0, c)),
+    "loop2+fermat": lambda a, b, c: ((a, 1, 0), (1, b, 0), (0, 0, c)),
+}

@@ -73,7 +73,7 @@ def test_c1_table_reproduction():
         reduced = reduce(canonical_weights(poly(row.f)))
         ok &= reduced.c_f == row.c_f
         ok &= gorenstein_parameter(canonical_weights(poly(row.f_T))) == row.a
-        ambient = ambient_weights(reduced, row.compactifier_shape)
+        ambient = ambient_weights(reduced, row.compactifier)
         ok &= ambient.weights == row.ambient
         ok &= ambient.compactifier == row.compactifier
     elapsed = time.monotonic() - started

@@ -28,6 +28,9 @@ LEMMA_OUTPUTS_SHA256 = "7a6f01666c85b028b827f78729e7ed31ed261d1a4edfef5f6d890461
 #: sha256 over the 80 bh transpose runs, each with its exit code and stderr:
 #: f and f_T of every row, with inferred variables and with --vars z,y,x
 TRANSPOSE_OUTPUTS_SHA256 = "2306e896d765a429da8ce760a1a5d85a9db3df0f83a021e75e8d0909a4c69337"
+#: sha256 over the 80 bh weights runs, each with its exit code and stderr:
+#: f and f_T of every row, with inferred variables and with --vars z,y,x
+WEIGHTS_OUTPUTS_SHA256 = "5984a1c993fd4dd0b9425b3486f878116b3a66536dbe74625cd5e15e5b43e94c"
 #: sha256 of the bh tables stdout
 TABLES_SHA256 = "5240dd9d45660b528d13077dd45126f599dffca3f7a3314d8a2e2fb3cde0e7ff"
 #: what the dolgachev stage (curveconf.arms) says of a Dolgachev triple
@@ -66,6 +69,14 @@ class TestTranspose:
     def test_explicit_vars(self, capsys):
         code, _, err = run(capsys, "transpose", "x^2 + y^3", "--vars", "x")
         assert code == 2
+
+    def test_constant_exits_2(self, capsys):
+        # the text names no variable: the monomial count is checked before
+        # any polynomial is built
+        for command in ("weights", "transpose"):
+            code, out, err = run(capsys, command, "1")
+            assert code == 2 and out == ""
+            assert err == "error: 1 monomials for 0 variables\n"
 
 
 class TestWeights:
@@ -169,6 +180,21 @@ def test_transpose_outputs_pinned(capsys):
                 count += 1
     assert count == 80
     assert digest.hexdigest() == TRANSPOSE_OUTPUTS_SHA256
+
+
+def test_weights_outputs_pinned(capsys):
+    # the canonical and reduced systems of every stored polynomial under two
+    # variable orders
+    digest = hashlib.sha256()
+    count = 0
+    for row in load_rows():
+        for text in (row.f, row.f_T):
+            for order in ((), ("--vars", "z,y,x")):
+                argv = ("weights", text, *order)
+                digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+                count += 1
+    assert count == 80
+    assert digest.hexdigest() == WEIGHTS_OUTPUTS_SHA256
 
 
 class TestDiagram:

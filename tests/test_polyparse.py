@@ -125,6 +125,11 @@ class TestInvertiblePolynomial:
         with pytest.raises(ValueError, match="^2 monomials for 3 variables$"):
             InvertiblePolynomial(IntMatrix([[2, 0], [0, 3]]), XYZ)
 
+    def test_no_variables_rejected(self):
+        # the empty matrix has det 1, so no other check refuses it
+        with pytest.raises(ValueError, match="^a polynomial needs at least one variable$"):
+            InvertiblePolynomial(IntMatrix(()), ())
+
 
 class TestTranspose:
     def test_chain_row(self):

@@ -38,7 +38,7 @@ from bhdual.weights import (
     gorenstein_parameter,
     reduce,
 )
-from conftest import cyclotomic, spectrum, spectrum_factors
+from conftest import KREUZER_SKARKE, cyclotomic, spectrum, spectrum_factors
 
 
 def poly(text):
@@ -314,17 +314,6 @@ class TestIndexBeyond132:
         spectrum = CyclotomicFactorization({1: 1, 138: 1}, 1, IntPolynomial.one())
         holds, reason = verify_square_relation(phi, square_root_spectrum(spectrum), 45)
         assert holds, reason
-
-
-#: Kreuzer-Skarke types of invertible polynomials in three variables, as
-#: exponent matrices in the exponents (a, b, c)
-KREUZER_SKARKE = {
-    "fermat": lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)),
-    "chain": lambda a, b, c: ((a, 1, 0), (0, b, 1), (0, 0, c)),
-    "loop": lambda a, b, c: ((a, 1, 0), (0, b, 1), (1, 0, c)),
-    "chain2+fermat": lambda a, b, c: ((a, 1, 0), (0, b, 0), (0, 0, c)),
-    "loop2+fermat": lambda a, b, c: ((a, 1, 0), (1, b, 0), (0, 0, c)),
-}
 
 
 class TestInvertiblePolynomials:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import bhdual
 from bhdual import dynkin, klattice
+from bhdual.weights import AmbientWeights
 
 PACKAGE = Path(bhdual.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -371,7 +372,7 @@ def test_every_record_field_is_read():
         for stmt in node.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
     ]
-    assert len(fields) >= 57  # the 57 fields of the 19 records: the finder still sees them
+    assert len(fields) >= 55  # the 55 fields of the 19 records: the finder still sees them
     classes = {cls for cls, _ in fields}
     returns = {
         node.name: ast.unparse(node.returns).strip("'\"")
@@ -775,3 +776,21 @@ def test_one_polynomial_printer():
         assert {"monomial", "signed_sum"} <= _called(functions[printer]), printer
     writers = {name for name, node in functions.items() if any(map(_writes_exponent, ast.walk(node)))}
     assert writers == {"exactalg.monomial", "exactalg.CyclotomicFactorization.__str__", "cli.cmd_lemma"}
+
+
+def test_one_compactifier_notation():
+    # the compactifying monomial is one exponent row over (w, x, y, z):
+    # weights reads its shape off the stored text and writes it back, the
+    # fixture row derives nothing from its columns, and no other function
+    # splits a monomial at '*'
+    [fixture_row] = [node for node in _tree("fixtures.py").body if getattr(node, "name", None) == "FixtureRow"]
+    assert not [node.name for node in fixture_row.body if isinstance(node, ast.FunctionDef)]
+    splitters = {
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, node in _function_nodes(path)
+        if isinstance(node, ast.Call) and _base_name(node.func) == "split"
+        and any(isinstance(arg, ast.Constant) and arg.value == "*" for arg in node.args)
+    }
+    assert splitters == {"weights.ambient_weights"}
+    assert AmbientWeights._fields == ("weights", "monomial")

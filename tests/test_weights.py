@@ -2,9 +2,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import VARIABLES, load_rows
-from bhdual.polyparse import parse_polynomial
+from bhdual.polyparse import InvertiblePolynomial, parse_polynomial
 from bhdual.weights import (
     CanonicalWeights,
     ReducedWeights,
@@ -16,6 +18,7 @@ from bhdual.weights import (
     reduce,
     validate_action,
 )
+from conftest import KREUZER_SKARKE
 
 
 def poly(text):
@@ -81,28 +84,34 @@ class TestGorensteinParameter:
 
 class TestAmbientWeights:
     def test_plain_w_power(self):
-        amb = ambient_weights(ReducedWeights((3, 5, 9), 18, 2), "w")
-        assert amb.weights == (1, 3, 5, 9)
+        amb = ambient_weights(ReducedWeights((3, 5, 9), 18, 2), "w^18")
+        assert amb == ((1, 3, 5, 9), (18, 0, 0, 0))
         assert amb.compactifier == "w^18"
 
     def test_x_shape(self):
-        amb = ambient_weights(ReducedWeights((6, 22, 33), 66, 1), "x")
-        assert amb.weights == (5, 6, 22, 33)
+        amb = ambient_weights(ReducedWeights((6, 22, 33), 66, 1), "x*w^12")
+        assert amb == ((5, 6, 22, 33), (12, 1, 0, 0))
         assert amb.compactifier == "x*w^12"
 
     def test_z_shape(self):
-        amb = ambient_weights(ReducedWeights((3, 5, 7), 17, 1), "z")
-        assert amb.weights == (2, 3, 5, 7)
+        amb = ambient_weights(ReducedWeights((3, 5, 7), 17, 1), "z*w^5")
+        assert amb == ((2, 3, 5, 7), (5, 0, 0, 1))
         assert amb.compactifier == "z*w^5"
+
+    def test_only_the_head_is_read(self):
+        # the exponent of w is derived: a stored one is not read, and a head
+        # that names no coordinate means the plain power of w
+        assert ambient_weights(ReducedWeights((3, 5, 7), 17, 1), "z*w^99").compactifier == "z*w^5"
+        assert ambient_weights(ReducedWeights((3, 5, 9), 18, 2), "w^99").compactifier == "w^18"
 
     def test_nonpositive_q0(self):
         with pytest.raises(ValueError, match="^q0 = 0 is not positive$"):
-            ambient_weights(ReducedWeights((3, 3, 3), 9, 1), "w")
+            ambient_weights(ReducedWeights((3, 3, 3), 9, 1), "w^9")
 
     def test_nonintegral_exponent(self):
         # d = 17, q0 = 2: the plain w-power would need exponent 17/2
         with pytest.raises(ValueError, match="^compactifier exponent 17/2 is not an integer$"):
-            ambient_weights(ReducedWeights((3, 5, 7), 17, 1), "w")
+            ambient_weights(ReducedWeights((3, 5, 7), 17, 1), "w^9")
 
 
 class TestValidateAction:
@@ -127,7 +136,7 @@ class TestValidateAction:
 
     def test_every_fixture_action(self):
         for row in load_rows():
-            amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier_shape)
+            amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier)
             monomials = compactified_monomials(poly(row.f), amb)
             # m is stored exactly when the group is nontrivial
             assert (row.action_m is None) == (row.action_c == 1), row.name
@@ -164,30 +173,27 @@ class TestFixtureReproduction:
 
     def test_ambient_and_compactifier_columns(self):
         for row in load_rows():
-            amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier_shape)
+            amb = ambient_weights(reduce(canonical_weights(poly(row.f))), row.compactifier)
             assert amb.weights == row.ambient, row.name
             assert amb.compactifier == row.compactifier, row.name
 
     def test_compactifier_has_degree_d(self):
-        # q0 * exponent + q[coord] = d for every shape whose exponent is an
-        # integer; the row's own shape is always one of them
+        # the monomial has degree d for every shape whose exponent is an
+        # integer; the row's own compactifier is always one of them
         for row in load_rows():
             f = poly(row.f)
             rw = reduce(canonical_weights(f))
-            shapes = []
-            for shape in ("w", "x", "y", "z"):
+            written = []
+            for shape in ("w", "x*w", "y*w", "z*w"):
                 try:
                     amb = ambient_weights(rw, shape)
                 except ValueError as exc:
                     assert str(exc).endswith("is not an integer"), exc
                     continue
-                shapes.append(shape)
-                q0 = amb.weights[0]
-                degree = q0 * amb.exponent + (0 if amb.coord is None else rw.q[amb.coord])
-                assert degree == rw.d, (row.name, shape)
-                monomial = compactified_monomials(f, amb)[-1]
-                assert sum(e * q for e, q in zip(monomial, amb.weights)) == rw.d, (row.name, shape)
-            assert row.compactifier_shape in shapes, row.name
+                written.append(amb.compactifier)
+                assert compactified_monomials(f, amb)[-1] == amb.monomial, (row.name, shape)
+                assert sum(e * q for e, q in zip(amb.monomial, amb.weights)) == rw.d, (row.name, shape)
+            assert row.compactifier in written, row.name
 
     def test_congruence_on_reduced_rows(self):
         for row in load_rows():
@@ -209,3 +215,26 @@ class TestFixtureReproduction:
             euler = Fraction(-rw.d, rw.q[0] * rw.q[1] * rw.q[2])
             total = sum(Fraction(al - be, al) for al, be in row.alpha_beta)
             assert (-euler - total).denominator == 1, row.name
+
+
+@given(
+    st.sampled_from(sorted(KREUZER_SKARKE)),
+    st.tuples(*[st.integers(2, 8)] * 3),
+    st.sampled_from(("w", "x*w", "y*w", "z*w")),
+)
+@example("fermat", (2, 3, 7), "w")  # P(1, 21, 14, 6) and w^42
+@example("chain", (3, 3, 2), "y*w")  # P(1, 5, 3, 9) and y*w^15
+@settings(max_examples=200, deadline=None)
+def test_compactifier_of_every_shape(kind, exponents, shape):
+    # ambient_weights either says why no such monomial exists, or returns one
+    # of degree d that its written text reads back to
+    f = InvertiblePolynomial(IntMatrix(KREUZER_SKARKE[kind](*exponents)), VARIABLES)
+    rw = reduce(canonical_weights(f))
+    try:
+        amb = ambient_weights(rw, shape)
+    except ValueError as exc:
+        assert re.fullmatch(r"q0 = -?\d+ is not positive|compactifier exponent \d+/\d+ is not an integer", str(exc)), exc
+        return
+    for row in compactified_monomials(f, amb):
+        assert sum(e * q for e, q in zip(row, amb.weights)) == rw.d, row
+    assert ambient_weights(rw, amb.compactifier) == amb
