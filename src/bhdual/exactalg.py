@@ -1,8 +1,8 @@
 """Exact integer polynomial and matrix arithmetic.
 
 Everything in this module is exact: polynomials are dense lists of Python
-integers, rational functions are quotients of such polynomials kept as
-given and only expanded as power series, and matrix kernels are fraction-free,
+integers, rational functions are quotients of binomials 1 - t^n kept as their
+exponents and only expanded as power series, and matrix kernels are fraction-free,
 with products on rows packed into one integer each (slot width bounded from
 the matrix).  Bareiss elimination is the one elimination kernel: it gives
 determinants and, on Sylvester blocks, the degree of a polynomial gcd.
@@ -88,11 +88,6 @@ class IntPolynomial(Frozen):
     def one() -> "IntPolynomial":
         return IntPolynomial((1,))
 
-    @staticmethod
-    def one_minus_t_n(n: int) -> "IntPolynomial":
-        """1 - t^n"""
-        return IntPolynomial((1,) + (0,) * (n - 1) + (-1,))
-
     @property
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -132,32 +127,23 @@ class IntPolynomial(Frozen):
 # ---------------------------------------------------------------------------
 
 class RationalFunction(NamedTuple):
-    """Quotient of integer polynomials, kept exactly as given."""
+    """prod (1 - t^a) over the exponents a of ``numerator``, divided by
+    prod (1 - t^b) over the exponents b of ``denominator``: two tuples of
+    positive binomial exponents, kept as given."""
 
-    numerator: IntPolynomial
-    denominator: IntPolynomial
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
 
     def series_coefficients(self, k_max: int) -> list[int]:
-        """Taylor coefficients at t=0 up to degree k_max.
-
-        Requires the denominator to be invertible as a power series with
-        integer inverse, i.e. constant term +-1.
-        """
-        den = self.denominator.coefficients
-        num = self.numerator.coefficients
-        if not den or den[0] not in (1, -1):
-            raise ArithmeticError("denominator constant term must be a unit")
-        d0 = den[0]
-        terms = [(j, c) for j, c in enumerate(den) if j and c]
-        out = []
-        for k in range(k_max + 1):
-            acc = num[k] if k < len(num) else 0
-            for j, c in terms:
-                if j > k:
-                    break
-                acc -= c * out[k - j]
-            out.append(acc * d0)
-        return out
+        """Taylor coefficients at t=0 up to degree k_max ([] when k_max < 0):
+        the series 1, divided by each denominator binomial and multiplied by
+        each numerator binomial with one stride step apiece."""
+        s = [int(k == 0) for k in range(k_max + 1)]
+        for b in self.denominator:
+            divide_by_binomial(s, b, 1)
+        for a in self.numerator:
+            divide_by_binomial(s, a, -1)
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -332,25 +318,19 @@ def factor_cyclotomic(p: IntPolynomial) -> CyclotomicFactorization:
     return CyclotomicFactorization({}, unit, p * unit)
 
 
-def square_root_spectrum(c: CyclotomicFactorization) -> CyclotomicFactorization:
-    """Characteristic polynomial of sigma^2 given that of sigma.
+def square_root_spectrum(factors: dict[int, int]) -> dict[int, int]:
+    """Cyclotomic exponents n -> e_n of the characteristic polynomial of
+    sigma^2, given those of sigma.
 
     A primitive n-th root of unity squares to a primitive n-th (n odd),
     (n/2)-th (n = 2 mod 4, bijectively) or (n/2)-th (n = 0 mod 4, two-to-one)
     root, which gives the multiplicity bookkeeping below.
     """
-    if not c.is_cyclotomic:
-        raise ValueError("input factorization has a non-cyclotomic remainder")
     out: dict[int, int] = {}
-    for n, m in c.factors.items():
-        if n % 2 == 1:
-            target, mult = n, m
-        elif n % 4 == 2:
-            target, mult = n // 2, m
-        else:
-            target, mult = n // 2, 2 * m
-        out[target] = out.get(target, 0) + mult
-    return CyclotomicFactorization(out, 1, IntPolynomial.one())
+    for n, m in factors.items():
+        target = n if n % 2 else n // 2
+        out[target] = out.get(target, 0) + (2 * m if n % 4 == 0 else m)
+    return out
 
 
 # ---------------------------------------------------------------------------

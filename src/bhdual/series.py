@@ -13,9 +13,10 @@ That is a handful of gcd/lcm terms, read as cyclotomic exponents; the
 Milnor algebra series prod (1 - T^(d - q_i))/(1 - T^q_i) is only checked to
 be a polynomial, by its own cyclotomic exponents, and never expanded.
 
-phi_f is a quotient of binomials 1 - t^n = -prod_{k | n} Phi_k, so it is kept
-as its cyclotomic exponents n -> e_n, and the identity checks compare
-exponents: no polynomial is multiplied, divided or factored.
+p_f and phi_f are quotients of binomials 1 - t^n = -prod_{k | n} Phi_k.  p_f
+is kept as its binomial exponents and expanded by one stride step per
+binomial; phi_f is kept as its cyclotomic exponents n -> e_n, and the identity
+checks compare exponents: no polynomial is multiplied, divided or factored.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from .exactalg import (
     IntPolynomial,
     RationalFunction,
     cyclotomic_exponents,
-    divide_by_binomial,
     euler_totient,
     square_root_spectrum,
 )
@@ -39,18 +39,19 @@ def poincare_series(wsys: CanonicalWeights) -> RationalFunction:
     """p_f(t) = (1 - t^d') / prod(1 - t^(w_i)) for a three-variable system."""
     if len(wsys.w) != 3:
         raise ValueError("Poincare series requires a three-variable system")
-    den = [1] + [0] * sum(wsys.w)
-    for w in wsys.w:
-        divide_by_binomial(den, w, -1)
-    return RationalFunction(IntPolynomial.one_minus_t_n(wsys.d_prime), IntPolynomial(den))
+    return RationalFunction((wsys.d_prime,), wsys.w)
 
 
 def poincare_bruteforce(wsys: CanonicalWeights, k_max: int) -> list[int]:
-    """dim R_{f,k} for k = 0..k_max by direct monomial enumeration.
+    """dim R_{f,k} for k = 0..k_max, counted from the weights alone.
 
-    The dimension in degree k is the number of monomials of weighted degree k
-    minus the number of weighted degree k - d' (one relation in each degree
-    once f enters).
+    The monomials of weighted degree k are counted by a knapsack over the
+    weights, the coefficients of prod 1/(1 - t^(w_i)); the dimension is that
+    count minus the count in degree k - d' (one relation in each degree once
+    f enters), i.e. the series times (1 - t^d').  It reads the same data as
+    ``poincare_series`` and runs the same stride prefix sums, so the two
+    agree for every weight system: the check confirms the expansion, not
+    anything about f beyond its weights.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -183,8 +184,7 @@ def verify_square_relation(
         return False, "degree exceeds the lattice rank"
     if pad:
         factors[1] = factors.get(1, 0) + pad
-    squared = square_root_spectrum(CyclotomicFactorization(factors, 1, IntPolynomial.one()))
-    if squared.factors == coxeter.factors:
+    if square_root_spectrum(factors) == coxeter.factors:
         return True, "squared spectrum matches"
     return False, "squared spectrum differs"
 

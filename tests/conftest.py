@@ -41,11 +41,32 @@ def long_division(p, d):
     return IntPolynomial(quotient)
 
 
+def one_minus_t(n):
+    """1 - t^n, densely."""
+    return IntPolynomial((1,) + (0,) * (n - 1) + (-1,))
+
+
+def dense_series(numerator, denominator, k_max):
+    """prod (1 - t^a) / prod (1 - t^b) over the exponent tuples, to degree
+    k_max, as the package once expanded it: both products multiplied out,
+    then divided term by term.  The tests' reference for
+    RationalFunction.series_coefficients, which never forms either product."""
+    num = math.prod(map(one_minus_t, numerator), start=IntPolynomial.one()).coefficients
+    den = math.prod(map(one_minus_t, denominator), start=IntPolynomial.one()).coefficients
+    out = []
+    for k in range(k_max + 1):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc)
+    return out
+
+
 @cache
 def cyclotomic(n):
     """Phi_n, densely: t^n - 1 long-divided by Phi_d for every proper divisor d
     of n.  The tests' reference; the package itself never forms Phi_n."""
-    p = IntPolynomial.one_minus_t_n(n) * -1
+    p = one_minus_t(n) * -1
     for d in range(1, n):
         if n % d == 0:
             p = long_division(p, cyclotomic(d))

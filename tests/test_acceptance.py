@@ -34,7 +34,7 @@ from bhdual.weights import (
     gorenstein_parameter,
     reduce,
 )
-from conftest import cyclotomic, mukai_pairing
+from conftest import cyclotomic, mukai_pairing, one_minus_t
 
 ROWS = load_rows()
 
@@ -200,7 +200,7 @@ def test_c9_property_suites(reflect):
         for d in range(1, n + 1):
             if n % d == 0:
                 product = product * cyclotomic(d)
-        ok &= product == IntPolynomial.one_minus_t_n(n) * -1
+        ok &= product == one_minus_t(n) * -1
     # Cayley-Hamilton spot checks for dim <= 6
     samples = [
         IntMatrix([[2]]),

@@ -19,7 +19,7 @@ from bhdual.exactalg import (
     gcd_degree,
     square_root_spectrum,
 )
-from conftest import cyclotomic, int_polynomial_text, long_division
+from conftest import cyclotomic, dense_series, int_polynomial_text, long_division, one_minus_t
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of
 from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
@@ -73,11 +73,11 @@ small_polys = st.builds(P, st.lists(st.integers(-9, 9), max_size=6))
 class TestPolyArith:
     def test_geometric_quotient(self):
         # (1 - t^6) / (1 - t^2) = 1 + t^2 + t^4
-        q = long_division(P.one_minus_t_n(6), P.one_minus_t_n(2))
+        q = long_division(one_minus_t(6), one_minus_t(2))
         assert q == poly(1, 0, 1, 0, 1)
 
     def test_product_coefficients(self):
-        p = P.one_minus_t_n(66) * P.one_minus_t_n(1)
+        p = one_minus_t(66) * one_minus_t(1)
         coeffs = dict(enumerate(p.coefficients))
         assert {k: v for k, v in coeffs.items() if v} == {0: 1, 1: -1, 66: -1, 67: 1}
 
@@ -160,15 +160,26 @@ class TestGcdDegree:
 class TestRationalFunction:
     def test_series_expansion(self):
         # 1/(1-t) = 1 + t + t^2 + ...
-        r = RationalFunction(poly(1), poly(1, -1))
-        assert r.series_coefficients(4) == [1, 1, 1, 1, 1]
+        assert RationalFunction((), (1,)).series_coefficients(4) == [1, 1, 1, 1, 1]
+        # (1 - t^3)/(1 - t) = 1 + t + t^2, and 1 - t^2 alone
+        assert RationalFunction((3,), (1,)).series_coefficients(5) == [1, 1, 1, 0, 0, 0]
+        assert RationalFunction((2,), ()).series_coefficients(3) == [1, 0, -1, 0]
+        # 1/(1-t)^2 = sum (k+1) t^k, the repeated exponent kept twice
+        assert RationalFunction((), (1, 1)).series_coefficients(3) == [1, 2, 3, 4]
+        assert RationalFunction((3,), (1,)).series_coefficients(0) == [1]
+        assert RationalFunction((3,), (1,)).series_coefficients(-1) == []
 
-    def test_non_unit_denominator_is_a_fault(self):
-        # 1/(2 - t) has no integer expansion: ArithmeticError, not ValueError
-        r = RationalFunction(poly(1), poly(2, -1))
-        with pytest.raises(ArithmeticError, match="^denominator constant term must be a unit$") as info:
-            r.series_coefficients(4)
-        assert not isinstance(info.value, ValueError)
+    @given(
+        st.lists(st.integers(1, 30), max_size=4).map(tuple),
+        st.lists(st.integers(1, 30), max_size=4).map(tuple),
+        st.integers(-1, 120),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_reference(self, numerator, denominator, k_max):
+        # one stride step per binomial against both products multiplied out
+        # and divided term by term
+        r = RationalFunction(numerator, denominator)
+        assert r.series_coefficients(k_max) == dense_series(numerator, denominator, k_max)
 
 
 class TestCyclotomic:
@@ -187,7 +198,7 @@ class TestCyclotomic:
             for d in range(1, n + 1):
                 if n % d == 0:
                     product = product * cyclotomic(d)
-            assert product == P.one_minus_t_n(n) * -1, n
+            assert product == one_minus_t(n) * -1, n
 
 
 class TestFactorCyclotomic:
@@ -365,7 +376,7 @@ class TestDivideByBinomial:
         s = list(coeffs)
         divide_by_binomial(s, m, a)
         source, target = (s, coeffs) if a > 0 else (coeffs, s)
-        product = (P(source) * power(P.one_minus_t_n(m), abs(a))).coefficients
+        product = (P(source) * power(one_minus_t(m), abs(a))).coefficients
         assert (list(product) + [0] * n)[:n] == target
 
     def test_inverse_steps(self):
@@ -377,25 +388,20 @@ class TestDivideByBinomial:
 
 class TestSquareRootSpectrum:
     def test_fourth_roots(self):
-        out = square_root_spectrum(CyclotomicFactorization({4: 1}, 1, P.one()))
-        assert out.factors == {2: 2}
+        assert square_root_spectrum({4: 1}) == {2: 2}
 
     def test_odd_fixed(self):
-        out = square_root_spectrum(CyclotomicFactorization({3: 1}, 1, P.one()))
-        assert out.factors == {3: 1}
+        assert square_root_spectrum({3: 1}) == {3: 1}
 
     def test_66(self):
-        out = square_root_spectrum(CyclotomicFactorization({66: 1}, 1, P.one()))
-        assert out.factors == {33: 1}
+        assert square_root_spectrum({66: 1}) == {33: 1}
 
     def test_degree_preserved(self):
-        fac = CyclotomicFactorization({4: 2, 6: 1, 7: 3}, 1, P.one())
-        assert square_root_spectrum(fac).degree == fac.degree
-
-    def test_rejects_remainder(self):
-        bad = CyclotomicFactorization({}, 1, poly(-2, 0, 1))
-        with pytest.raises(ValueError, match="^input factorization has a non-cyclotomic remainder$"):
-            square_root_spectrum(bad)
+        factors = {4: 2, 6: 1, 7: 3}
+        squared = square_root_spectrum(factors)
+        assert sum(euler_totient(n) * e for n, e in squared.items()) == sum(
+            euler_totient(n) * e for n, e in factors.items()
+        )
 
 
 class TestMatrices:

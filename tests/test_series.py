@@ -38,7 +38,7 @@ from bhdual.weights import (
     gorenstein_parameter,
     reduce,
 )
-from conftest import KREUZER_SKARKE, cyclotomic, spectrum, spectrum_factors
+from conftest import KREUZER_SKARKE, cyclotomic, one_minus_t, spectrum, spectrum_factors
 
 
 def poly(text):
@@ -62,14 +62,8 @@ def square_report(row):
 class TestPoincareSeries:
     def test_fermat_weights(self):
         p = poincare_series(CanonicalWeights((6, 22, 33), 66))
-        # the quotient is kept exactly as given
-        num = IntPolynomial.one_minus_t_n(66)
-        den = (
-            IntPolynomial.one_minus_t_n(6)
-            * IntPolynomial.one_minus_t_n(22)
-            * IntPolynomial.one_minus_t_n(33)
-        )
-        assert p == RationalFunction(num, den)
+        # the quotient is kept exactly as given, as its binomial exponents
+        assert p == RationalFunction((66,), (6, 22, 33))
 
     def test_unit_weights_degree_two(self):
         p = poincare_series(CanonicalWeights((1, 1, 1), 2))
@@ -105,7 +99,7 @@ class TestPoincareBruteforce:
 def _binomial_product(ns):
     product = IntPolynomial.one()
     for n in ns:
-        product = product * IntPolynomial.one_minus_t_n(n)
+        product = product * one_minus_t(n)
     return product
 
 
@@ -311,8 +305,8 @@ class TestIndexBeyond132:
     def test_square_relation_holds(self):
         wsys = canonical_weights(poly("x^23 + y^3 + z^2"))
         phi = characteristic_function(wsys, (2, 3, 23))
-        spectrum = CyclotomicFactorization({1: 1, 138: 1}, 1, IntPolynomial.one())
-        holds, reason = verify_square_relation(phi, square_root_spectrum(spectrum), 45)
+        squared = CyclotomicFactorization(square_root_spectrum({1: 1, 138: 1}), 1, IntPolynomial.one())
+        holds, reason = verify_square_relation(phi, squared, 45)
         assert holds, reason
 
 

@@ -176,6 +176,18 @@ def test_reconstruct_expands_by_the_stride_step():
     assert not [node.lineno for node in ast.walk(func) if isinstance(node, ast.Pow)]
 
 
+def test_poincare_series_expands_by_the_stride_step():
+    # RationalFunction keeps binomial exponents and expands them with the
+    # shared step: no dense 1 - t^n is formed and no general division is left
+    assert "divide_by_binomial" in _called(_function("exactalg.py", "series_coefficients"))
+    defined = {
+        qualname.rsplit(".", 1)[-1]
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualname, _ in _definitions(path)
+    }
+    assert "one_minus_t_n" not in defined
+
+
 def _definitions(path):
     """(qualified name, node) for every top-level function and class and
     every non-dunder method of a module of the package."""
