@@ -61,9 +61,11 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
     The arms are the chains :func:`arms` lists, each ending at the central
     curve.  E0 attaches at the positions stored in the row's attachment
     table; in the Quadrilateral_r1 case it has two components, both meeting
-    the outermost curve of the third arm and nothing else.  An edge that
-    names a curve the labels lack (an attachment beyond its arm or the
-    F-chain) or an attachment the table does not record raises ValueError.
+    the outermost curve of the third arm and nothing else, and the table must
+    say exactly that, {3: 1} with no F-chain position.  An edge that names a
+    curve the labels lack (an attachment beyond its arm or the F-chain, or an
+    F-chain position on a row without F-chain) or an attachment the table
+    does not record raises ValueError.
     """
     case = row.case_tag
     arm_curves = arms(row.dolgachev)
@@ -89,9 +91,9 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
 
     table = row.attachment_table
     if case == "Quadrilateral_r1":
-        if table.arms.get(3) != 1:
+        if table != ({3: 1}, None):
             raise ValueError(
-                f"row {row.name}: both E0 components attach the outermost curve of arm 3"
+                f"row {row.name}: both E0 components attach the outermost curve of arm 3, and nothing else"
             )
         join(E0P, arm_label(3, 1))
         join(E0PP, arm_label(3, 1))
@@ -100,11 +102,9 @@ def build_configuration(row: FixtureRow) -> CurveConfiguration:
             raise ValueError(f"row {row.name}: no arm attachments recorded")
         for i, pos in sorted(table.arms.items()):
             join(E0, arm_label(i, pos))
-        if f_chain:
-            if table.f_chain is None:
-                raise ValueError(
-                    f"row {row.name}: missing F-chain attachment for case {case}"
-                )
+        if f_chain and table.f_chain is None:
+            raise ValueError(f"row {row.name}: missing F-chain attachment for case {case}")
+        if table.f_chain is not None:
             join(E0, f"F{table.f_chain}")
     for u, v in zip(f_chain, f_chain[1:]):
         join(u, v)

@@ -4,8 +4,8 @@ Everything in this module is exact: polynomials are dense lists of Python
 integers, rational functions are quotients of binomials 1 - t^n kept as their
 exponents and only expanded as power series, and matrix kernels are fraction-free,
 with products on rows packed into one integer each (slot width bounded from
-the matrix).  Bareiss elimination is the one elimination kernel: it gives
-determinants and, on Sylvester blocks, the degree of a polynomial gcd.
+the matrix).  Bareiss elimination is the one elimination kernel, and it
+gives determinants only.
 Degrees in this project stay small, so dense representations and arbitrary
 precision are the right trade-off.
 """
@@ -403,28 +403,6 @@ def det_bareiss(matrix: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def gcd_degree(p: IntPolynomial, q: IntPolynomial) -> int:
-    """deg gcd(p, q) over Q, by principal subresultant coefficients.
-
-    For p, q of degrees m, n the gcd has degree the least k whose k-th
-    principal subresultant coefficient is nonzero: the determinant of the
-    leading (m+n-2k)-square block of the k-th Sylvester matrix, whose rows
-    are n-k shifts of p over m-k shifts of q, coefficients from the top down.
-    The loop returns by k = min(m, n): that block is the |m-n| shifts of the
-    lower-degree polynomial, triangular with its leading coefficient on the
-    diagonal (the empty block, determinant 1, when m = n).
-    """
-    if p.is_zero() or q.is_zero():
-        raise ValueError("gcd_degree of the zero polynomial")
-    m, n = p.degree, q.degree
-    top_p, top_q = p.coefficients[::-1], q.coefficients[::-1]
-    for k in range(min(m, n) + 1):
-        size = m + n - 2 * k
-        rows = [(0,) * j + top_p for j in range(n - k)] + [(0,) * j + top_q for j in range(m - k)]
-        if det_bareiss(IntMatrix([(row + (0,) * size)[:size] for row in rows])):
-            return k
 
 
 def _slot_bits(bound: int) -> int:

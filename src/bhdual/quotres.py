@@ -15,7 +15,7 @@ and branch count derived here.
 """
 from __future__ import annotations
 
-from .exactalg import Frozen, IntPolynomial, gcd_degree, monomial, signed_sum
+from .exactalg import Frozen, monomial, signed_sum
 
 
 class SparsePoly(Frozen):
@@ -140,12 +140,17 @@ def exceptional_components_met(curve: SparsePoly, k: int) -> list[int]:
 
 def branch_count_at_attachment(curve: SparsePoly, k: int, component: int) -> int:
     """Number of distinct transversal branch points on E_(component): the
-    count of distinct roots of the unit factor p restricted to that line,
-    deg p - deg gcd(p, p')."""
+    roots of the unit factor restricted to that line, c_0 + c_1 v^e.
+
+    Two lines (d_1, c'_1), (d_2, c'_2) tied at the least u-exponent in chart
+    i sit at v-exponents that differ by |d_1 - d_2| = e, and c_0 is the
+    constant term the origin check guarantees, so a two-term curve restricts
+    to that binomial, with e distinct nonzero roots, on the component it
+    meets and to c_0 alone, with none, on every other.  Raises ValueError,
+    naming the term count, when the restriction has three or more terms.
+    """
     _, unit = proper_transform(curve, component, k)
     on_line = unit.on_line(0)
-    p = IntPolynomial(on_line.get(e, 0) for e in range(max(on_line, default=-1) + 1))
-    if p.degree <= 0:
-        return 0
-    derivative = IntPolynomial(e * c for e, c in enumerate(p.coefficients) if e)
-    return p.degree - gcd_degree(p, derivative)
+    if len(on_line) > 2:
+        raise ValueError(f"the unit restricts to E_{component} in {len(on_line)} terms, not a binomial")
+    return max(on_line)

@@ -121,7 +121,8 @@ def validate_action(F_monomials, c: int, m) -> bool:
     (None only when c = 1).
 
     ``F_monomials`` are exponent rows over (w,x,y,z); the character of a
-    monomial is sum(m_j * exponent_j) mod c.
+    monomial is sum(m_j * exponent_j) mod c, and ValueError is raised when m
+    and a row differ in length.
     """
     if c < 1:
         raise ValueError("group order must be >= 1")
@@ -129,6 +130,8 @@ def validate_action(F_monomials, c: int, m) -> bool:
         return True
     if m is None:
         raise ValueError(f"a group of order {c} needs the exponents of its generator")
+    if any(len(row) != len(m) for row in F_monomials):
+        raise ValueError(f"the generator has {len(m)} exponents, not one per coordinate of F")
     characters = {sum(m_j * e for m_j, e in zip(m, row)) % c for row in F_monomials}
     return len(characters) == 1
 

@@ -585,6 +585,18 @@ class TestVerify:
                 {"action_invariance": ("stage action", "a group of order 5 needs the exponents of its generator")},
                 id="Q_2,0-order-5-null-action_m",
             ),
+            # a generator of three or five exponents for the four coordinates
+            # (w, x, y, z): the action stage fails instead of truncating
+            *(
+                pytest.param(
+                    "J_3,0", "action_m", m,
+                    {"action_invariance": (
+                        "stage action", f"the generator has {len(m)} exponents, not one per coordinate of F"
+                    )},
+                    id=f"J_3,0-action_m-of-{len(m)}",
+                )
+                for m in ((0, 1, -1), (0, 1, -1, 0, 0))
+            ),
         ],
     )
     def test_out_of_range_column_fails_its_check(self, capsys, monkeypatch, name, column, value, failed):

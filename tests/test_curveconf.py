@@ -9,9 +9,10 @@ from bhdual.curveconf import (
     arms,
     build_configuration,
 )
+from bhdual.cli import verify_row
 from bhdual.dynkin import DynkinDiagram, correspondence, diagram_for_row, t_graph
 from bhdual.fixtures import AttachmentTable, load_rows, row_by_name
-from bhdual.klattice import TWISTED, GeneratorList, MukaiClass, Sheaf, class_of, generator_list, gram_matrix
+from bhdual.klattice import TWISTED, GeneratorList, MukaiClass, Sheaf, class_of, generator_list, gram_matrix, row_gram
 
 
 def expected_node_count(row):
@@ -67,6 +68,8 @@ def config_dot(conf):
 
 
 class TestBuildConfiguration:
+    R1_ROWS = ("J_3,0", "Z_1,0", "Q_2,0")
+
     def test_two_component_case(self):
         conf = build_configuration(row_by_name("Z_1,0"))
         assert len(conf.labels) == 14  # arms 1+3+7, center, E0p, E0pp
@@ -136,6 +139,45 @@ class TestBuildConfiguration:
         assert str(raised.value) == (
             f"Dolgachev number alpha_{arm} = {alpha[arm - 1]} is below 2: arm {arm} has no curve"
         )
+
+    @pytest.mark.parametrize(
+        "name, arms, f_chain",
+        [(name, arms, None) for name in R1_ROWS for arms in ({3: 1, 1: 1}, {3: 1, 2: 1}, {3: 1, 1: 5})]
+        + [(name, {3: 1}, 1) for name in R1_ROWS]
+        + [("W_1,0", {2: 1, 3: 1}, 3), ("S_1,0", {2: 1, 3: 1}, 3), ("U_1,0", {1: 1, 3: 1}, 3)],
+    )
+    def test_every_stored_key_is_read(self, name, arms, f_chain):
+        # a Quadrilateral_r1 table other than {3: 1}, or an F-chain position
+        # on a row without F-chain, is rejected, and bh verify fails it
+        # through the gram stage
+        row = row_by_name(name)._replace(attachment_table=AttachmentTable(arms, f_chain))
+        if row.case_tag == "Quadrilateral_r1":
+            text = f"row {name}: both E0 components attach the outermost curve of arm 3, and nothing else"
+        else:
+            text = f"row {name}: the edge E0 -- F3 names F3, a curve the configuration lacks"
+        with pytest.raises(ValueError) as raised:
+            build_configuration(row)
+        assert str(raised.value) == text
+        failed = [{"condition": "stage gram", "expected": None, "actual": text}]
+        assert verify_row(row)["checks"]["rank_mu"] == {"status": "fail", "failed": failed}
+
+    def test_twisted_rows_do_not_see_e3_1_from_e3_2(self):
+        # the twist class T(E3_1, E3_2) holds both curves once, and no other
+        # class holds either, so E0 on E3_1 or on E3_2 gives one Gram matrix:
+        # no check sees which of the two a twisted row's table names.  The
+        # edges are moved by hand, since the r1 table admits only {3: 1}
+        rows = [row for row in load_rows() if row.case_tag in TWISTED]
+        assert [row.name for row in rows] == ["J_3,0", "Z_1,0", "Q_2,0", "E_20", "Z_19", "Q_18"]
+        swap = {"E3_1": "E3_2", "E3_2": "E3_1"}
+        for row in rows:
+            conf = build_configuration(row)
+            moved = {(u, swap.get(v, v) if u.startswith("E0") else v): m for (u, v), m in conf.edges.items()}
+            assert moved != conf.edges, row.name
+            gens = generator_list(row)
+            assert gram_matrix(gens, CurveConfiguration(conf.labels, moved)) == row_gram(row), row.name
+            if row.case_tag == "Exceptional_a5":
+                table = AttachmentTable({3: 3 - row.attachment_table.arms[3]}, row.attachment_table.f_chain)
+                assert row_gram(row._replace(attachment_table=table)) == row_gram(row), row.name
 
 
 class TestArms:

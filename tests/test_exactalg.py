@@ -16,7 +16,6 @@ from bhdual.exactalg import (
     divide_by_binomial,
     euler_totient,
     factor_cyclotomic,
-    gcd_degree,
     square_root_spectrum,
 )
 from conftest import cyclotomic, dense_series, int_polynomial_text, long_division, one_minus_t
@@ -110,51 +109,6 @@ class TestPolyArith:
         # the zero polynomial, trailing zeros and +-1 constants included
         p = P(coefficients)
         assert str(p) == int_polynomial_text(p)
-
-
-def root_product(exponents):
-    """prod (t - r)^e over the (root r, exponent e) pairs."""
-    p = P.one()
-    for r, e in exponents.items():
-        p = p * power(poly(-r, 1), e)
-    return p
-
-
-class TestGcdDegree:
-    @given(
-        st.dictionaries(st.integers(-6, 6), st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=5),
-        st.integers(-3, 3).filter(bool),
-        st.integers(-3, 3).filter(bool),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_distinct_roots(self, exponents, scale_p, scale_q):
-        # deg gcd of prod (t - r)^(e_p(r)) and prod (t - r)^(e_q(r)) over
-        # distinct integer roots r is sum min(e_p(r), e_q(r))
-        p = root_product({r: e for r, (e, _) in exponents.items()}) * scale_p
-        q = root_product({r: e for r, (_, e) in exponents.items()}) * scale_q
-        expected = sum(min(e, f) for e, f in exponents.values())
-        assert gcd_degree(p, q) == gcd_degree(q, p) == expected
-
-    def test_constants(self):
-        assert gcd_degree(poly(3), poly(1, 0, 1)) == 0
-        assert gcd_degree(poly(1, 0, 1), poly(-2)) == 0
-        assert gcd_degree(poly(2), poly(5)) == 0
-
-    def test_equal_degrees(self):
-        assert gcd_degree(poly(2, -3, 1), poly(3, -4, 1)) == 1  # (t-1)(t-2), (t-1)(t-3)
-        assert gcd_degree(poly(2, -3, 1), poly(12, -7, 1)) == 0  # (t-3)(t-4)
-        assert gcd_degree(poly(2, -3, 1), poly(-4, 6, -2)) == 2
-
-    def test_q_divides_p(self):
-        q = poly(1, 1, 1)
-        p = q * poly(5, 0, -2, 1)
-        assert gcd_degree(p, q) == gcd_degree(q, p) == 2
-        assert gcd_degree(p * q, q * q) == 4
-
-    def test_zero_raises(self):
-        for pair in ((P.zero(), poly(1, 1)), (poly(1, 1), P.zero()), (P.zero(), P.zero())):
-            with pytest.raises(ValueError):
-                gcd_degree(*pair)
 
 
 class TestRationalFunction:

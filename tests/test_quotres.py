@@ -178,19 +178,56 @@ class TestChartTransitions:
 
 
 class TestRepeatedRoots:
-    # (Z+Y)^2 and (Z^2-Y^2)^2: the restriction to E_(k-1) has a double root
+    # (Z+Y)^2 and (Z^2-Y^2)^2: all three lines tie on E_(k-1), so the unit
+    # restricts to three terms there, with a double root, and is not counted
     SQUARE = SparsePoly([((0, 0, 2), 1), ((0, 1, 1), 2), ((0, 2, 0), 1)])
     SQUARED_DIFFERENCE = SparsePoly([((0, 0, 4), 1), ((0, 2, 2), -2), ((0, 4, 0), 1)])
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_square(self, k):
         assert exceptional_components_met(self.SQUARE, k) == [k - 1]
-        assert branch_count_at_attachment(self.SQUARE, k, k - 1) == 1
+        with pytest.raises(ValueError, match=f"^the unit restricts to E_{k - 1} in 3 terms, not a binomial$"):
+            branch_count_at_attachment(self.SQUARE, k, k - 1)
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_squared_difference(self, k):
         assert exceptional_components_met(self.SQUARED_DIFFERENCE, k) == [k - 1]
-        assert branch_count_at_attachment(self.SQUARED_DIFFERENCE, k, k - 1) == 2
+        with pytest.raises(ValueError, match=f"^the unit restricts to E_{k - 1} in 3 terms, not a binomial$"):
+            branch_count_at_attachment(self.SQUARED_DIFFERENCE, k, k - 1)
+
+
+@st.composite
+def two_term_curves(draw):
+    """(curve, k, (a_1, b_1), (a_2, b_2)): c_1 X^a_1 Y^b_1 Z^c_1 +
+    c_2 X^a_2 Y^b_2 Z^c_2 with exponents 0..6, coefficients +-1..+-3 and
+    distinct lines (a - b, k*b + c), and k in 2..20."""
+    k = draw(st.integers(2, 20))
+    exps = st.tuples(*[st.integers(0, 6)] * 3)
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def line(exps):
+        a, b, c = exps
+        return a - b, k * b + c
+
+    (a1, b1, c1), (a2, b2, c2) = draw(st.lists(exps, min_size=2, max_size=2, unique_by=line))
+    curve = SparsePoly([((a1, b1, c1), draw(coeff)), ((a2, b2, c2), draw(coeff))])
+    return curve, k, (a1, b1), (a2, b2)
+
+
+@given(two_term_curves())
+@settings(max_examples=300)
+@example((invariant_image(3, 5), 5, (0, 0), (0, 1)))
+@example((invariant_image_double(8), 8, (0, 0), (0, 2)))
+def test_two_term_branch_count(curve_k):
+    # the binomial c_0 + c_1 v^e on the component met, e = |d_1 - d_2| with
+    # d = a - b, and the constant c_0 on every other component
+    curve, k, (a1, b1), (a2, b2) = curve_k
+    try:
+        met = exceptional_components_met(curve, k)
+    except ValueError:
+        return
+    for i in range(1, k):
+        assert branch_count_at_attachment(curve, k, i) == (abs((a1 - b1) - (a2 - b2)) if i in met else 0), i
 
 
 def evaluate(terms, *point):

@@ -253,15 +253,20 @@ def test_package_init_binds_nothing():
 
 
 def test_one_elimination_kernel():
-    # exactalg eliminates only by Bareiss: the long-division gcd stack and the
-    # dense Phi_n are gone, and branch counts take deg gcd from Sylvester minors
+    # exactalg eliminates only by Bareiss, for determinants: the long-division
+    # gcd stack, the dense Phi_n and the Sylvester-minor gcd are gone, and a
+    # branch count reads the exponents of the lemma's binomial, with no gcd
     tree = _tree("exactalg.py")
     defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     deleted = {"polynomial_gcd", "_positive_leading", "divmod_exact_leading", "exact_div",
-               "content", "primitive_part", "cyclotomic"}
+               "content", "primitive_part", "cyclotomic", "gcd_degree"}
     assert not defined & deleted
-    assert "det_bareiss" in _called(_function("exactalg.py", "gcd_degree"))
-    assert "gcd_degree" in _called(_function("quotres.py", "branch_count_at_attachment"))
+    called = _called(_function("quotres.py", "branch_count_at_attachment"))
+    assert "det_bareiss" not in called and not any("gcd" in name for name in called)
+    imported = {
+        alias.name for node in ast.walk(_tree("quotres.py")) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not imported & {"IntPolynomial", "det_bareiss"} and not any("gcd" in name for name in imported)
 
 
 def test_one_polynomial_type_in_quotres():

@@ -4,8 +4,9 @@ on random inputs.
 sympy computes characteristic polynomials by Berkowitz' algorithm, builds
 cyclotomic polynomials and factors over Z with its own machinery, so
 agreement here is independent of the power-sum (Newton), Bareiss and
-binomial-peeling code in ``exactalg``; its polynomial gcd checks the degrees
-``gcd_degree`` reads off Sylvester minors.
+binomial-peeling code in ``exactalg``.  Its polynomial gcd counts the
+distinct roots of a unit restricted to an exceptional component, deg p -
+deg gcd(p, p'), which ``quotres`` reads off the binomial's exponents.
 """
 import random
 
@@ -21,10 +22,10 @@ from bhdual.exactalg import (
     char_poly,
     det_bareiss,
     factor_cyclotomic,
-    gcd_degree,
 )
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
+from bhdual.quotres import SparsePoly, branch_count_at_attachment, proper_transform
 
 t = sympy.Symbol("t")
 ROWS = load_rows()
@@ -123,24 +124,28 @@ def test_random_cyclotomic_products(seed):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_random_gcd_degree(seed):
-    # p = a c^i and q = b c^j share c^min(i, j) at least, and a repeated
-    # factor c^2 of p leaves c in gcd(p, p')
+def test_random_two_term_branch_counts(seed):
+    # two-term curves X^a Y^b Z^c with exponents 0..6, coefficients +-1..+-3
+    # and distinct lines (a - b, k*b + c), k in 2..20: on each component
+    # whose chart factors, the count is the number of distinct roots of the
+    # unit restricted to it, deg p - deg gcd(p, p')
     rng = random.Random(seed)
-
-    def random_poly(max_degree):
-        degree = rng.randint(0, max_degree)
-        return sympy.Poly([rng.choice((1, -1, 2, -3)), *(rng.randint(-4, 4) for _ in range(degree))], t)
-
-    def ours(poly):
-        return IntPolynomial(int(c) for c in reversed(poly.all_coeffs()))
-
-    for _ in range(10):
-        a, b, c = random_poly(4), random_poly(4), random_poly(3)
-        p, q = a * c ** rng.randint(0, 3), b * c ** rng.randint(0, 3)
-        for x, y in ((p, q), (p, p.diff(t))):
-            if not y.is_zero:
-                assert gcd_degree(ours(x), ours(y)) == sympy.degree(sympy.gcd(x, y), t), (x, y)
+    checked = 0
+    while checked < 25:
+        k = rng.randint(2, 20)
+        (a1, b1, c1), (a2, b2, c2) = exps = [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(2)]
+        if (a1 - b1, k * b1 + c1) == (a2 - b2, k * b2 + c2):
+            continue
+        checked += 1
+        curve = SparsePoly((e, rng.choice((1, 2, 3)) * rng.choice((1, -1))) for e in exps)
+        for i in range(1, k):
+            try:
+                _, unit = proper_transform(curve, i, k)
+            except ValueError:
+                continue
+            p = sympy.Poly(sum(c * t**e for e, c in unit.on_line(0).items()), t)
+            distinct = p.degree() - sympy.gcd(p, p.diff(t)).degree()
+            assert branch_count_at_attachment(curve, k, i) == distinct, (str(curve), k, i)
 
 
 @pytest.mark.parametrize("seed", range(12))

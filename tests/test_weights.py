@@ -130,6 +130,13 @@ class TestValidateAction:
         with pytest.raises(ValueError, match="^a group of order 2 needs the exponents of its generator$"):
             validate_action(monomials, 2, None)
 
+    @pytest.mark.parametrize("m", [(0, 1, -1), (0, 1, -1, 0, 0)])
+    def test_generator_of_the_wrong_length(self, m):
+        # zip would drop z's exponent, or the fifth one, and the action pass
+        monomials = ((0, 6, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2), (18, 0, 0, 0))
+        with pytest.raises(ValueError, match=f"^the generator has {len(m)} exponents, not one per coordinate of F$"):
+            validate_action(monomials, 2, m)
+
     def test_broken_quadruple(self):
         monomials = ((0, 6, 0, 0), (0, 1, 3, 0), (0, 0, 0, 2), (18, 0, 0, 0))
         assert not validate_action(monomials, 2, (0, 1, 0, 0))
