@@ -1,8 +1,10 @@
 """Parsing, rendering and transposition of invertible polynomials.
 
 An invertible polynomial in n variables is a sum of exactly n monomials with
-all coefficients 1 whose square exponent matrix is nonsingular.  The grammar
-accepted by :func:`parse_polynomial` is
+all coefficients 1, an isolated singularity at 0 and no monomial x_i*x_j; by
+Kreuzer and Skarke (Commun. Math. Phys. 150, 1992) each monomial is then
+x_h^a or x_h^a*x_t with a at least 2, no two sharing a head h or a target t.
+The grammar accepted by :func:`parse_polynomial` is
 
     poly   := mono ('+' mono)*
     mono   := factor ('*'? factor)*
@@ -14,7 +16,7 @@ rejected, and so is a '*' with no factor after it.
 """
 from __future__ import annotations
 
-from .exactalg import Frozen, IntMatrix, det_bareiss, monomial, signed_sum
+from .exactalg import Frozen, IntMatrix, monomial, signed_sum
 
 
 class ParseError(ValueError):
@@ -30,8 +32,8 @@ class InvertiblePolynomial(Frozen):
 
     Row i of the matrix is the i-th monomial; column j carries the exponents
     of ``variables[j]``.  All coefficients are normalized to 1.  There is at
-    least one variable, and the matrix has one row per variable, distinct
-    rows, non-negative entries and det != 0.
+    least one variable, the matrix has one row per variable, and its rows
+    have the Kreuzer-Skarke shape, the one check of invertibility.
     """
 
     __slots__ = ("matrix", "variables")
@@ -46,12 +48,14 @@ class InvertiblePolynomial(Frozen):
             raise ValueError(
                 f"{matrix.dim} monomials for {len(variables)} variables"
             )
-        if len(set(matrix.entries)) != matrix.dim:
-            raise ValueError("two monomials have identical exponents")
-        if any(x < 0 for row in matrix.entries for x in row):
-            raise ValueError("exponents must be non-negative")
-        if det_bareiss(matrix) == 0:
-            raise ValueError("exponent matrix is singular")
+        for row in matrix.entries:  # a > 1, and the other exponents 0 but for at most one 1
+            a = max(row)
+            if a <= 1 or min(row) < 0 or sum(row) - a > 1:
+                raise ValueError(f"monomial {monomial(variables, row) or 1} is not x^a or x^a*y with a at least 2")
+        for name, column in zip(variables, zip(*matrix.entries)):
+            targets = column.count(1)  # and every exponent but 0 and 1 is a head's
+            if targets > 1 or len(column) - column.count(0) - targets > 1:
+                raise ValueError(f"{name} is the {'target' if targets > 1 else 'head'} of two monomials")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "variables", variables)
 

@@ -49,8 +49,7 @@ def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
     """Solve E*w = |det E| * (1,...,1) exactly.
 
     By Cramer's rule w_j = sign(det E) * det(E with column j set to 1), so the
-    solution is always integral.  Raises ValueError when it is not a
-    system of positive integers (which signals a non-invertible input).
+    solution is always integral; f's Kreuzer-Skarke shape makes it positive.
     """
     entries = f.matrix.entries
     n = f.n
@@ -60,8 +59,6 @@ def canonical_weights(f: InvertiblePolynomial) -> CanonicalWeights:
         sign * det_bareiss(IntMatrix([[*row[:j], 1, *row[j + 1 :]] for row in entries]))
         for j in range(n)
     )
-    if any(x <= 0 for x in w):
-        raise ValueError(f"weights {w} are not all positive")
     d_prime = abs(det)
     # re-multiply to confirm the exact solve
     for row in entries:
@@ -118,7 +115,7 @@ def compactified_monomials(f: InvertiblePolynomial, ambient: AmbientWeights):
 def validate_action(F_monomials, c: int, m) -> bool:
     """True iff all monomials of F share one character mod c under the cyclic
     group of order c whose generator acts on (w:x:y:z) with exponents m
-    (None only when c = 1).
+    (None exactly when c = 1).
 
     ``F_monomials`` are exponent rows over (w,x,y,z); the character of a
     monomial is sum(m_j * exponent_j) mod c, and ValueError is raised when m
@@ -126,10 +123,11 @@ def validate_action(F_monomials, c: int, m) -> bool:
     """
     if c < 1:
         raise ValueError("group order must be >= 1")
+    if (m is None) != (c == 1):
+        needs = "the exponents of its generator" if m is None else f"no generator, not {m}"
+        raise ValueError(f"a group of order {c} needs {needs}")
     if c == 1:
         return True
-    if m is None:
-        raise ValueError(f"a group of order {c} needs the exponents of its generator")
     if any(len(row) != len(m) for row in F_monomials):
         raise ValueError(f"the generator has {len(m)} exponents, not one per coordinate of F")
     characters = {sum(m_j * e for m_j, e in zip(m, row)) % c for row in F_monomials}

@@ -4,6 +4,7 @@ from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from bhdual.curveconf import arm_label
 from bhdual.dynkin import UPPER, CaseConvention, extend, t_graph
@@ -374,3 +375,39 @@ KREUZER_SKARKE = {
     "chain2+fermat": lambda a, b, c: ((a, 1, 0), (0, b, 0), (0, 0, c)),
     "loop2+fermat": lambda a, b, c: ((a, 1, 0), (1, b, 0), (0, 0, c)),
 }
+
+
+@st.composite
+def kreuzer_skarke_matrices(draw, max_n=3, max_a=6):
+    """An exponent matrix of Kreuzer-Skarke shape in n = 1..max_n variables,
+    rows in a drawn order: column h heads one row with exponent 2..max_a,
+    and points at no column or, with exponent 1, at one other column that no
+    other head points at, which gives every set of disjoint chains and loops."""
+    n = draw(st.integers(1, max_n))
+    free = list(range(n))
+    rows = []
+    for h in range(n):
+        row = [0] * n
+        row[h] = draw(st.integers(2, max_a))
+        t = draw(st.sampled_from([None, *(t for t in free if t != h)]))
+        if t is not None:
+            row[t] = 1
+            free.remove(t)
+        rows.append(tuple(row))
+    return tuple(draw(st.permutations(rows)))
+
+
+def kreuzer_skarke_shape(entries) -> bool:
+    """The Kreuzer-Skarke rule restated as a pointer map: each row puts an
+    exponent above 1 on its head and exponent 1 on at most one target, and
+    nothing else; the heads are all the variables, and no variable is the
+    target of two rows."""
+    heads, targets = [], []
+    for row in entries:
+        head = [j for j, e in enumerate(row) if e > 1]
+        target = [j for j, e in enumerate(row) if e == 1]
+        if len(head) != 1 or len(target) > 1 or len(head) + len(target) != sum(e != 0 for e in row):
+            return False
+        heads += head
+        targets += target
+    return sorted(heads) == list(range(len(entries))) and len(set(targets)) == len(targets)

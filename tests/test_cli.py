@@ -9,13 +9,15 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bhdual import cli, dynkin
 from bhdual.cli import build_report, main, verify_row
 from bhdual.exactalg import IntMatrix
 from bhdual.fixtures import AttachmentTable, all_names, load_rows, row_by_name
+from bhdual.polyparse import infer_variables, parse_polynomial
 from bhdual.series import transpose_monodromy
+from conftest import kreuzer_skarke_matrices, kreuzer_skarke_shape
 
 
 REPORT_SHA256 = "9920047c62547c90e843b713feafe51c9142a98469aa667080fc7ce2a81af65f"
@@ -61,6 +63,14 @@ class TestTranspose:
         assert code == 2
         assert "error" in err
 
+    def test_no_isolated_singularity_exits_2(self, capsys):
+        # det E = 9, but x*y*z has no head exponent of at least 2: the
+        # transpose would be x*y^3 + x*z^3 + x, with a linear monomial
+        code, out, err = run(capsys, "transpose", "x*y*z + x^3 + y^3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: monomial x*y*z is not x^a or x^a*y with a at least 2\n"
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "transpose", "x^2 + + y")
         assert code == 2
@@ -102,11 +112,20 @@ class TestWeights:
 
 
     def test_zero_weight_exits_2(self, capsys):
-        # det E = 4, but w = (2, 2, 0): not a weight system of an invertible polynomial
+        # det E = 4 and w = (2, 2, 0), but x*y*z already breaks the
+        # Kreuzer-Skarke shape, so no weights are solved
         code, out, err = run(capsys, "weights", "x^2 + y^2 + x*y*z")
         assert code == 2
         assert out == ""
-        assert "not all positive" in err
+        assert err == "error: monomial x*y*z is not x^a or x^a*y with a at least 2\n"
+
+    def test_shared_target_exits_2(self, capsys):
+        # y*(x^2 + y^2 + z^2) is singular along a curve: two monomials point
+        # at y
+        code, out, err = run(capsys, "weights", "x^2*y + y^3 + z^2*y")
+        assert code == 2
+        assert out == ""
+        assert err == "error: y is the target of two monomials\n"
 
     def test_superscript_digit_exits_2_with_position(self, capsys):
         code, out, err = run(capsys, "weights", "x^2 + y^\u00b3 + z^5")
@@ -139,14 +158,35 @@ class TestWeights:
             assert err == f"error: {message}\n"
 
 
+@st.composite
+def near_kreuzer_skarke_texts(draw):
+    """The text of a Kreuzer-Skarke matrix over the first n of w, x, y, z,
+    half the time with one exponent set to a drawn 0..4."""
+    rows = [list(row) for row in draw(kreuzer_skarke_matrices(max_n=4, max_a=5))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(rows) - 1))] = draw(st.integers(0, 4))
+    return " + ".join("*".join(f"{v}^{e}" for v, e in zip("wxyz", row) if e) or "1" for row in rows)
+
+
 class TestFuzz:
-    @given(st.text(alphabet="xyzw0123456789\u00b3\u0663+*^ ", max_size=24))
+    @given(st.one_of(st.text(alphabet="xyzw0123456789\u00b3\u0663+*^ ", max_size=24), near_kreuzer_skarke_texts()))
+    @example("x^3y + y^2x")
+    @example("w^2 + x^3*z + y^2*w + z^4")
+    @example("x^2*y + y^3 + z^2*y")
     @settings(max_examples=200, deadline=None)
     def test_polynomial_commands_exit_cleanly(self, text):
-        # any string ends in a clean exit code, never an exception
+        # any string ends in a clean exit code, never an exception; what is
+        # accepted has the Kreuzer-Skarke shape, and so has its transpose
         for command in ("weights", "transpose"):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert main([command, text]) in (0, 2), (command, text)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, text])
+            assert code in (0, 2), (command, text)
+            if code == 0:
+                assert kreuzer_skarke_shape(parse_polynomial(text, infer_variables(text)).matrix.entries), text
+                if command == "transpose":
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        assert main(["transpose", out.getvalue().strip()]) == 0, (text, out.getvalue())
 
     @given(
         st.sampled_from(["c2", "c2double"]),
@@ -584,6 +624,13 @@ class TestVerify:
                 "Q_2,0", "action_c", 5,
                 {"action_invariance": ("stage action", "a group of order 5 needs the exponents of its generator")},
                 id="Q_2,0-order-5-null-action_m",
+            ),
+            # a generator stored with a group of order 1, here of two
+            # exponents for four coordinates, is named instead of ignored
+            pytest.param(
+                "Q_2,0", "action_m", (5, 7),
+                {"action_invariance": ("stage action", "a group of order 1 needs no generator, not (5, 7)")},
+                id="Q_2,0-order-1-action_m",
             ),
             # a generator of three or five exponents for the four coordinates
             # (w, x, y, z): the action stage fails instead of truncating

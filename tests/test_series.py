@@ -268,6 +268,18 @@ class TestPhiIdentity:
         assert not holds
         assert shift_exponent == -1
 
+    def test_oracle_factor_missing_from_phi(self):
+        # the oracle's Phi_2 has no counterpart in phi: a gap of 1, not 0
+        oracle = CyclotomicFactorization({1: 1, 2: 1}, 1, IntPolynomial.one())
+        assert verify_phi_identity({1: -1}, ReducedWeights((1, 1, 1), 3, 1), oracle) == (False, -1)
+
+    def test_no_t_minus_one_factor_on_either_side(self):
+        # a phi equal to the oracle, neither with Phi_1, needs e = 0; the phi
+        # of characteristic_function always holds Phi_1^-1, so only a direct
+        # caller reaches this
+        oracle = CyclotomicFactorization({2: 1, 66: 1}, 1, IntPolynomial.one())
+        assert verify_phi_identity({2: 1, 66: 1}, ReducedWeights((1, 1, 1), 3, 1), oracle) == (True, 0)
+
     def test_uniform_shift_across_exceptional_rows(self):
         exponents = set()
         for row in load_rows():
@@ -292,6 +304,23 @@ class TestSquareRelation:
         holds, reason = square_report(row_by_name("J_3,0"))
         assert not holds
         assert "denominator" in reason
+
+    def test_pad_fills_phi_1_beside_phi_2(self):
+        # Phi_1 and Phi_2 both square to Phi_1; the pad of 2 goes to Phi_1
+        # and leaves phi's Phi_2 in place: {1: 2, 2: 1, 3: 1} squares to
+        # {1: 3, 3: 1}
+        squared = CyclotomicFactorization({1: 3, 3: 1}, 1, IntPolynomial.one())
+        assert verify_square_relation({1: -1, 2: 1, 3: 1}, squared, 5) == (True, "squared spectrum matches")
+
+    def test_zero_exponent_is_no_factor(self):
+        # Phi_5^0 = 1 is neither a denominator factor nor part of the spectrum
+        squared = CyclotomicFactorization({1: 3, 3: 1}, 1, IntPolynomial.one())
+        assert verify_square_relation({1: -1, 2: 1, 3: 1, 5: 0}, squared, 5) == (True, "squared spectrum matches")
+
+    def test_degree_one_past_the_rank(self):
+        # phi_f's positive part has degree 3, one more than the rank
+        squared = CyclotomicFactorization({1: 1, 3: 1}, 1, IntPolynomial.one())
+        assert verify_square_relation({1: -1, 2: 1, 3: 1}, squared, 2) == (False, "degree exceeds the lattice rank")
 
 
 class TestIndexBeyond132:

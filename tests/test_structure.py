@@ -811,3 +811,29 @@ def test_one_compactifier_notation():
     }
     assert splitters == {"weights.ambient_weights"}
     assert AmbientWeights._fields == ("weights", "monomial")
+
+
+def test_one_invertibility_rule():
+    # the Kreuzer-Skarke shape is the one definition of an invertible
+    # polynomial, checked once where one is built: it implies det != 0, so
+    # polyparse needs no determinant, and positive weights, so
+    # canonical_weights tests no sign (ambient_weights' q0 is not a weight of
+    # f); no other function raises about a monomial's shape
+    names = {
+        alias.name for node in ast.walk(_tree("polyparse.py")) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "det_bareiss" not in names
+    raises = [
+        (f"{path.stem}.{name}", ast.unparse(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, function in _qualified_functions(path)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Raise)
+    ]
+    assert {where for where, text in raises if where.startswith("weights.") and "positive" in text} == {
+        "weights.ambient_weights"
+    }
+    shape = re.compile(r"x\^a|of two monomials|singular|identical|non-negative")
+    rule = "polyparse.InvertiblePolynomial.__init__"
+    assert {where for where, text in raises if shape.search(text)} == {rule}
+    assert any(where == rule and "x^a" in text for where, text in raises)

@@ -7,10 +7,13 @@ agreement here is independent of the power-sum (Newton), Bareiss and
 binomial-peeling code in ``exactalg``.  Its polynomial gcd counts the
 distinct roots of a unit restricted to an exceptional component, deg p -
 deg gcd(p, p'), which ``quotres`` reads off the binomial's exponents.
+Its Groebner bases decide whether an exponent matrix gives an isolated
+singularity, which ``polyparse`` decides by the Kreuzer-Skarke shape alone.
 """
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
@@ -25,7 +28,10 @@ from bhdual.exactalg import (
 )
 from bhdual.fixtures import load_rows
 from bhdual.klattice import row_gram
+from bhdual.polyparse import InvertiblePolynomial, transpose
 from bhdual.quotres import SparsePoly, branch_count_at_attachment, proper_transform
+from bhdual.weights import canonical_weights
+from conftest import KREUZER_SKARKE
 
 t = sympy.Symbol("t")
 ROWS = load_rows()
@@ -196,3 +202,63 @@ def test_small_and_zero_matrices(entries):
     assert p.coefficients == charpoly_coefficients(sympy.Matrix(entries))
     assert det_bareiss(m) == sympy.Matrix(entries).det(method="berkowitz")
     assert annihilates(p, m)
+
+
+XYZ = sympy.symbols("x y z")
+
+
+@st.composite
+def perturbed_shapes(draw):
+    """A three-variable Kreuzer-Skarke shape with head exponents 2..4,
+    variables renamed and rows reordered, and half the time one entry set to
+    a drawn 0..4."""
+    kind = draw(st.sampled_from(sorted(KREUZER_SKARKE)))
+    rows = KREUZER_SKARKE[kind](*draw(st.tuples(*[st.integers(2, 4)] * 3)))
+    columns = draw(st.permutations(range(3)))
+    rows = [[row[j] for j in columns] for row in draw(st.permutations(rows))]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, 2))][draw(st.integers(0, 2))] = draw(st.integers(0, 4))
+    return tuple(map(tuple, rows))
+
+
+def sympy_weights(entries):
+    """The solution w of E*w = |det E|*(1, 1, 1) by sympy's LU solve, or None
+    when det E = 0."""
+    m = sympy.Matrix(entries)
+    det = m.det(method="berkowitz")
+    if det == 0:
+        return None
+    return tuple(abs(det) * m.LUsolve(sympy.ones(3, 1)))
+
+
+def isolated_singularity(entries):
+    """f = sum of the monomials is singular at 0 (no monomial of degree 0 or
+    1) and its Jacobian ideal is zero-dimensional.  With positive weights the
+    critical set is invariant under the C* action, so it is finite exactly
+    when it is the origin alone."""
+    if any(sum(row) <= 1 for row in entries):
+        return False
+    f = sum(sympy.prod(v**e for v, e in zip(XYZ, row)) for row in entries)
+    return sympy.groebner([f.diff(v) for v in XYZ], *XYZ, order="grevlex").is_zero_dimensional
+
+
+@given(perturbed_shapes())
+@example(((2, 1, 0), (0, 3, 0), (0, 1, 2)))  # y*(x^2 + y^2 + z^2): singular along a curve
+@example(((1, 1, 1), (3, 0, 0), (0, 3, 0)))  # det 9, a linear monomial in the transpose
+@example(((2, 0, 0), (1, 1, 0), (0, 0, 3)))  # isolated, but x*y is quadratic
+@settings(max_examples=200, deadline=None)
+def test_kreuzer_skarke_rule_against_the_jacobian(entries):
+    # accepted exactly when det E != 0, the weights are positive, 0 is an
+    # isolated singularity and no monomial is x_i*x_j; what is accepted has
+    # sympy's weights, and so is its transpose
+    w = sympy_weights(entries)
+    positive = w is not None and all(x > 0 for x in w)
+    quadratic = any(sorted(row) == [0, 1, 1] for row in entries)
+    try:
+        f = InvertiblePolynomial(IntMatrix(entries), "xyz")
+    except ValueError:
+        assert not (positive and not quadratic and isolated_singularity(entries)), entries
+        return
+    assert positive and not quadratic and isolated_singularity(entries), entries
+    assert canonical_weights(f).w == w
+    assert transpose(transpose(f)) == f  # each transpose passes the rule too

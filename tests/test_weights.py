@@ -48,12 +48,13 @@ class TestCanonicalWeights:
                 assert sum(e * wi for e, wi in zip(exponents, w.w)) == w.d_prime
 
     def test_nonpositive_weights_rejected(self):
-        # x*y^2 + y solves to w = (-1, 1)
-        with pytest.raises(ValueError, match=re.escape("weights (-1, 1) are not all positive")):
-            canonical_weights(parse_polynomial("x*y^2 + y", ("x", "y")))
-        # det E = 4, and x^2 + y^2 + x*y*z solves to w = (2, 2, 0): a zero weight
-        with pytest.raises(ValueError, match=re.escape("weights (2, 2, 0) are not all positive")):
-            canonical_weights(parse_polynomial("x^2 + y^2 + x*y*z", ("x", "y", "z")))
+        # x*y^2 + y would solve to w = (-1, 1), and x^2 + y^2 + x*y*z
+        # (det E = 4) to w = (2, 2, 0): the parser rejects both by their
+        # shape, so canonical_weights is never handed a nonpositive system
+        with pytest.raises(ValueError, match=re.escape("monomial y is not x^a or x^a*y with a at least 2")):
+            parse_polynomial("x*y^2 + y", ("x", "y"))
+        with pytest.raises(ValueError, match=re.escape("monomial x*y*z is not x^a or x^a*y with a at least 2")):
+            parse_polynomial("x^2 + y^2 + x*y*z", ("x", "y", "z"))
 
 
 class TestReduce:
@@ -121,8 +122,15 @@ class TestValidateAction:
 
     def test_trivial_group(self):
         monomials = ((0, 6, 0, 0), (18, 0, 0, 0))
-        assert validate_action(monomials, 1, (7, 7, 7, 7))
         assert validate_action(monomials, 1, None)
+
+    @pytest.mark.parametrize("m", [(7, 7, 7, 7), (5, 7), ()])
+    def test_generator_for_the_trivial_group(self, m):
+        # a stored generator of a group of order 1 was never read, whatever
+        # its length; it is now an error that names it
+        monomials = ((0, 6, 0, 0), (18, 0, 0, 0))
+        with pytest.raises(ValueError, match=f"^a group of order 1 needs no generator, not {re.escape(str(m))}$"):
+            validate_action(monomials, 1, m)
 
     def test_no_generator_for_a_nontrivial_group(self):
         # without m every character would be 0 and any F would pass
