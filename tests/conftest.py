@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 from bhdual.curveconf import arm_label
 from bhdual.dynkin import UPPER, CaseConvention, extend, t_graph
-from bhdual.exactalg import IntPolynomial, divide_by_binomial, euler_totient
+from bhdual.exactalg import (
+    CyclotomicFactorization,
+    IntPolynomial,
+    cyclotomic_exponents,
+    cyclotomic_index_bound,
+    divide_by_binomial,
+    euler_totient,
+)
 from bhdual.fixtures import CASE_TAGS
 from bhdual.klattice import MukaiClass
 from bhdual.quotres import SparsePoly
@@ -72,6 +79,44 @@ def cyclotomic(n):
         if n % d == 0:
             p = long_division(p, cyclotomic(d))
     return p
+
+
+def full_peel_factor_cyclotomic(p: IntPolynomial) -> CyclotomicFactorization:
+    """p = unit * prod Phi_n^(e_n) exactly, or, when p is no such product,
+    CyclotomicFactorization({}, unit, unit * p): all or nothing.
+
+    The package's former factor_cyclotomic, which always peels to the full
+    index bound N; the tests' reference for the peel that stops at 2 deg p
+    when the product closes there.
+
+    With p(0) = +-1, p/p(0) = prod (1 - t^m)^(a_m) mod t^(N+1) fixes a_1..a_N,
+    peeled off one m at a time; N = cyclotomic_index_bound(deg p) bounds every
+    index, so p is cyclotomic iff every e_n >= 0 and sum m*a_m = deg p (both
+    sides then have degree deg p <= N and agree mod t^(N+1)).  A cyclotomic
+    product has sum |a_m| <= 2 deg p, which stops the peel early otherwise.
+    """
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    unit = 1 if p.leading > 0 else -1
+    degree, c0 = p.degree, p.coefficients[0]
+    if c0 in (1, -1):
+        bound = cyclotomic_index_bound(degree)
+        s = [c * c0 for c in p.coefficients] + [0] * (bound - degree)
+        pairs, budget = [], 2 * degree
+        for m in range(1, bound + 1):
+            a = -s[m]
+            if not a:
+                continue
+            budget -= abs(a)
+            if budget < 0:
+                break
+            pairs.append((m, a))
+            divide_by_binomial(s, m, a)
+        else:
+            exponents = cyclotomic_exponents(pairs)
+            if all(e > 0 for e in exponents.values()) and sum(m * a for m, a in pairs) == degree:
+                return CyclotomicFactorization(exponents, unit, IntPolynomial.one())
+    return CyclotomicFactorization({}, unit, p * unit)
 
 
 def spectrum(rw):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bhdual.exactalg import (
     CyclotomicFactorization,
@@ -18,7 +18,15 @@ from bhdual.exactalg import (
     factor_cyclotomic,
     square_root_spectrum,
 )
-from conftest import cyclotomic, dense_series, int_polynomial_text, long_division, one_minus_t
+from conftest import (
+    cyclotomic,
+    dense_series,
+    full_peel_factor_cyclotomic,
+    int_polynomial_text,
+    long_division,
+    one_minus_t,
+)
+from bhdual import exactalg
 from bhdual.fixtures import VARIABLES, load_rows
 from bhdual.klattice import GeneratorList, MukaiClass, Sheaf, class_of
 from bhdual.polyparse import InvertiblePolynomial, parse_polynomial, transpose
@@ -246,6 +254,117 @@ class TestFactorCyclotomic:
         assert not fac.is_cyclotomic
         assert fac.factors == {}
         assert fac.reconstruct() == p
+
+
+LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def peel_calls(p):
+    """factor_cyclotomic(p) and the (list length, m) of every stride step its
+    peel takes."""
+    calls = []
+    step = exactalg.divide_by_binomial
+
+    def spy(s, m, a):
+        calls.append((len(s), m))
+        step(s, m, a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactalg, "divide_by_binomial", spy)
+        return factor_cyclotomic(p), calls
+
+
+# products of Phi_n up to n = 210; the second branch puts a multiple of 6 on
+# top, whose index passes 2 deg p unless a small factor raises the degree
+cyclotomic_products = st.one_of(
+    st.dictionaries(st.integers(1, 210), st.integers(1, 2), max_size=3),
+    st.builds(
+        lambda k, small: {**small, 6 * k: 1},
+        st.integers(1, 35),
+        st.dictionaries(st.integers(1, 2), st.integers(1, 2), max_size=1),
+    ),
+)
+
+
+class TestShortPeel:
+    @given(
+        cyclotomic_products,
+        st.sampled_from((1, -1)),
+        st.one_of(st.none(), st.tuples(st.integers(0, 400), st.sampled_from((-1, 1)))),
+    )
+    @example({30: 1}, 1, None)
+    @example({210: 1}, -1, None)
+    @example({66: 1, 1: 2}, 1, (5, 1))
+    @example({30: 1}, 1, (8, -1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_peel(self, factors, unit, perturbation):
+        p = dense_product(CyclotomicFactorization(factors, unit, P.one()))
+        if perturbation:
+            i, delta = perturbation
+            c = list(p.coefficients)
+            c[i % len(c)] += delta
+            p = P(c)
+        assume(not p.is_zero())
+        assert factor_cyclotomic(p) == full_peel_factor_cyclotomic(p)
+
+    @pytest.mark.parametrize(
+        "factors, unit",
+        [({7: 1, 1: 1}, 1), ({7: 1}, -1)],
+        ids=["phi7-phi1", "phi7"],
+    )
+    def test_closes_at_twice_the_degree(self, factors, unit):
+        expected = CyclotomicFactorization(factors, unit, P.one())
+        p = dense_product(expected)
+        fac, calls = peel_calls(p)
+        assert fac == expected
+        assert {length for length, _ in calls} == {2 * p.degree + 1}
+
+    @pytest.mark.parametrize("n", [30, 210])
+    def test_needs_the_index_bound(self, n):
+        # Phi_30 has degree 8 and Phi_210 degree 48: the short peel does not
+        # reach the index, the second one runs to N + 1 = n + 1 coefficients
+        p = cyclotomic(n)
+        fac, calls = peel_calls(p)
+        assert fac == CyclotomicFactorization({n: 1}, 1, P.one())
+        assert cyclotomic_index_bound(p.degree) == n
+        assert sorted({length for length, _ in calls}) == [2 * p.degree + 1, n + 1]
+
+    @pytest.mark.parametrize(
+        "p, steps",
+        [(poly(1, -3, 1), [1]), (cyclotomic(7) * poly(1, -3, 1), [1, 2, 3])],
+        ids=["t2-3t+1", "phi7-cofactor"],
+    )
+    def test_budget_break_at_the_short_length_is_final(self, p, steps):
+        # the budget breaks at m = 2 and m = 4: no stride step past them, and
+        # no second peel
+        fac, calls = peel_calls(p)
+        assert fac == CyclotomicFactorization({}, 1, p)
+        assert calls == [(2 * p.degree + 1, m) for m in steps]
+
+    def test_budget_breaks_only_at_the_index_bound(self):
+        # Lehmer's polynomial (degree 10) peels to m = 20 within the budget
+        # and does not close; the peel to N = 30 breaks it at m = 26
+        fac, calls = peel_calls(LEHMER)
+        assert fac == CyclotomicFactorization({}, 1, LEHMER)
+        assert cyclotomic_index_bound(10) == 30
+        short = [m for length, m in calls if length == 21]
+        full = [m for length, m in calls if length == 31]
+        assert len(short) + len(full) == len(calls)
+        assert max(short) == 20 and max(full) == 25
+
+    @given(st.dictionaries(st.integers(1, 60), st.integers(1, 2), min_size=1, max_size=4), st.sampled_from((1, -1)))
+    @example({7: 1}, 1)
+    @example({2: 1, 3: 1, 4: 1, 6: 1, 12: 1}, 1)
+    @settings(max_examples=60, deadline=None)
+    def test_cost_within_twice_the_degree(self, factors, unit):
+        # a product whose every index is at most 2 deg p is peeled on lists
+        # of 2 deg p + 1 coefficients only, never up to the index bound
+        expected = CyclotomicFactorization(factors, unit, P.one())
+        p = dense_product(expected)
+        assume(max(factors) <= 2 * p.degree)
+        fac, calls = peel_calls(p)
+        assert fac == expected
+        assert max(length for length, _ in calls) <= 2 * p.degree + 1
 
 
 def dense_product(fac):
